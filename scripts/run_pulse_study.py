@@ -5,7 +5,10 @@ Writes study.csv + per-cycle VTK into results/pulse_<mode>_<policy>/ and
 prints the log-log error slope over the trailing cycles.  The dt ~ h^2
 policy multiplies element counts by ~16 per uniform cycle and by at
 least 4.75 per adaptive cycle, so --cycles defaults to 5 under h2 (about
-100k dofs) and to 8 under h.
+100k dofs) and to 8 under h.  The uniform leg runs at most 4 cycles under
+h and at most 3 under h2 (2,048 elements); a fourth uniform h2 cycle would
+have 32,768 elements, about 700k dofs, well past the 280k dofs the
+acceptance tests allow.
 """
 
 import argparse
@@ -48,6 +51,7 @@ if __name__ == "__main__":
     if args.cycles is None:
         args.cycles = 5 if args.dt_policy == "h2" else 8
     modes = ("amr", "uniform") if args.mode == "both" else (args.mode,)
+    uniform_cap = 3 if args.dt_policy == "h2" else 4
     for mode in modes:
-        cycles = args.cycles if mode == "amr" else min(args.cycles, 4)
+        cycles = args.cycles if mode == "amr" else min(args.cycles, uniform_cap)
         run(mode, args.dt_policy, cycles, args.out, args.eps)

@@ -177,21 +177,3 @@ def map_to_box(lo: np.ndarray, hi: np.ndarray, ref_pts: np.ndarray) -> np.ndarra
 def box_jacobian(lo: np.ndarray, hi: np.ndarray) -> float:
     """Constant Jacobian determinant of the affine map onto [lo, hi]."""
     return float(np.prod(0.5 * (np.asarray(hi) - np.asarray(lo))))
-
-
-def l2_project(f, basis: TensorBasis, lo, hi, n_quad: int | None = None) -> np.ndarray:
-    """Coefficients of the L2 projection of f onto the basis over the box.
-
-    f must accept an (n, k) array of physical points and return (n,) values.
-    The constant Jacobian cancels between Gram matrix and load vector, so the
-    projection is computed on the reference box.
-    """
-    if n_quad is None:
-        n_quad = max(basis.degrees) + 2
-    rule = tensor_rule(tuple(n_quad for _ in basis.degrees))
-    phys = map_to_box(lo, hi, rule.points)
-    fv = np.asarray(f(phys), dtype=float)
-    V = basis.eval(rule.points).values
-    G = V.T @ (V * rule.weights[:, None])
-    rhs = V.T @ (rule.weights * fv)
-    return np.linalg.solve(G, rhs)

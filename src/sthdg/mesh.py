@@ -220,10 +220,6 @@ class SpaceTimeMesh:
     def slab_interval(self, n: int) -> tuple[float, float]:
         return float(self.slab_times[n]), float(self.slab_times[n + 1])
 
-    def slab_dt(self, n: int) -> float:
-        t0, t1 = self.slab_interval(n)
-        return t1 - t0
-
     # ------------------------------------------------------------------
     # refinement / coarsening
     # ------------------------------------------------------------------

@@ -15,7 +15,8 @@ relation reduces to u = g, i.e. the initial condition) and the final plane
 
 All field callbacks are vectorized: they take an (n, d+1) array of points
 [t, x_1, .., x_d] and return (n,) or (n, d) arrays.  Built-in problems are
-defined symbolically and their source terms / derivatives generated with
+defined symbolically and their derivatives and (unless a problem states
+its own, as the rotating pulse does with f = 0) source terms generated with
 sympy, so manufactured data is consistent with the stated exact solution by
 construction (and cross-checked by finite differences in the tests).
 """
@@ -155,13 +156,15 @@ def from_symbolic(
     x_hi,
     t_final: float = 1.0,
     dirichlet_lateral: bool = True,
+    source=None,
 ) -> ProblemSpec:
     """Build a ProblemSpec from a sympy exact solution and advective field.
 
-    The source is manufactured as f = du/dt + div(beta_bar u) - eps lap(u);
-    beta_bar need not be divergence-free for the source to be consistent,
-    but the discretization assumes it is, so the returned spec records the
-    analytic divergence for the validity check.
+    Unless `source` gives f as a sympy expression (lambdified as it is), the
+    source is manufactured as f = du/dt + div(beta_bar u) - eps lap(u) and
+    simplified; beta_bar need not be divergence-free for the source to be
+    consistent, but the discretization assumes it is, so the returned spec
+    records the analytic divergence for the validity check.
     """
     import sympy as sp
 
@@ -170,8 +173,13 @@ def from_symbolic(
     beta = [sp.sympify(b) for b in beta_exprs]
     grad = [sp.diff(u, syms[1 + i]) for i in range(d)]
     u_t = sp.diff(u, syms[0])
-    lap = sum(sp.diff(u, syms[1 + i], 2) for i in range(d))
-    f = u_t + sum(sp.diff(beta[i] * u, syms[1 + i]) for i in range(d)) - eps * lap
+    if source is None:
+        lap = sum(sp.diff(u, syms[1 + i], 2) for i in range(d))
+        f = sp.simplify(
+            u_t + sum(sp.diff(beta[i] * u, syms[1 + i]) for i in range(d)) - eps * lap
+        )
+    else:
+        f = sp.sympify(source)
     div = sum(sp.diff(beta[i], syms[1 + i]) for i in range(d))
 
     lam = lambda e: sp.lambdify(syms, e, "numpy")
@@ -183,7 +191,7 @@ def from_symbolic(
         x_lo=np.asarray(x_lo, dtype=float),
         x_hi=np.asarray(x_hi, dtype=float),
         beta_bar=_vectorize(lam(sp.Matrix(beta).T.tolist()[0]), width=d),
-        f=_vectorize(lam(sp.simplify(f))),
+        f=_vectorize(lam(f)),
         exact=_vectorize(lam(u)),
         exact_grad=_vectorize(lam(grad), width=d),
         exact_dt=_vectorize(lam(u_t)),
@@ -206,13 +214,11 @@ def rotating_pulse(eps: float) -> ProblemSpec:
         / (sigma**2 + 2 * eps * t)
         * sp.exp(-((xt1 - x1c) ** 2 + (xt2 - x2c) ** 2) / (2 * sigma**2 + 4 * eps * t))
     )
-    spec = from_symbolic(
-        "rotating-pulse", 2, eps, u, [-4 * x2, 4 * x1],
-        x_lo=[-0.5, -0.5], x_hi=[0.5, 0.5],
-    )
     # the pulse is an exact solution of the homogeneous equation
-    spec.f = lambda pts: np.zeros(np.atleast_2d(pts).shape[0])
-    return spec
+    return from_symbolic(
+        "rotating-pulse", 2, eps, u, [-4 * x2, 4 * x1],
+        x_lo=[-0.5, -0.5], x_hi=[0.5, 0.5], source=0,
+    )
 
 
 def boundary_layer(eps: float) -> ProblemSpec:

@@ -8,6 +8,7 @@ unknowns by slab (inter-slab facets assigned to the slab above their plane)
 makes the system block lower triangular.  The slab mode factorizes one
 diagonal block at a time, which keeps memory flat for long time intervals.
 Both modes verify the relative residual of the full system to 1e-10.
+Running out of memory or a failed factorization is reported as SolverError.
 """
 
 from __future__ import annotations
@@ -50,9 +51,16 @@ def _check_residual(A: sp.csr_matrix, b: np.ndarray, x: np.ndarray, method: str)
     return float(resid)
 
 
+def _lu_solve(A: sp.spmatrix, b: np.ndarray) -> np.ndarray:
+    try:
+        return spla.spsolve(A.tocsc(), b)
+    except (MemoryError, RuntimeError) as exc:
+        raise SolverError(f"sparse LU failed: {type(exc).__name__}: {exc}") from exc
+
+
 def solve_monolithic(A_bc: sp.csr_matrix, b_bc: np.ndarray) -> tuple[np.ndarray, SolveReport]:
     t0 = time.perf_counter()
-    x = spla.spsolve(A_bc.tocsc(), b_bc)
+    x = _lu_solve(A_bc, b_bc)
     resid = _check_residual(A_bc, b_bc, x, "monolithic")
     return x, SolveReport(
         n_dofs=A_bc.shape[0], nnz=A_bc.nnz, residual=resid,
@@ -95,7 +103,7 @@ def solve_slabwise(sys: AssembledSystem) -> tuple[np.ndarray, SolveReport]:
     for idx in blocks:
         sub = A_bc[idx, :]
         rhs = b_bc[idx] - sub @ x  # x is zero on this and later slabs
-        x[idx] = spla.spsolve(sub[:, idx].tocsc(), rhs)
+        x[idx] = _lu_solve(sub[:, idx], rhs)
         sizes.append(len(idx))
     resid = _check_residual(A_bc, b_bc, x, "slabwise")
     return x, SolveReport(

@@ -131,6 +131,23 @@ def test_study_solver_failure_exits_3(tmp_path, monkeypatch, capsys):
     assert manifest["status"] == "solver_failure"
 
 
+def test_study_out_of_memory_exits_3(tmp_path, monkeypatch, capsys):
+    import sthdg.solver as solver_mod
+
+    def oom(A, b):
+        raise MemoryError
+
+    monkeypatch.setattr(solver_mod.spla, "spsolve", oom)
+    rc = main(["study", "--problem", "sine", "--dim", "1", "--eps", "0.1",
+               "--cycles", "1", "--slabs", "2", "--cells", "2",
+               "--out", str(tmp_path)])
+    assert rc == 3
+    assert "MemoryError" in capsys.readouterr().err
+    assert (tmp_path / "study.csv").exists()
+    manifest = json.loads((tmp_path / "run.json").read_text())
+    assert manifest["status"] == "solver_failure"
+
+
 def test_verify_writes_constants(tmp_path, capsys):
     rc = main(["verify", "--problem", "sine", "--dim", "1", "--eps", "0.1",
                "--cycles", "1", "--out", str(tmp_path)])

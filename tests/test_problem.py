@@ -71,6 +71,28 @@ def test_pulse_solves_homogeneous_equation(rng):
     assert np.max(np.abs(fd_source(spec, pts, h=2e-3))) < 1e-5
 
 
+def test_given_source_skips_simplify(rng, monkeypatch):
+    # a stated source is lambdified as it is; only manufactured sources
+    # go through the (slow) sympy simplification
+    import sympy
+
+    def no_simplify(*args, **kwargs):
+        raise AssertionError("sympy.simplify called for a given source")
+
+    monkeypatch.setattr(sympy, "simplify", no_simplify)
+    spec = get_problem("rotating-pulse", 1e-3)
+    pts = _interior_points(spec, 30, rng)
+    f = spec.f(pts)
+    assert f.dtype == np.float64 and f.shape == (30,)
+    assert np.all(f == 0.0)
+
+    spec = from_symbolic(
+        "given", 1, 0.5, "t + x1", ["1"], x_lo=[0.0], x_hi=[1.0], source="x1"
+    )
+    pts = _interior_points(spec, 15, rng)
+    assert np.array_equal(spec.f(pts), pts[:, 1])
+
+
 def test_exact_gradient_and_dt(rng):
     spec = get_problem("sine", 0.3, d=2)
     pts = _interior_points(spec, 20, rng)
