@@ -25,13 +25,33 @@ Dof ordering: all element dofs first (elements sorted by id), then facet
 dofs (facets sorted by id).
 
 Everything is batched over groups of entities that share the same reference
-data (element shape class, or facet-to-element trace map), so the per-entity
-work is pure numpy.
+data, so the per-entity work is pure numpy.  The `DofMap` builds both group
+tables once, from arrays, and assembly, the estimator and the error norms
+all read them:
+
+* `elem_classes`: elements of equal extent (hence equal reference-to-physical
+  scaling), in order of first occurrence in element-id order.
+* `facet_sides`: one row per (facet, adjacent element) side, with the
+  element and facet positions and first dofs, the facet Jacobian jacF, the
+  element half-width s_ax along the facet normal and the owner's h, plus the
+  facet midpoints and half-widths from which quadrature points are built
+  per chunk.  Sides are grouped by their trace-map key (axis, sign, fixed,
+  alphas, betas, boundary, facet degrees), computed with the same float
+  operations as `trace_map`.
+
+The order is fixed: sides are walked in facet-id order, owner side before
+neighbor side; groups come in order of first occurrence in that walk, sides
+inside a group keep it, and groups are cut into chunks of `_CHUNK` sides.
+Every einsum, `np.add.at` and COO concatenation therefore sees the same
+arrays whatever consumer reads the table, so the assembled system and the
+estimator are reproducible bit for bit; a last-bit change to eta_K could
+reorder elements of equal eta_K in marking and change the adapted mesh.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -97,6 +117,174 @@ class DofMap:
         f = self.mesh.facets[fid]
         o = self.facet_offset[fid]
         return np.arange(o, o + self.facet_n_basis(f))
+
+    def per_facet(self, values: dict[int, float]) -> np.ndarray:
+        """Per-facet values as an array in facet_ids order."""
+        return np.array([values[fid] for fid in self.facet_ids])
+
+    @cached_property
+    def elem_box(self) -> tuple[np.ndarray, np.ndarray]:
+        """(lo, hi) of every element, rows in elem_ids order."""
+        els = [self.mesh.elements[eid] for eid in self.elem_ids]
+        return np.array([el.lo for el in els]), np.array([el.hi for el in els])
+
+    @cached_property
+    def elem_h(self) -> np.ndarray:
+        """Largest spatial extent of every element (Element.h)."""
+        lo, hi = self.elem_box
+        return np.max(hi[:, 1:] - lo[:, 1:], axis=1)
+
+    @cached_property
+    def elem_classes(self) -> list[ElemClass]:
+        lo, hi = self.elem_box
+        ext = hi - lo
+        return [ElemClass(half=0.5 * ext[rows[0]], elem=rows, mid=0.5 * (lo[rows] + hi[rows]))
+                for rows in _groups_of_equal_rows(ext)]
+
+    @cached_property
+    def facet_sides(self) -> FacetSides:
+        return _build_facet_sides(self)
+
+
+def _groups_of_equal_rows(keys: np.ndarray) -> list[np.ndarray]:
+    """Row indices grouped by equal rows of `keys`: groups in order of first
+    occurrence, indices ascending inside each group."""
+    _, first, inv = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+    rank = np.empty(len(first), dtype=np.intp)
+    rank[np.argsort(first)] = np.arange(len(first))
+    r = rank[inv.reshape(-1)]
+    order = np.argsort(r, kind="stable")
+    return np.split(order, np.cumsum(np.bincount(r))[:-1])
+
+
+def _chunks(n: int):
+    for start in range(0, n, _CHUNK):
+        yield slice(start, start + _CHUNK)
+
+
+@dataclass
+class ElemClass:
+    """Elements of one extent: positions in elem_ids order and midpoints."""
+
+    half: np.ndarray  # (d+1,) half-widths shared by the class
+    elem: np.ndarray  # positions in elem_ids
+    mid: np.ndarray  # (m, d+1)
+
+    def chunks(self):
+        return _chunks(len(self.elem))
+
+    def points(self, sl: slice, ref: np.ndarray) -> np.ndarray:
+        """Physical points (m, nq, d+1) of reference points `ref` (nq, d+1)."""
+        return self.mid[sl, None, :] + self.half[None, None, :] * ref[None, :, :]
+
+
+@dataclass
+class SideGroup:
+    """Facet sides sharing one trace-map key, in facet-side walk order."""
+
+    axis: int
+    sign: int  # outward normal sign of the element along axis
+    fixed: float
+    alphas: tuple[float, ...]
+    betas: tuple[float, ...]
+    boundary: str | None
+    fdeg: tuple[int, ...]
+    facet: np.ndarray  # positions in facet_ids
+    elem: np.ndarray  # positions in elem_ids
+    edof: np.ndarray  # first element dof
+    fdof: np.ndarray  # first facet dof
+    jacF: np.ndarray  # facet reference-to-physical Jacobian
+    s_ax: np.ndarray  # element half-width along axis
+    h_owner: np.ndarray  # h of the facet's owner element
+
+    def chunks(self):
+        return _chunks(len(self.facet))
+
+
+_BOUNDARIES = (None, "dirichlet", "neumann", "initial", "final")
+
+
+@dataclass
+class FacetSides:
+    """Facet arrays (rows in facet_ids order) and the side groups."""
+
+    axis: np.ndarray
+    boundary: np.ndarray  # index into _BOUNDARIES
+    mid: np.ndarray  # (nf, d+1)
+    half: np.ndarray  # (nf, d+1), zero along the frozen axis
+    dof: np.ndarray  # first facet dof
+    groups: list[SideGroup]
+
+    def points(self, facets: np.ndarray, ref: np.ndarray) -> np.ndarray:
+        """Physical points (m, nq, d+1) of facet-reference points `ref`
+        (nq, d) on the given facets; free axes ascending, as in `trace_map`.
+        The half-width along the frozen axis is zero, so that coordinate is
+        the facet plane."""
+        d1 = ref.shape[1] + 1
+        ref_full = np.zeros((d1, ref.shape[0], d1))
+        for a in range(d1):
+            ref_full[a][:, [b for b in range(d1) if b != a]] = ref
+        return (self.mid[facets][:, None, :]
+                + self.half[facets][:, None, :] * ref_full[self.axis[facets]])
+
+
+def _build_facet_sides(dm: DofMap) -> FacetSides:
+    mesh = dm.mesh
+    d = mesh.d
+    d1 = d + 1
+    facets = [mesh.facets[fid] for fid in dm.facet_ids]
+    epos = {eid: i for i, eid in enumerate(dm.elem_ids)}
+    axis = np.array([f.axis for f in facets], dtype=np.intp)
+    flo = np.array([f.lo for f in facets]).reshape(-1, d1)
+    fhi = np.array([f.hi for f in facets]).reshape(-1, d1)
+    owner = np.array([epos[f.owner] for f in facets], dtype=np.intp)
+    neighbor = np.array([-1 if f.neighbor is None else epos[f.neighbor] for f in facets],
+                        dtype=np.intp)
+    owner_side = np.array([f.owner_side for f in facets])
+    bcode = np.array([_BOUNDARIES.index(f.boundary) for f in facets])
+    fdof = np.array([dm.facet_offset[fid] for fid in dm.facet_ids], dtype=np.intp)
+    fmid = 0.5 * (flo + fhi)
+    fhalf = 0.5 * (fhi - flo)
+    free = np.array([[b for b in range(d1) if b != a] for a in range(d1)], dtype=np.intp)
+    jacF = 0.5 ** d * np.prod(np.take_along_axis(fhi - flo, free[axis], 1), axis=1)
+
+    # the walk: facet-id order, owner side then neighbor side
+    sf = np.repeat(np.arange(len(facets)), 1 + (neighbor >= 0))
+    is_nb = np.zeros(len(sf), dtype=bool)
+    is_nb[1:] = sf[1:] == sf[:-1]
+    se = np.where(is_nb, neighbor[sf], owner[sf])
+    sign = np.where(is_nb, -owner_side[sf], owner_side[sf])
+
+    # trace map of every side with the float operations of trace_map; along
+    # the frozen axis the facet midpoint is the plane coordinate, so that
+    # column of `rel` is the unsigned `fixed`
+    elo, ehi = dm.elem_box
+    half_el = (0.5 * (ehi - elo))[se]
+    rel = (fmid[sf] - (0.5 * (ehi + elo))[se]) / half_el
+    sa = axis[sf]
+    ix = np.arange(len(sf))
+    alphas = np.take_along_axis(rel, free[sa], 1)
+    betas = np.take_along_axis(fhalf[sf] / half_el, free[sa], 1)
+    fixed = np.sign(rel[ix, sa])
+    keys = np.column_stack([sa, sign, fixed, alphas, betas, bcode[sf]])
+    s_ax = half_el[ix, sa]
+    nb = dm.n_elem_basis
+
+    groups = []
+    for rows in _groups_of_equal_rows(keys):
+        k = rows[0]
+        a = int(sa[k])
+        fp = sf[rows]
+        groups.append(SideGroup(
+            axis=a, sign=int(sign[k]), fixed=float(fixed[k]),
+            alphas=tuple(alphas[k].tolist()), betas=tuple(betas[k].tolist()),
+            boundary=_BOUNDARIES[bcode[sf[k]]],
+            fdeg=(dm.p_s,) * d if a == 0 else (P_T,) + (dm.p_s,) * (d - 1),
+            facet=fp, elem=se[rows], edof=se[rows] * nb, fdof=fdof[fp],
+            jacF=jacF[fp], s_ax=s_ax[rows], h_owner=dm.elem_h[owner[fp]],
+        ))
+    return FacetSides(axis=axis, boundary=bcode, mid=fmid, half=fhalf, dof=fdof,
+                      groups=groups)
 
 
 def build_dofmap(mesh: SpaceTimeMesh, p_s: int) -> DofMap:
@@ -183,46 +371,24 @@ def facet_rule(n_free_axes: int, nq: int) -> fe.TensorRule:
     return fe.tensor_rule((nq,) * n_free_axes)
 
 
-def facet_phys_points(f: Facet, ref: np.ndarray) -> np.ndarray:
-    """Map facet-reference points (nq, k-1) to physical (nq, k)."""
-    k = f.lo.shape[0]
-    free = f.free_axes()
-    pts = np.empty((ref.shape[0], k))
-    pts[:, f.axis] = f.coord
-    mid = 0.5 * (f.lo + f.hi)
-    half = 0.5 * (f.hi - f.lo)
-    for i, a in enumerate(free):
-        pts[:, a] = mid[a] + half[a] * ref[:, i]
-    return pts
-
-
 # ----------------------------------------------------------------------
 # facet beta_s (sup |beta.n|, one value per facet shared by both sides)
 # ----------------------------------------------------------------------
 
 
-def compute_beta_sup(spec: ProblemSpec, mesh: SpaceTimeMesh, nq: int) -> dict[int, float]:
-    out: dict[int, float] = {}
-    d1 = mesh.d + 1
-    corners_cache: dict[int, np.ndarray] = {}
-    q_by_axis: dict[int, list[Facet]] = {}
-    for f in mesh.facets.values():
-        if f.is_R:
-            out[f.fid] = 1.0  # beta.n = +-1 exactly on horizontal facets
-        else:
-            q_by_axis.setdefault(f.axis, []).append(f)
-    for axis, facets in q_by_axis.items():
-        rule = facet_rule(d1 - 1, nq)
-        if d1 - 1 not in corners_cache:
-            grid = np.array(np.meshgrid(*([[-1.0, 1.0]] * (d1 - 1)), indexing="ij"))
-            corners_cache[d1 - 1] = grid.reshape(d1 - 1, -1).T
-        ref = np.vstack([rule.points, corners_cache[d1 - 1]])
-        pts = np.concatenate([facet_phys_points(f, ref) for f in facets])
-        bvals = spec.beta(pts)[:, axis]
-        m = ref.shape[0]
-        for i, f in enumerate(facets):
-            out[f.fid] = float(np.max(np.abs(bvals[i * m : (i + 1) * m])))
-    return out
+def compute_beta_sup(spec: ProblemSpec, dm: DofMap, nq: int) -> dict[int, float]:
+    d = dm.d
+    fs = dm.facet_sides
+    out = np.ones(len(dm.facet_ids))  # beta.n = +-1 exactly on horizontal facets
+    grid = np.array(np.meshgrid(*([[-1.0, 1.0]] * d), indexing="ij"))
+    ref = np.vstack([facet_rule(d, nq).points, grid.reshape(d, -1).T])
+    for axis in range(1, d + 1):
+        facets = np.flatnonzero(fs.axis == axis)
+        if facets.size:
+            pts = fs.points(facets, ref).reshape(-1, d + 1)
+            bvals = spec.beta(pts)[:, axis].reshape(len(facets), -1)
+            out[facets] = np.max(np.abs(bvals), axis=1)
+    return dict(zip(dm.facet_ids, out.tolist()))
 
 
 # ----------------------------------------------------------------------
@@ -264,21 +430,6 @@ def apply_dirichlet(sys: AssembledSystem) -> tuple[sp.csr_matrix, np.ndarray]:
     return A_bc, b_bc
 
 
-@dataclass
-class _SideItem:
-    f: Facet
-    el: Element
-    sign: int  # outward normal sign of this element along f.axis
-
-
-def iter_facet_sides(mesh: SpaceTimeMesh):
-    for fid in mesh.facet_ids():
-        f = mesh.facets[fid]
-        yield _SideItem(f, mesh.elements[f.owner], f.owner_side)
-        if f.neighbor is not None:
-            yield _SideItem(f, mesh.elements[f.neighbor], -f.owner_side)
-
-
 def default_quad_n(p_s: int) -> int:
     return max(P_T, p_s) + 2
 
@@ -286,15 +437,13 @@ def default_quad_n(p_s: int) -> int:
 def assemble(
     spec: ProblemSpec, mesh: SpaceTimeMesh, p_s: int, quad_n: int | None = None,
     beta_sup_override: dict[int, float] | None = None,
-    penalty_h_override: dict[int, float] | None = None,
 ) -> AssembledSystem:
     """Assemble the raw system.
 
-    beta_sup_override / penalty_h_override replace the per-facet upwind
-    constant and the penalty length scale for selected facets.  The subgrid
-    construction uses them to inherit beta_s and h from the parent facet so
-    the refined form agrees exactly with the coarse one on restricted
-    fields.
+    beta_sup_override replaces the per-facet upwind constant for selected
+    facets.  The subgrid construction uses it to inherit beta_s from the
+    parent facet so the refined form agrees exactly with the coarse one on
+    restricted fields.
     """
     if spec.d != mesh.d:
         raise ValueError("problem and mesh dimensions differ")
@@ -306,10 +455,11 @@ def assemble(
     d1 = d + 1
     eps = spec.eps
     alpha = penalty_alpha(p_s)
-    beta_sup = compute_beta_sup(spec, mesh, nq + 2)
+    beta_sup = compute_beta_sup(spec, dm, nq + 2)
     if beta_sup_override:
         beta_sup.update(beta_sup_override)
-    pen_h = penalty_h_override or {}
+    bs_all = dm.per_facet(beta_sup)
+    fs = dm.facet_sides
 
     rows: list[np.ndarray] = []
     cols: list[np.ndarray] = []
@@ -330,37 +480,28 @@ def assemble(
     V, G = BV.values, BV.grad  # (nqv, nb), (nqv, nb, d1)
     nb = dm.n_elem_basis
 
-    classes: dict[bytes, list[int]] = {}
-    for eid in dm.elem_ids:
-        el = mesh.elements[eid]
-        classes.setdefault((el.hi - el.lo).tobytes(), []).append(eid)
-
-    for ids in classes.values():
-        for start in range(0, len(ids), _CHUNK):
-            chunk = ids[start : start + _CHUNK]
-            m = len(chunk)
-            els = [mesh.elements[e] for e in chunk]
-            half = 0.5 * (els[0].hi - els[0].lo)
-            jac = float(np.prod(half))
-            mids = np.array([0.5 * (e.lo + e.hi) for e in els])
-            pts = mids[:, None, :] + half[None, None, :] * vol_rule.points[None, :, :]
+    for cls in dm.elem_classes:
+        half = cls.half
+        jac = float(np.prod(half))
+        # diffusion: eps sum_a (1/s_a^2) int dGa_j dGa_i   (spatial axes)
+        Ad = np.zeros((nb, nb))
+        for a in range(1, d1):
+            Ga = G[:, :, a]
+            Ad += (eps / half[a] ** 2) * np.einsum("q,qi,qj->ij", wq, Ga, Ga)
+        for sl in cls.chunks():
+            pts = cls.points(sl, vol_rule.points)
+            m = pts.shape[0]
             flat = pts.reshape(-1, d1)
             fv = spec.f(flat).reshape(m, -1)
             bbar = spec.beta_bar(flat).reshape(m, -1, d)
 
-            # diffusion: eps sum_a (1/s_a^2) int dGa_j dGa_i   (spatial axes)
-            Ad = np.zeros((nb, nb))
-            for a in range(1, d1):
-                Ga = G[:, :, a]
-                Ad += (eps / half[a] ** 2) * np.einsum("q,qi,qj->ij", wq, Ga, Ga)
             # advection: -(beta u, grad_st v): -int phi_j (beta . grad phi_i)
             Bdot = np.broadcast_to((G[:, :, 0] / half[0])[None], (m, len(wq), nb)).copy()
             for a in range(1, d1):
                 Bdot += bbar[:, :, a - 1, None] * (G[None, :, :, a] / half[a])
             Aa = -np.einsum("q,qj,mqi->mij", wq, V, Bdot)
             block = jac * (Ad[None, :, :] + Aa)
-            base = np.array([dm.elem_offset[e] for e in chunk])
-            dof2d = base[:, None] + np.arange(nb)[None, :]
+            dof2d = (cls.elem[sl] * nb)[:, None] + np.arange(nb)[None, :]
             scatter(dof2d, dof2d, block)
             np.add.at(b, dof2d.reshape(-1), (jac * np.einsum("q,mq,qi->mi", wq, fv, V)).reshape(-1))
 
@@ -369,37 +510,26 @@ def assemble(
     wfq = frule.weights
     nqf = len(wfq)
 
-    groups: dict[tuple, list[_SideItem]] = {}
-    for it in iter_facet_sides(mesh):
-        fixed, alphas, betas = trace_map(it.f, it.el)
-        key = (it.f.axis, it.sign, fixed, alphas, betas, it.f.boundary,
-               dm.facet_degrees(it.f))
-        groups.setdefault(key, []).append(it)
-
-    for key, items in groups.items():
-        axis, sign, fixed, alphas, betas, boundary, fdeg = key
-        EB = elem_trace_basis(dm.elem_degrees, axis, fixed, alphas, betas, nq)
-        FB = facet_basis_at_rule(fdeg, nq)
+    for g in fs.groups:
+        axis, sign = g.axis, g.sign
+        EB = elem_trace_basis(dm.elem_degrees, axis, g.fixed, g.alphas, g.betas, nq)
+        FB = facet_basis_at_rule(g.fdeg, nq)
         E = EB.values  # (nqf, nb)
         Fb = FB.values  # (nqf, nbf)
         nbf = Fb.shape[1]
         is_Q = axis >= 1
-        neumann_bdy = boundary in ("initial", "final", "neumann")
+        neumann_bdy = g.boundary in ("initial", "final", "neumann")
 
-        for start in range(0, len(items), _CHUNK):
-            ch = items[start : start + _CHUNK]
-            m = len(ch)
-            jacF = np.array([0.5 ** d * np.prod(np.delete(it.f.hi - it.f.lo, axis)) for it in ch])
-            pts = np.stack([facet_phys_points(it.f, frule.points) for it in ch])
-            flat = pts.reshape(-1, d1)
+        for sl in g.chunks():
+            facets = g.facet[sl]
+            m = len(facets)
+            flat = fs.points(facets, frule.points).reshape(-1, d1)
             bn = sign * spec.beta(flat)[:, axis].reshape(m, nqf)
-            bs = np.array([beta_sup[it.f.fid] for it in ch])
-            we = wfq[None, :] * jacF[:, None]
+            bs = bs_all[facets]
+            we = wfq[None, :] * g.jacF[sl][:, None]
 
-            ebase = np.array([dm.elem_offset[it.el.eid] for it in ch])
-            fbase = np.array([dm.facet_offset[it.f.fid] for it in ch])
-            edofs = ebase[:, None] + np.arange(nb)[None, :]
-            fdofs = fbase[:, None] + np.arange(nbf)[None, :]
+            edofs = g.edof[sl][:, None] + np.arange(nb)[None, :]
+            fdofs = g.fdof[sl][:, None] + np.arange(nbf)[None, :]
 
             # advective flux: ((bn) lambda + bs (u - lambda), v - mu)
             w_bs = we * bs[:, None]
@@ -410,19 +540,14 @@ def assemble(
             scatter(fdofs, fdofs, -np.einsum("mq,qi,qj->mij", w_mix, Fb, Fb))
 
             if is_Q:
-                pen = np.array([
-                    eps * alpha / pen_h.get(it.f.fid, mesh.elements[it.f.owner].h)
-                    for it in ch
-                ])
-                wp = we * pen[:, None]
+                wp = we * (eps * alpha / g.h_owner[sl])[:, None]
                 scatter(edofs, edofs, np.einsum("mq,qi,qj->mij", wp, E, E))
                 scatter(edofs, fdofs, -np.einsum("mq,qi,qj->mij", wp, E, Fb))
                 scatter(fdofs, edofs, -np.einsum("mq,qi,qj->mij", wp, Fb, E))
                 scatter(fdofs, fdofs, np.einsum("mq,qi,qj->mij", wp, Fb, Fb))
 
-                s_ax = np.array([0.5 * (it.el.hi[axis] - it.el.lo[axis]) for it in ch])
                 Gn = EB.grad[:, :, axis]  # (nqf, nb), d/d(ref axis)
-                wg = we * (sign * eps / s_ax)[:, None]
+                wg = we * (sign * eps / g.s_ax[sl])[:, None]
                 # -<eps [[u]], grad_n v>
                 scatter(edofs, edofs, -np.einsum("mq,qi,qj->mij", wg, Gn, E))
                 scatter(edofs, fdofs, np.einsum("mq,qi,qj->mij", wg, Gn, Fb))
@@ -435,8 +560,8 @@ def assemble(
                 scatter(fdofs, fdofs, np.einsum("mq,qi,qj->mij", we * zp * bn, Fb, Fb))
                 normal = np.zeros(d1)
                 normal[axis] = sign
-                g = spec.neumann_data(flat, normal).reshape(m, nqf)
-                np.add.at(b, fdofs.reshape(-1), np.einsum("mq,qi->mi", we * g, Fb).reshape(-1))
+                g_n = spec.neumann_data(flat, normal).reshape(m, nqf)
+                np.add.at(b, fdofs.reshape(-1), np.einsum("mq,qi->mi", we * g_n, Fb).reshape(-1))
 
     A = sp.coo_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
@@ -444,28 +569,22 @@ def assemble(
     ).tocsr()
 
     # ---------------- Dirichlet values ------------------------------
-    dir_fids = [fid for fid in dm.facet_ids if mesh.facets[fid].boundary == "dirichlet"]
-    dir_idx: list[np.ndarray] = []
-    dir_vals: list[np.ndarray] = []
-    if dir_fids:
-        bygroup: dict[tuple, list[int]] = {}
-        for fid in dir_fids:
-            bygroup.setdefault(dm.facet_degrees(mesh.facets[fid]), []).append(fid)
-        for fdeg, fids in bygroup.items():
-            FB = facet_basis_at_rule(fdeg, nq)
-            rule = facet_rule(len(fdeg), nq)
-            Gram = FB.values.T @ (FB.values * rule.weights[:, None])
-            pts = np.concatenate(
-                [facet_phys_points(mesh.facets[fid], rule.points) for fid in fids]
-            )
-            gv = spec.dirichlet_data(pts).reshape(len(fids), -1)
-            rhs = np.einsum("q,qi,mq->mi", rule.weights, FB.values, gv)
-            coeffs = np.linalg.solve(Gram, rhs.T).T
-            for i, fid in enumerate(fids):
-                dir_idx.append(dm.facet_dofs(fid))
-                dir_vals.append(coeffs[i])
-    dirichlet_idx = np.concatenate(dir_idx) if dir_idx else np.empty(0, dtype=int)
-    dirichlet_values = np.concatenate(dir_vals) if dir_vals else np.empty(0)
+    # Dirichlet facets are lateral, so they share one facet basis
+    dir_facets = np.flatnonzero(fs.boundary == _BOUNDARIES.index("dirichlet"))
+    if dir_facets.size:
+        fdeg = (P_T,) + (p_s,) * (d - 1)
+        FB = facet_basis_at_rule(fdeg, nq)
+        rule = facet_rule(d, nq)
+        Gram = FB.values.T @ (FB.values * rule.weights[:, None])
+        pts = fs.points(dir_facets, rule.points).reshape(-1, d1)
+        gv = spec.dirichlet_data(pts).reshape(len(dir_facets), -1)
+        rhs = np.einsum("q,qi,mq->mi", rule.weights, FB.values, gv)
+        coeffs = np.linalg.solve(Gram, rhs.T).T
+        dirichlet_idx = (fs.dof[dir_facets][:, None] + np.arange(FB.values.shape[1])).reshape(-1)
+        dirichlet_values = coeffs.reshape(-1)
+    else:
+        dirichlet_idx = np.empty(0, dtype=int)
+        dirichlet_values = np.empty(0)
 
     return AssembledSystem(
         A=A, b=b, dofmap=dm, dirichlet_idx=dirichlet_idx,

@@ -160,10 +160,14 @@ def _setup_logging() -> None:
     )
 
 
+_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")
+
+
 def _cap_threads(n: int) -> None:
-    # must run before numpy is imported anywhere in this process
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
+    # must run before numpy is imported anywhere in this process; an
+    # inherited value wins, so run.json records what actually applies
+    for var in _THREAD_VARS:
         os.environ.setdefault(var, str(n))
 
 
@@ -178,13 +182,17 @@ def _versions() -> dict:
     }
 
 
-def _write_manifest(out: Path, cfg: RunConfig, timings: dict, status: str) -> None:
+def _write_manifest(out: Path, cfg: RunConfig, timings: dict, status: str,
+                    cycles: list[dict] | None = None) -> None:
     manifest = {
         "config": asdict(cfg),
         "versions": _versions(),
+        "threads": {var: os.environ.get(var) for var in _THREAD_VARS},
         "timings_s": {k: round(v, 6) for k, v in timings.items()},
         "status": status,
     }
+    if cycles is not None:
+        manifest["cycles"] = cycles
     with open(out / "run.json", "w", newline="\n") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -255,8 +263,11 @@ def _cmd_study(cfg: RunConfig, out: Path) -> int:
 
     spec = _get_spec(cfg)
     csv_path = out / "study.csv"
+    cycles: list[dict] = []
 
     def on_cycle(cycle, mesh, sys_, x, est, rec):
+        cycles.append({"cycle": rec.cycle, "n_elements": rec.n_elements,
+                       "n_dofs": rec.n_dofs, "wall_ms": round(rec.wall_ms, 3)})
         ev = FieldEval(sys_.dofmap, x)
         values = {
             "eta_K": {e: est.eta_K(e) for e in mesh.element_ids()},
@@ -273,10 +284,10 @@ def _cmd_study(cfg: RunConfig, out: Path) -> int:
         )
     except SolverError as exc:
         _write_manifest(out, cfg, {"study": time.perf_counter() - t0},
-                        "solver_failure")
+                        "solver_failure", cycles)
         print(f"error: {exc} (partial outputs in {out})", file=sys.stderr)
         return 3
-    _write_manifest(out, cfg, {"study": time.perf_counter() - t0}, "ok")
+    _write_manifest(out, cfg, {"study": time.perf_counter() - t0}, "ok", cycles)
     for rec in records:
         print(rec.csv_row())
     return 0

@@ -30,18 +30,11 @@ import numpy as np
 from . import fe
 from .assembly import (
     AssembledSystem,
-    FieldEval,
-    _SideItem,
     elem_trace_basis,
     facet_basis_at_rule,
-    facet_phys_points,
     facet_rule,
-    iter_facet_sides,
-    trace_map,
 )
 from .mesh import Element, SpaceTimeMesh
-
-_CHUNK = 4096
 
 
 # ----------------------------------------------------------------------
@@ -120,45 +113,24 @@ class EstimateResult:
         return self.per_element[eid].eta_K
 
 
-def _volume_groups(dm, mesh):
-    classes: dict[bytes, list[int]] = {}
-    for eid in dm.elem_ids:
-        el = mesh.elements[eid]
-        classes.setdefault((el.hi - el.lo).tobytes(), []).append(eid)
-    return classes
-
-
-def _facet_groups(dm, mesh):
-    groups: dict[tuple, list[_SideItem]] = {}
-    for it in iter_facet_sides(mesh):
-        fixed, alphas, betas = trace_map(it.f, it.el)
-        key = (it.f.axis, it.sign, fixed, alphas, betas, it.f.boundary,
-               dm.facet_degrees(it.f))
-        groups.setdefault(key, []).append(it)
-    return groups
-
-
 def estimate(sys: AssembledSystem, x: np.ndarray, quad_n: int | None = None) -> EstimateResult:
     dm = sys.dofmap
-    mesh = dm.mesh
     spec = sys.spec
     eps = spec.eps
-    d = mesh.d
+    d = dm.d
     d1 = d + 1
     nq = (sys.quad_n + 2) if quad_n is None else quad_n
-    fev = FieldEval(dm, x)
-
-    eidx = {eid: i for i, eid in enumerate(dm.elem_ids)}
+    x = np.asarray(x)
     n = len(dm.elem_ids)
+    nb = dm.n_elem_basis
+    xe = x[: dm.n_elem_dofs].reshape(n, nb)
     sq_R = np.zeros(n); sq_osc = np.zeros(n)
     sq_J1 = np.zeros(n); sq_J2 = np.zeros(n)
     sq_J3Q = np.zeros(n); sq_J3R = np.zeros(n)
     sq_BC1 = np.zeros(n); sq_BC2 = np.zeros(n); sq_oscN = np.zeros(n)
 
-    lam_K = np.array([
-        min(1.0, mesh.elements[eid].h / math.sqrt(eps)) for eid in dm.elem_ids
-    ])
-    h_K = np.array([mesh.elements[eid].h for eid in dm.elem_ids])
+    h_K = dm.elem_h
+    lam_K = np.minimum(1.0, h_K / math.sqrt(eps))
 
     # ---- interior residual ----------------------------------------
     vrule = fe.tensor_rule((nq,) * d1)
@@ -166,26 +138,22 @@ def estimate(sys: AssembledSystem, x: np.ndarray, quad_n: int | None = None) -> 
     basis = fe.get_basis(dm.elem_degrees)
     BV = basis.eval(vrule.points)
     Gram = BV.values.T @ (BV.values * wq[:, None])
-    nb = dm.n_elem_basis
 
-    for ids in _volume_groups(dm, mesh).values():
-        for start in range(0, len(ids), _CHUNK):
-            chunk = ids[start : start + _CHUNK]
-            m = len(chunk)
-            els = [mesh.elements[e] for e in chunk]
-            half = 0.5 * (els[0].hi - els[0].lo)
-            jac = float(np.prod(half))
-            mids = np.array([0.5 * (e.lo + e.hi) for e in els])
-            pts = (mids[:, None, :] + half[None, None, :] * vrule.points[None, :, :]).reshape(-1, d1)
-            coeffs = np.stack([fev.elem_coeffs(e) for e in chunk])
-            lap = sum(BV.second[:, :, a] / half[a] ** 2 for a in range(1, d1))
+    for cls in dm.elem_classes:
+        half = cls.half
+        jac = float(np.prod(half))
+        lap = sum(BV.second[:, :, a] / half[a] ** 2 for a in range(1, d1))
+        for sl in cls.chunks():
+            pts = cls.points(sl, vrule.points).reshape(-1, d1)
+            rows = cls.elem[sl]
+            m = len(rows)
+            coeffs = xe[rows]
             ut = coeffs @ (BV.grad[:, :, 0].T / half[0])
             bbar = spec.beta_bar(pts).reshape(m, -1, d)
             adv = np.zeros_like(ut)
             for a in range(1, d1):
                 adv += bbar[:, :, a - 1] * (coeffs @ (BV.grad[:, :, a].T / half[a]))
             R = spec.f(pts).reshape(m, -1) + eps * (coeffs @ lap.T) - ut - adv
-            rows = np.array([eidx[e] for e in chunk])
             sq_R[rows] += jac * (R * R) @ wq
             proj = np.linalg.solve(Gram, np.einsum("q,qi,mq->im", wq, BV.values, R)).T
             R0 = R - proj @ BV.values.T
@@ -194,26 +162,30 @@ def estimate(sys: AssembledSystem, x: np.ndarray, quad_n: int | None = None) -> 
     # ---- facet terms ------------------------------------------------
     frule = facet_rule(d, nq)
     wfq = frule.weights
-    gradn_store: dict[int, np.ndarray] = {}  # fid -> accumulated normal gradient jump
+    fs = dm.facet_sides
+    bs_all = dm.per_facet(sys.beta_sup)
+    # facet position -> (normal gradient, element) of the side seen first
+    gradn_store: dict[int, tuple[np.ndarray, int]] = {}
 
-    for key, items in _facet_groups(dm, mesh).items():
-        axis, sign, fixed, alphas, betas, boundary, fdeg = key
-        EB = elem_trace_basis(dm.elem_degrees, axis, fixed, alphas, betas, nq)
-        FB = facet_basis_at_rule(fdeg, nq)
+    for g in fs.groups:
+        axis, sign, boundary = g.axis, g.sign, g.boundary
+        EB = elem_trace_basis(dm.elem_degrees, axis, g.fixed, g.alphas, g.betas, nq)
+        FB = facet_basis_at_rule(g.fdeg, nq)
         GramF = FB.values.T @ (FB.values * wfq[:, None])
+        nbf = FB.values.shape[1]
         is_Q = axis >= 1
         interior = boundary is None
 
-        for start in range(0, len(items), _CHUNK):
-            ch = items[start : start + _CHUNK]
-            m = len(ch)
-            jacF = np.array([0.5 ** d * np.prod(np.delete(it.f.hi - it.f.lo, axis)) for it in ch])
-            pts = np.stack([facet_phys_points(it.f, frule.points) for it in ch]).reshape(-1, d1)
+        for sl in g.chunks():
+            facets = g.facet[sl]
+            m = len(facets)
+            jacF = g.jacF[sl]
+            pts = fs.points(facets, frule.points).reshape(-1, d1)
             bn = sign * spec.beta(pts)[:, axis].reshape(m, -1)
-            bs = np.array([sys.beta_sup[it.f.fid] for it in ch])
-            rows = np.array([eidx[it.el.eid] for it in ch])
-            ec = np.stack([fev.elem_coeffs(it.el.eid) for it in ch])
-            fc = np.stack([fev.facet_coeffs(it.f.fid) for it in ch])
+            bs = bs_all[facets]
+            rows = g.elem[sl]
+            ec = xe[rows]
+            fc = x[g.fdof[sl][:, None] + np.arange(nbf)]
             utr = ec @ EB.values.T
             lam = fc @ FB.values.T
             jump = utr - lam
@@ -228,33 +200,32 @@ def estimate(sys: AssembledSystem, x: np.ndarray, quad_n: int | None = None) -> 
                 np.add.at(sq_J3R, rows, jsq)
 
             if is_Q and (interior or boundary == "neumann"):
-                s_ax = np.array([0.5 * (it.el.hi[axis] - it.el.lo[axis]) for it in ch])
-                gradn = (sign / s_ax)[:, None] * (ec @ EB.grad[:, :, axis].T)
+                gradn = (sign / g.s_ax[sl])[:, None] * (ec @ EB.grad[:, :, axis].T)
                 if interior:
                     # DG jump: sum of outward normal gradients of both sides
-                    for i, it in enumerate(ch):
-                        fid = it.f.fid
-                        if fid in gradn_store:
-                            gj = gradn_store.pop(fid) + gradn[i]
-                            val = eps * mesh.elements[it.f.owner].h * float(
-                                np.dot(wfq, gj * gj)) * jacF[i]
-                            sq_J1[eidx[mesh.elements[it.f.owner].eid]] += val
-                            sq_J1[eidx[mesh.elements[it.f.neighbor].eid]] += val
-                        else:
-                            gradn_store[fid] = gradn[i]
+                    h_own = g.h_owner[sl]
+                    for i, (fp, row) in enumerate(zip(facets.tolist(), rows.tolist())):
+                        first = gradn_store.pop(fp, None)
+                        if first is None:
+                            gradn_store[fp] = (gradn[i], row)
+                            continue
+                        gj = first[0] + gradn[i]
+                        val = eps * h_own[i] * float(np.dot(wfq, gj * gj)) * jacF[i]
+                        sq_J1[first[1]] += val
+                        sq_J1[row] += val
                 else:
                     normal = np.zeros(d1); normal[axis] = sign
-                    g = spec.neumann_data(pts, normal).reshape(m, -1)
+                    g_n = spec.neumann_data(pts, normal).reshape(m, -1)
                     zm = (bn < 0).astype(float)
-                    RN = g - eps * gradn + zm * utr * bn
+                    RN = g_n - eps * gradn + zm * utr * bn
                     np.add.at(sq_BC1, rows, (RN * RN * we).sum(axis=1))
                     proj = np.linalg.solve(GramF, np.einsum("q,qi,mq->im", wfq, FB.values, RN)).T
                     RN0 = RN - proj @ FB.values.T
                     np.add.at(sq_oscN, rows, (RN0 * RN0 * we).sum(axis=1))
 
             if boundary == "initial":
-                g = spec.initial_data(pts).reshape(m, -1)
-                RN = g - utr
+                g_0 = spec.initial_data(pts).reshape(m, -1)
+                RN = g_0 - utr
                 np.add.at(sq_BC2, rows, (RN * RN * we).sum(axis=1))
                 proj = np.linalg.solve(GramF, np.einsum("q,qi,mq->im", wfq, FB.values, RN)).T
                 RN0 = RN - proj @ FB.values.T
@@ -262,7 +233,7 @@ def estimate(sys: AssembledSystem, x: np.ndarray, quad_n: int | None = None) -> 
 
     per: dict[int, ElementEstimate] = {}
     total = 0.0
-    for eid, i in eidx.items():
+    for i, eid in enumerate(dm.elem_ids):
         est = ElementEstimate(
             eta_R=lam_K[i] * math.sqrt(sq_R[i]),
             eta_J1=math.sqrt(sq_J1[i]),
@@ -328,15 +299,15 @@ def error_norms(sys: AssembledSystem, x: np.ndarray, quad_n: int | None = None) 
     d = mesh.d
     d1 = d + 1
     nq = (sys.quad_n + 2) if quad_n is None else quad_n
-    fev = FieldEval(dm, x)
-    eidx = {eid: i for i, eid in enumerate(dm.elem_ids)}
+    x = np.asarray(x)
     n = len(dm.elem_ids)
+    xe = x[: dm.n_elem_dofs].reshape(n, dm.n_elem_basis)
     T = mesh.slab_times[-1] - mesh.slab_times[0]
 
     l2 = np.zeros(n); jump_adv = np.zeros(n); neu = np.zeros(n)
     grad_t = np.zeros(n); jump_Q = np.zeros(n); dterm = np.zeros(n)
 
-    h_K = np.array([mesh.elements[eid].h for eid in dm.elem_ids])
+    h_K = dm.elem_h
     tau = np.array([
         regime_and_weights(mesh.elements[eid], slab_height(mesh, mesh.elements[eid]), eps).tau_eps
         for eid in dm.elem_ids
@@ -347,17 +318,14 @@ def error_norms(sys: AssembledSystem, x: np.ndarray, quad_n: int | None = None) 
     basis = fe.get_basis(dm.elem_degrees)
     BV = basis.eval(vrule.points)
 
-    for ids in _volume_groups(dm, mesh).values():
-        for start in range(0, len(ids), _CHUNK):
-            chunk = ids[start : start + _CHUNK]
-            m = len(chunk)
-            els = [mesh.elements[e] for e in chunk]
-            half = 0.5 * (els[0].hi - els[0].lo)
-            jac = float(np.prod(half))
-            mids = np.array([0.5 * (e.lo + e.hi) for e in els])
-            pts = (mids[:, None, :] + half[None, None, :] * vrule.points[None, :, :]).reshape(-1, d1)
-            coeffs = np.stack([fev.elem_coeffs(e) for e in chunk])
-            rows = np.array([eidx[e] for e in chunk])
+    for cls in dm.elem_classes:
+        half = cls.half
+        jac = float(np.prod(half))
+        for sl in cls.chunks():
+            pts = cls.points(sl, vrule.points).reshape(-1, d1)
+            rows = cls.elem[sl]
+            m = len(rows)
+            coeffs = xe[rows]
 
             ev = spec.exact(pts).reshape(m, -1) - coeffs @ BV.values.T
             l2[rows] += jac * (ev * ev) @ wq
@@ -372,31 +340,33 @@ def error_norms(sys: AssembledSystem, x: np.ndarray, quad_n: int | None = None) 
 
     frule = facet_rule(d, nq)
     wfq = frule.weights
+    fs = dm.facet_sides
+    bs_all = dm.per_facet(sys.beta_sup)
 
-    for key, items in _facet_groups(dm, mesh).items():
-        axis, sign, fixed, alphas, betas, boundary, fdeg = key
-        EB = elem_trace_basis(dm.elem_degrees, axis, fixed, alphas, betas, nq)
-        FB = facet_basis_at_rule(fdeg, nq)
+    for g in fs.groups:
+        axis, sign = g.axis, g.sign
+        EB = elem_trace_basis(dm.elem_degrees, axis, g.fixed, g.alphas, g.betas, nq)
+        FB = facet_basis_at_rule(g.fdeg, nq)
+        nbf = FB.values.shape[1]
         is_Q = axis >= 1
-        for start in range(0, len(items), _CHUNK):
-            ch = items[start : start + _CHUNK]
-            m = len(ch)
-            jacF = np.array([0.5 ** d * np.prod(np.delete(it.f.hi - it.f.lo, axis)) for it in ch])
-            pts = np.stack([facet_phys_points(it.f, frule.points) for it in ch]).reshape(-1, d1)
+        for sl in g.chunks():
+            facets = g.facet[sl]
+            m = len(facets)
+            pts = fs.points(facets, frule.points).reshape(-1, d1)
             bn = sign * spec.beta(pts)[:, axis].reshape(m, -1)
-            bs = np.array([sys.beta_sup[it.f.fid] for it in ch])
-            rows = np.array([eidx[it.el.eid] for it in ch])
-            ec = np.stack([fev.elem_coeffs(it.el.eid) for it in ch])
-            fc = np.stack([fev.facet_coeffs(it.f.fid) for it in ch])
+            bs = bs_all[facets]
+            rows = g.elem[sl]
+            ec = xe[rows]
+            fc = x[g.fdof[sl][:, None] + np.arange(nbf)]
             # [[u - u_h]] = lambda_h - u_h|K on dK (exact trace single valued)
             ejump = fc @ FB.values.T - ec @ EB.values.T
-            we = wfq[None, :] * jacF[:, None]
+            we = wfq[None, :] * g.jacF[sl][:, None]
             np.add.at(jump_adv, rows,
                       (np.abs(bs[:, None] - 0.5 * bn) * ejump * ejump * we).sum(axis=1))
             if is_Q:
                 np.add.at(jump_Q, rows,
                           (eps / h_K[rows]) * (ejump * ejump * we).sum(axis=1))
-            if boundary in ("initial", "final", "neumann"):
+            if g.boundary in ("initial", "final", "neumann"):
                 # Neumann trace error mu = u|_F - lambda_h
                 mu = spec.exact(pts).reshape(m, -1) - fc @ FB.values.T
                 np.add.at(neu, rows, (0.5 * np.abs(bn) * mu * mu * we).sum(axis=1))

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import fe
 from .mesh import SpaceTimeMesh
 
 _CELL_TYPE = {1: 9, 2: 12}  # VTK_QUAD, VTK_HEXAHEDRON
@@ -109,27 +110,31 @@ def write_mesh_vtk(
     _write_grid(path, points, cells, _CELL_TYPE[mesh.d], data)
 
 
+def _elem_coeffs(field, eids: list[int]) -> np.ndarray:
+    """Element coefficient rows (len(eids), nb) of a FieldEval."""
+    dm = field.dm
+    offs = np.array([dm.elem_offset[eid] for eid in eids], dtype=np.intp)
+    return field.x[offs[:, None] + np.arange(dm.n_elem_basis)]
+
+
 def center_values(mesh: SpaceTimeMesh, field) -> dict[int, float]:
     """Solution value at each element's space-time center (a FieldEval)."""
-    center = np.zeros((1, mesh.d + 1))
-    out = {}
-    for eid in mesh.element_ids():
-        vals, _, _ = field.element_at(eid, center)
-        out[eid] = float(vals[0])
-    return out
+    eids = mesh.element_ids()
+    basis = fe.get_basis(field.dm.elem_degrees)
+    v = basis.eval(np.zeros((1, mesh.d + 1))).values[0]
+    return dict(zip(eids, (_elem_coeffs(field, eids) @ v).tolist()))
 
 
 def slice_values(mesh: SpaceTimeMesh, field, t: float) -> dict[int, float]:
     """Solution value at the spatial center of each element cut by t = const."""
-    out = {}
-    for eid in elements_at_time(mesh, t):
-        el = mesh.elements[eid]
-        ref = np.zeros((1, mesh.d + 1))
-        half = 0.5 * (el.hi[0] - el.lo[0])
-        ref[0, 0] = (t - 0.5 * (el.lo[0] + el.hi[0])) / half if half > 0 else 0.0
-        vals, _, _ = field.element_at(eid, ref)
-        out[eid] = float(vals[0])
-    return out
+    eids = elements_at_time(mesh, t)
+    lo = np.array([mesh.elements[eid].lo[0] for eid in eids])
+    hi = np.array([mesh.elements[eid].hi[0] for eid in eids])
+    half = 0.5 * (hi - lo)
+    ref = np.zeros((len(eids), mesh.d + 1))
+    np.divide(t - 0.5 * (lo + hi), half, out=ref[:, 0], where=half > 0)
+    V = fe.get_basis(field.dm.elem_degrees).eval(ref).values
+    return dict(zip(eids, np.einsum("ij,ij->i", V, _elem_coeffs(field, eids)).tolist()))
 
 
 def elements_at_time(mesh: SpaceTimeMesh, t: float) -> list[int]:

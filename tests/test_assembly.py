@@ -10,6 +10,7 @@ from sthdg.assembly import (
     compute_beta_sup,
     default_quad_n,
     penalty_alpha,
+    trace_map,
 )
 from sthdg.mesh import SpaceTimeMesh
 
@@ -65,7 +66,7 @@ def test_beta_sup_matches_oracle():
     spec = poly_problem(2)
     mesh = hanging_mesh(2)
     nq = default_quad_n(1) + 2
-    got = compute_beta_sup(spec, mesh, nq)
+    got = compute_beta_sup(spec, build_dofmap(mesh, 1), nq)
     for fid, f in mesh.facets.items():
         if f.is_R:
             assert got[fid] == 1.0
@@ -183,13 +184,58 @@ def test_beta_sup_override_changes_system():
     assert np.max(np.abs((sys0.A - sys2.A).toarray())) > 1e-3
 
 
-def test_penalty_h_override_changes_system():
-    spec = poly_problem(1)
-    mesh = SpaceTimeMesh.build(1, 1, 2)
-    sys0 = assemble(spec, mesh, 1)
-    qfid = next(fid for fid, f in mesh.facets.items() if f.is_Q)
-    h_own = mesh.elements[mesh.facets[qfid].owner].h
-    sys1 = assemble(spec, mesh, 1, penalty_h_override={qfid: h_own})
-    assert np.max(np.abs((sys0.A - sys1.A).toarray())) < 1e-14
-    sys2 = assemble(spec, mesh, 1, penalty_h_override={qfid: 2 * h_own})
-    assert np.max(np.abs((sys0.A - sys2.A).toarray())) > 1e-6
+def _refined_meshes():
+    """1-irregular meshes with hanging facets; under h2 facets also hang in time."""
+    for d in (1, 2):
+        for policy in ("h", "h2"):
+            mesh = SpaceTimeMesh.build(d, 2, 2, policy=policy)
+            mesh.refine_and_coarsen([mesh.element_ids()[0]])
+            ids = mesh.element_ids()
+            mesh.refine_and_coarsen([ids[len(ids) // 2], ids[-1]], ids[:4])
+            yield d, policy, mesh
+
+
+@pytest.mark.parametrize("d,policy,mesh", list(_refined_meshes()))
+def test_facet_side_table_matches_per_facet_walk(d, policy, mesh):
+    assert any(f.neighbor is not None
+               and mesh.elements[f.owner].level != mesh.elements[f.neighbor].level
+               for f in mesh.facets.values())
+    dm = build_dofmap(mesh, 1)
+    # reference: the owner-then-neighbor walk in facet-id order, keyed by trace_map
+    ref: dict[tuple, list[tuple[int, int, int]]] = {}
+    for fid in dm.facet_ids:
+        f = mesh.facets[fid]
+        sides = [(f.owner, f.owner_side)]
+        if f.neighbor is not None:
+            sides.append((f.neighbor, -f.owner_side))
+        for eid, sign in sides:
+            fixed, alphas, betas = trace_map(f, mesh.elements[eid])
+            key = (f.axis, sign, fixed, alphas, betas, f.boundary, dm.facet_degrees(f))
+            ref.setdefault(key, []).append((fid, eid, sign))
+
+    groups = dm.facet_sides.groups
+    keys = [(g.axis, g.sign, g.fixed, g.alphas, g.betas, g.boundary, g.fdeg) for g in groups]
+    assert keys == list(ref)
+    nq = default_quad_n(1)
+    rule = fe.tensor_rule((nq,) * d)
+    for g, want in zip(groups, ref.values()):
+        got = [(dm.facet_ids[fp], dm.elem_ids[ep], g.sign)
+               for fp, ep in zip(g.facet.tolist(), g.elem.tolist())]
+        assert got == want
+        pts = dm.facet_sides.points(g.facet, rule.points)
+        for i, (fid, eid, _) in enumerate(want):
+            f = mesh.facets[fid]
+            el = mesh.elements[eid]
+            free = f.free_axes()
+            assert g.jacF[i] == 0.5 ** d * np.prod(np.delete(f.hi - f.lo, f.axis))
+            assert g.s_ax[i] == 0.5 * (el.hi[g.axis] - el.lo[g.axis])
+            assert g.h_owner[i] == mesh.elements[f.owner].h
+            assert g.edof[i] == dm.elem_offset[eid]
+            assert g.fdof[i] == dm.facet_offset[fid]
+            phys = np.empty((rule.points.shape[0], d + 1))
+            phys[:, f.axis] = f.coord
+            mid = 0.5 * (f.lo + f.hi)
+            half = 0.5 * (f.hi - f.lo)
+            for k, a in enumerate(free):
+                phys[:, a] = mid[a] + half[a] * rule.points[:, k]
+            assert np.array_equal(pts[i], phys)

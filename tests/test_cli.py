@@ -1,5 +1,6 @@
 import argparse
 import json
+import os
 
 import pytest
 
@@ -85,7 +86,8 @@ def test_solve_writes_artifacts(tmp_path, capsys):
     assert "SCALARS u float 1" in text
 
 
-def test_study_writes_artifacts(tmp_path, capsys):
+def test_study_writes_artifacts(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("OMP_NUM_THREADS", "3")
     rc = main(["study", "--problem", "sine", "--dim", "1", "--eps", "0.1",
                "--cycles", "2", "--slabs", "2", "--cells", "2",
                "--out", str(tmp_path)])
@@ -99,6 +101,18 @@ def test_study_writes_artifacts(tmp_path, capsys):
     assert (tmp_path / "cycle_01.vtk").exists()
     manifest = json.loads((tmp_path / "run.json").read_text())
     assert manifest["status"] == "ok"
+    # per-cycle timings live in run.json; the CSV keeps wall_ms pinned to 0
+    cycles = manifest["cycles"]
+    assert [c["cycle"] for c in cycles] == [0, 1]
+    for c, row in zip(cycles, rows):
+        cycle, n_elements, n_dofs, *_, wall_ms = row.split(",")
+        assert (c["n_elements"], c["n_dofs"]) == (int(n_elements), int(n_dofs))
+        assert c["wall_ms"] > 0 and wall_ms == "0"
+    # the thread caps that actually apply: an inherited value wins
+    assert manifest["threads"]["OMP_NUM_THREADS"] == "3"
+    assert manifest["threads"] == {
+        var: os.environ[var] for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                                         "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")}
 
 
 def test_study_runs_are_byte_identical(tmp_path):
