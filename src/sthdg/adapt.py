@@ -6,9 +6,10 @@ the bottom 10% by element count.  Coarsening only takes effect for
 complete sibling groups; the mesh layer drops partial groups.
 
 `run_study` drives uniform or adaptive cycles and records one StudyRecord
-per solve.  CSV output is deterministic: the wall_ms column is written as 0
-(timings vary run to run and the table must be byte-identical across
-reruns); true timings go into the run manifest instead.
+per solve, with the solver's block count, largest block and residual.  CSV
+output is deterministic: the wall_ms column is written as 0 and the solver
+statistics are left out (timings vary run to run and the table must be
+byte-identical across reruns); they go into the run manifest instead.
 """
 
 from __future__ import annotations
@@ -37,6 +38,10 @@ class StudyRecord:
     true_error: float  # nan when the problem has no exact solution
     eff_index: float
     wall_ms: float
+    # solver statistics: kept out of the CSV, reported in run.json
+    solver_blocks: int
+    max_block_dofs: int
+    residual: float
 
     def csv_row(self) -> str:
         def num(v: float) -> str:
@@ -85,7 +90,6 @@ def run_study(
     n_slabs: int,
     n_cells,
     policy: str = "h",
-    solver_mode: str = "auto",
     refine_fraction: float = 0.25,
     coarsen_fraction: float = 0.10,
     csv_path=None,
@@ -93,9 +97,9 @@ def run_study(
 ) -> tuple[list[StudyRecord], SpaceTimeMesh]:
     """Run an AMR or uniform refinement study.
 
-    Records are appended (and the CSV rewritten, when csv_path is given)
-    after every solve, so partial results survive a solver failure: the
-    exception propagates after the flush.
+    When csv_path is given, the CSV is written before the first cycle and
+    rewritten after every cycle, so it holds each completed cycle whatever
+    exception ends the study.
     """
     if mode not in ("amr", "uniform"):
         raise ValueError(f"mode must be 'amr' or 'uniform', got {mode!r}")
@@ -107,15 +111,12 @@ def run_study(
         dirichlet_lateral=spec.dirichlet_lateral,
     )
     records: list[StudyRecord] = []
+    if csv_path is not None:
+        write_csv(records, csv_path)
     for cycle in range(cycles):
         t0 = time.perf_counter()
-        try:
-            sys = assemble(spec, mesh, p_s)
-            x, rep = solve(sys, mode=solver_mode)
-        except Exception:
-            if csv_path is not None:
-                write_csv(records, csv_path)
-            raise
+        sys = assemble(spec, mesh, p_s)
+        x, rep = solve(sys)
         est = estimate(sys, x)
         if spec.has_exact():
             nb = error_norms(sys, x)
@@ -128,6 +129,8 @@ def run_study(
             cycle=cycle, n_elements=mesh.n_elements, n_dofs=sys.n_dofs,
             eta=est.eta, true_error=err, eff_index=eff,
             wall_ms=1e3 * (time.perf_counter() - t0),
+            solver_blocks=rep.n_blocks, max_block_dofs=max(rep.block_sizes),
+            residual=rep.residual,
         )
         records.append(rec)
         if csv_path is not None:

@@ -8,7 +8,8 @@ Configuration comes from an optional INI file (key = value under any
 section) overridden by command-line flags; flags win.  A run.json manifest
 with the resolved config, package versions and wall-clock timings is
 written next to the artifacts.  Exit codes: 0 success, 2 invalid
-configuration (nothing written), 3 solver failure (partial outputs kept).
+configuration (nothing written), 3 solver failure or out of memory (partial
+outputs kept, run.json status `solver_failure` or `out_of_memory`).
 """
 
 from __future__ import annotations
@@ -207,6 +208,20 @@ def _get_spec(cfg: RunConfig):
         raise ConfigError(str(exc)) from None
 
 
+def _fail(out: Path, cfg: RunConfig, timings: dict, exc: Exception,
+          cycles: list[dict] | None = None, kept: str = "") -> int:
+    """End a run that failed in the solver or ran out of memory: exit code 3,
+    with run.json and whatever partial outputs the caller kept."""
+    if isinstance(exc, MemoryError):
+        status, msg = "out_of_memory", "out of memory"
+    else:
+        status, msg = "solver_failure", str(exc)
+    log.error("run failed: %s", msg)
+    _write_manifest(out, cfg, timings, status, cycles)
+    print(f"error: {msg}{kept}", file=sys.stderr)
+    return 3
+
+
 def _cmd_solve(cfg: RunConfig, out: Path) -> int:
     from .assembly import FieldEval, assemble
     from .estimator import efficiency_index, error_norms, estimate
@@ -216,40 +231,36 @@ def _cmd_solve(cfg: RunConfig, out: Path) -> int:
 
     spec = _get_spec(cfg)
     timings: dict = {}
-    t0 = time.perf_counter()
-    mesh = SpaceTimeMesh.build(
-        cfg.dim, cfg.slabs, cfg.cells, t_final=spec.t_final,
-        x_lo=spec.x_lo, x_hi=spec.x_hi, policy=cfg.dt_policy,
-        dirichlet_lateral=spec.dirichlet_lateral,
-    )
-    sys_ = assemble(spec, mesh, cfg.ps)
-    timings["assemble"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
     try:
+        t0 = time.perf_counter()
+        mesh = SpaceTimeMesh.build(
+            cfg.dim, cfg.slabs, cfg.cells, t_final=spec.t_final,
+            x_lo=spec.x_lo, x_hi=spec.x_hi, policy=cfg.dt_policy,
+            dirichlet_lateral=spec.dirichlet_lateral,
+        )
+        sys_ = assemble(spec, mesh, cfg.ps)
+        timings["assemble"] = time.perf_counter() - t0
+
+        t0 = time.perf_counter()
         x, rep = solve(sys_)
-    except SolverError as exc:
-        log.error("solve failed: %s", exc)
         timings["solve"] = time.perf_counter() - t0
-        _write_manifest(out, cfg, timings, "solver_failure")
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    timings["solve"] = time.perf_counter() - t0
 
-    t0 = time.perf_counter()
-    est = estimate(sys_, x)
-    ev = FieldEval(sys_.dofmap, x)
-    values = {
-        "eta_K": {e: est.eta_K(e) for e in mesh.element_ids()},
-        "u": vtk_io.center_values(mesh, ev),
-    }
-    vtk_io.write_mesh_vtk(out / "solution.vtk", mesh, values)
-    timings["estimate_and_dump"] = time.perf_counter() - t0
+        t0 = time.perf_counter()
+        est = estimate(sys_, x)
+        ev = FieldEval(sys_.dofmap, x)
+        values = {
+            "eta_K": {e: est.eta_K(e) for e in mesh.element_ids()},
+            "u": vtk_io.center_values(mesh, ev),
+        }
+        vtk_io.write_mesh_vtk(out / "solution.vtk", mesh, values)
+        timings["estimate_and_dump"] = time.perf_counter() - t0
 
-    line = f"n_elements={mesh.n_elements} n_dofs={sys_.n_dofs} eta={est.eta:.6g}"
-    if spec.has_exact():
-        err = error_norms(sys_, x).sT_norm()
-        line += f" error={err:.6g} eff={efficiency_index(est.eta, err):.4g}"
+        line = f"n_elements={mesh.n_elements} n_dofs={sys_.n_dofs} eta={est.eta:.6g}"
+        if spec.has_exact():
+            err = error_norms(sys_, x).sT_norm()
+            line += f" error={err:.6g} eff={efficiency_index(est.eta, err):.4g}"
+    except (SolverError, MemoryError) as exc:
+        return _fail(out, cfg, timings, exc)
     print(line)
     _write_manifest(out, cfg, timings, "ok")
     return 0
@@ -267,7 +278,10 @@ def _cmd_study(cfg: RunConfig, out: Path) -> int:
 
     def on_cycle(cycle, mesh, sys_, x, est, rec):
         cycles.append({"cycle": rec.cycle, "n_elements": rec.n_elements,
-                       "n_dofs": rec.n_dofs, "wall_ms": round(rec.wall_ms, 3)})
+                       "n_dofs": rec.n_dofs, "wall_ms": round(rec.wall_ms, 3),
+                       "solver_blocks": rec.solver_blocks,
+                       "max_block_dofs": rec.max_block_dofs,
+                       "residual": rec.residual})
         ev = FieldEval(sys_.dofmap, x)
         values = {
             "eta_K": {e: est.eta_K(e) for e in mesh.element_ids()},
@@ -282,26 +296,23 @@ def _cmd_study(cfg: RunConfig, out: Path) -> int:
             spec, cfg.mode, cfg.cycles, cfg.ps, cfg.slabs, cfg.cells,
             policy=cfg.dt_policy, csv_path=csv_path, on_cycle=on_cycle,
         )
-    except SolverError as exc:
-        _write_manifest(out, cfg, {"study": time.perf_counter() - t0},
-                        "solver_failure", cycles)
-        print(f"error: {exc} (partial outputs in {out})", file=sys.stderr)
-        return 3
+    except (SolverError, MemoryError) as exc:
+        return _fail(out, cfg, {"study": time.perf_counter() - t0}, exc, cycles,
+                     f" (partial outputs in {out})")
     _write_manifest(out, cfg, {"study": time.perf_counter() - t0}, "ok", cycles)
     for rec in records:
         print(rec.csv_row())
     return 0
 
 
-def _cmd_verify(cfg: RunConfig, out: Path) -> int:
+def _measure_constants(cfg: RunConfig, reports: list, timings: dict) -> None:
+    """Append the verify constants to `reports` and the phase times to
+    `timings`, so that both hold the finished part if a phase fails."""
     import numpy as np
 
     from .mesh import SpaceTimeMesh
-    from .solver import SolverError
     from . import verify
 
-    timings: dict = {}
-    reports = []
     d, p_s, L = cfg.dim, cfg.ps, cfg.cycles
 
     # bubble constants on boxes shrunk by half per level
@@ -348,15 +359,7 @@ def _cmd_verify(cfg: RunConfig, out: Path) -> int:
                 d, n, n, t_final=spec.t_final, x_lo=spec.x_lo,
                 x_hi=spec.x_hi, dirichlet_lateral=spec.dirichlet_lateral,
             )
-            try:
-                rep = verify.measure_saturation(spec, mesh, p_s)
-            except SolverError as exc:
-                verify.write_constants_csv(out / "constants.csv", reports)
-                timings["saturation"] = time.perf_counter() - t0
-                _write_manifest(out, cfg, timings, "solver_failure")
-                print(f"error: {exc} (partial constants.csv kept)",
-                      file=sys.stderr)
-                return 3
+            rep = verify.measure_saturation(spec, mesh, p_s)
             rho = float("nan") if rep.flagged else rep.rho
             reports.append(verify.ConstantReport(
                 "saturation_rho", level, mesh.n_elements, rho))
@@ -364,6 +367,18 @@ def _cmd_verify(cfg: RunConfig, out: Path) -> int:
                      level, rep.rho, rep.flagged)
     timings["saturation"] = time.perf_counter() - t0
 
+
+def _cmd_verify(cfg: RunConfig, out: Path) -> int:
+    from .solver import SolverError
+    from . import verify
+
+    timings: dict = {}
+    reports: list = []
+    try:
+        _measure_constants(cfg, reports, timings)
+    except (SolverError, MemoryError) as exc:
+        verify.write_constants_csv(out / "constants.csv", reports)
+        return _fail(out, cfg, timings, exc, kept=" (partial constants.csv kept)")
     verify.write_constants_csv(out / "constants.csv", reports)
     _write_manifest(out, cfg, timings, "ok")
     for r in reports:

@@ -1,28 +1,44 @@
-"""Sparse direct solution of the assembled system.
+"""Sparse direct solution of the assembled system by causal block substitution.
 
-Two drivers: a monolithic LU factorization, and a slab-sequential forward
-substitution.  The latter exploits causality: with the upwind flux, element
-rows never couple to facet unknowns on their top face beyond the local
-identity that cancels against the inter-slab facet row, so ordering
-unknowns by slab (inter-slab facets assigned to the slab above their plane)
-makes the system block lower triangular.  The slab mode factorizes one
-diagonal block at a time, which keeps memory flat for long time intervals.
-Both modes verify the relative residual of the full system to 1e-10.
-Running out of memory or a failed factorization is reported as SolverError.
+With the upwind flux in time an unknown depends only on unknowns at the same
+or earlier times, so some symmetric permutation makes the system matrix
+block lower triangular (the Duff-Reid block-triangular form).  The solver
+finds that order from the sparsity graph of the matrix, with an edge i -> j
+for every stored entry A[i, j], and assumes nothing about the mesh:
+
+* a block is a strongly connected component of that graph; its unknowns
+  are coupled both ways and must be solved together;
+* the blocks form an acyclic graph.  A block's level is 0 when it depends
+  on no other block and otherwise one more than the highest level it
+  depends on.  Blocks of one level do not depend on each other, so the
+  diagonal submatrix of a level is block diagonal.
+
+The matrix is permuted once so that every level is a contiguous range of
+rows, and the levels are forward-substituted in order with one sparse LU
+each.  Causality keeps the blocks small: later time slabs, and after
+temporal refinement later time layers of a slab, depend only on earlier
+ones.  A system without such structure is solved as a single block; there
+is no mode to choose.  The relative residual of the full system is checked
+to 1e-10.  Running out of memory or a failed factorization is reported as
+SolverError.
 """
 
 from __future__ import annotations
 
+import logging
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.sparse import csgraph
 
 from .assembly import AssembledSystem, apply_dirichlet
 
 RESIDUAL_TOL = 1e-10
+
+log = logging.getLogger(__name__)
 
 
 class SolverError(RuntimeError):
@@ -36,8 +52,12 @@ class SolveReport:
     residual: float
     method: str
     elapsed: float
-    n_blocks: int = 1
-    block_sizes: list[int] = field(default_factory=list)
+    block_sizes: list[int]  # dofs of each level, in solve order
+
+    @property
+    def n_blocks(self) -> int:
+        """Number of sparse LU factorizations, one per level."""
+        return len(self.block_sizes)
 
 
 def _check_residual(A: sp.csr_matrix, b: np.ndarray, x: np.ndarray, method: str) -> float:
@@ -58,72 +78,49 @@ def _lu_solve(A: sp.spmatrix, b: np.ndarray) -> np.ndarray:
         raise SolverError(f"sparse LU failed: {type(exc).__name__}: {exc}") from exc
 
 
-def solve_monolithic(A_bc: sp.csr_matrix, b_bc: np.ndarray) -> tuple[np.ndarray, SolveReport]:
-    t0 = time.perf_counter()
-    x = _lu_solve(A_bc, b_bc)
-    resid = _check_residual(A_bc, b_bc, x, "monolithic")
-    return x, SolveReport(
-        n_dofs=A_bc.shape[0], nnz=A_bc.nnz, residual=resid,
-        method="lu", elapsed=time.perf_counter() - t0,
-    )
+def causal_levels(A: sp.csr_matrix) -> np.ndarray:
+    """Level of every unknown in the block-triangular order of A."""
+    n_comp, comp = csgraph.connected_components(A, directed=True, connection="strong")
+    coo = A.tocoo()
+    ci, cj = comp[coo.row], comp[coo.col]
+    cross = ci != cj
+    # row j of `dependents` lists the blocks that read block j's unknowns
+    dependents = sp.csr_matrix(
+        (np.ones(np.count_nonzero(cross)), (cj[cross], ci[cross])), shape=(n_comp, n_comp))
+    waiting = np.bincount(dependents.indices, minlength=n_comp)
+    level = np.empty(n_comp, dtype=np.intp)
+    ready = np.flatnonzero(waiting == 0)
+    k = 0
+    while ready.size:  # level-synchronous Kahn sweep: each edge is visited once
+        level[ready] = k
+        hit, n_hit = np.unique(dependents[ready].indices, return_counts=True)
+        waiting[hit] -= n_hit
+        ready = hit[waiting[hit] == 0]
+        k += 1
+    return level[comp]
 
 
-def _facet_slab(mesh, f) -> int:
-    """Slab owning a facet's unknowns: the slab above the plane for
-    inter-slab horizontal facets, the containing slab otherwise."""
-    if f.is_Q:
-        return mesh.elements[f.owner].slab
-    own = mesh.elements[f.owner]
-    if f.coord == own.lo[0]:  # owner sits above the plane
-        return own.slab
-    if f.neighbor is not None:
-        nb = mesh.elements[f.neighbor]
-        if f.coord == nb.lo[0]:
-            return nb.slab
-    return own.slab  # final-time boundary
-
-
-def slab_index_sets(sys: AssembledSystem) -> list[np.ndarray]:
-    mesh = sys.dofmap.mesh
-    n_slabs = len(mesh.slab_times) - 1
-    buckets: list[list[np.ndarray]] = [[] for _ in range(n_slabs)]
-    for eid in sys.dofmap.elem_ids:
-        buckets[mesh.elements[eid].slab].append(sys.dofmap.elem_dofs(eid))
-    for fid in sys.dofmap.facet_ids:
-        buckets[_facet_slab(mesh, mesh.facets[fid])].append(sys.dofmap.facet_dofs(fid))
-    return [np.sort(np.concatenate(bk)) for bk in buckets if bk]
-
-
-def solve_slabwise(sys: AssembledSystem) -> tuple[np.ndarray, SolveReport]:
+def solve(sys: AssembledSystem) -> tuple[np.ndarray, SolveReport]:
+    """Solve the bilinear system with Dirichlet rows applied."""
     A_bc, b_bc = apply_dirichlet(sys)
     t0 = time.perf_counter()
-    x = np.zeros(sys.n_dofs)
-    blocks = slab_index_sets(sys)
-    sizes = []
-    for idx in blocks:
-        sub = A_bc[idx, :]
-        rhs = b_bc[idx] - sub @ x  # x is zero on this and later slabs
-        x[idx] = _lu_solve(sub[:, idx], rhs)
-        sizes.append(len(idx))
-    resid = _check_residual(A_bc, b_bc, x, "slabwise")
-    return x, SolveReport(
-        n_dofs=sys.n_dofs, nnz=A_bc.nnz, residual=resid, method="slab-lu",
-        elapsed=time.perf_counter() - t0, n_blocks=len(blocks), block_sizes=sizes,
+    level = causal_levels(A_bc)
+    perm = np.argsort(level, kind="stable")
+    A_p = A_bc[perm][:, perm]
+    b_p = b_bc[perm]
+    bounds = np.concatenate(([0], np.cumsum(np.bincount(level))))
+    x_p = np.zeros(sys.n_dofs)
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        rows = A_p[lo:hi]
+        rhs = b_p[lo:hi] - rows @ x_p  # x_p is zero on this and later levels
+        x_p[lo:hi] = _lu_solve(rows[:, lo:hi], rhs)
+    x = np.empty_like(x_p)
+    x[perm] = x_p
+    resid = _check_residual(A_bc, b_bc, x, "block-lu")
+    rep = SolveReport(
+        n_dofs=sys.n_dofs, nnz=A_bc.nnz, residual=resid, method="block-lu",
+        elapsed=time.perf_counter() - t0, block_sizes=np.diff(bounds).tolist(),
     )
-
-
-def solve(sys: AssembledSystem, mode: str = "auto") -> tuple[np.ndarray, SolveReport]:
-    """Solve the bilinear system with Dirichlet rows applied.
-
-    mode 'auto' picks slab substitution when there is more than one slab,
-    'monolithic' and 'slab' force the respective driver.
-    """
-    if mode == "auto":
-        n_slabs = len(sys.dofmap.mesh.slab_times) - 1
-        mode = "slab" if n_slabs > 1 else "monolithic"
-    if mode == "slab":
-        return solve_slabwise(sys)
-    if mode == "monolithic":
-        A_bc, b_bc = apply_dirichlet(sys)
-        return solve_monolithic(A_bc, b_bc)
-    raise ValueError(f"unknown solver mode {mode!r}")
+    log.info("solve: %d dofs, %d levels, largest %d dofs, residual %.2e, %.3f s",
+             rep.n_dofs, rep.n_blocks, max(rep.block_sizes), rep.residual, rep.elapsed)
+    return x, rep

@@ -265,15 +265,15 @@ class OrthogonalityReport:
 
 def check_galerkin_orthogonality(
     spec: ProblemSpec, mesh: SpaceTimeMesh, p_s: int,
-    quad_n: int | None = None, mode: str = "auto",
+    quad_n: int | None = None,
 ) -> OrthogonalityReport:
     """Measure a(u_fine - restricted u_coarse, restricted test) over all
     unconstrained coarse test functions; zero up to roundoff when the
     restriction reproduces the coarse form."""
     pair = build_subgrid(mesh)
     sys_c, sys_f = assemble_two_level(spec, pair, p_s, quad_n)
-    x_c, _ = solve(sys_c, mode)
-    x_f, _ = solve(sys_f, mode)
+    x_c, _ = solve(sys_c)
+    x_f, _ = solve(sys_f)
     G = restriction_matrix(pair, sys_c.dofmap, sys_f.dofmap)
     s = G.T @ (sys_f.A @ (x_f - G @ x_c))
     free = sys_c.free_mask()
@@ -304,7 +304,7 @@ class SaturationReport:
 
 def measure_saturation(
     spec: ProblemSpec, mesh: SpaceTimeMesh, p_s: int,
-    quad_n: int | None = None, mode: str = "auto",
+    quad_n: int | None = None,
 ) -> SaturationReport:
     """rho = sqrt(sum_K tau ||dt(u - u_fine)||^2 / sum_K tau ||dt(u - u_coarse)||^2),
     both sums over the coarse elements with the coarse regime weights."""
@@ -312,8 +312,8 @@ def measure_saturation(
         raise ValueError("saturation measurement needs the exact time derivative")
     pair = build_subgrid(mesh)
     sys_c, sys_f = assemble_two_level(spec, pair, p_s, quad_n)
-    x_c, _ = solve(sys_c, mode)
-    x_f, _ = solve(sys_f, mode)
+    x_c, _ = solve(sys_c)
+    x_f, _ = solve(sys_f)
     ev_c = FieldEval(sys_c.dofmap, x_c)
     ev_f = FieldEval(sys_f.dofmap, x_f)
     nq = sys_c.quad_n + 2

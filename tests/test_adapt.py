@@ -50,7 +50,8 @@ def test_mark_validates_inputs():
 
 def test_csv_rows_are_deterministic(tmp_path):
     rec = StudyRecord(cycle=0, n_elements=4, n_dofs=100, eta=0.5,
-                      true_error=math.nan, eff_index=math.nan, wall_ms=123.4)
+                      true_error=math.nan, eff_index=math.nan, wall_ms=123.4,
+                      solver_blocks=3, max_block_dofs=40, residual=1e-16)
     assert rec.csv_row() == "0,4,100,0.5,nan,nan,0"
     p = tmp_path / "study.csv"
     write_csv([rec], p)
@@ -104,11 +105,11 @@ def test_run_study_flushes_partial_csv_on_failure(tmp_path, monkeypatch):
     calls = {"n": 0}
     real_solve = adapt_mod.solve
 
-    def failing_solve(sys, mode="auto"):
+    def failing_solve(sys):
         calls["n"] += 1
         if calls["n"] >= 2:
             raise SolverError("synthetic failure")
-        return real_solve(sys, mode=mode)
+        return real_solve(sys)
 
     monkeypatch.setattr(adapt_mod, "solve", failing_solve)
     with pytest.raises(SolverError):

@@ -108,6 +108,9 @@ def test_study_writes_artifacts(tmp_path, capsys, monkeypatch):
         cycle, n_elements, n_dofs, *_, wall_ms = row.split(",")
         assert (c["n_elements"], c["n_dofs"]) == (int(n_elements), int(n_dofs))
         assert c["wall_ms"] > 0 and wall_ms == "0"
+        # solver statistics go to run.json only, never to the CSV
+        assert 1 <= c["solver_blocks"] and 1 <= c["max_block_dofs"] <= c["n_dofs"]
+        assert 0 <= c["residual"] <= 1e-10
     # the thread caps that actually apply: an inherited value wins
     assert manifest["threads"]["OMP_NUM_THREADS"] == "3"
     assert manifest["threads"] == {
@@ -129,7 +132,7 @@ def test_study_solver_failure_exits_3(tmp_path, monkeypatch, capsys):
     import sthdg.adapt as adapt_mod
     from sthdg.solver import SolverError
 
-    def boom(sys_, mode="auto"):
+    def boom(sys_):
         raise SolverError("synthetic failure")
 
     monkeypatch.setattr(adapt_mod, "solve", boom)
@@ -162,6 +165,32 @@ def test_study_out_of_memory_exits_3(tmp_path, monkeypatch, capsys):
     assert manifest["status"] == "solver_failure"
 
 
+def test_study_out_of_memory_outside_solver_exits_3(tmp_path, monkeypatch, capsys):
+    import sthdg.adapt as adapt_mod
+
+    calls = {"n": 0}
+    real_assemble = adapt_mod.assemble
+
+    def assemble_oom_on_second(*args, **kwargs):
+        calls["n"] += 1
+        if calls["n"] >= 2:
+            raise MemoryError
+        return real_assemble(*args, **kwargs)
+
+    monkeypatch.setattr(adapt_mod, "assemble", assemble_oom_on_second)
+    rc = main(["study", "--problem", "sine", "--dim", "1", "--eps", "0.1",
+               "--cycles", "3", "--slabs", "2", "--cells", "2",
+               "--out", str(tmp_path)])
+    assert rc == 3
+    assert "out of memory" in capsys.readouterr().err
+    lines = (tmp_path / "study.csv").read_text().splitlines()
+    assert len(lines) == 2  # header and the one completed cycle
+    assert (tmp_path / "cycle_00.vtk").exists()
+    manifest = json.loads((tmp_path / "run.json").read_text())
+    assert manifest["status"] == "out_of_memory"
+    assert [c["cycle"] for c in manifest["cycles"]] == [0]
+
+
 def test_verify_writes_constants(tmp_path, capsys):
     rc = main(["verify", "--problem", "sine", "--dim", "1", "--eps", "0.1",
                "--cycles", "1", "--out", str(tmp_path)])
@@ -189,6 +218,8 @@ def test_log_level_env(tmp_path, monkeypatch, capsys):
     rc = main(["solve", "--problem", "linear", "--dim", "1", "--eps", "1",
                "--slabs", "1", "--cells", "1", "--out", str(tmp_path)])
     assert rc == 0
-    assert "config:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "config:" in err
+    assert err.count("solve: ") == 1  # one line per solve
     for h in root.handlers[:]:
         root.removeHandler(h)
