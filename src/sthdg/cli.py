@@ -135,8 +135,10 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("--eps", help="diffusion coefficient")
         p.add_argument("--dim", help="spatial dimension (1 or 2)")
         p.add_argument("--ps", help="spatial polynomial degree")
-        p.add_argument("--cycles", help="refinement cycles / verification levels")
-        p.add_argument("--mode", help="study mode: uniform or amr")
+        if name != "solve":
+            p.add_argument("--cycles", help="refinement cycles / verification levels")
+        if name == "study":
+            p.add_argument("--mode", help="study mode: uniform or amr")
         p.add_argument("--dt-policy", dest="dt_policy", choices=("h", "h2"),
                        help="slab height under refinement: dt ~ h or dt ~ h^2")
         p.add_argument("--slabs", help="initial number of time slabs")

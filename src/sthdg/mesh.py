@@ -512,22 +512,6 @@ class SpaceTimeMesh:
                 out.add(other)
         return out
 
-    def sigma_K(self, eid: int) -> set[int]:
-        """Vertex patch: elements whose closed box touches K's closed box."""
-        el = self.elements[eid]
-        ids = self.element_ids()
-        los = np.array([self.elements[i].lo for i in ids])
-        his = np.array([self.elements[i].hi for i in ids])
-        touch = np.all((los <= el.hi) & (his >= el.lo), axis=1)
-        return {ids[i] for i in np.where(touch)[0] if ids[i] != eid}
-
-    def omega_F(self, fid: int) -> set[int]:
-        f = self.facets[fid]
-        out = {f.owner}
-        if f.neighbor is not None:
-            out.add(f.neighbor)
-        return out
-
     # ------------------------------------------------------------------
     # validation
     # ------------------------------------------------------------------

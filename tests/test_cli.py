@@ -69,6 +69,16 @@ def test_bad_flags_exit_2(capsys):
     capsys.readouterr()
 
 
+def test_flags_a_command_does_not_read_exit_2(tmp_path, capsys):
+    # solve runs no cycles and no study mode; verify has no study mode
+    out = tmp_path / "never"
+    assert main(["solve", "--cycles", "3", "--out", str(out)]) == 2
+    assert main(["solve", "--mode", "uniform", "--out", str(out)]) == 2
+    assert main(["verify", "--mode", "amr", "--out", str(out)]) == 2
+    assert not out.exists()
+    capsys.readouterr()
+
+
 def test_solve_writes_artifacts(tmp_path, capsys):
     rc = main(["solve", "--problem", "sine", "--dim", "1", "--eps", "0.1",
                "--slabs", "2", "--cells", "2", "--out", str(tmp_path)])

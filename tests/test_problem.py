@@ -1,11 +1,7 @@
 import numpy as np
 import pytest
 
-from sthdg.problem import (
-    check_divergence_free,
-    from_symbolic,
-    get_problem,
-)
+from sthdg.problem import from_symbolic, get_problem
 
 from oracles import fd_source, fd_gradient
 
@@ -35,6 +31,31 @@ def test_spacetime_beta_has_unit_time_component(rng):
     assert np.all(b[:, 0] == 1.0)
     assert np.allclose(b[:, 1], -4 * pts[:, 2])
     assert np.allclose(b[:, 2], 4 * pts[:, 1])
+
+
+def check_divergence_free(spec, n_boxes=10, seed=0):
+    """Max |div beta_bar| sampled by quadrature over random boxes in E."""
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(n_boxes):
+        lo = np.concatenate(([0.0], spec.x_lo))
+        hi = np.concatenate(([spec.t_final], spec.x_hi))
+        a = lo + rng.random(spec.d + 1) * (hi - lo) * 0.5
+        b = a + rng.random(spec.d + 1) * (hi - a)
+        pts = a + rng.random((32, spec.d + 1)) * (b - a)
+        if spec.beta_div is not None:
+            div = spec.beta_div(pts)
+        else:
+            div = np.zeros(pts.shape[0])
+            fd = 1e-6
+            for i in range(spec.d):
+                dp = pts.copy()
+                dm = pts.copy()
+                dp[:, 1 + i] += fd
+                dm[:, 1 + i] -= fd
+                div += (spec.beta_bar(dp)[:, i] - spec.beta_bar(dm)[:, i]) / (2 * fd)
+        worst = max(worst, float(np.max(np.abs(div))))
+    return worst
 
 
 def test_builtin_advection_is_divergence_free():

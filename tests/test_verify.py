@@ -32,8 +32,9 @@ from conftest import hanging_mesh, poly_problem, problem_mesh
 # temporal subgrid
 # ----------------------------------------------------------------------
 
-def test_subgrid_structure():
-    mesh = SpaceTimeMesh.build(1, 2, 2)
+@pytest.mark.parametrize("d,policy", [(1, "h"), (1, "h2"), (2, "h"), (2, "h2")])
+def test_subgrid_structure(d, policy):
+    mesh = hanging_mesh(d, policy=policy)
     pair = build_subgrid(mesh)
     assert pair.fine.n_elements == 2 * mesh.n_elements
     assert len(pair.new_R) == mesh.n_elements
@@ -46,12 +47,24 @@ def test_subgrid_structure():
         assert abs(hi_el.lo[0] - m) < 1e-15 and hi_el.hi[0] == el.hi[0]
         assert np.all(lo_el.lo[1:] == el.lo[1:]) and np.all(hi_el.hi[1:] == el.hi[1:])
         assert pair.parent_elem[lo_id] == eid
-    # lateral facet lineage: child box contained in the parent's
-    for fid, pfid in pair.facet_parent.items():
-        f = pair.fine.facets[fid]
-        pf = mesh.facets[pfid]
-        assert f.axis == pf.axis and f.coord == pf.coord
-        assert np.all(f.lo >= pf.lo - 1e-15) and np.all(f.hi <= pf.hi + 1e-15)
+    # every fine facet either descends from a coarse facet or bisects one
+    # coarse element
+    assert not set(pair.facet_parent) & set(pair.new_R)
+    assert set(pair.facet_parent) | set(pair.new_R) == set(pair.fine.facets)
+    # the lineage agrees with a search over all coarse facets: a fine facet
+    # descends from the one coarse facet on its plane containing it; new
+    # horizontal facets lie inside an element, so no coarse facet contains them
+    expected = {}
+    for f in pair.fine.facets.values():
+        hosts = [g.fid for g in mesh.facets.values()
+                 if g.axis == f.axis and np.all(g.lo <= f.lo) and np.all(f.hi <= g.hi)]
+        assert len(hosts) <= 1
+        if hosts:
+            expected[f.fid] = hosts[0]
+    assert pair.facet_parent == expected
+    for fid, eid in pair.new_R.items():
+        f, el = pair.fine.facets[fid], mesh.elements[eid]
+        assert f.is_R and el.lo[0] < f.coord < el.hi[0]
 
 
 def test_subgrid_handles_hanging_meshes():
@@ -212,11 +225,23 @@ def test_averaging_validates_input():
         averaging_operator(mesh, 1, np.zeros(3))
 
 
-def test_averaging_node_count():
-    mesh = SpaceTimeMesh.build(1, 2, 3, dirichlet_lateral=False)
-    coeffs = _nodal_coeffs(mesh, 2, lambda p: p[:, 0])
-    res = averaging_operator(mesh, 2, coeffs)
-    assert res.n_nodes == (2 + 1) * (3 * 2 + 1)
+@pytest.mark.parametrize("mesh_of,p_s,n_nodes", [
+    (lambda: SpaceTimeMesh.build(1, 2, 3, dirichlet_lateral=False), 2, 3 * 7),
+    (lambda: SpaceTimeMesh.build(2, 2, 3, dirichlet_lateral=False), 2, 3 * 7 * 7),
+    (lambda: SpaceTimeMesh.build(1, 2, 3, dirichlet_lateral=False), 3, 3 * 10),
+    # one element refined: the conforming lattice has 4 time cells and 4
+    # cells in space
+    (lambda: hanging_mesh(1, dirichlet=False), 2, 5 * 9),
+], ids=["d1-ps2", "d2-ps2", "d1-ps3", "hanging-d1-ps2"])
+def test_averaging_node_count(mesh_of, p_s, n_nodes):
+    mesh = mesh_of()
+    # a continuous field in the element space: averaging must reproduce it,
+    # so merging two distinct nodes would show up as a defect
+    coeffs = _nodal_coeffs(mesh, p_s, lambda p: p[:, 0] + p[:, 1] ** 2 - p[:, -1])
+    res = averaging_operator(mesh, p_s, coeffs)
+    assert res.n_nodes == n_nodes
+    assert max(res.defect.values()) <= 1e-12
+    assert res.continuity <= 1e-12
 
 
 def test_oswald_constant_zero_for_continuous(rng):
@@ -238,6 +263,23 @@ def test_oswald_constant_bounded_on_random_fields(rng):
             assert defect <= rep.constant * bound + 1e-9
         worst = max(worst, rep.constant)
     assert 0 < worst < 10.0
+
+    # a field constant on each element: the gap on a facet is the constant
+    # |c_K - c_K'|, so each bound is a sum of w |c_K - c_K'| sqrt(|F|) over
+    # the interior facets whose closure touches the element
+    const = rng.standard_normal(mesh.n_elements)
+    c_of = dict(zip(dm.elem_ids, const))
+    rep = oswald_constant(mesh, 1, np.repeat(const, dm.n_elem_basis))
+    for eid in dm.elem_ids:
+        el = mesh.elements[eid]
+        want = 0.0
+        for f in mesh.facets.values():
+            if f.neighbor is None or not np.all((f.lo <= el.hi) & (el.lo <= f.hi)):
+                continue
+            w = np.sqrt(el.h) if f.is_Q else np.sqrt(el.dt)
+            want += w * abs(c_of[f.owner] - c_of[f.neighbor]) * np.sqrt(f.measure)
+        assert want > 0
+        assert rep.per_element[eid][1] == pytest.approx(want, rel=1e-12, abs=0)
 
 
 # ----------------------------------------------------------------------

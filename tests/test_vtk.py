@@ -1,17 +1,10 @@
 import numpy as np
-import pytest
 
 from sthdg.assembly import FieldEval, assemble
 from sthdg.mesh import SpaceTimeMesh
 from sthdg.problem import get_problem
 from sthdg.solver import solve
-from sthdg.vtk_io import (
-    center_values,
-    elements_at_time,
-    slice_values,
-    write_mesh_vtk,
-    write_slice_vtk,
-)
+from sthdg.vtk_io import center_values, write_mesh_vtk
 
 
 def _sections(text):
@@ -65,35 +58,6 @@ def test_mesh_vtk_is_deterministic(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
-def test_elements_at_time_top_closure():
-    mesh = SpaceTimeMesh.build(1, 2, 2)
-    assert len(elements_at_time(mesh, 0.0)) == 2
-    assert len(elements_at_time(mesh, 0.25)) == 2
-    # the slab interface belongs to the upper slab
-    at_half = elements_at_time(mesh, 0.5)
-    assert len(at_half) == 2
-    assert all(mesh.elements[e].slab == 1 for e in at_half)
-    # final time keeps the top slab (closed from above)
-    at_end = elements_at_time(mesh, 1.0)
-    assert len(at_end) == 2
-    assert all(mesh.elements[e].slab == 1 for e in at_end)
-    assert elements_at_time(mesh, 2.0) == []
-
-
-def test_slice_vtk(tmp_path):
-    mesh = SpaceTimeMesh.build(2, 2, 2)
-    p = tmp_path / "slice.vtk"
-    eids = write_slice_vtk(p, mesh, 0.75)
-    assert len(eids) == 4
-    text = p.read_text()
-    sec = _sections(text)
-    assert sec["POINTS"][0] == "POINTS 9 float"
-    idx = text.splitlines().index("CELL_TYPES 4")
-    assert text.splitlines()[idx + 1] == "9"  # VTK_QUAD
-    with pytest.raises(ValueError):
-        write_slice_vtk(tmp_path / "bad.vtk", mesh, 3.0)
-
-
 def test_center_and_slice_values():
     spec = get_problem("linear", eps=1.0, d=1)
     mesh = SpaceTimeMesh.build(1, 2, 2)
@@ -104,12 +68,6 @@ def test_center_and_slice_values():
     for eid, v in cv.items():
         c = mesh.elements[eid].center()
         assert abs(v - (c[0] + c[1])) < 1e-9
-    sv = slice_values(mesh, ev, 0.5)
-    assert set(sv) == set(elements_at_time(mesh, 0.5))
-    for eid, v in sv.items():
-        el = mesh.elements[eid]
-        xc = 0.5 * (el.lo[1] + el.hi[1])
-        assert abs(v - (0.5 + xc)) < 1e-9
 
 
 def test_missing_cell_values_default_to_zero(tmp_path):
