@@ -6,7 +6,10 @@ the bottom 10% by element count.  Coarsening only takes effect for
 complete sibling groups; the mesh layer drops partial groups.
 
 `run_study` drives uniform or adaptive cycles and records one StudyRecord
-per solve, with the solver's block count, largest block and residual.  CSV
+per solve, with the solver's block count, largest block and residual, its
+wall time (through the `on_cycle` hook), the seconds of each phase
+(assemble, solve, estimate, norms, then the refine that follows the cycle;
+a hook may add its own) and the peak RSS after the refine.  CSV
 output is deterministic: the wall_ms column is written as 0 and the solver
 statistics are left out (timings vary run to run and the table must be
 byte-identical across reruns); they go into the run manifest instead.
@@ -15,8 +18,9 @@ byte-identical across reruns); they go into the run manifest instead.
 from __future__ import annotations
 
 import math
+import resource
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -38,10 +42,13 @@ class StudyRecord:
     true_error: float  # nan when the problem has no exact solution
     eff_index: float
     wall_ms: float
-    # solver statistics: kept out of the CSV, reported in run.json
+    # solver statistics and phase timings: kept out of the CSV, reported in
+    # run.json
     solver_blocks: int
     max_block_dofs: int
     residual: float
+    phase_s: dict[str, float] = field(default_factory=dict)
+    maxrss_mb: float = 0.0
 
     def csv_row(self) -> str:
         def num(v: float) -> str:
@@ -114,10 +121,21 @@ def run_study(
     if csv_path is not None:
         write_csv(records, csv_path)
     for cycle in range(cycles):
-        t0 = time.perf_counter()
+        phase: dict[str, float] = {}
+        t0 = t = time.perf_counter()
+
+        def lap(name: str) -> None:
+            nonlocal t
+            now = time.perf_counter()
+            phase[name] = now - t
+            t = now
+
         sys = assemble(spec, mesh, p_s)
+        lap("assemble")
         x, rep = solve(sys)
+        lap("solve")
         est = estimate(sys, x)
+        lap("estimate")
         if spec.has_exact():
             nb = error_norms(sys, x)
             err = nb.sT_norm()
@@ -125,24 +143,29 @@ def run_study(
         else:
             err = math.nan
             eff = math.nan
+        lap("norms")
         rec = StudyRecord(
             cycle=cycle, n_elements=mesh.n_elements, n_dofs=sys.n_dofs,
             eta=est.eta, true_error=err, eff_index=eff,
             wall_ms=1e3 * (time.perf_counter() - t0),
             solver_blocks=rep.n_blocks, max_block_dofs=max(rep.block_sizes),
-            residual=rep.residual,
+            residual=rep.residual, phase_s=phase,
         )
         records.append(rec)
         if csv_path is not None:
             write_csv(records, csv_path)
         if on_cycle is not None:
             on_cycle(cycle, mesh, sys, x, est, rec)
+        t = time.perf_counter()
+        rec.wall_ms = 1e3 * (t - t0)
         if cycle < cycles - 1:
             if mode == "amr":
                 refine, coarsen = mark(est, refine_fraction, coarsen_fraction)
                 mesh.refine_and_coarsen(refine, coarsen)
             else:
                 mesh.refine_uniform(1)
+        lap("refine")
+        rec.maxrss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     return records, mesh
 
 

@@ -25,9 +25,10 @@ Dof ordering: all element dofs first (elements sorted by id), then facet
 dofs (facets sorted by id).
 
 Everything is batched over groups of entities that share the same reference
-data, so the per-entity work is pure numpy.  The `DofMap` builds both group
-tables once, from arrays, and assembly, the estimator and the error norms
-all read them:
+data, so the per-entity work is pure numpy.  The `DofMap` reads the mesh's
+element and facet tables (`SpaceTimeMesh.etab`, `.ftab`) directly, builds
+both group tables once, and assembly, the estimator and the error norms all
+read them:
 
 * `elem_classes`: elements of equal extent (hence equal reference-to-physical
   scaling), in order of first occurrence in element-id order.
@@ -57,7 +58,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import fe
-from .mesh import Element, Facet, SpaceTimeMesh
+from .mesh import BOUNDARIES, Element, Facet, SpaceTimeMesh
 from .problem import ProblemSpec
 
 P_T = 1  # temporal degree is fixed by the method
@@ -78,10 +79,10 @@ def penalty_alpha(p_s: int) -> float:
 class DofMap:
     mesh: SpaceTimeMesh
     p_s: int
+    elem_rows: np.ndarray  # element-table row of each element, ids ascending
     elem_ids: list[int]
-    facet_ids: list[int]
-    elem_offset: dict[int, int]
-    facet_offset: dict[int, int]
+    facet_ids: list[int]  # facet-table order, ids ascending
+    facet_dof: np.ndarray  # first dof of each facet
     n_elem_dofs: int
     n_dofs: int
 
@@ -109,14 +110,29 @@ class DofMap:
             return (self.p_s + 1) ** self.d
         return (P_T + 1) * (self.p_s + 1) ** (self.d - 1)
 
+    @cached_property
+    def elem_pos(self) -> np.ndarray:
+        """Position in elem_ids of every element-table row."""
+        pos = np.empty(len(self.elem_rows), dtype=np.intp)
+        pos[self.elem_rows] = np.arange(len(self.elem_rows))
+        return pos
+
+    @cached_property
+    def elem_offset(self) -> dict[int, int]:
+        return dict(zip(self.elem_ids, range(0, self.n_elem_dofs, self.n_elem_basis)))
+
+    @cached_property
+    def facet_offset(self) -> dict[int, int]:
+        return dict(zip(self.facet_ids, self.facet_dof.tolist()))
+
     def elem_dofs(self, eid: int) -> np.ndarray:
         o = self.elem_offset[eid]
         return np.arange(o, o + self.n_elem_basis)
 
     def facet_dofs(self, fid: int) -> np.ndarray:
-        f = self.mesh.facets[fid]
-        o = self.facet_offset[fid]
-        return np.arange(o, o + self.facet_n_basis(f))
+        i = int(np.searchsorted(self.mesh.ftab.id, fid))
+        end = self.facet_dof[i + 1] if i + 1 < len(self.facet_dof) else self.n_dofs
+        return np.arange(self.facet_dof[i], end)
 
     def per_facet(self, values: dict[int, float]) -> np.ndarray:
         """Per-facet values as an array in facet_ids order."""
@@ -125,8 +141,7 @@ class DofMap:
     @cached_property
     def elem_box(self) -> tuple[np.ndarray, np.ndarray]:
         """(lo, hi) of every element, rows in elem_ids order."""
-        els = [self.mesh.elements[eid] for eid in self.elem_ids]
-        return np.array([el.lo for el in els]), np.array([el.hi for el in els])
+        return self.mesh.etab.lo[self.elem_rows], self.mesh.etab.hi[self.elem_rows]
 
     @cached_property
     def elem_h(self) -> np.ndarray:
@@ -201,15 +216,12 @@ class SideGroup:
         return _chunks(len(self.facet))
 
 
-_BOUNDARIES = (None, "dirichlet", "neumann", "initial", "final")
-
-
 @dataclass
 class FacetSides:
     """Facet arrays (rows in facet_ids order) and the side groups."""
 
     axis: np.ndarray
-    boundary: np.ndarray  # index into _BOUNDARIES
+    boundary: np.ndarray  # index into mesh.BOUNDARIES
     mid: np.ndarray  # (nf, d+1)
     half: np.ndarray  # (nf, d+1), zero along the frozen axis
     dof: np.ndarray  # first facet dof
@@ -232,24 +244,21 @@ def _build_facet_sides(dm: DofMap) -> FacetSides:
     mesh = dm.mesh
     d = mesh.d
     d1 = d + 1
-    facets = [mesh.facets[fid] for fid in dm.facet_ids]
-    epos = {eid: i for i, eid in enumerate(dm.elem_ids)}
-    axis = np.array([f.axis for f in facets], dtype=np.intp)
-    flo = np.array([f.lo for f in facets]).reshape(-1, d1)
-    fhi = np.array([f.hi for f in facets]).reshape(-1, d1)
-    owner = np.array([epos[f.owner] for f in facets], dtype=np.intp)
-    neighbor = np.array([-1 if f.neighbor is None else epos[f.neighbor] for f in facets],
-                        dtype=np.intp)
-    owner_side = np.array([f.owner_side for f in facets])
-    bcode = np.array([_BOUNDARIES.index(f.boundary) for f in facets])
-    fdof = np.array([dm.facet_offset[fid] for fid in dm.facet_ids], dtype=np.intp)
+    ft = mesh.ftab
+    axis = ft.axis.astype(np.intp)
+    flo, fhi = ft.lo, ft.hi
+    owner = dm.elem_pos[ft.owner]
+    neighbor = np.where(ft.neighbor >= 0, dm.elem_pos[ft.neighbor], -1)
+    owner_side = ft.side
+    bcode = ft.boundary
+    fdof = dm.facet_dof
     fmid = 0.5 * (flo + fhi)
     fhalf = 0.5 * (fhi - flo)
     free = np.array([[b for b in range(d1) if b != a] for a in range(d1)], dtype=np.intp)
     jacF = 0.5 ** d * np.prod(np.take_along_axis(fhi - flo, free[axis], 1), axis=1)
 
     # the walk: facet-id order, owner side then neighbor side
-    sf = np.repeat(np.arange(len(facets)), 1 + (neighbor >= 0))
+    sf = np.repeat(np.arange(len(ft)), 1 + (neighbor >= 0))
     is_nb = np.zeros(len(sf), dtype=bool)
     is_nb[1:] = sf[1:] == sf[:-1]
     se = np.where(is_nb, neighbor[sf], owner[sf])
@@ -278,7 +287,7 @@ def _build_facet_sides(dm: DofMap) -> FacetSides:
         groups.append(SideGroup(
             axis=a, sign=int(sign[k]), fixed=float(fixed[k]),
             alphas=tuple(alphas[k].tolist()), betas=tuple(betas[k].tolist()),
-            boundary=_BOUNDARIES[bcode[sf[k]]],
+            boundary=BOUNDARIES[bcode[sf[k]]],
             fdeg=(dm.p_s,) * d if a == 0 else (P_T,) + (dm.p_s,) * (d - 1),
             facet=fp, elem=se[rows], edof=se[rows] * nb, fdof=fdof[fp],
             jacF=jacF[fp], s_ax=s_ax[rows], h_owner=dm.elem_h[owner[fp]],
@@ -290,21 +299,15 @@ def _build_facet_sides(dm: DofMap) -> FacetSides:
 def build_dofmap(mesh: SpaceTimeMesh, p_s: int) -> DofMap:
     if p_s < 1:
         raise ValueError(f"spatial degree must be >= 1, got {p_s}")
-    elem_ids = mesh.element_ids()
-    facet_ids = mesh.facet_ids()
-    nbe = (P_T + 1) * (p_s + 1) ** mesh.d
-    elem_offset = {eid: i * nbe for i, eid in enumerate(elem_ids)}
-    n_elem = nbe * len(elem_ids)
-    facet_offset = {}
-    off = n_elem
-    for fid in facet_ids:
-        facet_offset[fid] = off
-        f = mesh.facets[fid]
-        off += (p_s + 1) ** mesh.d if f.is_R else (P_T + 1) * (p_s + 1) ** (mesh.d - 1)
+    rows = np.argsort(mesh.etab.id)
+    d = mesh.d
+    n_elem = (P_T + 1) * (p_s + 1) ** d * len(rows)
+    n_basis = np.where(mesh.ftab.axis == 0, (p_s + 1) ** d, (P_T + 1) * (p_s + 1) ** (d - 1))
+    ends = n_elem + np.cumsum(n_basis)
     return DofMap(
-        mesh=mesh, p_s=p_s, elem_ids=elem_ids, facet_ids=facet_ids,
-        elem_offset=elem_offset, facet_offset=facet_offset,
-        n_elem_dofs=n_elem, n_dofs=off,
+        mesh=mesh, p_s=p_s, elem_rows=rows, elem_ids=mesh.etab.id[rows].tolist(),
+        facet_ids=mesh.facet_ids(), facet_dof=ends - n_basis,
+        n_elem_dofs=n_elem, n_dofs=int(ends[-1]) if len(ends) else n_elem,
     )
 
 
@@ -570,7 +573,7 @@ def assemble(
 
     # ---------------- Dirichlet values ------------------------------
     # Dirichlet facets are lateral, so they share one facet basis
-    dir_facets = np.flatnonzero(fs.boundary == _BOUNDARIES.index("dirichlet"))
+    dir_facets = np.flatnonzero(fs.boundary == BOUNDARIES.index("dirichlet"))
     if dir_facets.size:
         fdeg = (P_T,) + (p_s,) * (d - 1)
         FB = facet_basis_at_rule(fdeg, nq)
@@ -598,34 +601,8 @@ def assemble(
 
 
 class FieldEval:
-    """Point evaluation of a discrete solution (element and facet parts)."""
+    """A discrete solution: its dof map and coefficient vector."""
 
     def __init__(self, dofmap: DofMap, x: np.ndarray):
         self.dm = dofmap
         self.x = np.asarray(x)
-        self._basis = fe.get_basis(dofmap.elem_degrees)
-
-    def elem_coeffs(self, eid: int) -> np.ndarray:
-        o = self.dm.elem_offset[eid]
-        return self.x[o : o + self.dm.n_elem_basis]
-
-    def facet_coeffs(self, fid: int) -> np.ndarray:
-        f = self.dm.mesh.facets[fid]
-        o = self.dm.facet_offset[fid]
-        return self.x[o : o + self.dm.facet_n_basis(f)]
-
-    def element_at(self, eid: int, ref_pts: np.ndarray):
-        """values, spatial gradient, time derivative at element ref points."""
-        el = self.dm.mesh.elements[eid]
-        bv = self._basis.eval(ref_pts)
-        c = self.elem_coeffs(eid)
-        half = 0.5 * (el.hi - el.lo)
-        vals = bv.values @ c
-        dt = (bv.grad[:, :, 0] @ c) / half[0]
-        grad = np.stack([(bv.grad[:, :, a] @ c) / half[a] for a in range(1, self.dm.d + 1)], axis=-1)
-        return vals, grad, dt
-
-    def facet_at(self, fid: int, ref_pts: np.ndarray) -> np.ndarray:
-        f = self.dm.mesh.facets[fid]
-        fb = fe.get_basis(self.dm.facet_degrees(f))
-        return fb.eval(ref_pts).values @ self.facet_coeffs(fid)

@@ -240,6 +240,9 @@ def _cmd_solve(cfg: RunConfig, out: Path) -> int:
             x_lo=spec.x_lo, x_hi=spec.x_hi, policy=cfg.dt_policy,
             dirichlet_lateral=spec.dirichlet_lateral,
         )
+        timings["mesh"] = time.perf_counter() - t0
+
+        t0 = time.perf_counter()
         sys_ = assemble(spec, mesh, cfg.ps)
         timings["assemble"] = time.perf_counter() - t0
 
@@ -276,21 +279,28 @@ def _cmd_study(cfg: RunConfig, out: Path) -> int:
 
     spec = _get_spec(cfg)
     csv_path = out / "study.csv"
-    cycles: list[dict] = []
+    seen: list = []  # the StudyRecord of every cycle that reached the hook
 
     def on_cycle(cycle, mesh, sys_, x, est, rec):
-        cycles.append({"cycle": rec.cycle, "n_elements": rec.n_elements,
-                       "n_dofs": rec.n_dofs, "wall_ms": round(rec.wall_ms, 3),
-                       "solver_blocks": rec.solver_blocks,
-                       "max_block_dofs": rec.max_block_dofs,
-                       "residual": rec.residual})
+        seen.append(rec)
+        t0 = time.perf_counter()
         ev = FieldEval(sys_.dofmap, x)
         values = {
             "eta_K": {e: est.eta_K(e) for e in mesh.element_ids()},
             "u": vtk_io.center_values(mesh, ev),
         }
         vtk_io.write_mesh_vtk(out / f"cycle_{cycle:02d}.vtk", mesh, values)
+        rec.phase_s["vtk"] = time.perf_counter() - t0
         log.info("cycle %d: %s", cycle, rec)
+
+    def cycles() -> list[dict]:
+        return [{"cycle": rec.cycle, "n_elements": rec.n_elements,
+                 "n_dofs": rec.n_dofs, "wall_ms": round(rec.wall_ms, 3),
+                 "solver_blocks": rec.solver_blocks,
+                 "max_block_dofs": rec.max_block_dofs,
+                 "residual": rec.residual,
+                 "phase_s": {k: round(v, 6) for k, v in rec.phase_s.items()},
+                 "maxrss_mb": round(rec.maxrss_mb, 1)} for rec in seen]
 
     t0 = time.perf_counter()
     try:
@@ -299,9 +309,9 @@ def _cmd_study(cfg: RunConfig, out: Path) -> int:
             policy=cfg.dt_policy, csv_path=csv_path, on_cycle=on_cycle,
         )
     except (SolverError, MemoryError) as exc:
-        return _fail(out, cfg, {"study": time.perf_counter() - t0}, exc, cycles,
+        return _fail(out, cfg, {"study": time.perf_counter() - t0}, exc, cycles(),
                      f" (partial outputs in {out})")
-    _write_manifest(out, cfg, {"study": time.perf_counter() - t0}, "ok", cycles)
+    _write_manifest(out, cfg, {"study": time.perf_counter() - t0}, "ok", cycles())
     for rec in records:
         print(rec.csv_row())
     return 0

@@ -30,6 +30,7 @@ import numpy as np
 from . import fe
 from .assembly import (
     AssembledSystem,
+    DofMap,
     elem_trace_basis,
     facet_basis_at_rule,
     facet_rule,
@@ -74,6 +75,16 @@ def regime_and_weights(el: Element, slab_height: float, eps: float) -> RegimeWei
 
 def slab_height(mesh: SpaceTimeMesh, el: Element) -> float:
     return mesh.slab_times[el.slab + 1] - mesh.slab_times[el.slab]
+
+
+def tau_eps(dm: DofMap, eps: float) -> np.ndarray:
+    """`regime_and_weights(el, slab_height(mesh, el), eps).tau_eps` of every
+    element, in elem_ids order, from the mesh tables."""
+    lo, hi = dm.elem_box
+    dt, h = hi[:, 0] - lo[:, 0], dm.elem_h
+    et = np.where(dt <= eps, np.where(h <= eps, 1.0, math.sqrt(eps)), eps)
+    slab = dm.mesh.etab.slab[dm.elem_rows]
+    return np.diff(dm.mesh.slab_times)[slab] * et
 
 
 # ----------------------------------------------------------------------
@@ -308,10 +319,7 @@ def error_norms(sys: AssembledSystem, x: np.ndarray, quad_n: int | None = None) 
     grad_t = np.zeros(n); jump_Q = np.zeros(n); dterm = np.zeros(n)
 
     h_K = dm.elem_h
-    tau = np.array([
-        regime_and_weights(mesh.elements[eid], slab_height(mesh, mesh.elements[eid]), eps).tau_eps
-        for eid in dm.elem_ids
-    ])
+    tau = tau_eps(dm, eps)
 
     vrule = fe.tensor_rule((nq,) * d1)
     wq = vrule.weights

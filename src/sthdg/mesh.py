@@ -19,34 +19,115 @@ invariant).  Coordinates of children are produced exclusively by exact
 binary-float midpoint halving of parent coordinates, so boxes that touch
 geometrically compare bitwise equal and facet matching needs no tolerances.
 
-Element and facet ids are 64-bit values derived deterministically (splitmix
-mixing) from the parent id and child index, so identical construction
-histories give identical ids across runs.
+Storage.  Elements and facets are struct-of-arrays tables with read-only
+arrays.  `ElementTable` rows keep creation order (survivors of a refinement,
+then restored parents, then new children by ascending parent id);
+`FacetTable` rows are in ascending id order, with `owner` and `neighbor` as
+element rows (-1 on the boundary) and `boundary` as an index into
+`BOUNDARIES`.  `elements`, `facets` and `elem_facets` are read-only views
+of per-entity objects, built from the tables on first use after a rebuild.
+
+Ids are 63-bit splitmix64 values computed over uint64 arrays (wrapping mod
+2^64): a root element mixes its grid position, a child mixes its parent id
+and child index (`child_id`), and a facet mixes its owner id, face (axis,
+side) and the bit patterns of its 2(d+1) coordinates, so identical
+construction histories give identical ids across runs.
+
+Matching.  `_rebuild_facets` lists the 2(d+1) faces of every element and
+labels those on the domain boundary.  One lexsort of the interior faces by
+(axis, box, side) puts equal boxes side by side: an equal pair is a
+conforming facet owned by the element below/left.  Every other face is
+paired with the opposite faces of its plane; a face inside exactly one of
+them is a hanging facet owned by its own element.  Refinement closes its
+marks over the facet owner/neighbor/level arrays until no marked element
+has an unmarked neighbor one level coarser, and builds all children at once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from functools import cached_property
+from types import MappingProxyType
 
 import numpy as np
 
-_MASK63 = (1 << 63) - 1
-_MASK64 = (1 << 64) - 1
+BOUNDARIES = (None, "dirichlet", "neumann", "initial", "final")
+
+_U64 = np.uint64
+_MASK63 = _U64((1 << 63) - 1)
 
 
-def _mix64(z: int) -> int:
-    """splitmix64 finalizer; deterministic 64-bit scrambling."""
-    z = (z + 0x9E3779B97F4A7C15) & _MASK64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return (z ^ (z >> 31)) & _MASK63
+def splitmix64(z) -> np.ndarray:
+    """splitmix64 finalizer over uint64 arrays, top bit cleared.
+
+    Array arithmetic wraps mod 2^64 without a warning, unlike numpy scalar
+    arithmetic, so the input is always made at least one-dimensional."""
+    z = np.atleast_1d(np.asarray(z, dtype=_U64)) + _U64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> _U64(30))) * _U64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> _U64(27))) * _U64(0x94D049BB133111EB)
+    return (z ^ (z >> _U64(31))) & _MASK63
 
 
-def child_id(parent: int, child_index: int, salt: int = 0) -> int:
-    return _mix64(int(parent) ^ _mix64((int(child_index) + 1) ^ _mix64(int(salt) + 11)))
+def child_id(parent, child_index, salt: int = 0) -> np.ndarray:
+    """Ids (int64 array) of children `child_index` of elements `parent`."""
+    inner = splitmix64((np.asarray(child_index, dtype=_U64) + _U64(1)) ^ splitmix64(salt + 11))
+    return splitmix64(np.asarray(parent, dtype=_U64) ^ inner).astype(np.int64)
 
 
-@dataclass
+class _Table:
+    """Struct-of-arrays storage, one row per entity; the arrays are read-only."""
+
+    def __post_init__(self):
+        for f in fields(self):
+            a = np.ascontiguousarray(getattr(self, f.name))
+            a.flags.writeable = False
+            object.__setattr__(self, f.name, a)
+
+    def __len__(self) -> int:
+        return len(self.id)
+
+    def take(self, rows):
+        return type(self)(*(getattr(self, f.name)[rows] for f in fields(self)))
+
+    @classmethod
+    def concat(cls, parts: list):
+        return cls(*(np.concatenate([getattr(p, f.name) for p in parts]) for f in fields(cls)))
+
+
+@dataclass(frozen=True)
+class ElementTable(_Table):
+    """Elements; `lo`, `hi` are (n, d+1) arrays [t, x1, .., xd]."""
+
+    id: np.ndarray  # int64
+    level: np.ndarray
+    slab: np.ndarray
+    parent: np.ndarray  # parent id, 0 for a root
+    child_index: np.ndarray  # -1 for a root
+    lo: np.ndarray
+    hi: np.ndarray
+
+    @staticmethod
+    def empty(d: int) -> ElementTable:
+        ints = np.empty(0, dtype=np.int64)
+        box = np.empty((0, d + 1))
+        return ElementTable(ints, ints, ints, ints, ints, box, box)
+
+
+@dataclass(frozen=True)
+class FacetTable(_Table):
+    """Facets, ids ascending; lo[axis] == hi[axis] is the facet's plane."""
+
+    id: np.ndarray  # int64
+    axis: np.ndarray  # frozen axis: 0 -> R-facet, >= 1 -> Q-facet
+    side: np.ndarray  # +1 if the facet is on the owner's hi face
+    owner: np.ndarray  # element row
+    neighbor: np.ndarray  # element row, -1 on the boundary
+    boundary: np.ndarray  # index into BOUNDARIES
+    lo: np.ndarray
+    hi: np.ndarray
+
+
+@dataclass(frozen=True)
 class Element:
     eid: int
     level: int
@@ -72,7 +153,7 @@ class Element:
         return 0.5 * (self.lo + self.hi)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Facet:
     fid: int
     axis: int  # frozen axis: 0 -> R-facet, >=1 -> Q-facet
@@ -112,18 +193,24 @@ class ApplyReport:
     skipped_coarsen: list[int] = field(default_factory=list)
 
 
-def _midpoint(a: float, b: float) -> float:
-    return 0.5 * (a + b)
-
-
-def _time_cuts(t0: float, t1: float, k_t: int) -> list[float]:
-    """k_t + 1 cut points, built only from exact midpoint halving."""
-    m = _midpoint(t0, t1)
+def child_boxes(lo: np.ndarray, hi: np.ndarray, k_t: int) -> tuple[np.ndarray, np.ndarray]:
+    """Children of the boxes (n, d+1): k_t equal parts in time, two per
+    spatial axis, built only from exact midpoint halving.  Rows are
+    parent-major; children follow np.ndindex order of (k_t, 2, .., 2)."""
+    n, d1 = lo.shape
+    mid = 0.5 * (lo + hi)
+    t0, tm, t1 = lo[:, 0], mid[:, 0], hi[:, 0]
     if k_t == 2:
-        return [t0, m, t1]
-    if k_t == 4:
-        return [t0, _midpoint(t0, m), m, _midpoint(m, t1), t1]
-    raise ValueError(f"unsupported temporal split {k_t}")
+        cuts = [np.column_stack((t0, tm, t1))]
+    elif k_t == 4:
+        cuts = [np.column_stack((t0, 0.5 * (t0 + tm), tm, 0.5 * (tm + t1), t1))]
+    else:
+        raise ValueError(f"unsupported temporal split {k_t}")
+    cuts += [np.column_stack((lo[:, a], mid[:, a], hi[:, a])) for a in range(1, d1)]
+    multi = np.indices((k_t,) + (2,) * (d1 - 1)).reshape(d1, -1)
+    clo = np.stack([cuts[a][:, multi[a]] for a in range(d1)], axis=-1)
+    chi = np.stack([cuts[a][:, multi[a] + 1] for a in range(d1)], axis=-1)
+    return clo.reshape(-1, d1), chi.reshape(-1, d1)
 
 
 class SpaceTimeMesh:
@@ -149,12 +236,10 @@ class SpaceTimeMesh:
         self.policy = policy
         self.k_t = 2 if policy == "h" else 4
         self.dirichlet_lateral = dirichlet_lateral
-        self.elements: dict[int, Element] = {}
-        self.facets: dict[int, Facet] = {}
-        self.elem_facets: dict[int, list[tuple[int, int]]] = {}
-        # id -> (parent, child_index, level, lo, hi, slab); kept for every
-        # element ever created so coarsening can restore ancestors
-        self.genealogy: dict[int, tuple] = {}
+        self.etab = ElementTable.empty(d)
+        self.ftab: FacetTable | None = None
+        # every element ever refined, so that coarsening can restore it
+        self._refined = ElementTable.empty(d)
 
     # ------------------------------------------------------------------
     # construction
@@ -182,378 +267,282 @@ class SpaceTimeMesh:
         axes_pts = [slab_times] + [
             np.linspace(x_lo[i], x_hi[i], n_cells[i] + 1) for i in range(d)
         ]
-        shape = (n_slabs,) + tuple(n_cells)
-        lin = 0
-        for multi in np.ndindex(*shape):
-            lo = np.array([axes_pts[a][multi[a]] for a in range(d + 1)])
-            hi = np.array([axes_pts[a][multi[a] + 1] for a in range(d + 1)])
-            eid = _mix64(lin + 1)
-            el = Element(eid=eid, level=0, lo=lo, hi=hi, slab=multi[0])
-            mesh._register(el)
-            lin += 1
-        mesh._rebuild_facets()
+        # np.indices enumerates the grid in np.ndindex (C) order
+        multi = np.indices((n_slabs,) + tuple(n_cells)).reshape(d + 1, -1)
+        n = multi.shape[1]
+        zeros = np.zeros(n, dtype=np.int64)
+        mesh._set_elements(ElementTable(
+            id=splitmix64(np.arange(1, n + 1)).astype(np.int64),
+            level=zeros, slab=multi[0], parent=zeros, child_index=zeros - 1,
+            lo=np.column_stack([axes_pts[a][multi[a]] for a in range(d + 1)]),
+            hi=np.column_stack([axes_pts[a][multi[a] + 1] for a in range(d + 1)]),
+        ))
         return mesh
 
-    def _register(self, el: Element) -> None:
-        if el.eid in self.elements:
-            raise RuntimeError(f"element id collision: {el.eid}")
-        self.elements[el.eid] = el
-        self.genealogy[el.eid] = (
-            el.parent,
-            el.child_index,
-            el.level,
-            el.lo.copy(),
-            el.hi.copy(),
-            el.slab,
-        )
+    def _set_elements(self, etab: ElementTable) -> None:
+        if len(np.unique(etab.id)) != len(etab):
+            raise RuntimeError("element id collision")
+        self.etab = etab
+        self._rebuild_facets()
 
     def element_ids(self) -> list[int]:
-        return sorted(self.elements.keys())
+        return np.sort(self.etab.id).tolist()
 
     def facet_ids(self) -> list[int]:
-        return sorted(self.facets.keys())
+        return self.ftab.id.tolist()
 
     @property
     def n_elements(self) -> int:
-        return len(self.elements)
+        return len(self.etab)
 
     def slab_interval(self, n: int) -> tuple[float, float]:
         return float(self.slab_times[n]), float(self.slab_times[n + 1])
 
     # ------------------------------------------------------------------
-    # refinement / coarsening
+    # read-only per-entity views, dropped by every rebuild
     # ------------------------------------------------------------------
 
-    def _children_boxes(self, el: Element) -> list[tuple[np.ndarray, np.ndarray]]:
-        cuts_t = _time_cuts(float(el.lo[0]), float(el.hi[0]), self.k_t)
-        cuts_x = [
-            [float(el.lo[a]), _midpoint(float(el.lo[a]), float(el.hi[a])), float(el.hi[a])]
-            for a in range(1, self.d + 1)
-        ]
-        boxes = []
-        shape = (self.k_t,) + (2,) * self.d
-        for multi in np.ndindex(*shape):
-            lo = np.empty(self.d + 1)
-            hi = np.empty(self.d + 1)
-            lo[0], hi[0] = cuts_t[multi[0]], cuts_t[multi[0] + 1]
-            for a in range(1, self.d + 1):
-                lo[a], hi[a] = cuts_x[a - 1][multi[a]], cuts_x[a - 1][multi[a] + 1]
-            boxes.append((lo, hi))
-        return boxes
+    @cached_property
+    def elements(self) -> MappingProxyType:
+        e = self.etab
+        return MappingProxyType({
+            eid: Element(eid, lev, lo, hi, slab, par, ci)
+            for eid, lev, lo, hi, slab, par, ci in zip(
+                e.id.tolist(), e.level.tolist(), e.lo, e.hi, e.slab.tolist(),
+                e.parent.tolist(), e.child_index.tolist())
+        })
+
+    @cached_property
+    def facets(self) -> MappingProxyType:
+        f, ids = self.ftab, self.etab.id.tolist()
+        return MappingProxyType({
+            fid: Facet(fid, ax, float(lo[ax]), lo, hi, ids[own], side,
+                       None if nb < 0 else ids[nb], BOUNDARIES[b])
+            for fid, ax, lo, hi, own, side, nb, b in zip(
+                f.id.tolist(), f.axis.tolist(), f.lo, f.hi, f.owner.tolist(),
+                f.side.tolist(), f.neighbor.tolist(), f.boundary.tolist())
+        })
+
+    @cached_property
+    def elem_facets(self) -> MappingProxyType:
+        """element id -> [(facet id, outward sign of the facet for it)]"""
+        f, ids = self.ftab, self.etab.id.tolist()
+        out: dict[int, list[tuple[int, int]]] = {eid: [] for eid in ids}
+        for fid, own, side, nb in zip(f.id.tolist(), f.owner.tolist(),
+                                      f.side.tolist(), f.neighbor.tolist()):
+            out[ids[own]].append((fid, side))
+            if nb >= 0:
+                out[ids[nb]].append((fid, -side))
+        return MappingProxyType(out)
+
+    # ------------------------------------------------------------------
+    # refinement / coarsening
+    # ------------------------------------------------------------------
 
     def n_children(self) -> int:
         return self.k_t * 2**self.d
 
-    def _face_adjacency(self) -> dict[int, set[int]]:
-        adj: dict[int, set[int]] = {eid: set() for eid in self.elements}
-        for f in self.facets.values():
-            if f.neighbor is not None:
-                adj[f.owner].add(f.neighbor)
-                adj[f.neighbor].add(f.owner)
-        return adj
+    def _rows_of(self, ids) -> np.ndarray:
+        """Mask of the element rows whose id is in `ids`."""
+        ids = np.fromiter(map(int, ids), dtype=np.int64)
+        return np.isin(self.etab.id, ids)
 
     def refine_and_coarsen(self, refine_ids, coarsen_ids=()) -> ApplyReport:
         """Apply marks; refinement wins conflicts and closure keeps the mesh
         1-irregular.  Coarsening merges only complete sibling groups whose
         merge cannot create a level jump > 1 (checked against post-refinement
         levels, conservatively for concurrent merges)."""
+        e, f = self.etab, self.ftab
+        ids = e.id
+        nc = self.n_children()
         report = ApplyReport()
-        refine = {int(eid) for eid in refine_ids if int(eid) in self.elements}
-        coarsen_ids = [int(eid) for eid in coarsen_ids]
-        report.refined = sorted(refine)
+        refine = self._rows_of(refine_ids)
+        report.refined = np.sort(ids[refine]).tolist()
 
         # 1-irregularity closure: a neighbor one level coarser than a refined
-        # element must be refined as well.
-        adj = self._face_adjacency()
-        queue = list(refine)
-        while queue:
-            k = queue.pop()
-            lk = self.elements[k].level
-            for m in adj[k]:
-                if m in refine:
-                    continue
-                if self.elements[m].level == lk - 1:
-                    refine.add(m)
-                    queue.append(m)
-                    report.closure_refined.append(m)
-        report.closure_refined.sort()
+        # element must be refined as well; sweep over the element pairs that
+        # share a facet (both orders) until nothing changes
+        inner = f.neighbor >= 0
+        a = np.concatenate((f.owner[inner], f.neighbor[inner]))
+        b = np.concatenate((f.neighbor[inner], f.owner[inner]))
+        coarser = e.level[b] == e.level[a] - 1
+        up, down = a[coarser], b[coarser]
+        marked = refine.copy()
+        while True:
+            pulled = down[refine[up] & ~refine[down]]
+            if not pulled.size:
+                break
+            refine[pulled] = True
+        report.closure_refined = np.sort(ids[refine & ~marked]).tolist()
+        post_level = e.level + refine
 
-        post_level = {
-            eid: el.level + (1 if eid in refine else 0)
-            for eid, el in self.elements.items()
-        }
+        # complete sibling groups among the coarsening candidates, unless a
+        # face neighbor outside the group ends up finer than the group
+        coarsen = self._rows_of(coarsen_ids) & ~refine
+        grouped = coarsen & (e.parent != 0)
+        parents, counts = np.unique(e.parent[grouped], return_counts=True)
+        complete = parents[counts == nc]
+        in_group = grouped[a] & np.isin(e.parent[a], complete)
+        sibling = coarsen[b] & (e.parent[b] == e.parent[a])
+        blocked = in_group & ~sibling & (post_level[b] > e.level[a])
+        merged = complete[~np.isin(complete, e.parent[a[blocked]])]
+        kids = grouped & np.isin(e.parent, merged)
+        report.skipped_coarsen = np.sort(ids[grouped & ~kids]).tolist()
+        report.coarsened_parents = merged.tolist()
 
-        # group coarsening candidates into complete sibling sets
-        coarsen = {eid for eid in coarsen_ids if eid in self.elements and eid not in refine}
-        by_parent: dict[int, list[int]] = {}
-        for eid in coarsen:
-            p = self.elements[eid].parent
-            if p != 0:
-                by_parent.setdefault(p, []).append(eid)
-        n_kids = self.n_children()
-        merges: list[tuple[int, list[int]]] = []
-        for p in sorted(by_parent):
-            kids = by_parent[p]
-            if len(kids) != n_kids:
-                report.skipped_coarsen.extend(kids)
-                continue
-            lvl = self.elements[kids[0]].level
-            blocked = False
-            for c in kids:
-                for m in adj[c]:
-                    if m in coarsen and self.elements[m].parent == p:
-                        continue
-                    if post_level[m] > lvl:
-                        blocked = True
-                        break
-                if blocked:
-                    break
-            if blocked:
-                report.skipped_coarsen.extend(kids)
-            else:
-                merges.append((p, kids))
-        report.skipped_coarsen.sort()
+        # restored parents come from the refined-element record
+        known, first = np.unique(self._refined.id, return_index=True)
+        restored = self._refined.take(first[np.searchsorted(known, merged)])
 
-        for p, kids in merges:
-            for c in kids:
-                del self.elements[c]
-            parent, child_index, level, lo, hi, slab = self.genealogy[p]
-            self.elements[p] = Element(
-                eid=p, level=level, lo=lo.copy(), hi=hi.copy(), slab=slab,
-                parent=parent, child_index=child_index,
-            )
-            report.coarsened_parents.append(p)
-        report.coarsened_parents.sort()
-
-        for eid in sorted(refine):
-            el = self.elements.pop(eid)
-            for ci, (lo, hi) in enumerate(self._children_boxes(el)):
-                cid = child_id(eid, ci)
-                child = Element(
-                    eid=cid, level=el.level + 1, lo=lo, hi=hi, slab=el.slab,
-                    parent=eid, child_index=ci,
-                )
-                self._register(child)
-
-        self._rebuild_facets()
+        # children of the refined elements, by ascending parent id
+        rows = np.flatnonzero(refine)
+        rows = rows[np.argsort(ids[rows])]
+        clo, chi = child_boxes(e.lo[rows], e.hi[rows], self.k_t)
+        parent = np.repeat(ids[rows], nc)
+        index = np.tile(np.arange(nc), len(rows))
+        children = ElementTable(
+            id=child_id(parent, index), level=np.repeat(e.level[rows] + 1, nc),
+            slab=np.repeat(e.slab[rows], nc), parent=parent, child_index=index,
+            lo=clo, hi=chi,
+        )
+        self._refined = ElementTable.concat([self._refined, e.take(rows)])
+        self._set_elements(ElementTable.concat(
+            [e.take(~(refine | kids)), restored, children]))
         return report
 
     def refine_uniform(self, times: int = 1) -> None:
         for _ in range(times):
-            self.refine_and_coarsen(list(self.elements.keys()))
+            self.refine_and_coarsen(self.etab.id)
 
     # ------------------------------------------------------------------
     # facet construction
     # ------------------------------------------------------------------
 
-    def _facet_id(self, owner: int, axis: int, side: int, lo, hi) -> int:
-        # owner + which face is not unique for hanging-in-time sub-facets of
-        # the subgrid, so fold the box bits in as well; mix sequentially
-        # (xor of two already-mixed ids can self-cancel)
-        key = _mix64(int(owner))
-        key = _mix64(key ^ (2 * axis + (1 if side > 0 else 0) + 3))
-        for v in lo:
-            key = _mix64(key ^ int(np.float64(v).view(np.uint64)))
-        for v in hi:
-            key = _mix64(key ^ int(np.float64(v).view(np.uint64)))
-        return key
-
     def _rebuild_facets(self) -> None:
-        d1 = self.d + 1
-        self.facets = {}
-        self.elem_facets = {eid: [] for eid in self.elements}
+        e = self.etab
+        n, d1 = e.lo.shape
+        # every element face: axis-major blocks of (lo faces, hi faces)
+        ax = np.repeat(np.arange(d1), 2 * n)
+        side = np.tile(np.repeat([-1, 1], n), d1)
+        row = np.tile(np.arange(n), 2 * d1)
+        i = np.arange(len(row))
+        coord = np.where(side < 0, e.lo[row, ax], e.hi[row, ax])
+        flo, fhi = e.lo[row], e.hi[row]
+        flo[i, ax] = coord
+        fhi[i, ax] = coord
 
-        # collect faces grouped by (axis, plane coordinate)
-        planes: dict[tuple[int, float], list[tuple[int, int, np.ndarray, np.ndarray]]] = {}
-        for eid, el in self.elements.items():
-            for axis in range(d1):
-                rest = [a for a in range(d1) if a != axis]
-                lo_r = el.lo[rest]
-                hi_r = el.hi[rest]
-                planes.setdefault((axis, float(el.lo[axis])), []).append((eid, -1, lo_r, hi_r))
-                planes.setdefault((axis, float(el.hi[axis])), []).append((eid, +1, lo_r, hi_r))
+        bnd = np.zeros(len(row), dtype=np.int64)
+        lateral = BOUNDARIES.index("dirichlet" if self.dirichlet_lateral else "neumann")
+        x_lo = np.concatenate(([np.nan], self.x_lo))[ax]
+        x_hi = np.concatenate(([np.nan], self.x_hi))[ax]
+        bnd[(ax >= 1) & ((coord == x_lo) | (coord == x_hi))] = lateral
+        bnd[(ax == 0) & (coord == self.slab_times[-1])] = BOUNDARIES.index("final")
+        bnd[(ax == 0) & (coord == self.slab_times[0])] = BOUNDARIES.index("initial")
 
-        t0_dom = float(self.slab_times[0])
-        t1_dom = float(self.slab_times[-1])
+        # conforming pairs: equal boxes (bitwise) next to each other after
+        # one sort, lo face (element above) before hi face (element below)
+        inner = np.flatnonzero(bnd == 0)
+        bits = np.hstack((flo, fhi)).view(np.uint64)
+        s = inner[np.lexsort((side[inner], *bits[inner].T, ax[inner]))]
+        same = (ax[s][1:] == ax[s][:-1]) & np.all(bits[s][1:] == bits[s][:-1], axis=1)
+        if np.any(same[1:] & same[:-1]):
+            raise RuntimeError("more than two coincident element faces")
+        below, above = s[1:][same], s[:-1][same]
+        if np.any(side[below] == side[above]):
+            raise RuntimeError("two element faces coincide on the same side")
+        unmatched = np.ones(len(s), dtype=bool)
+        unmatched[:-1] &= ~same
+        unmatched[1:] &= ~same
 
-        for (axis, coord), faces in planes.items():
-            plus = [f for f in faces if f[1] > 0]   # elements below the plane
-            minus = [f for f in faces if f[1] < 0]  # elements above the plane
+        # hanging faces: every hi face of a plane against every lo face of
+        # it, matched by containment of closed boxes
+        u = s[unmatched]
+        u = u[np.lexsort((side[u], coord[u], ax[u]))]
+        new_plane = np.ones(len(u), dtype=bool)
+        new_plane[1:] = (ax[u][1:] != ax[u][:-1]) | (coord[u][1:] != coord[u][:-1])
+        start = np.flatnonzero(new_plane)
+        plane = np.cumsum(new_plane) - 1
+        plus = side[u] > 0
+        n_minus = np.bincount(plane[~plus], minlength=len(start))
+        if np.any((n_minus == 0) | (n_minus == np.diff(np.r_[start, len(u)]))):
+            raise RuntimeError("unmatched interior faces")
+        ps = np.flatnonzero(plus)
+        reps = n_minus[plane[ps]]
+        pi = np.repeat(ps, reps)
+        mi = np.repeat(start[plane[ps]] - np.cumsum(reps) + reps, reps) + np.arange(len(pi))
+        fp, fm = u[pi], u[mi]
+        p_in_m = np.all((flo[fp] >= flo[fm]) & (fhi[fp] <= fhi[fm]), axis=1)
+        m_in_p = np.all((flo[fm] >= flo[fp]) & (fhi[fm] <= fhi[fp]), axis=1)
+        inside = np.bincount(np.r_[pi[p_in_m], mi[m_in_p]], minlength=len(u))
+        holds = np.bincount(np.r_[mi[p_in_m], pi[m_in_p]], minlength=len(u))
+        if np.any(inside > 1):
+            raise RuntimeError("face contained in several opposite faces")
+        if np.any((inside == 1) & (holds > 0)):
+            raise RuntimeError("ambiguous face matching")
+        if np.any((inside == 0) & (holds == 0)):
+            raise RuntimeError("uncovered interior face")
 
-            if axis == 0 and coord == t0_dom:
-                boundary = "initial"
-            elif axis == 0 and coord == t1_dom:
-                boundary = "final"
-            elif axis >= 1 and (
-                coord == float(self.x_lo[axis - 1]) or coord == float(self.x_hi[axis - 1])
-            ):
-                boundary = "dirichlet" if self.dirichlet_lateral else "neumann"
-            else:
-                boundary = None
-
-            if boundary is not None:
-                # all faces on a boundary plane are boundary facets
-                for eid, side, lo_r, hi_r in faces:
-                    self._add_facet(eid, axis, coord, side, lo_r, hi_r, None, boundary)
-                continue
-
-            by_box: dict[bytes, list[int]] = {}
-            for i, (eid, side, lo_r, hi_r) in enumerate(faces):
-                by_box.setdefault(lo_r.tobytes() + hi_r.tobytes(), []).append(i)
-
-            matched = np.zeros(len(faces), dtype=bool)
-            # equal faces: conforming interface, owner = plus (below/left) side
-            for idxs in by_box.values():
-                if len(idxs) == 2:
-                    i, j = idxs
-                    if faces[i][1] == faces[j][1]:
-                        raise RuntimeError("two element faces coincide on the same side")
-                    ip = i if faces[i][1] > 0 else j
-                    im = j if ip == i else i
-                    self._add_facet(
-                        faces[ip][0], axis, coord, +1, faces[ip][2], faces[ip][3],
-                        faces[im][0], None,
-                    )
-                    matched[i] = matched[j] = True
-                elif len(idxs) > 2:
-                    raise RuntimeError("more than two coincident element faces")
-
-            rem_plus = [i for i in np.where(~matched)[0] if faces[i][1] > 0]
-            rem_minus = [i for i in np.where(~matched)[0] if faces[i][1] < 0]
-            if (len(rem_plus) == 0) != (len(rem_minus) == 0):
-                raise RuntimeError(f"unmatched interior faces on plane {axis}={coord}")
-            if not rem_plus:
-                continue
-
-            P_lo = np.array([faces[i][2] for i in rem_plus])
-            P_hi = np.array([faces[i][3] for i in rem_plus])
-            M_lo = np.array([faces[i][2] for i in rem_minus])
-            M_hi = np.array([faces[i][3] for i in rem_minus])
-            # containment matrices (closed boxes)
-            p_in_m = np.all(
-                (P_lo[:, None, :] >= M_lo[None, :, :]) & (P_hi[:, None, :] <= M_hi[None, :, :]),
-                axis=2,
-            )
-            m_in_p = np.all(
-                (M_lo[:, None, :] >= P_lo[None, :, :]) & (M_hi[:, None, :] <= P_hi[None, :, :]),
-                axis=2,
-            )
-            consumed_p = np.zeros(len(rem_plus), dtype=bool)
-            consumed_m = np.zeros(len(rem_minus), dtype=bool)
-            for pi in range(len(rem_plus)):
-                js = np.where(p_in_m[pi])[0]
-                if len(js) == 1:
-                    i = rem_plus[pi]
-                    j = rem_minus[js[0]]
-                    self._add_facet(
-                        faces[i][0], axis, coord, +1, faces[i][2], faces[i][3],
-                        faces[j][0], None,
-                    )
-                    consumed_p[pi] = True
-                    consumed_m[js[0]] = True
-                elif len(js) > 1:
-                    raise RuntimeError("face contained in several opposite faces")
-            for mi in range(len(rem_minus)):
-                js = np.where(m_in_p[mi])[0]
-                if len(js) == 1:
-                    if consumed_m[mi]:
-                        # equal boxes were already handled; containment both
-                        # ways would mean equality
-                        raise RuntimeError("ambiguous face matching")
-                    i = rem_minus[mi]
-                    j = rem_plus[js[0]]
-                    self._add_facet(
-                        faces[i][0], axis, coord, -1, faces[i][2], faces[i][3],
-                        faces[j][0], None,
-                    )
-                    consumed_m[mi] = True
-                    consumed_p[js[0]] = True
-                elif len(js) > 1:
-                    raise RuntimeError("face contained in several opposite faces")
-            # coarse container faces are consumed implicitly; verify coverage
-            for pi in np.where(~consumed_p)[0]:
-                if not m_in_p[:, pi].any():
-                    raise RuntimeError(f"uncovered interior face on plane {axis}={coord}")
-            for mi in np.where(~consumed_m)[0]:
-                if not p_in_m[:, mi].any():
-                    raise RuntimeError(f"uncovered interior face on plane {axis}={coord}")
-
-    def _add_facet(self, owner, axis, coord, side, lo_r, hi_r, neighbor, boundary):
-        d1 = self.d + 1
-        rest = [a for a in range(d1) if a != axis]
-        lo = np.empty(d1)
-        hi = np.empty(d1)
-        lo[axis] = hi[axis] = coord
-        lo[rest] = lo_r
-        hi[rest] = hi_r
-        fid = self._facet_id(owner, axis, side, lo, hi)
-        if fid in self.facets:
+        # boundary faces, conforming pairs (owned by the hi face), fine
+        # hanging faces (owned by themselves)
+        bface = np.flatnonzero(bnd)
+        face = np.concatenate((bface, below, fp[p_in_m], fm[m_in_p]))
+        neighbor = np.concatenate((np.full(len(bface), -1), row[above], row[fm[p_in_m]],
+                                   row[fp[m_in_p]]))
+        lo, hi = flo[face], fhi[face]
+        owner, axis, fside = row[face], ax[face], side[face]
+        key = splitmix64(e.id[owner])
+        key = splitmix64(key ^ (2 * axis + (fside > 0) + 3).astype(np.uint64))
+        for col in np.hstack((lo, hi)).view(np.uint64).T:
+            key = splitmix64(key ^ col)
+        fid = key.astype(np.int64)
+        o = np.argsort(fid)
+        if np.any(fid[o][1:] == fid[o][:-1]):
             raise RuntimeError("facet id collision")
-        f = Facet(
-            fid=fid, axis=axis, coord=coord, lo=lo, hi=hi,
-            owner=owner, owner_side=side, neighbor=neighbor, boundary=boundary,
-        )
-        self.facets[fid] = f
-        self.elem_facets[owner].append((fid, side))
-        if neighbor is not None:
-            self.elem_facets[neighbor].append((fid, -side))
-
-    # ------------------------------------------------------------------
-    # patches
-    # ------------------------------------------------------------------
+        self.ftab = FacetTable(id=fid[o], axis=axis[o], side=fside[o], owner=owner[o],
+                               neighbor=neighbor[o], boundary=bnd[face][o], lo=lo[o], hi=hi[o])
+        for view in ("elements", "facets", "elem_facets"):
+            self.__dict__.pop(view, None)
 
     def omega_K(self, eid: int) -> set[int]:
         """Face neighbors: elements sharing a whole facet with K."""
-        out = set()
-        for fid, _ in self.elem_facets[eid]:
-            f = self.facets[fid]
-            other = f.neighbor if f.owner == eid else f.owner
-            if other is not None and other != eid:
-                out.add(other)
-        return out
+        facets = [self.facets[fid] for fid, _ in self.elem_facets[eid]]
+        return {k for f in facets for k in (f.owner, f.neighbor)} - {eid, None}
 
     # ------------------------------------------------------------------
     # validation
     # ------------------------------------------------------------------
 
     def validate(self) -> None:
+        e, f = self.etab, self.ftab
         d1 = self.d + 1
-        vol = sum(el.volume for el in self.elements.values())
+        ext = e.hi - e.lo
+        vol = float(np.prod(ext, axis=1).sum())
         dom = (self.t_final - float(self.slab_times[0])) * float(
             np.prod(self.x_hi - self.x_lo)
         )
         if not np.isclose(vol, dom, rtol=1e-12, atol=0.0):
             raise AssertionError(f"element volumes {vol} != domain volume {dom}")
+        if np.any((e.lo[:, 0] < self.slab_times[e.slab])
+                  | (e.hi[:, 0] > self.slab_times[e.slab + 1])):
+            raise AssertionError("an element leaves its slab")
 
-        for eid, el in self.elements.items():
-            t0, t1 = self.slab_interval(el.slab)
-            if not (t0 <= el.lo[0] and el.hi[0] <= t1):
-                raise AssertionError(f"element {eid} leaves its slab")
-            # boundary tiled by facets, each side exactly once
-            area = {(a, s): 0.0 for a in range(d1) for s in (-1, +1)}
-            for fid, sign in self.elem_facets[eid]:
-                f = self.facets[fid]
-                if not np.all((f.lo >= el.lo - 0.0) & (f.hi <= el.hi + 0.0)):
-                    raise AssertionError(f"facet {fid} outside element {eid}")
-                area[(f.axis, sign)] += f.measure
-            for a in range(d1):
-                face = float(np.prod(np.delete(el.hi - el.lo, a)))
-                for s in (-1, +1):
-                    if not np.isclose(area[(a, s)], face, rtol=1e-12):
-                        raise AssertionError(
-                            f"element {eid} axis {a} side {s}: facet area "
-                            f"{area[(a, s)]} != face area {face}"
-                        )
+        # every facet side lies on its element's face, and the facets tile
+        # each face of each element exactly once
+        inner = f.neighbor >= 0
+        fs = np.concatenate((np.arange(len(f)), np.flatnonzero(inner)))
+        el = np.concatenate((f.owner, f.neighbor[inner]))
+        sign = np.concatenate((f.side, -f.side[inner]))
+        if np.any((f.lo[fs] < e.lo[el]) | (f.hi[fs] > e.hi[el])):
+            raise AssertionError("a facet lies outside its owner or neighbor")
+        free = ~np.eye(d1, dtype=bool)
+        measure = np.prod(np.where(free[f.axis], f.hi - f.lo, 1.0), axis=1)
+        area = np.zeros((len(e), d1, 2))
+        np.add.at(area, (el, f.axis[fs], (sign > 0).astype(int)), measure[fs])
+        face = np.prod(np.where(free[None], ext[:, None, :], 1.0), axis=2)
+        if not np.all(np.isclose(area, face[:, :, None], rtol=1e-12)):
+            raise AssertionError("facet areas do not tile the element faces")
 
-        for f in self.facets.values():
-            if f.neighbor is not None:
-                lo_n = self.elements[f.neighbor].lo
-                hi_n = self.elements[f.neighbor].hi
-                if not (np.all(f.lo >= lo_n) and np.all(f.hi <= hi_n)):
-                    raise AssertionError(f"facet {f.fid} not on its neighbor's face")
-                dl = abs(self.elements[f.owner].level - self.elements[f.neighbor].level)
-                if dl > 1:
-                    raise AssertionError("1-irregularity violated")
-            else:
-                if f.boundary is None:
-                    raise AssertionError(f"interior facet {f.fid} without neighbor")
+        if np.any(np.abs(e.level[f.owner[inner]] - e.level[f.neighbor[inner]]) > 1):
+            raise AssertionError("1-irregularity violated")
+        if np.any(~inner & (f.boundary == 0)):
+            raise AssertionError("interior facet without neighbor")

@@ -15,12 +15,16 @@ Measured constants are reported as `ConstantReport` rows and can be dumped
 to a CSV with schema ``inequality,level,samples,constant``.
 
 The passes read tables that are already built instead of searching the
-geometry: a subgrid facet's parent is looked up among the facets of its
-owner's parent element (`SpaceTimeMesh.elem_facets`); averaging numbers its
-nodes on an integer lattice (per axis, cell index x degree + local index,
-with cells placed by the cut coordinates that touching cells share bitwise);
-facet jumps take both sides of each facet from `DofMap.facet_sides`; and the
-saturation pass evaluates both fields per `DofMap.elem_classes` class.
+geometry or building per-entity objects: the subgrid fills the fine mesh's
+element table directly, and a fine facet's parent is looked up among the
+facet sides of its owner's parent element on the same axis and side (a
+sorted key over the coarse facet table); averaging subdivides the element
+table level by level and numbers its nodes on an integer lattice (per axis,
+cell index x degree + local index, with cells placed by the cut coordinates
+that touching cells share bitwise); facet jumps take both sides of each
+facet from `DofMap.facet_sides`; the saturation pass evaluates both fields
+per `DofMap.elem_classes` class; and the inequality pass finds its element
+and facet shapes with `np.unique` over the table extents.
 """
 
 from __future__ import annotations
@@ -42,8 +46,8 @@ from .assembly import (
     elem_trace_basis,
     facet_rule,
 )
-from .estimator import regime_and_weights, slab_height
-from .mesh import Element, SpaceTimeMesh, _midpoint, child_id
+from .estimator import tau_eps
+from .mesh import ElementTable, SpaceTimeMesh, child_boxes, child_id
 from .problem import ProblemSpec
 from .solver import solve
 
@@ -78,47 +82,57 @@ def build_subgrid(mesh: SpaceTimeMesh) -> SubgridPair:
         mesh.d, mesh.t_final, mesh.x_lo, mesh.x_hi, mesh.slab_times,
         mesh.policy, mesh.dirichlet_lateral,
     )
-    children: dict[int, tuple[int, int]] = {}
-    parent_elem: dict[int, int] = {}
-    for eid in mesh.element_ids():
-        el = mesh.elements[eid]
-        m = _midpoint(float(el.lo[0]), float(el.hi[0]))
-        pair = []
-        for ci, (t0, t1) in enumerate(((float(el.lo[0]), m), (m, float(el.hi[0])))):
-            lo = el.lo.copy()
-            hi = el.hi.copy()
-            lo[0], hi[0] = t0, t1
-            cid = child_id(eid, ci, salt=SUBGRID_SALT)
-            fine._register(
-                Element(eid=cid, level=el.level, lo=lo, hi=hi, slab=el.slab,
-                        parent=eid, child_index=ci)
-            )
-            parent_elem[cid] = eid
-            pair.append(cid)
-        children[eid] = (pair[0], pair[1])
-    fine._rebuild_facets()
+    # the two halves of every coarse element, coarse ids ascending
+    e = mesh.etab
+    rows = np.repeat(np.argsort(e.id), 2)
+    half = np.tile([0, 1], len(e))
+    lo, hi = e.lo[rows], e.hi[rows]
+    mid = 0.5 * (lo[:, 0] + hi[:, 0])
+    lo[half == 1, 0] = mid[half == 1]
+    hi[half == 0, 0] = mid[half == 0]
+    ids = child_id(e.id[rows], half, salt=SUBGRID_SALT)
+    fine._set_elements(ElementTable(
+        id=ids, level=e.level[rows], slab=e.slab[rows], parent=e.id[rows],
+        child_index=half, lo=lo, hi=hi,
+    ))
 
     # facet lineage: a horizontal facet between the two halves of one coarse
     # element is new; every other fine facet lies on its owner's parent's
     # face on the same side, inside exactly one of the coarse facets there
-    facet_parent: dict[int, int] = {}
-    new_R: dict[int, int] = {}
-    for f in fine.facets.values():
-        pe = parent_elem[f.owner]
-        if f.is_R and f.neighbor is not None and parent_elem[f.neighbor] == pe:
-            new_R[f.fid] = pe
-            continue
-        faces = (mesh.facets[gid] for gid, side in mesh.elem_facets[pe] if side == f.owner_side)
-        hosts = [g.fid for g in faces if np.all(g.lo <= f.lo) and np.all(f.hi <= g.hi)]
-        if len(hosts) != 1:
-            raise RuntimeError("subgrid facet lacks a unique parent facet")
-        facet_parent[f.fid] = hosts[0]
+    ff, cf = fine.ftab, mesh.ftab
+    pe = rows[ff.owner]
+    is_new = (ff.axis == 0) & (ff.neighbor >= 0) & (rows[ff.neighbor] == pe)
+    # coarse facet sides keyed by (element row, axis, outward sign)
+    d1 = mesh.d + 1
+    inner = cf.neighbor >= 0
+    side_facet = np.concatenate((np.arange(len(cf)), np.flatnonzero(inner)))
+    side_elem = np.concatenate((cf.owner, cf.neighbor[inner]))
+    side_sign = np.concatenate((cf.side, -cf.side[inner]))
+    side_key = (side_elem * d1 + cf.axis[side_facet]) * 2 + (side_sign > 0)
+    order = np.argsort(side_key, kind="stable")
+    side_key, side_facet = side_key[order], side_facet[order]
+    old = np.flatnonzero(~is_new)
+    key = (pe[old] * d1 + ff.axis[old]) * 2 + (ff.side[old] > 0)
+    first = np.searchsorted(side_key, key)
+    count = np.searchsorted(side_key, key, side="right") - first
+    fine_of = np.repeat(old, count)
+    cand = side_facet[np.repeat(first - np.cumsum(count) + count, count) + np.arange(count.sum())]
+    inside = np.all((cf.lo[cand] <= ff.lo[fine_of]) & (ff.hi[fine_of] <= cf.hi[cand]), axis=1)
+    if np.any(np.bincount(fine_of[inside], minlength=len(ff))[old] != 1):
+        raise RuntimeError("subgrid facet lacks a unique parent facet")
 
-    if len(fine.elements) != 2 * len(mesh.elements):
+    if len(fine.etab) != 2 * len(e):
         raise RuntimeError("subgrid element count mismatch")
-    if len(new_R) != len(mesh.elements):
+    if np.count_nonzero(is_new) != len(e):
         raise RuntimeError("expected exactly one new horizontal facet per element")
-    return SubgridPair(mesh, fine, children, parent_elem, facet_parent, new_R)
+    kids = ids.reshape(-1, 2).tolist()
+    return SubgridPair(
+        mesh, fine,
+        children=dict(zip(e.id[rows[::2]].tolist(), map(tuple, kids))),
+        parent_elem=dict(zip(ids.tolist(), e.id[rows].tolist())),
+        facet_parent=dict(zip(ff.id[fine_of[inside]].tolist(), cf.id[cand[inside]].tolist())),
+        new_R=dict(zip(ff.id[is_new].tolist(), e.id[pe[is_new]].tolist())),
+    )
 
 
 def _box_affine(parent_lo, parent_hi, child_lo, child_hi):
@@ -308,10 +322,9 @@ def measure_saturation(
     nb = dm_c.n_elem_basis
     coef_c = x_c[: dm_c.n_elem_dofs].reshape(-1, nb)
     coef_f = x_f[: dm_f.n_elem_dofs].reshape(-1, nb)
-    kids = np.array([[dm_f.elem_offset[cid] // nb for cid in pair.children[eid]]
-                     for eid in dm_c.elem_ids])
-    tau = np.array([regime_and_weights(el, slab_height(mesh, el), spec.eps).tau_eps
-                    for el in map(mesh.elements.get, dm_c.elem_ids)])
+    # fine positions of the (lower, upper) halves, coarse elements in order
+    kids = np.searchsorted(dm_f.elem_ids, [pair.children[eid] for eid in dm_c.elem_ids])
+    tau = tau_eps(dm_c, spec.eps)
     d1 = mesh.d + 1
     rule = fe.tensor_rule((sys_c.quad_n + 2,) * d1)
     basis = fe.get_basis(dm_c.elem_degrees)
@@ -381,25 +394,26 @@ def averaging_operator(mesh: SpaceTimeMesh, p_s: int, elem_coeffs: np.ndarray) -
         raise ValueError("element coefficient vector has wrong length")
     basis = fe.get_basis(dm.elem_degrees)
     coef = elem_coeffs.reshape(-1, dm.n_elem_basis)
-    max_level = max(el.level for el in mesh.elements.values())
     d1 = mesh.d + 1
 
-    # subdivide every element down to the common finest level
-    cells: list[tuple[int, np.ndarray, np.ndarray]] = []
-    for pos, eid in enumerate(dm.elem_ids):
-        el = mesh.elements[eid]
-        stack = [(el.level, el.lo, el.hi)]
-        while stack:
-            lev, lo, hi = stack.pop()
-            if lev == max_level:
-                cells.append((pos, lo, hi))
-                continue
-            tmp = Element(eid=0, level=lev, lo=lo, hi=hi, slab=el.slab)
-            for clo, chi in mesh._children_boxes(tmp):
-                stack.append((lev + 1, clo, chi))
-    parent = np.array([c[0] for c in cells])
-    lo = np.array([c[1] for c in cells])
-    hi = np.array([c[2] for c in cells])
+    # subdivide every element down to the common finest level; a split cell
+    # is replaced by its children last child first, so the cells of one
+    # element come in the order of a depth-first walk that pushes children
+    # in order and pops the last
+    level = mesh.etab.level[dm.elem_rows]
+    parent = np.arange(len(level))
+    lo, hi = dm.elem_box
+    nc = mesh.n_children()
+    rev = np.arange(nc)[::-1]
+    for lev in range(int(level.min()), int(level.max())):
+        split = level == lev
+        n_new = np.where(split, nc, 1)
+        clo, chi = child_boxes(lo[split], hi[split], mesh.k_t)
+        at = np.repeat(split, n_new)
+        parent, level = np.repeat(parent, n_new), np.repeat(level + split, n_new)
+        lo, hi = np.repeat(lo, n_new, axis=0), np.repeat(hi, n_new, axis=0)
+        lo[at] = clo.reshape(-1, nc, d1)[:, rev].reshape(-1, d1)
+        hi[at] = chi.reshape(-1, nc, d1)[:, rev].reshape(-1, d1)
 
     # lattice index of every cell: refinement only halves coordinates, so
     # touching cells share their cut coordinates bitwise
@@ -420,7 +434,7 @@ def averaging_operator(mesh: SpaceTimeMesh, p_s: int, elem_coeffs: np.ndarray) -
     deg = np.array(dm.elem_degrees)
     node_shape = tuple(np.array(shape) * deg + 1)
     local = index[:, None, :] * deg + basis.multi_indices[None, :, :]
-    nodes = np.ravel_multi_index(local.reshape(-1, d1).T, node_shape).reshape(len(cells), -1)
+    nodes = np.ravel_multi_index(local.reshape(-1, d1).T, node_shape).reshape(len(parent), -1)
 
     # the parent polynomial at each cell's nodes and at volume quadrature
     # points, one basis evaluation per distinct parent-to-cell map
@@ -429,7 +443,7 @@ def averaging_operator(mesh: SpaceTimeMesh, p_s: int, elem_coeffs: np.ndarray) -
     scale, shift = _box_affine(elo[parent], ehi[parent], lo, hi)
     maps, which = np.unique(np.hstack((scale, shift)), axis=0, return_inverse=True)
     vals = np.empty(nodes.shape)
-    v_orig = np.empty((len(cells), len(rule.weights)))
+    v_orig = np.empty((len(parent), len(rule.weights)))
     for k, m in enumerate(maps):
         rows = np.flatnonzero(which.reshape(-1) == k)
         c = coef[parent[rows]]
@@ -452,7 +466,7 @@ def averaging_operator(mesh: SpaceTimeMesh, p_s: int, elem_coeffs: np.ndarray) -
 
     # measured continuity across shared cell faces (exercises the node merge)
     grid = np.empty(shape, dtype=np.intp)
-    grid[tuple(index.T)] = np.arange(len(cells))
+    grid[tuple(index.T)] = np.arange(len(parent))
     frule = facet_rule(mesh.d, p_s + 2)
     continuity = 0.0
     for axis in range(d1):
@@ -733,10 +747,12 @@ def inequality_constants(
     Zq = rng.standard_normal((samples, qb.n_basis))
     Zr = rng.standard_normal((samples, rb.n_basis))
 
+    # distinct element extents, each with the first element row that has it
+    e = mesh.etab
+    ext = e.hi - e.lo
+    h_el = np.max(ext[:, 1:], axis=1)
     if include_quasi is None:
-        include_quasi = all(
-            el.dt <= 4.0 * el.h**2 + 1e-14 for el in mesh.elements.values()
-        )
+        include_quasi = bool(np.all(ext[:, 0] <= 4.0 * h_el**2 + 1e-14))
 
     nq = max(P_T + 1, p_s + 1) + 2
     vol_rule = fe.tensor_rule((nq,) * d1)
@@ -756,22 +772,29 @@ def inequality_constants(
         if np.isfinite(value):
             best[name] = max(best.get(name, 0.0), value)
 
-    elem_shapes = {}
-    for el in mesh.elements.values():
-        elem_shapes.setdefault(tuple(np.round(el.hi - el.lo, 14)), el)
-    q_shapes = {}
-    r_shapes = {}
-    for f in mesh.facets.values():
-        el = mesh.elements[f.owner]
-        key = (tuple(np.round((f.hi - f.lo)[f.free_axes()], 14)),
-               round(el.h, 14), round(el.dt, 14))
-        (q_shapes if f.is_Q else r_shapes).setdefault(key, (f, el))
+    # shapes are keyed by extents rounded to 14 decimals; an element shape
+    # takes dt and h from the first element row with its key, and a facet
+    # shape is its free extents with its owner's h and dt
+    exact, first = np.unique(ext, axis=0, return_index=True)
+    elem_shapes: dict[tuple, int] = {}
+    for k in np.argsort(first):
+        elem_shapes.setdefault(tuple(np.round(exact[k], 14)), first[k])
+    f = mesh.ftab
+    free = np.array([[b for b in range(d1) if b != a] for a in range(d1)])
+    f_keys = np.unique(np.column_stack((
+        f.axis, np.take_along_axis(f.hi - f.lo, free[f.axis], 1),
+        h_el[f.owner], ext[f.owner, 0])), axis=0)
+    q_shapes: dict[tuple, None] = {}
+    r_shapes: dict[tuple, None] = {}
+    for ax, *f_ext, h_o, dt_o in f_keys:
+        key = (tuple(np.round(f_ext, 14)), round(float(h_o), 14), round(float(dt_o), 14))
+        (q_shapes if ax >= 1 else r_shapes).setdefault(key)
 
-    for dims_key, el in elem_shapes.items():
+    for dims_key, row in elem_shapes.items():
         dims = np.asarray(dims_key)
         half = 0.5 * dims
         jac = float(np.prod(half))
-        dt_K, h_K = el.dt, el.h
+        dt_K, h_K = float(ext[row, 0]), float(h_el[row])
 
         M = jac * M_ref
         Mdt = jac * np.einsum("q,qa,qb->ab", wq, BV.grad[:, :, 0], BV.grad[:, :, 0]) / half[0] ** 2
@@ -870,7 +893,7 @@ def inequality_constants(
                 hit("proj_gap_horizontal", float(np.max(gn / (np.sqrt(dt_K) * dt_n))))
 
     # facet-space inequalities
-    for (ext_key, h_key, dt_key), (f, el) in q_shapes.items():
+    for ext_key, h_key, dt_key in q_shapes:
         ext = np.asarray(ext_key)
         half = 0.5 * ext
         jac = float(np.prod(half))
@@ -889,7 +912,7 @@ def inequality_constants(
             Me = ejac * np.einsum("q,qa,qb->ab", ew, tbv, tbv)
             hit("edge_trace_lateral", np.sqrt(dt_F) * _ratio_max(Me, MF, Zq))
 
-    for (ext_key, h_key, dt_key), (f, el) in r_shapes.items():
+    for ext_key, h_key, dt_key in r_shapes:
         ext = np.asarray(ext_key)
         half = 0.5 * ext
         jac = float(np.prod(half))

@@ -84,14 +84,14 @@ def write_mesh_vtk(
     cell_values maps array name -> {element id: value}; `level` and `slab`
     are always included.
     """
-    eids = mesh.element_ids()
-    corner_lists = [
-        _corner_loop(mesh.elements[e].lo, mesh.elements[e].hi, mesh.d) for e in eids
-    ]
+    e = mesh.etab
+    rows = np.argsort(e.id)
+    eids = e.id[rows].tolist()
+    corner_lists = [_corner_loop(lo, hi, mesh.d) for lo, hi in zip(e.lo[rows], e.hi[rows])]
     points, cells = _assemble_grid(corner_lists)
     data: dict[str, list] = {
-        "level": [mesh.elements[e].level for e in eids],
-        "slab": [mesh.elements[e].slab for e in eids],
+        "level": e.level[rows].tolist(),
+        "slab": e.slab[rows].tolist(),
     }
     for name, per_elem in (cell_values or {}).items():
         data[name] = [per_elem.get(e, 0.0) for e in eids]
@@ -100,9 +100,7 @@ def write_mesh_vtk(
 
 def center_values(mesh: SpaceTimeMesh, field) -> dict[int, float]:
     """Solution value at each element's space-time center (a FieldEval)."""
-    eids = mesh.element_ids()
     dm = field.dm
-    offs = np.array([dm.elem_offset[eid] for eid in eids], dtype=np.intp)
-    coeffs = field.x[offs[:, None] + np.arange(dm.n_elem_basis)]
+    coeffs = field.x[: dm.n_elem_dofs].reshape(-1, dm.n_elem_basis)
     v = fe.get_basis(dm.elem_degrees).eval(np.zeros((1, mesh.d + 1))).values[0]
-    return dict(zip(eids, (coeffs @ v).tolist()))
+    return dict(zip(dm.elem_ids, (coeffs @ v).tolist()))

@@ -17,7 +17,7 @@ import numpy as np
 
 from sthdg.assembly import P_T, build_dofmap
 from sthdg.estimator import regime_and_weights, slab_height
-from sthdg.fe import lobatto_nodes
+from sthdg.fe import get_basis, lobatto_nodes
 from sthdg.mesh import SpaceTimeMesh
 
 
@@ -412,3 +412,209 @@ def fd_gradient(fn, pts: np.ndarray, h: float = 1e-6) -> np.ndarray:
         qm = pts.copy(); qm[:, a] -= h
         cols.append((fn(qp) - fn(qm)) / (2 * h))
     return np.column_stack(cols)
+
+
+# ----------------------------------------------------------------------
+# reference facet builder: the per-plane matcher with scalar splitmix ids
+# ----------------------------------------------------------------------
+
+_MASK63 = (1 << 63) - 1
+_MASK64 = (1 << 64) - 1
+
+
+def _mix64(z: int) -> int:
+    """splitmix64 finalizer; deterministic 64-bit scrambling."""
+    z = (z + 0x9E3779B97F4A7C15) & _MASK64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return (z ^ (z >> 31)) & _MASK63
+
+
+def _facet_id(owner: int, axis: int, side: int, lo, hi) -> int:
+    # owner + which face is not unique for hanging-in-time sub-facets of
+    # the subgrid, so fold the box bits in as well; mix sequentially
+    # (xor of two already-mixed ids can self-cancel)
+    key = _mix64(int(owner))
+    key = _mix64(key ^ (2 * axis + (1 if side > 0 else 0) + 3))
+    for v in lo:
+        key = _mix64(key ^ int(np.float64(v).view(np.uint64)))
+    for v in hi:
+        key = _mix64(key ^ int(np.float64(v).view(np.uint64)))
+    return key
+
+
+def reference_facets(mesh: SpaceTimeMesh):
+    """Facets of `mesh` from its elements, one plane at a time.
+
+    Returns (facets, elem_facets): fid -> Facet and element id ->
+    [(fid, outward sign)], as the package's mesh views hold them."""
+    from sthdg.mesh import Facet
+
+    d1 = mesh.d + 1
+    facets: dict[int, Facet] = {}
+    elem_facets: dict[int, list[tuple[int, int]]] = {eid: [] for eid in mesh.elements}
+
+    def _add_facet(owner, axis, coord, side, lo_r, hi_r, neighbor, boundary):
+        rest = [a for a in range(d1) if a != axis]
+        lo = np.empty(d1)
+        hi = np.empty(d1)
+        lo[axis] = hi[axis] = coord
+        lo[rest] = lo_r
+        hi[rest] = hi_r
+        fid = _facet_id(owner, axis, side, lo, hi)
+        if fid in facets:
+            raise RuntimeError("facet id collision")
+        facets[fid] = Facet(
+            fid=fid, axis=axis, coord=coord, lo=lo, hi=hi,
+            owner=owner, owner_side=side, neighbor=neighbor, boundary=boundary,
+        )
+        elem_facets[owner].append((fid, side))
+        if neighbor is not None:
+            elem_facets[neighbor].append((fid, -side))
+
+    # collect faces grouped by (axis, plane coordinate)
+    planes: dict[tuple[int, float], list[tuple[int, int, np.ndarray, np.ndarray]]] = {}
+    for eid, el in mesh.elements.items():
+        for axis in range(d1):
+            rest = [a for a in range(d1) if a != axis]
+            lo_r = el.lo[rest]
+            hi_r = el.hi[rest]
+            planes.setdefault((axis, float(el.lo[axis])), []).append((eid, -1, lo_r, hi_r))
+            planes.setdefault((axis, float(el.hi[axis])), []).append((eid, +1, lo_r, hi_r))
+
+    t0_dom = float(mesh.slab_times[0])
+    t1_dom = float(mesh.slab_times[-1])
+
+    for (axis, coord), faces in planes.items():
+        if axis == 0 and coord == t0_dom:
+            boundary = "initial"
+        elif axis == 0 and coord == t1_dom:
+            boundary = "final"
+        elif axis >= 1 and (
+            coord == float(mesh.x_lo[axis - 1]) or coord == float(mesh.x_hi[axis - 1])
+        ):
+            boundary = "dirichlet" if mesh.dirichlet_lateral else "neumann"
+        else:
+            boundary = None
+
+        if boundary is not None:
+            # all faces on a boundary plane are boundary facets
+            for eid, side, lo_r, hi_r in faces:
+                _add_facet(eid, axis, coord, side, lo_r, hi_r, None, boundary)
+            continue
+
+        by_box: dict[bytes, list[int]] = {}
+        for i, (eid, side, lo_r, hi_r) in enumerate(faces):
+            by_box.setdefault(lo_r.tobytes() + hi_r.tobytes(), []).append(i)
+
+        matched = np.zeros(len(faces), dtype=bool)
+        # equal faces: conforming interface, owner = plus (below/left) side
+        for idxs in by_box.values():
+            if len(idxs) == 2:
+                i, j = idxs
+                if faces[i][1] == faces[j][1]:
+                    raise RuntimeError("two element faces coincide on the same side")
+                ip = i if faces[i][1] > 0 else j
+                im = j if ip == i else i
+                _add_facet(
+                    faces[ip][0], axis, coord, +1, faces[ip][2], faces[ip][3],
+                    faces[im][0], None,
+                )
+                matched[i] = matched[j] = True
+            elif len(idxs) > 2:
+                raise RuntimeError("more than two coincident element faces")
+
+        rem_plus = [i for i in np.where(~matched)[0] if faces[i][1] > 0]
+        rem_minus = [i for i in np.where(~matched)[0] if faces[i][1] < 0]
+        if (len(rem_plus) == 0) != (len(rem_minus) == 0):
+            raise RuntimeError(f"unmatched interior faces on plane {axis}={coord}")
+        if not rem_plus:
+            continue
+
+        P_lo = np.array([faces[i][2] for i in rem_plus])
+        P_hi = np.array([faces[i][3] for i in rem_plus])
+        M_lo = np.array([faces[i][2] for i in rem_minus])
+        M_hi = np.array([faces[i][3] for i in rem_minus])
+        # containment matrices (closed boxes)
+        p_in_m = np.all(
+            (P_lo[:, None, :] >= M_lo[None, :, :]) & (P_hi[:, None, :] <= M_hi[None, :, :]),
+            axis=2,
+        )
+        m_in_p = np.all(
+            (M_lo[:, None, :] >= P_lo[None, :, :]) & (M_hi[:, None, :] <= P_hi[None, :, :]),
+            axis=2,
+        )
+        consumed_p = np.zeros(len(rem_plus), dtype=bool)
+        consumed_m = np.zeros(len(rem_minus), dtype=bool)
+        for pi in range(len(rem_plus)):
+            js = np.where(p_in_m[pi])[0]
+            if len(js) == 1:
+                i = rem_plus[pi]
+                j = rem_minus[js[0]]
+                _add_facet(
+                    faces[i][0], axis, coord, +1, faces[i][2], faces[i][3],
+                    faces[j][0], None,
+                )
+                consumed_p[pi] = True
+                consumed_m[js[0]] = True
+            elif len(js) > 1:
+                raise RuntimeError("face contained in several opposite faces")
+        for mi in range(len(rem_minus)):
+            js = np.where(m_in_p[mi])[0]
+            if len(js) == 1:
+                if consumed_m[mi]:
+                    # equal boxes were already handled; containment both
+                    # ways would mean equality
+                    raise RuntimeError("ambiguous face matching")
+                i = rem_minus[mi]
+                j = rem_plus[js[0]]
+                _add_facet(
+                    faces[i][0], axis, coord, -1, faces[i][2], faces[i][3],
+                    faces[j][0], None,
+                )
+                consumed_m[mi] = True
+                consumed_p[js[0]] = True
+            elif len(js) > 1:
+                raise RuntimeError("face contained in several opposite faces")
+        # coarse container faces are consumed implicitly; verify coverage
+        for pi in np.where(~consumed_p)[0]:
+            if not m_in_p[:, pi].any():
+                raise RuntimeError(f"uncovered interior face on plane {axis}={coord}")
+        for mi in np.where(~consumed_m)[0]:
+            if not p_in_m[:, mi].any():
+                raise RuntimeError(f"uncovered interior face on plane {axis}={coord}")
+    return facets, elem_facets
+
+
+# ----------------------------------------------------------------------
+# point evaluation of a discrete solution (a FieldEval) per entity
+# ----------------------------------------------------------------------
+
+
+def elem_coeffs(ev, eid: int) -> np.ndarray:
+    o = ev.dm.elem_offset[eid]
+    return ev.x[o : o + ev.dm.n_elem_basis]
+
+
+def facet_coeffs(ev, fid: int) -> np.ndarray:
+    f = ev.dm.mesh.facets[fid]
+    o = ev.dm.facet_offset[fid]
+    return ev.x[o : o + ev.dm.facet_n_basis(f)]
+
+
+def element_at(ev, eid: int, ref_pts: np.ndarray):
+    """values, spatial gradient, time derivative at element ref points."""
+    el = ev.dm.mesh.elements[eid]
+    bv = get_basis(ev.dm.elem_degrees).eval(ref_pts)
+    c = elem_coeffs(ev, eid)
+    half = 0.5 * (el.hi - el.lo)
+    vals = bv.values @ c
+    dt = (bv.grad[:, :, 0] @ c) / half[0]
+    grad = np.stack([(bv.grad[:, :, a] @ c) / half[a] for a in range(1, ev.dm.d + 1)], axis=-1)
+    return vals, grad, dt
+
+
+def facet_at(ev, fid: int, ref_pts: np.ndarray) -> np.ndarray:
+    f = ev.dm.mesh.facets[fid]
+    fb = get_basis(ev.dm.facet_degrees(f))
+    return fb.eval(ref_pts).values @ facet_coeffs(ev, fid)

@@ -15,7 +15,9 @@ from sthdg.assembly import (
 from sthdg.mesh import SpaceTimeMesh
 
 from conftest import hanging_mesh, poly_problem, small_meshes
-from oracles import box_quad, oracle_beta_sup, oracle_system
+from oracles import (
+    box_quad, elem_coeffs, element_at, facet_at, facet_coeffs, oracle_beta_sup, oracle_system,
+)
 
 
 def _compare(sys, A2, b2, tag):
@@ -144,15 +146,15 @@ def test_field_eval_is_nodal(rng):
     ev = FieldEval(dm, x)
     basis = fe.get_basis(dm.elem_degrees)
     for eid in dm.elem_ids[:2]:
-        vals, grad, dt = ev.element_at(eid, basis.nodes)
-        assert np.allclose(vals, ev.elem_coeffs(eid), atol=1e-12)
+        vals, grad, dt = element_at(ev, eid, basis.nodes)
+        assert np.allclose(vals, elem_coeffs(ev, eid), atol=1e-12)
         assert grad.shape == (basis.n_basis, 2)
         assert dt.shape == (basis.n_basis,)
     fid = dm.facet_ids[0]
     f = mesh.facets[fid]
     fb = fe.get_basis(dm.facet_degrees(f))
-    fvals = ev.facet_at(fid, fb.nodes)
-    assert np.allclose(fvals, ev.facet_coeffs(fid), atol=1e-12)
+    fvals = facet_at(ev, fid, fb.nodes)
+    assert np.allclose(fvals, facet_coeffs(ev, fid), atol=1e-12)
 
 
 def test_field_eval_gradient_scaling(rng):
@@ -168,7 +170,7 @@ def test_field_eval_gradient_scaling(rng):
     x[dm.elem_dofs(eid)] = phys[:, 0] + phys[:, 1]
     ev = FieldEval(dm, x)
     pts = rng.uniform(-1, 1, size=(7, 2))
-    vals, grad, dt = ev.element_at(eid, pts)
+    vals, grad, dt = element_at(ev, eid, pts)
     assert np.allclose(dt, 1.0, atol=1e-12)
     assert np.allclose(grad[:, 0], 1.0, atol=1e-12)
 

@@ -89,7 +89,9 @@ def test_solve_writes_artifacts(tmp_path, capsys):
     manifest = json.loads((tmp_path / "run.json").read_text())
     assert manifest["status"] == "ok"
     assert manifest["config"]["problem"] == "sine"
-    assert {"assemble", "solve", "estimate_and_dump"} <= set(manifest["timings_s"])
+    timings = manifest["timings_s"]
+    assert {"mesh", "assemble", "solve", "estimate_and_dump"} <= set(timings)
+    assert timings["mesh"] >= 0
     assert "numpy" in manifest["versions"]
     text = (tmp_path / "solution.vtk").read_text()
     assert "SCALARS eta_K float 1" in text
@@ -121,6 +123,12 @@ def test_study_writes_artifacts(tmp_path, capsys, monkeypatch):
         # solver statistics go to run.json only, never to the CSV
         assert 1 <= c["solver_blocks"] and 1 <= c["max_block_dofs"] <= c["n_dofs"]
         assert 0 <= c["residual"] <= 1e-10
+        # phase seconds: the cycle's wall time covers all but the refine
+        # that follows it
+        phases = c["phase_s"]
+        assert set(phases) == {"assemble", "solve", "estimate", "norms", "vtk", "refine"}
+        assert min(phases.values()) >= 0 and c["maxrss_mb"] > 0
+        assert sum(phases.values()) <= c["wall_ms"] / 1e3 + phases["refine"] + 1e-5
     # the thread caps that actually apply: an inherited value wins
     assert manifest["threads"]["OMP_NUM_THREADS"] == "3"
     assert manifest["threads"] == {

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from sthdg.assembly import assemble
+from sthdg.assembly import assemble, build_dofmap
 from sthdg.estimator import (
     efficiency_index,
     error_norms,
@@ -11,12 +11,13 @@ from sthdg.estimator import (
     local_efficiency,
     regime_and_weights,
     slab_height,
+    tau_eps,
 )
 from sthdg.mesh import Element, SpaceTimeMesh
 from sthdg.problem import get_problem
 from sthdg.solver import solve
 
-from conftest import poly_problem, problem_mesh, regression_systems
+from conftest import hanging_mesh, poly_problem, problem_mesh, regression_systems
 from oracles import oracle_estimate, oracle_norms
 
 _TERMS = ("eta_R", "eta_J1", "eta_J21", "eta_J22", "eta_J3Q", "eta_J3R",
@@ -53,6 +54,20 @@ def test_slab_height_uses_slab_not_element():
     kid = next(e for e, el in mesh.elements.items() if el.level == 1)
     assert abs(slab_height(mesh, mesh.elements[kid]) - 0.5) < 1e-14
     assert mesh.elements[kid].dt < 0.5
+
+
+def test_tau_eps_matches_regime_weights():
+    # level 0: dt = h = 0.5; level 1 under h2: dt = 0.125, h = 0.25, so the
+    # sweep meets all three regimes and both ties h == eps
+    mesh = hanging_mesh(2, policy="h2")
+    dm = build_dofmap(mesh, 1)
+    regimes = set()
+    for eps in (1e-3, 0.2, 0.25, 0.3, 0.5, 1.0):
+        weights = [regime_and_weights(el, slab_height(mesh, el), eps)
+                   for el in map(mesh.elements.get, dm.elem_ids)]
+        regimes |= {w.regime for w in weights}
+        assert tau_eps(dm, eps).tolist() == [w.tau_eps for w in weights]
+    assert regimes == {"d", "x", "c"}
 
 
 def test_estimator_matches_dense_oracle(rng):

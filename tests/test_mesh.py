@@ -1,8 +1,14 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sthdg.mesh import SpaceTimeMesh, child_id
+from sthdg.mesh import SpaceTimeMesh, child_boxes, child_id, splitmix64
+from sthdg.verify import build_subgrid
+
+from conftest import hanging_mesh
+from oracles import _mix64, reference_facets
 
 
 def _max_facet_jump(mesh):
@@ -76,7 +82,7 @@ def test_children_tile_parent():
         mesh = SpaceTimeMesh.build(2, 1, 1, policy=policy)
         assert mesh.n_children() == kt * 4
         parent = next(iter(mesh.elements.values()))
-        boxes = mesh._children_boxes(parent)
+        boxes = list(zip(*child_boxes(parent.lo[None], parent.hi[None], mesh.k_t)))
         assert len(boxes) == mesh.n_children()
         vol = sum(np.prod(hi - lo) for lo, hi in boxes)
         assert abs(vol - parent.volume) < 1e-14
@@ -200,3 +206,61 @@ def test_random_adaptivity_keeps_invariants(data):
         for el in mesh.elements.values():
             t0, t1 = mesh.slab_interval(el.slab)
             assert t0 - 1e-14 <= el.lo[0] and el.hi[0] <= t1 + 1e-14
+
+
+def test_splitmix64_matches_scalar_reference():
+    rng = np.random.default_rng(7)
+    words = [0, 1, 2**63 - 1, 2**64 - 1]
+    words += rng.integers(0, 2**64, size=10**5, dtype=np.uint64).tolist()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mixed = splitmix64(np.array(words, dtype=np.uint64))
+        kids = child_id(np.array(words[:1000], dtype=np.uint64) >> np.uint64(1), 5, salt=101)
+    assert mixed.tolist() == [_mix64(w) for w in words]
+    assert kids.tolist() == [_mix64((w >> 1) ^ _mix64(6 ^ _mix64(112))) for w in words[:1000]]
+
+
+def test_entity_views_are_read_only():
+    mesh = hanging_mesh(2)
+    el = next(iter(mesh.elements.values()))
+    f = next(iter(mesh.facets.values()))
+    for a in (el.lo, f.hi, mesh.etab.lo, mesh.ftab.owner):
+        with pytest.raises(ValueError):
+            a[0] = 0
+    with pytest.raises(TypeError):
+        mesh.elements[el.eid] = el
+
+
+def _assert_facets_match_reference(mesh):
+    ref, ref_sides = reference_facets(mesh)
+    assert set(mesh.facets) == set(ref)
+    for fid, r in ref.items():
+        f = mesh.facets[fid]
+        assert f.lo.tobytes() == r.lo.tobytes() and f.hi.tobytes() == r.hi.tobytes()
+        assert (f.axis, f.coord, f.owner, f.neighbor, f.owner_side, f.boundary) == (
+            r.axis, r.coord, r.owner, r.neighbor, r.owner_side, r.boundary)
+    assert set(mesh.elem_facets) == set(ref_sides) == set(mesh.elements)
+    for eid, sides in ref_sides.items():
+        assert set(mesh.elem_facets[eid]) == set(sides)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_facet_tables_match_reference_builder(data):
+    d = data.draw(st.sampled_from([1, 2]))
+    policy = data.draw(st.sampled_from(["h", "h2"]))
+    mesh = hanging_mesh(d, data.draw(st.booleans()), policy)
+    _assert_facets_match_reference(mesh)
+    for _ in range(data.draw(st.integers(min_value=1, max_value=3))):
+        if mesh.n_elements > 300:
+            break
+        ids = mesh.element_ids()
+        refs = data.draw(st.sets(st.sampled_from(ids), max_size=4))
+        # whole sibling groups, so that coarsening happens, plus single ids
+        parents = sorted({el.parent for el in mesh.elements.values() if el.parent})
+        groups = data.draw(st.sets(st.sampled_from(parents), max_size=3)) if parents else set()
+        coars = [e for e, el in mesh.elements.items() if el.parent in groups]
+        coars += data.draw(st.sets(st.sampled_from(ids), max_size=4))
+        mesh.refine_and_coarsen(refs, coars)
+        _assert_facets_match_reference(mesh)
+    _assert_facets_match_reference(build_subgrid(mesh).fine)

@@ -12,6 +12,7 @@ from sthdg.problem import get_problem
 from sthdg.solver import SolverError, causal_levels, solve
 
 from conftest import poly_problem, regression_systems
+from oracles import element_at
 
 
 def test_solve_reports():
@@ -104,7 +105,7 @@ def test_linear_solution_is_reproduced_exactly():
         el = mesh.elements[eid]
         ref = np.array([[0.0, 0.0], [-0.5, 0.3], [1.0, -1.0]])
         pts = el.lo + 0.5 * (ref + 1) * (el.hi - el.lo)
-        vals, grad, dt = ev.element_at(eid, ref)
+        vals, grad, dt = element_at(ev, eid, ref)
         assert np.allclose(vals, pts[:, 0] + pts[:, 1], atol=1e-10)
         assert np.allclose(grad[:, 0], 1.0, atol=1e-9)
         assert np.allclose(dt, 1.0, atol=1e-9)

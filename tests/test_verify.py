@@ -26,6 +26,7 @@ from sthdg.verify import (
 )
 
 from conftest import hanging_mesh, poly_problem, problem_mesh
+from oracles import element_at
 
 
 # ----------------------------------------------------------------------
@@ -89,8 +90,8 @@ def test_restriction_reproduces_fields(rng):
             ch = pair.fine.elements[cid]
             phys = fe.map_to_box(ch.lo, ch.hi, ref)
             ref_c = 2 * (phys - el.lo) / (el.hi - el.lo) - 1
-            vc, _, _ = ev_c.element_at(eid, ref_c)
-            vf, _, _ = ev_f.element_at(cid, ref)
+            vc, _, _ = element_at(ev_c, eid, ref_c)
+            vf, _, _ = element_at(ev_f, cid, ref)
             assert np.allclose(vc, vf, atol=1e-12)
 
 
