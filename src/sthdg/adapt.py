@@ -67,14 +67,14 @@ def mark(
     refine_fraction: float = 0.25,
     coarsen_fraction: float = 0.10,
 ) -> tuple[list[int], list[int]]:
-    """Element ids to refine (top fraction by eta_K) and to coarsen (bottom)."""
-    if not est.per_element:
+    """Ids to refine (top fraction by eta_K) and to coarsen (bottom fraction)."""
+    if not len(est.eta_K):
         raise ValueError("cannot mark an empty estimate")
     if not (0 <= refine_fraction <= 1 and 0 <= coarsen_fraction <= 1):
         raise ValueError("fractions must lie in [0, 1]")
     if refine_fraction + coarsen_fraction > 1:
         raise ValueError("refine and coarsen fractions overlap")
-    order = sorted(est.per_element, key=lambda eid: (-est.per_element[eid].eta_K, eid))
+    order = est.elem_ids[np.lexsort((est.elem_ids, -est.eta_K))].tolist()
     n = len(order)
     n_ref = math.ceil(refine_fraction * n)
     n_coar = math.floor(coarsen_fraction * n)

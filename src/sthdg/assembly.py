@@ -22,7 +22,9 @@ unknowns are constrained to the facet-wise L2 projection of the boundary
 data; `apply_dirichlet` replaces their rows by the identity.
 
 Dof ordering: all element dofs first (elements sorted by id), then facet
-dofs (facets sorted by id).
+dofs (facets sorted by id).  Entities are addressed by position in these
+two orders, `DofMap.elem_ids` and `DofMap.facet_ids`; per-entity results
+(beta_s, estimator terms, cell data) are arrays in the same order.
 
 Everything is batched over groups of entities that share the same reference
 data, so the per-entity work is pure numpy.  The `DofMap` reads the mesh's
@@ -37,8 +39,9 @@ read them:
   element half-width s_ax along the facet normal and the owner's h, plus the
   facet midpoints and half-widths from which quadrature points are built
   per chunk.  Sides are grouped by their trace-map key (axis, sign, fixed,
-  alphas, betas, boundary, facet degrees), computed with the same float
-  operations as `trace_map`.
+  alphas, betas, boundary, facet degrees): the element reference coordinate
+  along the facet's frozen axis is `fixed` (+-1), and along its i-th free
+  axis it is alphas[i] + betas[i] * xhat_facet[i].
 
 The order is fixed: sides are walked in facet-id order, owner side before
 neighbor side; groups come in order of first occurrence in that walk, sides
@@ -54,11 +57,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
+import math
+
 import numpy as np
 import scipy.sparse as sp
 
 from . import fe
-from .mesh import BOUNDARIES, Element, Facet, SpaceTimeMesh
+from .mesh import BOUNDARIES, SpaceTimeMesh
 from .problem import ProblemSpec
 
 P_T = 1  # temporal degree is fixed by the method
@@ -75,13 +80,19 @@ def penalty_alpha(p_s: int) -> float:
 # ----------------------------------------------------------------------
 
 
+def _facet_degrees(p_s: int, d: int, axis: int) -> tuple[int, ...]:
+    """Degrees of the facet basis on a facet frozen along `axis`: free axes
+    ascending, so time (degree P_T) comes first on a lateral facet."""
+    return tuple(P_T if a == 0 else p_s for a in range(d + 1) if a != axis)
+
+
 @dataclass
 class DofMap:
     mesh: SpaceTimeMesh
     p_s: int
     elem_rows: np.ndarray  # element-table row of each element, ids ascending
-    elem_ids: list[int]
-    facet_ids: list[int]  # facet-table order, ids ascending
+    elem_ids: np.ndarray
+    facet_ids: np.ndarray  # facet-table order, ids ascending
     facet_dof: np.ndarray  # first dof of each facet
     n_elem_dofs: int
     n_dofs: int
@@ -94,21 +105,12 @@ class DofMap:
     def elem_degrees(self) -> tuple[int, ...]:
         return (P_T,) + (self.p_s,) * self.d
 
-    def facet_degrees(self, f: Facet) -> tuple[int, ...]:
-        # free-axis order is ascending global axis; axis 0 (time) first when
-        # present
-        if f.is_R:
-            return (self.p_s,) * self.d
-        return (P_T,) + (self.p_s,) * (self.d - 1)
+    def facet_degrees(self, axis: int) -> tuple[int, ...]:
+        return _facet_degrees(self.p_s, self.d, axis)
 
     @property
     def n_elem_basis(self) -> int:
         return (P_T + 1) * (self.p_s + 1) ** self.d
-
-    def facet_n_basis(self, f: Facet) -> int:
-        if f.is_R:
-            return (self.p_s + 1) ** self.d
-        return (P_T + 1) * (self.p_s + 1) ** (self.d - 1)
 
     @cached_property
     def elem_pos(self) -> np.ndarray:
@@ -118,34 +120,13 @@ class DofMap:
         return pos
 
     @cached_property
-    def elem_offset(self) -> dict[int, int]:
-        return dict(zip(self.elem_ids, range(0, self.n_elem_dofs, self.n_elem_basis)))
-
-    @cached_property
-    def facet_offset(self) -> dict[int, int]:
-        return dict(zip(self.facet_ids, self.facet_dof.tolist()))
-
-    def elem_dofs(self, eid: int) -> np.ndarray:
-        o = self.elem_offset[eid]
-        return np.arange(o, o + self.n_elem_basis)
-
-    def facet_dofs(self, fid: int) -> np.ndarray:
-        i = int(np.searchsorted(self.mesh.ftab.id, fid))
-        end = self.facet_dof[i + 1] if i + 1 < len(self.facet_dof) else self.n_dofs
-        return np.arange(self.facet_dof[i], end)
-
-    def per_facet(self, values: dict[int, float]) -> np.ndarray:
-        """Per-facet values as an array in facet_ids order."""
-        return np.array([values[fid] for fid in self.facet_ids])
-
-    @cached_property
     def elem_box(self) -> tuple[np.ndarray, np.ndarray]:
         """(lo, hi) of every element, rows in elem_ids order."""
         return self.mesh.etab.lo[self.elem_rows], self.mesh.etab.hi[self.elem_rows]
 
     @cached_property
     def elem_h(self) -> np.ndarray:
-        """Largest spatial extent of every element (Element.h)."""
+        """Largest spatial extent h of every element."""
         lo, hi = self.elem_box
         return np.max(hi[:, 1:] - lo[:, 1:], axis=1)
 
@@ -161,13 +142,19 @@ class DofMap:
         return _build_facet_sides(self)
 
 
-def _groups_of_equal_rows(keys: np.ndarray) -> list[np.ndarray]:
-    """Row indices grouped by equal rows of `keys`: groups in order of first
-    occurrence, indices ascending inside each group."""
+def first_occurrence_labels(keys: np.ndarray) -> np.ndarray:
+    """Label of every row of `keys`: equal rows share a label, and labels
+    count the distinct rows in order of first occurrence."""
     _, first, inv = np.unique(keys, axis=0, return_index=True, return_inverse=True)
     rank = np.empty(len(first), dtype=np.intp)
     rank[np.argsort(first)] = np.arange(len(first))
-    r = rank[inv.reshape(-1)]
+    return rank[inv.reshape(-1)]
+
+
+def _groups_of_equal_rows(keys: np.ndarray) -> list[np.ndarray]:
+    """Row indices grouped by equal rows of `keys`: groups in order of first
+    occurrence, indices ascending inside each group."""
+    r = first_occurrence_labels(keys)
     order = np.argsort(r, kind="stable")
     return np.split(order, np.cumsum(np.bincount(r))[:-1])
 
@@ -195,7 +182,7 @@ class ElemClass:
 
 @dataclass
 class SideGroup:
-    """Facet sides sharing one trace-map key, in facet-side walk order."""
+    """The facet sides sharing one trace-map key, in facet-side walk order."""
 
     axis: int
     sign: int  # outward normal sign of the element along axis
@@ -218,7 +205,7 @@ class SideGroup:
 
 @dataclass
 class FacetSides:
-    """Facet arrays (rows in facet_ids order) and the side groups."""
+    """Per-facet arrays (rows in facet_ids order) and the side groups."""
 
     axis: np.ndarray
     boundary: np.ndarray  # index into mesh.BOUNDARIES
@@ -229,7 +216,7 @@ class FacetSides:
 
     def points(self, facets: np.ndarray, ref: np.ndarray) -> np.ndarray:
         """Physical points (m, nq, d+1) of facet-reference points `ref`
-        (nq, d) on the given facets; free axes ascending, as in `trace_map`.
+        (nq, d) on the given facets; free axes ascending.
         The half-width along the frozen axis is zero, so that coordinate is
         the facet plane."""
         d1 = ref.shape[1] + 1
@@ -264,9 +251,10 @@ def _build_facet_sides(dm: DofMap) -> FacetSides:
     se = np.where(is_nb, neighbor[sf], owner[sf])
     sign = np.where(is_nb, -owner_side[sf], owner_side[sf])
 
-    # trace map of every side with the float operations of trace_map; along
+    # trace map of every side: (facet midpoint - element midpoint) and the
+    # facet half-width over the element half-width on the free axes; along
     # the frozen axis the facet midpoint is the plane coordinate, so that
-    # column of `rel` is the unsigned `fixed`
+    # column of `rel` gives the sign `fixed`
     elo, ehi = dm.elem_box
     half_el = (0.5 * (ehi - elo))[se]
     rel = (fmid[sf] - (0.5 * (ehi + elo))[se]) / half_el
@@ -288,7 +276,7 @@ def _build_facet_sides(dm: DofMap) -> FacetSides:
             axis=a, sign=int(sign[k]), fixed=float(fixed[k]),
             alphas=tuple(alphas[k].tolist()), betas=tuple(betas[k].tolist()),
             boundary=BOUNDARIES[bcode[sf[k]]],
-            fdeg=(dm.p_s,) * d if a == 0 else (P_T,) + (dm.p_s,) * (d - 1),
+            fdeg=dm.facet_degrees(a),
             facet=fp, elem=se[rows], edof=se[rows] * nb, fdof=fdof[fp],
             jacF=jacF[fp], s_ax=s_ax[rows], h_owner=dm.elem_h[owner[fp]],
         ))
@@ -302,11 +290,12 @@ def build_dofmap(mesh: SpaceTimeMesh, p_s: int) -> DofMap:
     rows = np.argsort(mesh.etab.id)
     d = mesh.d
     n_elem = (P_T + 1) * (p_s + 1) ** d * len(rows)
-    n_basis = np.where(mesh.ftab.axis == 0, (p_s + 1) ** d, (P_T + 1) * (p_s + 1) ** (d - 1))
+    per_axis = [math.prod(k + 1 for k in _facet_degrees(p_s, d, a)) for a in range(d + 1)]
+    n_basis = np.array(per_axis)[mesh.ftab.axis]
     ends = n_elem + np.cumsum(n_basis)
     return DofMap(
-        mesh=mesh, p_s=p_s, elem_rows=rows, elem_ids=mesh.etab.id[rows].tolist(),
-        facet_ids=mesh.facet_ids(), facet_dof=ends - n_basis,
+        mesh=mesh, p_s=p_s, elem_rows=rows, elem_ids=mesh.etab.id[rows],
+        facet_ids=mesh.ftab.id, facet_dof=ends - n_basis,
         n_elem_dofs=n_elem, n_dofs=int(ends[-1]) if len(ends) else n_elem,
     )
 
@@ -318,29 +307,11 @@ def build_dofmap(mesh: SpaceTimeMesh, p_s: int) -> DofMap:
 _trace_cache: dict[tuple, fe.BasisValues] = {}
 
 
-def trace_map(f: Facet, el: Element) -> tuple[float, tuple[float, ...], tuple[float, ...]]:
-    """Affine map from facet reference coords to element reference coords.
-
-    Returns (fixed, alphas, betas): the element ref coordinate along the
-    facet's frozen axis is `fixed` (+-1), and along the i-th free axis it is
-    alphas[i] + betas[i] * xhat_facet[i].
-    """
-    free = f.free_axes()
-    half_el = 0.5 * (el.hi - el.lo)
-    mid_el = 0.5 * (el.hi + el.lo)
-    half_f = 0.5 * (f.hi - f.lo)
-    mid_f = 0.5 * (f.hi + f.lo)
-    alphas = tuple((mid_f[a] - mid_el[a]) / half_el[a] for a in free)
-    betas = tuple(half_f[a] / half_el[a] for a in free)
-    fixed = (f.coord - mid_el[f.axis]) / half_el[f.axis]
-    return float(np.sign(fixed)), alphas, betas
-
-
 def elem_trace_basis(
     degrees: tuple[int, ...], axis: int, fixed: float,
     alphas: tuple[float, ...], betas: tuple[float, ...], nq: int,
 ) -> fe.BasisValues:
-    """Element basis evaluated at facet quadrature points (reference level)."""
+    """The element basis evaluated at facet quadrature points (reference level)."""
     key = (degrees, axis, fixed, alphas, betas, nq)
     hit = _trace_cache.get(key)
     if hit is not None:
@@ -379,7 +350,9 @@ def facet_rule(n_free_axes: int, nq: int) -> fe.TensorRule:
 # ----------------------------------------------------------------------
 
 
-def compute_beta_sup(spec: ProblemSpec, dm: DofMap, nq: int) -> dict[int, float]:
+def compute_beta_sup(spec: ProblemSpec, dm: DofMap, nq: int) -> np.ndarray:
+    """sup |beta.n| of every facet, in facet_ids order, sampled at the facet
+    quadrature points and corners."""
     d = dm.d
     fs = dm.facet_sides
     out = np.ones(len(dm.facet_ids))  # beta.n = +-1 exactly on horizontal facets
@@ -391,7 +364,7 @@ def compute_beta_sup(spec: ProblemSpec, dm: DofMap, nq: int) -> dict[int, float]
             pts = fs.points(facets, ref).reshape(-1, d + 1)
             bvals = spec.beta(pts)[:, axis].reshape(len(facets), -1)
             out[facets] = np.max(np.abs(bvals), axis=1)
-    return dict(zip(dm.facet_ids, out.tolist()))
+    return out
 
 
 # ----------------------------------------------------------------------
@@ -406,7 +379,7 @@ class AssembledSystem:
     dofmap: DofMap
     dirichlet_idx: np.ndarray  # constrained dof indices
     dirichlet_values: np.ndarray
-    beta_sup: dict[int, float]
+    beta_sup: np.ndarray  # per facet, facet_ids order
     spec: ProblemSpec
     quad_n: int
 
@@ -439,14 +412,14 @@ def default_quad_n(p_s: int) -> int:
 
 def assemble(
     spec: ProblemSpec, mesh: SpaceTimeMesh, p_s: int, quad_n: int | None = None,
-    beta_sup_override: dict[int, float] | None = None,
+    beta_sup: np.ndarray | None = None,
 ) -> AssembledSystem:
     """Assemble the raw system.
 
-    beta_sup_override replaces the per-facet upwind constant for selected
-    facets.  The subgrid construction uses it to inherit beta_s from the
-    parent facet so the refined form agrees exactly with the coarse one on
-    restricted fields.
+    beta_sup, when given, is the per-facet upwind constant in facet_ids
+    order and replaces `compute_beta_sup`.  The subgrid construction uses it
+    to inherit beta_s from the parent facet so the refined form agrees
+    exactly with the coarse one on restricted fields.
     """
     if spec.d != mesh.d:
         raise ValueError("problem and mesh dimensions differ")
@@ -458,10 +431,10 @@ def assemble(
     d1 = d + 1
     eps = spec.eps
     alpha = penalty_alpha(p_s)
-    beta_sup = compute_beta_sup(spec, dm, nq + 2)
-    if beta_sup_override:
-        beta_sup.update(beta_sup_override)
-    bs_all = dm.per_facet(beta_sup)
+    if beta_sup is None:
+        beta_sup = compute_beta_sup(spec, dm, nq + 2)
+    elif beta_sup.shape != (len(dm.facet_ids),):
+        raise ValueError("beta_sup needs one value per facet")
     fs = dm.facet_sides
 
     rows: list[np.ndarray] = []
@@ -528,7 +501,7 @@ def assemble(
             m = len(facets)
             flat = fs.points(facets, frule.points).reshape(-1, d1)
             bn = sign * spec.beta(flat)[:, axis].reshape(m, nqf)
-            bs = bs_all[facets]
+            bs = beta_sup[facets]
             we = wfq[None, :] * g.jacF[sl][:, None]
 
             edofs = g.edof[sl][:, None] + np.arange(nb)[None, :]
@@ -575,8 +548,7 @@ def assemble(
     # Dirichlet facets are lateral, so they share one facet basis
     dir_facets = np.flatnonzero(fs.boundary == BOUNDARIES.index("dirichlet"))
     if dir_facets.size:
-        fdeg = (P_T,) + (p_s,) * (d - 1)
-        FB = facet_basis_at_rule(fdeg, nq)
+        FB = facet_basis_at_rule(dm.facet_degrees(1), nq)
         rule = facet_rule(d, nq)
         Gram = FB.values.T @ (FB.values * rule.weights[:, None])
         pts = fs.points(dir_facets, rule.points).reshape(-1, d1)
@@ -594,15 +566,3 @@ def assemble(
         dirichlet_values=dirichlet_values, beta_sup=beta_sup, spec=spec, quad_n=nq,
     )
 
-
-# ----------------------------------------------------------------------
-# field evaluation
-# ----------------------------------------------------------------------
-
-
-class FieldEval:
-    """A discrete solution: its dof map and coefficient vector."""
-
-    def __init__(self, dofmap: DofMap, x: np.ndarray):
-        self.dm = dofmap
-        self.x = np.asarray(x)

@@ -224,12 +224,19 @@ def _fail(out: Path, cfg: RunConfig, timings: dict, exc: Exception,
     return 3
 
 
+def _write_vtk(path: Path, sys_, x, est) -> None:
+    """Write the mesh with eta_K and the center value u of every element."""
+    from . import vtk_io
+
+    values = {"eta_K": est.eta_K, "u": vtk_io.center_values(sys_.dofmap, x)}
+    vtk_io.write_mesh_vtk(path, sys_.dofmap.mesh, values)
+
+
 def _cmd_solve(cfg: RunConfig, out: Path) -> int:
-    from .assembly import FieldEval, assemble
+    from .assembly import assemble
     from .estimator import efficiency_index, error_norms, estimate
     from .mesh import SpaceTimeMesh
     from .solver import SolverError, solve
-    from . import vtk_io
 
     spec = _get_spec(cfg)
     timings: dict = {}
@@ -252,12 +259,7 @@ def _cmd_solve(cfg: RunConfig, out: Path) -> int:
 
         t0 = time.perf_counter()
         est = estimate(sys_, x)
-        ev = FieldEval(sys_.dofmap, x)
-        values = {
-            "eta_K": {e: est.eta_K(e) for e in mesh.element_ids()},
-            "u": vtk_io.center_values(mesh, ev),
-        }
-        vtk_io.write_mesh_vtk(out / "solution.vtk", mesh, values)
+        _write_vtk(out / "solution.vtk", sys_, x, est)
         timings["estimate_and_dump"] = time.perf_counter() - t0
 
         line = f"n_elements={mesh.n_elements} n_dofs={sys_.n_dofs} eta={est.eta:.6g}"
@@ -273,9 +275,7 @@ def _cmd_solve(cfg: RunConfig, out: Path) -> int:
 
 def _cmd_study(cfg: RunConfig, out: Path) -> int:
     from .adapt import run_study
-    from .assembly import FieldEval
     from .solver import SolverError
-    from . import vtk_io
 
     spec = _get_spec(cfg)
     csv_path = out / "study.csv"
@@ -284,12 +284,7 @@ def _cmd_study(cfg: RunConfig, out: Path) -> int:
     def on_cycle(cycle, mesh, sys_, x, est, rec):
         seen.append(rec)
         t0 = time.perf_counter()
-        ev = FieldEval(sys_.dofmap, x)
-        values = {
-            "eta_K": {e: est.eta_K(e) for e in mesh.element_ids()},
-            "u": vtk_io.center_values(mesh, ev),
-        }
-        vtk_io.write_mesh_vtk(out / f"cycle_{cycle:02d}.vtk", mesh, values)
+        _write_vtk(out / f"cycle_{cycle:02d}.vtk", sys_, x, est)
         rec.phase_s["vtk"] = time.perf_counter() - t0
         log.info("cycle %d: %s", cycle, rec)
 

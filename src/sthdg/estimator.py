@@ -16,14 +16,22 @@ tau_eps = Dt_K * eps_tilde where eps_tilde switches between diffusive,
 mixed and convective regimes by comparing delta t_K and h_K with eps.
 
 Oscillation terms osc_K, osc_N and the local efficiency ratio
-eta^K / (sum_{K' in omega_K} eps^-1/2 eps_tilde^-1/2 |||u-u_h|||_{sT,h,K'}
-+ osc) are provided for the verification studies.
+eta^K / (sum_{K' in patch(K)} eps^-1/2 eps_tilde^-1/2 |||u-u_h|||_{sT,h,K'}
++ osc) are provided for the verification studies; the face patch of K is
+K with the elements that share a facet with it, read from the facet
+table's interior (owner, neighbor) pairs.
+
+Every per-element result is an array in `DofMap.elem_ids` order.  The
+squares in eta_K and eta are taken with `np.float_power` (libm pow, which
+can differ from x*x in the last bit) and eta sums the eta_K^2
+sequentially: marking breaks near-ties on these last bits, so they must
+not depend on how the arrays are reduced.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,7 +43,6 @@ from .assembly import (
     facet_basis_at_rule,
     facet_rule,
 )
-from .mesh import Element, SpaceTimeMesh
 
 
 # ----------------------------------------------------------------------
@@ -43,48 +50,23 @@ from .mesh import Element, SpaceTimeMesh
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RegimeWeights:
-    regime: str  # 'd' (diffusive), 'x' (mixed), 'c' (convective)
-    eps_tilde: float
-    tau_eps: float
-    lambda_K: float
+def regime_weights(dm: DofMap, eps: float) -> tuple[np.ndarray, np.ndarray]:
+    """eps_tilde and tau_eps = (slab height) * eps_tilde of every element,
+    in elem_ids order.
 
-
-def regime_and_weights(el: Element, slab_height: float, eps: float) -> RegimeWeights:
-    """Classify an element against eps and return the norm weights.
-
-    The three published regimes cover delta_t <= h.  Elements with
-    h < delta_t (possible under the pure-spatial refinement policy) fall
-    through the same eps-vs-delta_t comparison: delta_t and h both small
-    relative to eps is diffusive, delta_t small but h large is mixed, and
-    delta_t exceeding eps is convective.
+    eps_tilde is 1 in the diffusive regime (dt <= eps and h <= eps),
+    sqrt(eps) in the mixed regime (dt <= eps < h) and eps in the convective
+    regime (eps < dt).  The three published regimes cover delta_t <= h.
+    Elements with h < delta_t (possible under the pure-spatial refinement
+    policy) fall through the same eps-vs-delta_t comparison: delta_t and h
+    both small relative to eps is diffusive, delta_t small but h large is
+    mixed, and delta_t exceeding eps is convective.
     """
-    dt, h = el.dt, el.h
-    if dt <= eps and h <= eps:
-        regime, et = "d", 1.0
-    elif dt <= eps < h:
-        regime, et = "x", math.sqrt(eps)
-    else:
-        regime, et = "c", eps
-    return RegimeWeights(
-        regime=regime, eps_tilde=et, tau_eps=slab_height * et,
-        lambda_K=min(1.0, el.h / math.sqrt(eps)),
-    )
-
-
-def slab_height(mesh: SpaceTimeMesh, el: Element) -> float:
-    return mesh.slab_times[el.slab + 1] - mesh.slab_times[el.slab]
-
-
-def tau_eps(dm: DofMap, eps: float) -> np.ndarray:
-    """`regime_and_weights(el, slab_height(mesh, el), eps).tau_eps` of every
-    element, in elem_ids order, from the mesh tables."""
     lo, hi = dm.elem_box
     dt, h = hi[:, 0] - lo[:, 0], dm.elem_h
     et = np.where(dt <= eps, np.where(h <= eps, 1.0, math.sqrt(eps)), eps)
     slab = dm.mesh.etab.slab[dm.elem_rows]
-    return np.diff(dm.mesh.slab_times)[slab] * et
+    return et, np.diff(dm.mesh.slab_times)[slab] * et
 
 
 # ----------------------------------------------------------------------
@@ -93,35 +75,27 @@ def tau_eps(dm: DofMap, eps: float) -> np.ndarray:
 
 
 @dataclass
-class ElementEstimate:
-    eta_R: float = 0.0
-    eta_J1: float = 0.0
-    eta_J21: float = 0.0
-    eta_J22: float = 0.0
-    eta_J3Q: float = 0.0
-    eta_J3R: float = 0.0
-    eta_BC1: float = 0.0
-    eta_BC2: float = 0.0
-    osc_K: float = 0.0
-    osc_N: float = 0.0
-
-    @property
-    def eta_K(self) -> float:
-        return math.sqrt(
-            self.eta_R**2 + self.eta_J1**2
-            + self.eta_J21**2 + self.eta_J22**2
-            + self.eta_J3Q**2 + self.eta_J3R**2
-            + self.eta_BC1**2 + self.eta_BC2**2
-        )
-
-
-@dataclass
 class EstimateResult:
-    per_element: dict[int, ElementEstimate]
+    """Estimator terms of every element, arrays in elem_ids order; eta_K
+    combines the eight eta terms (not the oscillations)."""
+
+    elem_ids: np.ndarray
+    eta_R: np.ndarray
+    eta_J1: np.ndarray
+    eta_J21: np.ndarray
+    eta_J22: np.ndarray
+    eta_J3Q: np.ndarray
+    eta_J3R: np.ndarray
+    eta_BC1: np.ndarray
+    eta_BC2: np.ndarray
+    osc_K: np.ndarray
+    osc_N: np.ndarray
+    eta_K: np.ndarray
     eta: float
 
-    def eta_K(self, eid: int) -> float:
-        return self.per_element[eid].eta_K
+
+ETA_TERMS = ("eta_R", "eta_J1", "eta_J21", "eta_J22", "eta_J3Q", "eta_J3R",
+             "eta_BC1", "eta_BC2")
 
 
 def estimate(sys: AssembledSystem, x: np.ndarray, quad_n: int | None = None) -> EstimateResult:
@@ -174,7 +148,6 @@ def estimate(sys: AssembledSystem, x: np.ndarray, quad_n: int | None = None) -> 
     frule = facet_rule(d, nq)
     wfq = frule.weights
     fs = dm.facet_sides
-    bs_all = dm.per_facet(sys.beta_sup)
     # facet position -> (normal gradient, element) of the side seen first
     gradn_store: dict[int, tuple[np.ndarray, int]] = {}
 
@@ -193,7 +166,7 @@ def estimate(sys: AssembledSystem, x: np.ndarray, quad_n: int | None = None) -> 
             jacF = g.jacF[sl]
             pts = fs.points(facets, frule.points).reshape(-1, d1)
             bn = sign * spec.beta(pts)[:, axis].reshape(m, -1)
-            bs = bs_all[facets]
+            bs = sys.beta_sup[facets]
             rows = g.elem[sl]
             ec = xe[rows]
             fc = x[g.fdof[sl][:, None] + np.arange(nbf)]
@@ -242,24 +215,22 @@ def estimate(sys: AssembledSystem, x: np.ndarray, quad_n: int | None = None) -> 
                 RN0 = RN - proj @ FB.values.T
                 np.add.at(sq_oscN, rows, (RN0 * RN0 * we).sum(axis=1))
 
-    per: dict[int, ElementEstimate] = {}
-    total = 0.0
-    for i, eid in enumerate(dm.elem_ids):
-        est = ElementEstimate(
-            eta_R=lam_K[i] * math.sqrt(sq_R[i]),
-            eta_J1=math.sqrt(sq_J1[i]),
-            eta_J21=math.sqrt(eps / h_K[i] * sq_J2[i]),
-            eta_J22=math.sqrt(math.sqrt(h_K[i]) / eps * sq_J2[i]),
-            eta_J3Q=math.sqrt(sq_J3Q[i]),
-            eta_J3R=math.sqrt(sq_J3R[i]),
-            eta_BC1=math.sqrt(h_K[i] / eps * sq_BC1[i]),
-            eta_BC2=math.sqrt(sq_BC2[i]),
-            osc_K=lam_K[i] * math.sqrt(sq_osc[i]),
-            osc_N=math.sqrt(h_K[i] / eps * sq_oscN[i]),
-        )
-        per[eid] = est
-        total += est.eta_K**2
-    return EstimateResult(per_element=per, eta=math.sqrt(total))
+    terms = dict(
+        eta_R=lam_K * np.sqrt(sq_R),
+        eta_J1=np.sqrt(sq_J1),
+        eta_J21=np.sqrt(eps / h_K * sq_J2),
+        eta_J22=np.sqrt(np.sqrt(h_K) / eps * sq_J2),
+        eta_J3Q=np.sqrt(sq_J3Q),
+        eta_J3R=np.sqrt(sq_J3R),
+        eta_BC1=np.sqrt(h_K / eps * sq_BC1),
+        eta_BC2=np.sqrt(sq_BC2),
+    )
+    eta_K = np.sqrt(sum(np.float_power(terms[k], 2.0) for k in ETA_TERMS))
+    eta = math.sqrt(np.cumsum(np.float_power(eta_K, 2.0))[-1]) if n else 0.0
+    return EstimateResult(
+        elem_ids=dm.elem_ids, **terms, osc_K=lam_K * np.sqrt(sq_osc),
+        osc_N=np.sqrt(h_K / eps * sq_oscN), eta_K=eta_K, eta=eta,
+    )
 
 
 # ----------------------------------------------------------------------
@@ -274,7 +245,7 @@ class NormBreakdown:
     Fields hold sums of squares; `neumann_trace` and `grad` receive the
     extra factor T in the sT,h norm.
     """
-    elem_ids: list[int]
+    elem_ids: np.ndarray
     l2: np.ndarray
     jump_adv: np.ndarray  # |beta_s - beta.n/2|-weighted jump over dK
     neumann_trace: np.ndarray
@@ -293,10 +264,10 @@ class NormBreakdown:
             self.l2.sum() + self.jump_adv.sum() + self.T * self.neumann_trace.sum()
             + self.T * self.grad.sum() + self.jump_Q.sum() + self.dt.sum()))
 
-    def local_sT(self, i: int) -> float:
-        return math.sqrt(float(
-            self.l2[i] + self.jump_adv[i] + self.T * self.neumann_trace[i]
-            + self.T * self.grad[i] + self.jump_Q[i] + self.dt[i]))
+    def local_sT(self) -> np.ndarray:
+        """sT,h norm restricted to each element."""
+        return np.sqrt(self.l2 + self.jump_adv + self.T * self.neumann_trace
+                       + self.T * self.grad + self.jump_Q + self.dt)
 
 
 def error_norms(sys: AssembledSystem, x: np.ndarray, quad_n: int | None = None) -> NormBreakdown:
@@ -319,7 +290,7 @@ def error_norms(sys: AssembledSystem, x: np.ndarray, quad_n: int | None = None) 
     grad_t = np.zeros(n); jump_Q = np.zeros(n); dterm = np.zeros(n)
 
     h_K = dm.elem_h
-    tau = tau_eps(dm, eps)
+    _, tau = regime_weights(dm, eps)
 
     vrule = fe.tensor_rule((nq,) * d1)
     wq = vrule.weights
@@ -349,7 +320,6 @@ def error_norms(sys: AssembledSystem, x: np.ndarray, quad_n: int | None = None) 
     frule = facet_rule(d, nq)
     wfq = frule.weights
     fs = dm.facet_sides
-    bs_all = dm.per_facet(sys.beta_sup)
 
     for g in fs.groups:
         axis, sign = g.axis, g.sign
@@ -362,7 +332,7 @@ def error_norms(sys: AssembledSystem, x: np.ndarray, quad_n: int | None = None) 
             m = len(facets)
             pts = fs.points(facets, frule.points).reshape(-1, d1)
             bn = sign * spec.beta(pts)[:, axis].reshape(m, -1)
-            bs = bs_all[facets]
+            bs = sys.beta_sup[facets]
             rows = g.elem[sl]
             ec = xe[rows]
             fc = x[g.fdof[sl][:, None] + np.arange(nbf)]
@@ -380,7 +350,7 @@ def error_norms(sys: AssembledSystem, x: np.ndarray, quad_n: int | None = None) 
                 np.add.at(neu, rows, (0.5 * np.abs(bn) * mu * mu * we).sum(axis=1))
 
     return NormBreakdown(
-        elem_ids=list(dm.elem_ids), l2=l2, jump_adv=jump_adv, neumann_trace=neu,
+        elem_ids=dm.elem_ids, l2=l2, jump_adv=jump_adv, neumann_trace=neu,
         grad=grad_t, jump_Q=jump_Q, dt=dterm, T=T,
     )
 
@@ -394,20 +364,22 @@ def efficiency_index(eta: float, err_sT: float) -> float:
 
 def local_efficiency(
     sys: AssembledSystem, est: EstimateResult, nb: NormBreakdown
-) -> dict[int, float]:
-    """Per-element ratio of eta^K to the patch-weighted local error norm."""
-    mesh = sys.dofmap.mesh
+) -> np.ndarray:
+    """Per-element ratio of eta^K to the patch-weighted local error norm,
+    in elem_ids order; the patch is K and every element sharing a facet
+    with K."""
+    dm = sys.dofmap
     eps = sys.spec.eps
-    eidx = {eid: i for i, eid in enumerate(nb.elem_ids)}
-    out = {}
-    for eid in nb.elem_ids:
-        patch = set(mesh.omega_K(eid)) | {eid}
-        denom = 0.0
-        for pid in patch:
-            el = mesh.elements[pid]
-            rw = regime_and_weights(el, slab_height(mesh, el), eps)
-            denom += eps ** -0.5 * rw.eps_tilde ** -0.5 * nb.local_sT(eidx[pid])
-        e = est.per_element[eid]
-        denom += e.osc_K + e.osc_N
-        out[eid] = est.per_element[eid].eta_K / denom if denom > 0 else math.nan
+    eps_tilde, _ = regime_weights(dm, eps)
+    weighted = eps ** -0.5 * eps_tilde ** -0.5 * nb.local_sT()
+    # distinct face-neighbor pairs (both orders) from the interior facets
+    f = dm.mesh.ftab
+    inner = f.neighbor >= 0
+    a, b = dm.elem_pos[f.owner[inner]], dm.elem_pos[f.neighbor[inner]]
+    n = len(dm.elem_ids)
+    pairs = np.unique(np.concatenate((a * n + b, b * n + a)))
+    denom = weighted + np.bincount(pairs // n, weights=weighted[pairs % n], minlength=n)
+    denom += est.osc_K + est.osc_N
+    out = np.full(n, math.nan)
+    np.divide(est.eta_K, denom, out=out, where=denom > 0)
     return out

@@ -20,12 +20,13 @@ binary-float midpoint halving of parent coordinates, so boxes that touch
 geometrically compare bitwise equal and facet matching needs no tolerances.
 
 Storage.  Elements and facets are struct-of-arrays tables with read-only
-arrays.  `ElementTable` rows keep creation order (survivors of a refinement,
-then restored parents, then new children by ascending parent id);
-`FacetTable` rows are in ascending id order, with `owner` and `neighbor` as
-element rows (-1 on the boundary) and `boundary` as an index into
-`BOUNDARIES`.  `elements`, `facets` and `elem_facets` are read-only views
-of per-entity objects, built from the tables on first use after a rebuild.
+arrays, and a table row is the only handle on an entity: there are no
+per-entity objects.  `ElementTable` rows keep creation order (survivors of
+a refinement, then restored parents, then new children by ascending parent
+id); `FacetTable` rows are in ascending id order, with `owner` and
+`neighbor` as element rows (-1 on the boundary) and `boundary` as an index
+into `BOUNDARIES`.  The elements sharing a facet with K are the other sides
+of K's rows in `owner`/`neighbor`.
 
 Ids are 63-bit splitmix64 values computed over uint64 arrays (wrapping mod
 2^64): a root element mixes its grid position, a child mixes its parent id
@@ -46,8 +47,6 @@ has an unmarked neighbor one level coarser, and builds all children at once.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from functools import cached_property
-from types import MappingProxyType
 
 import numpy as np
 
@@ -125,62 +124,6 @@ class FacetTable(_Table):
     boundary: np.ndarray  # index into BOUNDARIES
     lo: np.ndarray
     hi: np.ndarray
-
-
-@dataclass(frozen=True)
-class Element:
-    eid: int
-    level: int
-    lo: np.ndarray  # (d+1,), [t, x1, .., xd]
-    hi: np.ndarray
-    slab: int
-    parent: int = 0  # 0: root
-    child_index: int = -1
-
-    @property
-    def dt(self) -> float:
-        return float(self.hi[0] - self.lo[0])
-
-    @property
-    def h(self) -> float:
-        return float(np.max(self.hi[1:] - self.lo[1:]))
-
-    @property
-    def volume(self) -> float:
-        return float(np.prod(self.hi - self.lo))
-
-    def center(self) -> np.ndarray:
-        return 0.5 * (self.lo + self.hi)
-
-
-@dataclass(frozen=True)
-class Facet:
-    fid: int
-    axis: int  # frozen axis: 0 -> R-facet, >=1 -> Q-facet
-    coord: float  # plane position along `axis`
-    lo: np.ndarray  # (d+1,) box with lo[axis] == hi[axis] == coord
-    hi: np.ndarray
-    owner: int  # element whose face coincides with this facet
-    owner_side: int  # +1 if the facet is on the owner's hi side
-    neighbor: int | None  # element on the other side (None on the boundary)
-    boundary: str | None  # None | 'dirichlet' | 'neumann' | 'initial' | 'final'
-
-    @property
-    def is_Q(self) -> bool:
-        return self.axis >= 1
-
-    @property
-    def is_R(self) -> bool:
-        return self.axis == 0
-
-    @property
-    def measure(self) -> float:
-        ext = self.hi - self.lo
-        return float(np.prod(np.delete(ext, self.axis)))
-
-    def free_axes(self) -> np.ndarray:
-        k = self.lo.shape[0]
-        return np.array([a for a in range(k) if a != self.axis])
 
 
 @dataclass
@@ -288,52 +231,9 @@ class SpaceTimeMesh:
     def element_ids(self) -> list[int]:
         return np.sort(self.etab.id).tolist()
 
-    def facet_ids(self) -> list[int]:
-        return self.ftab.id.tolist()
-
     @property
     def n_elements(self) -> int:
         return len(self.etab)
-
-    def slab_interval(self, n: int) -> tuple[float, float]:
-        return float(self.slab_times[n]), float(self.slab_times[n + 1])
-
-    # ------------------------------------------------------------------
-    # read-only per-entity views, dropped by every rebuild
-    # ------------------------------------------------------------------
-
-    @cached_property
-    def elements(self) -> MappingProxyType:
-        e = self.etab
-        return MappingProxyType({
-            eid: Element(eid, lev, lo, hi, slab, par, ci)
-            for eid, lev, lo, hi, slab, par, ci in zip(
-                e.id.tolist(), e.level.tolist(), e.lo, e.hi, e.slab.tolist(),
-                e.parent.tolist(), e.child_index.tolist())
-        })
-
-    @cached_property
-    def facets(self) -> MappingProxyType:
-        f, ids = self.ftab, self.etab.id.tolist()
-        return MappingProxyType({
-            fid: Facet(fid, ax, float(lo[ax]), lo, hi, ids[own], side,
-                       None if nb < 0 else ids[nb], BOUNDARIES[b])
-            for fid, ax, lo, hi, own, side, nb, b in zip(
-                f.id.tolist(), f.axis.tolist(), f.lo, f.hi, f.owner.tolist(),
-                f.side.tolist(), f.neighbor.tolist(), f.boundary.tolist())
-        })
-
-    @cached_property
-    def elem_facets(self) -> MappingProxyType:
-        """element id -> [(facet id, outward sign of the facet for it)]"""
-        f, ids = self.ftab, self.etab.id.tolist()
-        out: dict[int, list[tuple[int, int]]] = {eid: [] for eid in ids}
-        for fid, own, side, nb in zip(f.id.tolist(), f.owner.tolist(),
-                                      f.side.tolist(), f.neighbor.tolist()):
-            out[ids[own]].append((fid, side))
-            if nb >= 0:
-                out[ids[nb]].append((fid, -side))
-        return MappingProxyType(out)
 
     # ------------------------------------------------------------------
     # refinement / coarsening
@@ -500,13 +400,6 @@ class SpaceTimeMesh:
             raise RuntimeError("facet id collision")
         self.ftab = FacetTable(id=fid[o], axis=axis[o], side=fside[o], owner=owner[o],
                                neighbor=neighbor[o], boundary=bnd[face][o], lo=lo[o], hi=hi[o])
-        for view in ("elements", "facets", "elem_facets"):
-            self.__dict__.pop(view, None)
-
-    def omega_K(self, eid: int) -> set[int]:
-        """Face neighbors: elements sharing a whole facet with K."""
-        facets = [self.facets[fid] for fid, _ in self.elem_facets[eid]]
-        return {k for f in facets for k in (f.owner, f.neighbor)} - {eid, None}
 
     # ------------------------------------------------------------------
     # validation

@@ -47,7 +47,6 @@ class ProblemSpec:
     g_initial: Optional[Field] = None  # defaults to exact at t = 0
     g_dirichlet: Optional[Field] = None  # defaults to exact trace / zero
     g_neumann_lateral: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
-    beta_div: Optional[Field] = None  # analytic spatial divergence of beta_bar
     dirichlet_lateral: bool = True
 
     def beta(self, pts: np.ndarray) -> np.ndarray:
@@ -138,8 +137,7 @@ def from_symbolic(
     Unless `source` gives f as a sympy expression (lambdified as it is), the
     source is manufactured as f = du/dt + div(beta_bar u) - eps lap(u) and
     simplified; beta_bar need not be divergence-free for the source to be
-    consistent, but the discretization assumes it is, so the returned spec
-    records the analytic divergence for the validity check.
+    consistent, but the discretization assumes it is.
     """
     import sympy as sp
 
@@ -155,7 +153,6 @@ def from_symbolic(
         )
     else:
         f = sp.sympify(source)
-    div = sum(sp.diff(beta[i], syms[1 + i]) for i in range(d))
 
     lam = lambda e: sp.lambdify(syms, e, "numpy")
     return ProblemSpec(
@@ -170,7 +167,6 @@ def from_symbolic(
         exact=_vectorize(lam(u)),
         exact_grad=_vectorize(lam(grad), width=d),
         exact_dt=_vectorize(lam(u_t)),
-        beta_div=_vectorize(lam(div)),
         dirichlet_lateral=dirichlet_lateral,
     )
 

@@ -14,17 +14,20 @@ Everything in this module measures; nothing proves.  It covers
 Measured constants are reported as `ConstantReport` rows and can be dumped
 to a CSV with schema ``inequality,level,samples,constant``.
 
-The passes read tables that are already built instead of searching the
-geometry or building per-entity objects: the subgrid fills the fine mesh's
-element table directly, and a fine facet's parent is looked up among the
-facet sides of its owner's parent element on the same axis and side (a
-sorted key over the coarse facet table); averaging subdivides the element
-table level by level and numbers its nodes on an integer lattice (per axis,
-cell index x degree + local index, with cells placed by the cut coordinates
-that touching cells share bitwise); facet jumps take both sides of each
-facet from `DofMap.facet_sides`; the saturation pass evaluates both fields
-per `DofMap.elem_classes` class; and the inequality pass finds its element
-and facet shapes with `np.unique` over the table extents.
+Entities are addressed by position in `DofMap.elem_ids` / `facet_ids` order
+(a facet's position is its facet-table row), and per-element results are
+arrays in that order.  The passes read tables that are already built instead
+of searching the geometry: the subgrid fills the fine mesh's element table
+directly, and a fine facet's parent is looked up among the facet sides of
+its owner's parent element on the same axis and side (a sorted key over the
+coarse facet table); the restriction evaluates one basis per distinct
+child-to-parent affine map; averaging subdivides the element table level by
+level and numbers its nodes on an integer lattice (per axis, cell index x
+degree + local index, with cells placed by the cut coordinates that
+touching cells share bitwise); facet jumps take both sides of each facet
+from `DofMap.facet_sides`; the saturation pass evaluates both fields per
+`DofMap.elem_classes` class; and the inequality pass finds its element and
+facet shapes with `np.unique` over the table extents.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ from .assembly import (
     elem_trace_basis,
     facet_rule,
 )
-from .estimator import tau_eps
+from .estimator import regime_weights
 from .mesh import ElementTable, SpaceTimeMesh, child_boxes, child_id
 from .problem import ProblemSpec
 from .solver import solve
@@ -63,18 +66,18 @@ SUBGRID_SALT = 101  # keeps subgrid child ids away from refinement child ids
 class SubgridPair:
     """A mesh and its temporal refinement (each element halved in time).
 
-    children maps a coarse element to its (lower, upper) halves; facet_parent
-    maps every subgrid facet that descends from a coarse facet (split lateral
-    facets, surviving horizontal facets) to that facet; new_R maps each newly
-    created horizontal facet to the coarse element it bisects.
+    children[i] holds the fine positions (in fine elem_ids order) of the
+    (lower, upper) halves of the coarse element at position i.  For every
+    fine facet (fine facet-table row), facet_parent is the coarse facet row
+    it descends from (split lateral facets, surviving horizontal facets), or
+    -1 for the new horizontal facet that bisects a coarse element.  The
+    coarse parent id of a fine element is `fine.etab.parent`.
     """
 
     coarse: SpaceTimeMesh
     fine: SpaceTimeMesh
-    children: dict[int, tuple[int, int]]
-    parent_elem: dict[int, int]
-    facet_parent: dict[int, int]
-    new_R: dict[int, int]
+    children: np.ndarray  # (n_coarse, 2)
+    facet_parent: np.ndarray  # (n_fine_facets,)
 
 
 def build_subgrid(mesh: SpaceTimeMesh) -> SubgridPair:
@@ -125,14 +128,11 @@ def build_subgrid(mesh: SpaceTimeMesh) -> SubgridPair:
         raise RuntimeError("subgrid element count mismatch")
     if np.count_nonzero(is_new) != len(e):
         raise RuntimeError("expected exactly one new horizontal facet per element")
-    kids = ids.reshape(-1, 2).tolist()
-    return SubgridPair(
-        mesh, fine,
-        children=dict(zip(e.id[rows[::2]].tolist(), map(tuple, kids))),
-        parent_elem=dict(zip(ids.tolist(), e.id[rows].tolist())),
-        facet_parent=dict(zip(ff.id[fine_of[inside]].tolist(), cf.id[cand[inside]].tolist())),
-        new_R=dict(zip(ff.id[is_new].tolist(), e.id[pe[is_new]].tolist())),
-    )
+    facet_parent = np.full(len(ff), -1)
+    facet_parent[fine_of[inside]] = cand[inside]
+    # the rank of a fine id is its position in the fine elem_ids order
+    return SubgridPair(mesh, fine, children=np.argsort(np.argsort(ids)).reshape(-1, 2),
+                       facet_parent=facet_parent)
 
 
 def _box_affine(parent_lo, parent_hi, child_lo, child_hi):
@@ -144,50 +144,66 @@ def _box_affine(parent_lo, parent_hi, child_lo, child_hi):
     return hc / hp, (mc - mp) / hp
 
 
+def _by_affine_map(scale: np.ndarray, shift: np.ndarray):
+    """(rows, scale, shift) of each distinct per-axis affine map among the
+    rows of `scale` and `shift`, so that each map is evaluated once."""
+    k = scale.shape[1]
+    maps, which = np.unique(np.hstack((scale, shift)), axis=0, return_inverse=True)
+    which = which.reshape(-1)
+    for j, m in enumerate(maps):
+        yield np.flatnonzero(which == j), m[:k], m[k:]
+
+
 def restriction_matrix(pair: SubgridPair, dm_c: DofMap, dm_f: DofMap) -> sp.csr_matrix:
     """Transfer of a coarse solution vector onto the subgrid.
 
-    Element fields are carried over unchanged (re-expressed on the halves),
+    Each element field is carried over unchanged (re-expressed on the halves),
     facet fields are carried over on split lateral and surviving horizontal
     facets, and the new horizontal facets receive the trace of the coarse
     element polynomial at the bisection plane.
     """
-    ebasis = fe.get_basis(dm_c.elem_degrees)
     rows, cols, vals = [], [], []
 
-    def put(block, rdofs, cdofs):
-        block = np.asarray(block)
-        rows.append(np.repeat(rdofs, len(cdofs)))
-        cols.append(np.tile(cdofs, len(rdofs)))
-        vals.append(block.reshape(-1))
+    def put(basis, ref, scale, shift, row_dof, col_dof):
+        # one block per row of scale/shift, `basis` at ref * scale + shift,
+        # into rows row_dof + [0, len(ref)) and columns col_dof + [0, n_basis)
+        for sel, a, b in _by_affine_map(scale, shift):
+            block = basis.eval(ref * a + b).values
+            r, c, v = np.broadcast_arrays(row_dof[sel, None, None] + np.arange(len(ref))[:, None],
+                                          col_dof[sel, None, None] + np.arange(block.shape[1]),
+                                          block)
+            rows.append(r.ravel())
+            cols.append(c.ravel())
+            vals.append(v.ravel())
 
-    for eid, kids in pair.children.items():
-        el = pair.coarse.elements[eid]
-        for cid in kids:
-            ch = pair.fine.elements[cid]
-            a, b = _box_affine(el.lo, el.hi, ch.lo, ch.hi)
-            vals_at = ebasis.eval(ebasis.nodes * a + b).values
-            put(vals_at, dm_f.elem_dofs(cid), dm_c.elem_dofs(eid))
-    for fid, pfid in pair.facet_parent.items():
-        ff = pair.fine.facets[fid]
-        cf = pair.coarse.facets[pfid]
-        fb = fe.get_basis(dm_f.facet_degrees(ff))
-        free = ff.free_axes()
-        a, b = _box_affine(cf.lo[free], cf.hi[free], ff.lo[free], ff.hi[free])
-        put(fb.eval(fb.nodes * a + b).values, dm_f.facet_dofs(fid), dm_c.facet_dofs(pfid))
-    for fid, eid in pair.new_R.items():
-        ff = pair.fine.facets[fid]
-        el = pair.coarse.elements[eid]
-        fb = fe.get_basis(dm_f.facet_degrees(ff))
-        half = 0.5 * (el.hi - el.lo)
-        mid = 0.5 * (el.hi + el.lo)
-        pts = np.empty((fb.n_basis, pair.coarse.d + 1))
-        pts[:, 0] = (ff.coord - mid[0]) / half[0]
-        for i, ax in enumerate(ff.free_axes()):
-            a = (0.5 * (ff.hi[ax] - ff.lo[ax])) / half[ax]
-            b = (0.5 * (ff.hi[ax] + ff.lo[ax]) - mid[ax]) / half[ax]
-            pts[:, ax] = fb.nodes[:, i] * a + b
-        put(ebasis.eval(pts).values, dm_f.facet_dofs(fid), dm_c.elem_dofs(eid))
+    ebasis = fe.get_basis(dm_c.elem_degrees)
+    nb = dm_c.n_elem_basis
+    d1 = pair.coarse.d + 1
+    clo, chi = dm_c.elem_box
+    flo, fhi = dm_f.elem_box
+    coarse = np.repeat(np.arange(len(dm_c.elem_ids)), 2)
+    half = pair.children.reshape(-1)
+    put(ebasis, ebasis.nodes, *_box_affine(clo[coarse], chi[coarse], flo[half], fhi[half]),
+        half * nb, coarse * nb)
+
+    ff, cf = pair.fine.ftab, pair.coarse.ftab
+    parent = pair.facet_parent
+    for axis in range(d1):
+        fine = np.flatnonzero((ff.axis == axis) & (parent >= 0))
+        free = [a for a in range(d1) if a != axis]
+        p = parent[fine]
+        scale, shift = _box_affine(cf.lo[p][:, free], cf.hi[p][:, free],
+                                   ff.lo[fine][:, free], ff.hi[fine][:, free])
+        fb = fe.get_basis(dm_f.facet_degrees(axis))
+        put(fb, fb.nodes, scale, shift, dm_f.facet_dof[fine], dm_c.facet_dof[p])
+
+    # new horizontal facets: the coarse element polynomial at the facet
+    # nodes; the facet is flat in time, so its time coordinate is the shift
+    new = np.flatnonzero(parent < 0)
+    el = np.searchsorted(dm_c.elem_ids, pair.fine.etab.parent[ff.owner[new]])
+    scale, shift = _box_affine(clo[el], chi[el], ff.lo[new], ff.hi[new])
+    fb = fe.get_basis(dm_f.facet_degrees(0))
+    put(ebasis, np.insert(fb.nodes, 0, 0.0, axis=1), scale, shift, dm_f.facet_dof[new], el * nb)
 
     G = sp.coo_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
@@ -205,24 +221,15 @@ def subgrid_restrict(pair: SubgridPair, x_coarse: np.ndarray, p_s: int) -> np.nd
     return restriction_matrix(pair, dm_c, dm_f) @ x_coarse
 
 
-def _inherited_beta_sup(pair: SubgridPair, sys_c: AssembledSystem) -> dict[int, float]:
-    # split lateral facets inherit the parent's upwind constant so the
-    # subgrid form restricted to coarse fields agrees exactly with the
-    # coarse form; horizontal facets have unit temporal normal regardless
-    out = {fid: sys_c.beta_sup[pfid] for fid, pfid in pair.facet_parent.items()}
-    for fid in pair.new_R:
-        out[fid] = 1.0
-    return out
-
-
 def assemble_two_level(
     spec: ProblemSpec, pair: SubgridPair, p_s: int, quad_n: int | None = None
 ) -> tuple[AssembledSystem, AssembledSystem]:
     sys_c = assemble(spec, pair.coarse, p_s, quad_n)
-    sys_f = assemble(
-        spec, pair.fine, p_s, quad_n,
-        beta_sup_override=_inherited_beta_sup(pair, sys_c),
-    )
+    # descended facets inherit the parent's upwind constant so the subgrid
+    # form restricted to coarse fields agrees exactly with the coarse form;
+    # the new horizontal facets have unit temporal normal
+    inherited = np.where(pair.facet_parent >= 0, sys_c.beta_sup[pair.facet_parent], 1.0)
+    sys_f = assemble(spec, pair.fine, p_s, quad_n, beta_sup=inherited)
     return sys_c, sys_f
 
 
@@ -322,9 +329,7 @@ def measure_saturation(
     nb = dm_c.n_elem_basis
     coef_c = x_c[: dm_c.n_elem_dofs].reshape(-1, nb)
     coef_f = x_f[: dm_f.n_elem_dofs].reshape(-1, nb)
-    # fine positions of the (lower, upper) halves, coarse elements in order
-    kids = np.searchsorted(dm_f.elem_ids, [pair.children[eid] for eid in dm_c.elem_ids])
-    tau = tau_eps(dm_c, spec.eps)
+    _, tau = regime_weights(dm_c, spec.eps)
     d1 = mesh.d + 1
     rule = fe.tensor_rule((sys_c.quad_n + 2,) * d1)
     basis = fe.get_basis(dm_c.elem_degrees)
@@ -339,7 +344,7 @@ def measure_saturation(
         for cls in dm_c.elem_classes:
             for sl in cls.chunks():
                 rows = cls.elem[sl]
-                ch = kids[rows, ci]
+                ch = pair.children[rows, ci]
                 half = 0.5 * (fhi[ch] - flo[ch])
                 phys = 0.5 * (flo[ch] + fhi[ch])[:, None, :] + half[:, None, :] * rule.points
                 dt_ex = spec.exact_dt(phys.reshape(-1, d1)).reshape(len(ch), -1)
@@ -363,17 +368,15 @@ def measure_saturation(
 
 
 @dataclass
-class ConformingCell:
-    parent: int  # element of the original mesh the cell lives in
-    lo: np.ndarray
-    hi: np.ndarray
-    values: np.ndarray  # nodal coefficients of the averaged field
-
-
-@dataclass
 class AveragingResult:
-    cells: list[ConformingCell]
-    defect: dict[int, float]  # per original element: ||v - averaged v||_K
+    """The averaged field on the conforming cells, and its defect per
+    original element (elem_ids order)."""
+
+    cell_parent: np.ndarray  # position of the element each cell lies in
+    cell_lo: np.ndarray  # (n_cells, d+1)
+    cell_hi: np.ndarray
+    cell_values: np.ndarray  # nodal coefficients of the averaged field
+    defect: np.ndarray  # ||v - averaged v||_K
     continuity: float  # max trace mismatch sampled across shared cell faces
     n_nodes: int
 
@@ -440,15 +443,12 @@ def averaging_operator(mesh: SpaceTimeMesh, p_s: int, elem_coeffs: np.ndarray) -
     # points, one basis evaluation per distinct parent-to-cell map
     rule = fe.tensor_rule((p_s + 2,) * d1)
     elo, ehi = dm.elem_box
-    scale, shift = _box_affine(elo[parent], ehi[parent], lo, hi)
-    maps, which = np.unique(np.hstack((scale, shift)), axis=0, return_inverse=True)
     vals = np.empty(nodes.shape)
     v_orig = np.empty((len(parent), len(rule.weights)))
-    for k, m in enumerate(maps):
-        rows = np.flatnonzero(which.reshape(-1) == k)
+    for rows, a, b in _by_affine_map(*_box_affine(elo[parent], ehi[parent], lo, hi)):
         c = coef[parent[rows]]
-        vals[rows] = c @ basis.eval(basis.nodes * m[:d1] + m[d1:]).values.T
-        v_orig[rows] = c @ basis.eval(rule.points * m[:d1] + m[d1:]).values.T
+        vals[rows] = c @ basis.eval(basis.nodes * a + b).values.T
+        v_orig[rows] = c @ basis.eval(rule.points * a + b).values.T
 
     n_nodes = int(np.prod(node_shape))
     counts = np.bincount(nodes.reshape(-1), minlength=n_nodes)
@@ -486,16 +486,16 @@ def averaging_operator(mesh: SpaceTimeMesh, p_s: int, elem_coeffs: np.ndarray) -
     jac = np.prod(0.5 * (hi - lo), axis=1)
     defect_sq = np.bincount(parent, weights=jac * ((v_orig - v_avg) ** 2 @ rule.weights),
                             minlength=len(dm.elem_ids))
-    out_cells = [ConformingCell(parent=dm.elem_ids[p], lo=l, hi=h, values=v)
-                 for p, l, h, v in zip(parent, lo, hi, cell_vals)]
-    defect = dict(zip(dm.elem_ids, np.sqrt(defect_sq).tolist()))
-    return AveragingResult(cells=out_cells, defect=defect, continuity=continuity,
-                           n_nodes=n_nodes)
+    return AveragingResult(cell_parent=parent, cell_lo=lo, cell_hi=hi, cell_values=cell_vals,
+                           defect=np.sqrt(defect_sq), continuity=continuity, n_nodes=n_nodes)
 
 
 @dataclass
 class OswaldReport:
-    per_element: dict[int, tuple[float, float]]  # eid -> (defect, jump bound)
+    """Averaging defect and jump bound per element (elem_ids order)."""
+
+    defect: np.ndarray
+    bound: np.ndarray
     constant: float  # max defect / bound over elements with a resolvable bound
 
 
@@ -539,11 +539,9 @@ def oswald_constant(mesh: SpaceTimeMesh, p_s: int, elem_coeffs: np.ndarray,
         touch = np.all((flo <= ehi[sl, None] + tol) & (elo[sl, None] - tol <= fhi), axis=2)
         bound[sl] = (np.sqrt(dm.elem_h[sl]) * (touch[:, is_Q] @ jump[is_Q])
                      + np.sqrt(ehi[sl, 0] - elo[sl, 0]) * (touch[:, ~is_Q] @ jump[~is_Q]))
-    defect = np.array([avg.defect[eid] for eid in dm.elem_ids])
     ok = bound > tol
-    worst = float(np.max(defect[ok] / bound[ok])) if ok.any() else 0.0
-    per = dict(zip(dm.elem_ids, zip(defect.tolist(), bound.tolist())))
-    return OswaldReport(per_element=per, constant=worst)
+    worst = float(np.max(avg.defect[ok] / bound[ok])) if ok.any() else 0.0
+    return OswaldReport(defect=avg.defect, bound=bound, constant=worst)
 
 
 # ----------------------------------------------------------------------

@@ -1,7 +1,11 @@
 """Legacy ASCII VTK output for space-time meshes and solutions.
 
 Space-time elements are written as hexahedra for d=2 (coordinates
-(x1, x2, t)) and quads for d=1 (coordinates (x1, t)).
+(x1, x2, t)) and quads for d=1 (coordinates (x1, t)).  Cells come in
+element-id order and cell data are arrays in that order
+(`DofMap.elem_ids`).  Corner coordinates are rounded to 12 decimals and
+equal rounded corners share one point; points are numbered in order of
+first occurrence over the cells, each written as its first corner.
 """
 
 from __future__ import annotations
@@ -9,98 +13,79 @@ from __future__ import annotations
 import numpy as np
 
 from . import fe
+from .assembly import DofMap, first_occurrence_labels
 from .mesh import SpaceTimeMesh
 
 _CELL_TYPE = {1: 9, 2: 12}  # VTK_QUAD, VTK_HEXAHEDRON
 
-
-def _corner_loop(lo: np.ndarray, hi: np.ndarray, d: int) -> list[tuple]:
-    """Cell corner coordinates in VTK connectivity order, as (x.., t)."""
-    t0, t1 = lo[0], hi[0]
-    if d == 1:
-        x0, x1 = lo[1], hi[1]
-        return [(x0, t0, 0.0), (x1, t0, 0.0), (x1, t1, 0.0), (x0, t1, 0.0)]
-    x0, x1 = lo[1], hi[1]
-    y0, y1 = lo[2], hi[2]
-    return [
-        (x0, y0, t0), (x1, y0, t0), (x1, y1, t0), (x0, y1, t0),
-        (x0, y0, t1), (x1, y0, t1), (x1, y1, t1), (x0, y1, t1),
-    ]
+# cell corners in VTK connectivity order: 0 takes the element's lo, 1 its
+# hi coordinate, per axis (t, x1, .., xd)
+_CORNERS = {
+    1: np.array([[0, 0], [0, 1], [1, 1], [1, 0]]),
+    2: np.array([[0, 0, 0], [0, 1, 0], [0, 1, 1], [0, 0, 1],
+                 [1, 0, 0], [1, 1, 0], [1, 1, 1], [1, 0, 1]]),
+}
 
 
-def _assemble_grid(corner_lists: list[list[tuple]]):
-    points: list[tuple] = []
-    index: dict[tuple, int] = {}
-    cells: list[list[int]] = []
-    for corners in corner_lists:
-        conn = []
-        for c in corners:
-            key = tuple(round(float(v), 12) for v in c)
-            i = index.get(key)
-            if i is None:
-                i = len(points)
-                index[key] = i
-                points.append(key)
-            conn.append(i)
-        cells.append(conn)
-    return points, cells
+def _grid(lo: np.ndarray, hi: np.ndarray) -> tuple[list[str], np.ndarray]:
+    """Point lines and cell connectivity (n, corners) of the boxes."""
+    n, d1 = lo.shape
+    pick = _CORNERS[d1 - 1]
+    corners = np.where(pick == 0, lo[:, None, :], hi[:, None, :]).reshape(-1, d1)
+    # round each distinct coordinate once; equal rounded values (0.0 and
+    # -0.0 too) get one code, and a point is written as its first corner
+    raw, inv = np.unique(corners, return_inverse=True)
+    rounded = [round(v, 12) for v in raw.tolist()]
+    _, code = np.unique(rounded, return_inverse=True)
+    inv = inv.reshape(corners.shape)
+    # points as (x.., t), padded with 0 to three coordinates
+    pad = np.full((len(inv), 3 - d1), len(raw))
+    text = ["%.9g" % v for v in rounded] + ["0"]
+    coords = np.column_stack((inv[:, 1:], inv[:, :1], pad))
+    point = first_occurrence_labels(np.append(code, -1)[coords])
+    _, first = np.unique(point, return_index=True)
+    lines = [" ".join(text[c] for c in row) for row in coords[first].tolist()]
+    return lines, point.reshape(n, len(pick))
 
 
-def _write_grid(path, points, cells, cell_type: int, cell_data: dict[str, list]):
+def write_mesh_vtk(path, mesh: SpaceTimeMesh, cell_values: dict[str, np.ndarray] | None = None) -> None:
+    """Dump the space-time mesh with per-element scalars.
+
+    cell_values maps array name -> values in element-id order; `level` and
+    `slab` are always included.
+    """
+    e = mesh.etab
+    rows = np.argsort(e.id)
+    points, cells = _grid(e.lo[rows], e.hi[rows])
+    n, width = cells.shape
+    data = {"level": e.level[rows], "slab": e.slab[rows], **(cell_values or {})}
     lines = [
         "# vtk DataFile Version 3.0",
         "space-time hybrid DG output",
         "ASCII",
         "DATASET UNSTRUCTURED_GRID",
         f"POINTS {len(points)} float",
+        *points,
+        f"CELLS {n} {n * (width + 1)}",
+        *(f"{width} " + " ".join(map(str, c)) for c in cells.tolist()),
+        f"CELL_TYPES {n}",
+        *[str(_CELL_TYPE[mesh.d])] * n,
+        f"CELL_DATA {n}",
     ]
-    for p in points:
-        lines.append("%.9g %.9g %.9g" % p)
-    n = len(cells)
-    width = len(cells[0]) if cells else 0
-    lines.append(f"CELLS {n} {n * (width + 1)}")
-    for conn in cells:
-        lines.append(" ".join(str(v) for v in [width] + conn))
-    lines.append(f"CELL_TYPES {n}")
-    lines.extend([str(cell_type)] * n)
-    if cell_data:
-        lines.append(f"CELL_DATA {n}")
-        for name, values in cell_data.items():
-            is_int = all(float(v).is_integer() for v in values)
-            kind = "int" if is_int else "float"
-            lines.append(f"SCALARS {name} {kind} 1")
-            lines.append("LOOKUP_TABLE default")
-            for v in values:
-                lines.append(str(int(v)) if is_int else "%.9g" % v)
+    for name, values in data.items():
+        v = np.asarray(values, dtype=float)
+        if v.shape != (n,):
+            raise ValueError(f"cell data {name!r} needs one value per element")
+        # integers if every value is one
+        is_int = bool(np.all(np.isfinite(v) & (v == np.floor(v))))
+        lines += [f"SCALARS {name} {'int' if is_int else 'float'} 1", "LOOKUP_TABLE default"]
+        lines += map(str, map(int, v.tolist())) if is_int else ["%.9g" % x for x in v.tolist()]
     with open(path, "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
-def write_mesh_vtk(
-    path, mesh: SpaceTimeMesh, cell_values: dict[str, dict[int, float]] | None = None
-) -> None:
-    """Dump the space-time mesh with per-element scalars.
-
-    cell_values maps array name -> {element id: value}; `level` and `slab`
-    are always included.
-    """
-    e = mesh.etab
-    rows = np.argsort(e.id)
-    eids = e.id[rows].tolist()
-    corner_lists = [_corner_loop(lo, hi, mesh.d) for lo, hi in zip(e.lo[rows], e.hi[rows])]
-    points, cells = _assemble_grid(corner_lists)
-    data: dict[str, list] = {
-        "level": e.level[rows].tolist(),
-        "slab": e.slab[rows].tolist(),
-    }
-    for name, per_elem in (cell_values or {}).items():
-        data[name] = [per_elem.get(e, 0.0) for e in eids]
-    _write_grid(path, points, cells, _CELL_TYPE[mesh.d], data)
-
-
-def center_values(mesh: SpaceTimeMesh, field) -> dict[int, float]:
-    """Solution value at each element's space-time center (a FieldEval)."""
-    dm = field.dm
-    coeffs = field.x[: dm.n_elem_dofs].reshape(-1, dm.n_elem_basis)
-    v = fe.get_basis(dm.elem_degrees).eval(np.zeros((1, mesh.d + 1))).values[0]
-    return dict(zip(dm.elem_ids, (coeffs @ v).tolist()))
+def center_values(dm: DofMap, x: np.ndarray) -> np.ndarray:
+    """Solution value at each element's space-time center, elem_ids order."""
+    coeffs = np.asarray(x)[: dm.n_elem_dofs].reshape(-1, dm.n_elem_basis)
+    v = fe.get_basis(dm.elem_degrees).eval(np.zeros((1, dm.d + 1))).values[0]
+    return coeffs @ v

@@ -7,18 +7,194 @@ objects), quadrature runs at double order, assembly is plain dense loops
 with no batching, and facet data (sup |beta.n|, normals, jacobians) is
 recomputed from the geometry.  Agreement is therefore evidence, not
 tautology.
+
+The package addresses elements and facets by table row; the oracles build
+their own per-entity records (`Element`, `Facet`, keyed by id) from the
+mesh tables and look dofs up by id.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from sthdg.assembly import P_T, build_dofmap
-from sthdg.estimator import regime_and_weights, slab_height
 from sthdg.fe import get_basis, lobatto_nodes
-from sthdg.mesh import SpaceTimeMesh
+from sthdg.mesh import BOUNDARIES, SpaceTimeMesh
+
+
+# ----------------------------------------------------------------------
+# per-entity records built from the mesh tables
+# ----------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Element:
+    eid: int
+    level: int
+    lo: np.ndarray  # (d+1,), [t, x1, .., xd]
+    hi: np.ndarray
+    slab: int
+    parent: int = 0  # 0: root
+    child_index: int = -1
+
+    @property
+    def dt(self) -> float:
+        return float(self.hi[0] - self.lo[0])
+
+    @property
+    def h(self) -> float:
+        return float(np.max(self.hi[1:] - self.lo[1:]))
+
+    @property
+    def volume(self) -> float:
+        return float(np.prod(self.hi - self.lo))
+
+    def center(self) -> np.ndarray:
+        return 0.5 * (self.lo + self.hi)
+
+
+@dataclass(frozen=True)
+class Facet:
+    fid: int
+    axis: int  # frozen axis: 0 -> R-facet, >=1 -> Q-facet
+    coord: float  # plane position along `axis`
+    lo: np.ndarray  # (d+1,) box with lo[axis] == hi[axis] == coord
+    hi: np.ndarray
+    owner: int  # element whose face coincides with this facet
+    owner_side: int  # +1 if the facet is on the owner's hi side
+    neighbor: int | None  # element on the other side (None on the boundary)
+    boundary: str | None  # None | 'dirichlet' | 'neumann' | 'initial' | 'final'
+
+    @property
+    def is_Q(self) -> bool:
+        return self.axis >= 1
+
+    @property
+    def is_R(self) -> bool:
+        return self.axis == 0
+
+    @property
+    def measure(self) -> float:
+        ext = self.hi - self.lo
+        return float(np.prod(np.delete(ext, self.axis)))
+
+    def free_axes(self) -> np.ndarray:
+        k = self.lo.shape[0]
+        return np.array([a for a in range(k) if a != self.axis])
+
+
+def elements(mesh: SpaceTimeMesh) -> dict[int, Element]:
+    e = mesh.etab
+    return {
+        eid: Element(eid, lev, lo, hi, slab, par, ci)
+        for eid, lev, lo, hi, slab, par, ci in zip(
+            e.id.tolist(), e.level.tolist(), e.lo, e.hi, e.slab.tolist(),
+            e.parent.tolist(), e.child_index.tolist())
+    }
+
+
+def facets(mesh: SpaceTimeMesh) -> dict[int, Facet]:
+    f, ids = mesh.ftab, mesh.etab.id.tolist()
+    return {
+        fid: Facet(fid, ax, float(lo[ax]), lo, hi, ids[own], side,
+                   None if nb < 0 else ids[nb], BOUNDARIES[b])
+        for fid, ax, lo, hi, own, side, nb, b in zip(
+            f.id.tolist(), f.axis.tolist(), f.lo, f.hi, f.owner.tolist(),
+            f.side.tolist(), f.neighbor.tolist(), f.boundary.tolist())
+    }
+
+
+def omega_K(mesh: SpaceTimeMesh, eid: int) -> set[int]:
+    """Face neighbors: elements sharing a facet with K."""
+    return {k for f in facets(mesh).values() if eid in (f.owner, f.neighbor)
+            for k in (f.owner, f.neighbor)} - {eid, None}
+
+
+def elem_dofs(dm, eid: int) -> np.ndarray:
+    i = int(np.searchsorted(dm.elem_ids, eid))
+    assert dm.elem_ids[i] == eid
+    return np.arange(i * dm.n_elem_basis, (i + 1) * dm.n_elem_basis)
+
+
+def facet_dofs(dm, fid: int) -> np.ndarray:
+    i = int(np.searchsorted(dm.facet_ids, fid))
+    assert dm.facet_ids[i] == fid
+    end = dm.facet_dof[i + 1] if i + 1 < len(dm.facet_dof) else dm.n_dofs
+    return np.arange(dm.facet_dof[i], end)
+
+
+def trace_map(f: Facet, el: Element) -> tuple[float, tuple[float, ...], tuple[float, ...]]:
+    """Affine map from facet reference coords to element reference coords.
+
+    Returns (fixed, alphas, betas): the element ref coordinate along the
+    facet's frozen axis is `fixed` (+-1), and along the i-th free axis it is
+    alphas[i] + betas[i] * xhat_facet[i].
+    """
+    free = f.free_axes()
+    half_el = 0.5 * (el.hi - el.lo)
+    mid_el = 0.5 * (el.hi + el.lo)
+    half_f = 0.5 * (f.hi - f.lo)
+    mid_f = 0.5 * (f.hi + f.lo)
+    alphas = tuple((mid_f[a] - mid_el[a]) / half_el[a] for a in free)
+    betas = tuple(half_f[a] / half_el[a] for a in free)
+    fixed = (f.coord - mid_el[f.axis]) / half_el[f.axis]
+    return float(np.sign(fixed)), alphas, betas
+
+
+# ----------------------------------------------------------------------
+# scalar regime weights and the per-entity local efficiency
+# ----------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class RegimeWeights:
+    regime: str  # 'd' (diffusive), 'x' (mixed), 'c' (convective)
+    eps_tilde: float
+    tau_eps: float
+    lambda_K: float
+
+
+def regime_and_weights(el: Element, slab_height: float, eps: float) -> RegimeWeights:
+    """Classify an element against eps and return the norm weights."""
+    dt, h = el.dt, el.h
+    if dt <= eps and h <= eps:
+        regime, et = "d", 1.0
+    elif dt <= eps < h:
+        regime, et = "x", math.sqrt(eps)
+    else:
+        regime, et = "c", eps
+    return RegimeWeights(
+        regime=regime, eps_tilde=et, tau_eps=slab_height * et,
+        lambda_K=min(1.0, el.h / math.sqrt(eps)),
+    )
+
+
+def slab_height(mesh: SpaceTimeMesh, el: Element) -> float:
+    return mesh.slab_times[el.slab + 1] - mesh.slab_times[el.slab]
+
+
+def oracle_local_efficiency(sys, est, nb) -> dict[int, float]:
+    """Per-element ratio of eta^K to the patch-weighted local error norm,
+    one patch (K and omega_K) at a time."""
+    mesh = sys.dofmap.mesh
+    eps = sys.spec.eps
+    els = elements(mesh)
+    eidx = {eid: i for i, eid in enumerate(nb.elem_ids.tolist())}
+    local_sT = nb.local_sT()
+    out = {}
+    for eid, i in eidx.items():
+        patch = set(omega_K(mesh, eid)) | {eid}
+        denom = 0.0
+        for pid in patch:
+            el = els[pid]
+            rw = regime_and_weights(el, slab_height(mesh, el), eps)
+            denom += eps ** -0.5 * rw.eps_tilde ** -0.5 * local_sT[eidx[pid]]
+        denom += est.osc_K[i] + est.osc_N[i]
+        out[eid] = est.eta_K[i] / denom if denom > 0 else math.nan
+    return out
 
 
 def gauss(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -123,10 +299,10 @@ def oracle_beta_sup(spec, mesh: SpaceTimeMesh, f, npts: int) -> float:
     return float(np.max(np.abs(spec.beta(allpts)[:, f.axis])))
 
 
-def _facet_sides(mesh: SpaceTimeMesh, f):
-    sides = [(mesh.elements[f.owner], f.owner_side)]
+def _facet_sides(els: dict[int, Element], f: Facet):
+    sides = [(els[f.owner], f.owner_side)]
     if f.neighbor is not None:
-        sides.append((mesh.elements[f.neighbor], -f.owner_side))
+        sides.append((els[f.neighbor], -f.owner_side))
     return sides
 
 
@@ -139,6 +315,7 @@ def oracle_system(spec, mesh: SpaceTimeMesh, p_s: int, npts: int | None = None):
     """Dense (A, b) of the raw discrete form, dof layout shared with the
     package so the matrices are directly comparable."""
     dm = build_dofmap(mesh, p_s)
+    els, fcs = elements(mesh), facets(mesh)
     d = mesh.d
     eps = spec.eps
     alpha = 8.0 * p_s * p_s
@@ -148,11 +325,11 @@ def oracle_system(spec, mesh: SpaceTimeMesh, p_s: int, npts: int | None = None):
     b = np.zeros(n)
     edeg = dm.elem_degrees
 
-    for eid in dm.elem_ids:
-        el = mesh.elements[eid]
+    for eid in dm.elem_ids.tolist():
+        el = els[eid]
         pts, w = box_quad(el.lo, el.hi, nq)
         V, G, _ = box_basis(el.lo, el.hi, edeg, pts)
-        dofs = dm.elem_dofs(eid)
+        dofs = elem_dofs(dm, eid)
         loc = np.zeros((len(dofs), len(dofs)))
         for a in range(1, d + 1):
             loc += eps * G[a].T @ (G[a] * w[:, None])
@@ -164,18 +341,18 @@ def oracle_system(spec, mesh: SpaceTimeMesh, p_s: int, npts: int | None = None):
         A[np.ix_(dofs, dofs)] += loc
         b[dofs] += V.T @ (w * spec.f(pts))
 
-    for fid in dm.facet_ids:
-        f = mesh.facets[fid]
+    for fid in dm.facet_ids.tolist():
+        f = fcs[fid]
         free, pts, w, _ = _facet_geometry(mesh, f, nq)
-        fdeg = dm.facet_degrees(f)
+        fdeg = dm.facet_degrees(f.axis)
         Fv, _, _ = box_basis(f.lo[free], f.hi[free], fdeg, pts[:, free])
-        fdofs = dm.facet_dofs(fid)
+        fdofs = facet_dofs(dm, fid)
         bs = oracle_beta_sup(spec, mesh, f, nq)
         neumann = f.boundary in ("initial", "final", "neumann")
 
-        for el, sign in _facet_sides(mesh, f):
+        for el, sign in _facet_sides(els, f):
             E, G, _ = box_basis(el.lo, el.hi, edeg, pts)
-            edofs = dm.elem_dofs(el.eid)
+            edofs = elem_dofs(dm, el.eid)
             bn = sign * spec.beta(pts)[:, f.axis]
             # <bn lambda + bs (u - lambda), v - mu>
             A[np.ix_(edofs, edofs)] += E.T @ (E * (w * bs)[:, None])
@@ -183,7 +360,7 @@ def oracle_system(spec, mesh: SpaceTimeMesh, p_s: int, npts: int | None = None):
             A[np.ix_(fdofs, edofs)] -= Fv.T @ (E * (w * bs)[:, None])
             A[np.ix_(fdofs, fdofs)] -= Fv.T @ (Fv * (w * (bn - bs))[:, None])
             if f.is_Q:
-                h_F = mesh.elements[f.owner].h
+                h_F = els[f.owner].h
                 wp = w * (eps * alpha / h_F)
                 A[np.ix_(edofs, edofs)] += E.T @ (E * wp[:, None])
                 A[np.ix_(edofs, fdofs)] -= E.T @ (Fv * wp[:, None])
@@ -218,6 +395,7 @@ def oracle_estimate(sys, x: np.ndarray, npts: int | None = None) -> dict[int, di
     """Per-element estimator terms recomputed densely at double order."""
     dm = sys.dofmap
     mesh = dm.mesh
+    els, fcs = elements(mesh), facets(mesh)
     spec = sys.spec
     d = mesh.d
     eps = spec.eps
@@ -226,15 +404,15 @@ def oracle_estimate(sys, x: np.ndarray, npts: int | None = None) -> dict[int, di
     terms = {
         eid: dict(eta_R=0.0, eta_J1=0.0, J2sq=0.0, J3Qsq=0.0, J3Rsq=0.0,
                   BC1sq=0.0, BC2sq=0.0, osc_K=0.0, oscNsq=0.0)
-        for eid in dm.elem_ids
+        for eid in dm.elem_ids.tolist()
     }
 
-    for eid in dm.elem_ids:
-        el = mesh.elements[eid]
+    for eid in dm.elem_ids.tolist():
+        el = els[eid]
         lam = min(1.0, el.h / math.sqrt(eps))
         pts, w = box_quad(el.lo, el.hi, nq)
         V, G, S = box_basis(el.lo, el.hi, edeg, pts)
-        c = x[dm.elem_dofs(eid)]
+        c = x[elem_dofs(dm, eid)]
         lap = sum(S[a] @ c for a in range(1, d + 1))
         adv = sum(spec.beta_bar(pts)[:, a - 1] * (G[a] @ c) for a in range(1, d + 1))
         R = spec.f(pts) + eps * lap - G[0] @ c - adv
@@ -243,17 +421,17 @@ def oracle_estimate(sys, x: np.ndarray, npts: int | None = None) -> dict[int, di
         terms[eid]["osc_K"] = lam * math.sqrt(float(w @ (R0 * R0)))
 
     gradn_acc: dict[int, np.ndarray] = {}
-    for fid in dm.facet_ids:
-        f = mesh.facets[fid]
+    for fid in dm.facet_ids.tolist():
+        f = fcs[fid]
         free, pts, w, _ = _facet_geometry(mesh, f, nq)
-        fdeg = dm.facet_degrees(f)
+        fdeg = dm.facet_degrees(f.axis)
         Fv, _, _ = box_basis(f.lo[free], f.hi[free], fdeg, pts[:, free])
-        lamv = Fv @ x[dm.facet_dofs(fid)]
+        lamv = Fv @ x[facet_dofs(dm, fid)]
         bs = oracle_beta_sup(spec, mesh, f, nq)
 
-        for el, sign in _facet_sides(mesh, f):
+        for el, sign in _facet_sides(els, f):
             E, G, _ = box_basis(el.lo, el.hi, edeg, pts)
-            c = x[dm.elem_dofs(el.eid)]
+            c = x[elem_dofs(dm, el.eid)]
             utr = E @ c
             jump = utr - lamv
             bn = sign * spec.beta(pts)[:, f.axis]
@@ -269,7 +447,7 @@ def oracle_estimate(sys, x: np.ndarray, npts: int | None = None) -> dict[int, di
                 gn = sign * (G[f.axis] @ c)
                 if fid in gradn_acc:
                     gj = gradn_acc.pop(fid) + gn
-                    val = eps * mesh.elements[f.owner].h * float(w @ (gj * gj))
+                    val = eps * els[f.owner].h * float(w @ (gj * gj))
                     terms[f.owner]["eta_J1"] += val
                     terms[f.neighbor]["eta_J1"] += val
                 else:
@@ -290,8 +468,8 @@ def oracle_estimate(sys, x: np.ndarray, npts: int | None = None) -> dict[int, di
                 t["oscNsq"] += float(w @ (RN0 * RN0))
 
     out = {}
-    for eid in dm.elem_ids:
-        el = mesh.elements[eid]
+    for eid in dm.elem_ids.tolist():
+        el = els[eid]
         t = terms[eid]
         out[eid] = dict(
             eta_R=t["eta_R"],
@@ -313,6 +491,7 @@ def oracle_norms(sys, x: np.ndarray, npts: int | None = None) -> dict:
     sums of squares as the package breakdown plus the two norms."""
     dm = sys.dofmap
     mesh = dm.mesh
+    els, fcs = elements(mesh), facets(mesh)
     spec = sys.spec
     d = mesh.d
     eps = spec.eps
@@ -320,14 +499,14 @@ def oracle_norms(sys, x: np.ndarray, npts: int | None = None) -> dict:
     edeg = dm.elem_degrees
     T = float(mesh.slab_times[-1] - mesh.slab_times[0])
     acc = {eid: dict(l2=0.0, jump_adv=0.0, neumann=0.0, grad=0.0,
-                     jump_Q=0.0, dt=0.0) for eid in dm.elem_ids}
+                     jump_Q=0.0, dt=0.0) for eid in dm.elem_ids.tolist()}
 
-    for eid in dm.elem_ids:
-        el = mesh.elements[eid]
+    for eid in dm.elem_ids.tolist():
+        el = els[eid]
         tau = regime_and_weights(el, slab_height(mesh, el), eps).tau_eps
         pts, w = box_quad(el.lo, el.hi, nq)
         V, G, _ = box_basis(el.lo, el.hi, edeg, pts)
-        c = x[dm.elem_dofs(eid)]
+        c = x[elem_dofs(dm, eid)]
         ev = spec.exact(pts) - V @ c
         acc[eid]["l2"] = float(w @ (ev * ev))
         edt = spec.exact_dt(pts) - G[0] @ c
@@ -339,15 +518,15 @@ def oracle_norms(sys, x: np.ndarray, npts: int | None = None) -> dict:
             gsq += float(w @ (ga * ga))
         acc[eid]["grad"] = eps * gsq
 
-    for fid in dm.facet_ids:
-        f = mesh.facets[fid]
+    for fid in dm.facet_ids.tolist():
+        f = fcs[fid]
         free, pts, w, _ = _facet_geometry(mesh, f, nq)
-        Fv, _, _ = box_basis(f.lo[free], f.hi[free], dm.facet_degrees(f), pts[:, free])
-        lamv = Fv @ x[dm.facet_dofs(fid)]
+        Fv, _, _ = box_basis(f.lo[free], f.hi[free], dm.facet_degrees(f.axis), pts[:, free])
+        lamv = Fv @ x[facet_dofs(dm, fid)]
         bs = oracle_beta_sup(spec, mesh, f, nq)
-        for el, sign in _facet_sides(mesh, f):
+        for el, sign in _facet_sides(els, f):
             E, _, _ = box_basis(el.lo, el.hi, edeg, pts)
-            ejump = lamv - E @ x[dm.elem_dofs(el.eid)]
+            ejump = lamv - E @ x[elem_dofs(dm, el.eid)]
             bn = sign * spec.beta(pts)[:, f.axis]
             acc[el.eid]["jump_adv"] += float(
                 w @ (np.abs(bs - 0.5 * bn) * ejump * ejump))
@@ -447,12 +626,12 @@ def reference_facets(mesh: SpaceTimeMesh):
     """Facets of `mesh` from its elements, one plane at a time.
 
     Returns (facets, elem_facets): fid -> Facet and element id ->
-    [(fid, outward sign)], as the package's mesh views hold them."""
-    from sthdg.mesh import Facet
-
+    [(fid, outward sign)], as `facets` and `elem_facets` build them from
+    the mesh tables."""
     d1 = mesh.d + 1
+    els = elements(mesh)
     facets: dict[int, Facet] = {}
-    elem_facets: dict[int, list[tuple[int, int]]] = {eid: [] for eid in mesh.elements}
+    elem_facets: dict[int, list[tuple[int, int]]] = {eid: [] for eid in els}
 
     def _add_facet(owner, axis, coord, side, lo_r, hi_r, neighbor, boundary):
         rest = [a for a in range(d1) if a != axis]
@@ -474,7 +653,7 @@ def reference_facets(mesh: SpaceTimeMesh):
 
     # collect faces grouped by (axis, plane coordinate)
     planes: dict[tuple[int, float], list[tuple[int, int, np.ndarray, np.ndarray]]] = {}
-    for eid, el in mesh.elements.items():
+    for eid, el in els.items():
         for axis in range(d1):
             rest = [a for a in range(d1) if a != axis]
             lo_r = el.lo[rest]
@@ -587,34 +766,69 @@ def reference_facets(mesh: SpaceTimeMesh):
 
 
 # ----------------------------------------------------------------------
-# point evaluation of a discrete solution (a FieldEval) per entity
+# reference VTK grid: one dict lookup per rounded cell corner
 # ----------------------------------------------------------------------
 
 
-def elem_coeffs(ev, eid: int) -> np.ndarray:
-    o = ev.dm.elem_offset[eid]
-    return ev.x[o : o + ev.dm.n_elem_basis]
+def _corner_loop(lo: np.ndarray, hi: np.ndarray, d: int) -> list[tuple]:
+    """Cell corner coordinates in VTK connectivity order, as (x.., t)."""
+    t0, t1 = lo[0], hi[0]
+    if d == 1:
+        x0, x1 = lo[1], hi[1]
+        return [(x0, t0, 0.0), (x1, t0, 0.0), (x1, t1, 0.0), (x0, t1, 0.0)]
+    x0, x1 = lo[1], hi[1]
+    y0, y1 = lo[2], hi[2]
+    return [
+        (x0, y0, t0), (x1, y0, t0), (x1, y1, t0), (x0, y1, t0),
+        (x0, y0, t1), (x1, y0, t1), (x1, y1, t1), (x0, y1, t1),
+    ]
 
 
-def facet_coeffs(ev, fid: int) -> np.ndarray:
-    f = ev.dm.mesh.facets[fid]
-    o = ev.dm.facet_offset[fid]
-    return ev.x[o : o + ev.dm.facet_n_basis(f)]
+def reference_grid(mesh: SpaceTimeMesh) -> tuple[list[str], list[str]]:
+    """POINTS and CELLS lines of the mesh's VTK grid, cells in id order."""
+    points: list[tuple] = []
+    index: dict[tuple, int] = {}
+    cells: list[str] = []
+    for eid in mesh.element_ids():
+        row = int(np.flatnonzero(mesh.etab.id == eid)[0])
+        conn = []
+        for c in _corner_loop(mesh.etab.lo[row], mesh.etab.hi[row], mesh.d):
+            key = tuple(round(float(v), 12) for v in c)
+            if key not in index:
+                index[key] = len(points)
+                points.append(key)
+            conn.append(index[key])
+        cells.append(" ".join(str(v) for v in [len(conn)] + conn))
+    return ["%.9g %.9g %.9g" % p for p in points], cells
 
 
-def element_at(ev, eid: int, ref_pts: np.ndarray):
+# ----------------------------------------------------------------------
+# point evaluation of a discrete solution (dof map and vector) per entity
+# ----------------------------------------------------------------------
+
+
+def elem_coeffs(dm, x, eid: int) -> np.ndarray:
+    return x[elem_dofs(dm, eid)]
+
+
+def facet_coeffs(dm, x, fid: int) -> np.ndarray:
+    return x[facet_dofs(dm, fid)]
+
+
+def element_at(dm, x, eid: int, ref_pts: np.ndarray):
     """values, spatial gradient, time derivative at element ref points."""
-    el = ev.dm.mesh.elements[eid]
-    bv = get_basis(ev.dm.elem_degrees).eval(ref_pts)
-    c = elem_coeffs(ev, eid)
-    half = 0.5 * (el.hi - el.lo)
+    e = dm.mesh.etab
+    row = int(np.flatnonzero(e.id == eid)[0])
+    bv = get_basis(dm.elem_degrees).eval(ref_pts)
+    c = elem_coeffs(dm, x, eid)
+    half = 0.5 * (e.hi[row] - e.lo[row])
     vals = bv.values @ c
     dt = (bv.grad[:, :, 0] @ c) / half[0]
-    grad = np.stack([(bv.grad[:, :, a] @ c) / half[a] for a in range(1, ev.dm.d + 1)], axis=-1)
+    grad = np.stack([(bv.grad[:, :, a] @ c) / half[a] for a in range(1, dm.d + 1)], axis=-1)
     return vals, grad, dt
 
 
-def facet_at(ev, fid: int, ref_pts: np.ndarray) -> np.ndarray:
-    f = ev.dm.mesh.facets[fid]
-    fb = get_basis(ev.dm.facet_degrees(f))
-    return fb.eval(ref_pts).values @ facet_coeffs(ev, fid)
+def facet_at(dm, x, fid: int, ref_pts: np.ndarray) -> np.ndarray:
+    axis = int(dm.mesh.ftab.axis[np.searchsorted(dm.facet_ids, fid)])
+    fb = get_basis(dm.facet_degrees(axis))
+    return fb.eval(ref_pts).values @ facet_coeffs(dm, x, fid)

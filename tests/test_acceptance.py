@@ -138,9 +138,9 @@ def test_criterion_02_oracle_equivalence():
                 n_solutions += 1
                 est = estimate(sys, x)
                 ref = oracle_estimate(sys, x)
-                for eid, el in est.per_element.items():
+                for k, eid in enumerate(est.elem_ids.tolist()):
                     for term in _ESTIMATOR_TERMS:
-                        a, b = getattr(el, term), ref[eid][term]
+                        a, b = getattr(est, term)[k], ref[eid][term]
                         assert _close(a, b), \
                             f"d={d} mesh{i} {term}: {a!r} vs {b!r}"
                 nb = error_norms(sys, x)
@@ -182,7 +182,7 @@ def test_criterion_04_estimator_decomposition():
         sys = assemble(spec, mesh, p_s)
         x, _ = solve(sys)
         est = estimate(sys, x)
-        total_sq = sum(est.eta_K(eid) ** 2 for eid in est.per_element)
+        total_sq = sum(v ** 2 for v in est.eta_K.tolist())
         assert abs(est.eta ** 2 - total_sq) <= 1e-12 * est.eta ** 2, spec.name
 
 

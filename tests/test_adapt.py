@@ -11,15 +11,18 @@ from sthdg.adapt import (
     run_study,
     write_csv,
 )
-from sthdg.estimator import ElementEstimate, EstimateResult
+from sthdg.estimator import ETA_TERMS, EstimateResult
 from sthdg.problem import get_problem
 from sthdg.solver import SolverError
 
 
 def _fake_estimate(etas: dict[int, float]) -> EstimateResult:
-    per = {eid: ElementEstimate(eta_R=v) for eid, v in etas.items()}
-    eta = math.sqrt(sum(v**2 for v in etas.values()))
-    return EstimateResult(per_element=per, eta=eta)
+    ids = np.array(list(etas))
+    eta_R = np.array(list(etas.values()), dtype=float)
+    terms = {k: np.zeros(len(ids)) for k in ETA_TERMS + ("osc_K", "osc_N")}
+    terms["eta_R"] = eta_R
+    return EstimateResult(elem_ids=ids, **terms, eta_K=eta_R,
+                          eta=math.sqrt(float(np.sum(eta_R**2))))
 
 
 def test_mark_fractions_and_tie_breaking():
@@ -45,7 +48,7 @@ def test_mark_validates_inputs():
     with pytest.raises(ValueError):
         mark(est, refine_fraction=-0.1)
     with pytest.raises(ValueError):
-        mark(EstimateResult(per_element={}, eta=0.0))
+        mark(_fake_estimate({}))
 
 
 def test_csv_rows_are_deterministic(tmp_path):

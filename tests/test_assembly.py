@@ -3,20 +3,19 @@ import pytest
 
 from sthdg import fe
 from sthdg.assembly import (
-    FieldEval,
     apply_dirichlet,
     assemble,
     build_dofmap,
     compute_beta_sup,
     default_quad_n,
     penalty_alpha,
-    trace_map,
 )
 from sthdg.mesh import SpaceTimeMesh
 
 from conftest import hanging_mesh, poly_problem, small_meshes
 from oracles import (
-    box_quad, elem_coeffs, element_at, facet_at, facet_coeffs, oracle_beta_sup, oracle_system,
+    box_quad, elem_coeffs, elem_dofs, element_at, elements, facet_at, facet_coeffs, facet_dofs,
+    facets, oracle_beta_sup, oracle_system, trace_map,
 )
 
 
@@ -54,27 +53,32 @@ def test_dofmap_layout():
     assert dm.n_elem_basis == 2 * 3**2
     assert dm.n_elem_dofs == mesh.n_elements * dm.n_elem_basis
     seen = []
-    for eid in dm.elem_ids:
-        seen.extend(dm.elem_dofs(eid).tolist())
-    for fid in dm.facet_ids:
-        seen.extend(dm.facet_dofs(fid).tolist())
+    for eid in dm.elem_ids.tolist():
+        seen.extend(elem_dofs(dm, eid).tolist())
+    for fid in dm.facet_ids.tolist():
+        seen.extend(facet_dofs(dm, fid).tolist())
     assert sorted(seen) == list(range(dm.n_dofs))
     # element block comes first and follows element_ids() order
-    assert dm.elem_offset[dm.elem_ids[0]] == 0
-    assert all(dm.facet_offset[f] >= dm.n_elem_dofs for f in dm.facet_ids)
+    assert dm.elem_ids.tolist() == mesh.element_ids()
+    assert elem_dofs(dm, dm.elem_ids[0])[0] == 0
+    assert np.all(dm.facet_dof >= dm.n_elem_dofs)
 
 
 def test_beta_sup_matches_oracle():
     spec = poly_problem(2)
     mesh = hanging_mesh(2)
     nq = default_quad_n(1) + 2
-    got = compute_beta_sup(spec, build_dofmap(mesh, 1), nq)
-    for fid, f in mesh.facets.items():
+    dm = build_dofmap(mesh, 1)
+    got = compute_beta_sup(spec, dm, nq)
+    assert got.shape == (len(dm.facet_ids),)
+    fcs = facets(mesh)
+    for i, fid in enumerate(dm.facet_ids.tolist()):
+        f = fcs[fid]
         if f.is_R:
-            assert got[fid] == 1.0
+            assert got[i] == 1.0
         else:
             want = oracle_beta_sup(spec, mesh, f, nq)
-            assert abs(got[fid] - want) < 1e-12
+            assert abs(got[i] - want) < 1e-12
 
 
 def test_penalty_and_quadrature_defaults():
@@ -100,10 +104,10 @@ def test_dirichlet_rows_are_projections():
     dm = sys.dofmap
     val_of = dict(zip(sys.dirichlet_idx.tolist(), sys.dirichlet_values))
     checked = 0
-    for fid, f in mesh.facets.items():
+    for fid, f in facets(mesh).items():
         if f.boundary != "dirichlet":
             continue
-        dofs = dm.facet_dofs(fid)
+        dofs = facet_dofs(dm, fid)
         if dofs[0] not in val_of:
             continue
         free = f.free_axes()
@@ -111,7 +115,7 @@ def test_dirichlet_rows_are_projections():
         full = np.empty((pts.shape[0], mesh.d + 1))
         full[:, free] = pts
         full[:, f.axis] = f.coord
-        fb = fe.get_basis(dm.facet_degrees(f))
+        fb = fe.get_basis(dm.facet_degrees(f.axis))
         lo, hi = f.lo[free], f.hi[free]
         ref = 2 * (pts - lo) / (hi - lo) - 1
         Fv = fb.eval(ref).values
@@ -143,18 +147,16 @@ def test_field_eval_is_nodal(rng):
     mesh = SpaceTimeMesh.build(2, 1, 2)
     dm = build_dofmap(mesh, 2)
     x = rng.standard_normal(dm.n_dofs)
-    ev = FieldEval(dm, x)
     basis = fe.get_basis(dm.elem_degrees)
-    for eid in dm.elem_ids[:2]:
-        vals, grad, dt = element_at(ev, eid, basis.nodes)
-        assert np.allclose(vals, elem_coeffs(ev, eid), atol=1e-12)
+    for eid in dm.elem_ids[:2].tolist():
+        vals, grad, dt = element_at(dm, x, eid, basis.nodes)
+        assert np.allclose(vals, elem_coeffs(dm, x, eid), atol=1e-12)
         assert grad.shape == (basis.n_basis, 2)
         assert dt.shape == (basis.n_basis,)
     fid = dm.facet_ids[0]
-    f = mesh.facets[fid]
-    fb = fe.get_basis(dm.facet_degrees(f))
-    fvals = facet_at(ev, fid, fb.nodes)
-    assert np.allclose(fvals, facet_coeffs(ev, fid), atol=1e-12)
+    fb = fe.get_basis(dm.facet_degrees(int(mesh.ftab.axis[0])))
+    fvals = facet_at(dm, x, fid, fb.nodes)
+    assert np.allclose(fvals, facet_coeffs(dm, x, fid), atol=1e-12)
 
 
 def test_field_eval_gradient_scaling(rng):
@@ -163,14 +165,13 @@ def test_field_eval_gradient_scaling(rng):
     dm = build_dofmap(mesh, 1)
     x = np.zeros(dm.n_dofs)
     eid = dm.elem_ids[0]
-    el = mesh.elements[eid]
+    el = elements(mesh)[eid]
     # u = t + x1 in physical coordinates, nodal values at GL points
     basis = fe.get_basis(dm.elem_degrees)
     phys = fe.map_to_box(el.lo, el.hi, basis.nodes)
-    x[dm.elem_dofs(eid)] = phys[:, 0] + phys[:, 1]
-    ev = FieldEval(dm, x)
+    x[elem_dofs(dm, eid)] = phys[:, 0] + phys[:, 1]
     pts = rng.uniform(-1, 1, size=(7, 2))
-    vals, grad, dt = element_at(ev, eid, pts)
+    vals, grad, dt = element_at(dm, x, eid, pts)
     assert np.allclose(dt, 1.0, atol=1e-12)
     assert np.allclose(grad[:, 0], 1.0, atol=1e-12)
 
@@ -179,11 +180,14 @@ def test_beta_sup_override_changes_system():
     spec = poly_problem(1)
     mesh = SpaceTimeMesh.build(1, 1, 2)
     sys0 = assemble(spec, mesh, 1)
-    qfid = next(fid for fid, f in mesh.facets.items() if f.is_Q)
-    sys1 = assemble(spec, mesh, 1, beta_sup_override={qfid: sys0.beta_sup[qfid]})
+    sys1 = assemble(spec, mesh, 1, beta_sup=sys0.beta_sup.copy())
     assert np.max(np.abs((sys0.A - sys1.A).toarray())) < 1e-14
-    sys2 = assemble(spec, mesh, 1, beta_sup_override={qfid: 5.0})
+    beta_sup = sys0.beta_sup.copy()
+    beta_sup[np.flatnonzero(mesh.ftab.axis >= 1)[0]] = 5.0
+    sys2 = assemble(spec, mesh, 1, beta_sup=beta_sup)
     assert np.max(np.abs((sys0.A - sys2.A).toarray())) > 1e-3
+    with pytest.raises(ValueError):
+        assemble(spec, mesh, 1, beta_sup=beta_sup[1:])
 
 
 def _refined_meshes():
@@ -199,20 +203,20 @@ def _refined_meshes():
 
 @pytest.mark.parametrize("d,policy,mesh", list(_refined_meshes()))
 def test_facet_side_table_matches_per_facet_walk(d, policy, mesh):
-    assert any(f.neighbor is not None
-               and mesh.elements[f.owner].level != mesh.elements[f.neighbor].level
-               for f in mesh.facets.values())
+    els, fcs = elements(mesh), facets(mesh)
+    assert any(f.neighbor is not None and els[f.owner].level != els[f.neighbor].level
+               for f in fcs.values())
     dm = build_dofmap(mesh, 1)
     # reference: the owner-then-neighbor walk in facet-id order, keyed by trace_map
     ref: dict[tuple, list[tuple[int, int, int]]] = {}
-    for fid in dm.facet_ids:
-        f = mesh.facets[fid]
+    for fid in dm.facet_ids.tolist():
+        f = fcs[fid]
         sides = [(f.owner, f.owner_side)]
         if f.neighbor is not None:
             sides.append((f.neighbor, -f.owner_side))
         for eid, sign in sides:
-            fixed, alphas, betas = trace_map(f, mesh.elements[eid])
-            key = (f.axis, sign, fixed, alphas, betas, f.boundary, dm.facet_degrees(f))
+            fixed, alphas, betas = trace_map(f, els[eid])
+            key = (f.axis, sign, fixed, alphas, betas, f.boundary, dm.facet_degrees(f.axis))
             ref.setdefault(key, []).append((fid, eid, sign))
 
     groups = dm.facet_sides.groups
@@ -226,14 +230,14 @@ def test_facet_side_table_matches_per_facet_walk(d, policy, mesh):
         assert got == want
         pts = dm.facet_sides.points(g.facet, rule.points)
         for i, (fid, eid, _) in enumerate(want):
-            f = mesh.facets[fid]
-            el = mesh.elements[eid]
+            f = fcs[fid]
+            el = els[eid]
             free = f.free_axes()
             assert g.jacF[i] == 0.5 ** d * np.prod(np.delete(f.hi - f.lo, f.axis))
             assert g.s_ax[i] == 0.5 * (el.hi[g.axis] - el.lo[g.axis])
-            assert g.h_owner[i] == mesh.elements[f.owner].h
-            assert g.edof[i] == dm.elem_offset[eid]
-            assert g.fdof[i] == dm.facet_offset[fid]
+            assert g.h_owner[i] == els[f.owner].h
+            assert g.edof[i] == elem_dofs(dm, eid)[0]
+            assert g.fdof[i] == facet_dofs(dm, fid)[0]
             phys = np.empty((rule.points.shape[0], d + 1))
             phys[:, f.axis] = f.coord
             mid = 0.5 * (f.lo + f.hi)

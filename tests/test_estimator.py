@@ -9,16 +9,17 @@ from sthdg.estimator import (
     error_norms,
     estimate,
     local_efficiency,
-    regime_and_weights,
-    slab_height,
-    tau_eps,
+    regime_weights,
 )
-from sthdg.mesh import Element, SpaceTimeMesh
+from sthdg.mesh import SpaceTimeMesh
 from sthdg.problem import get_problem
 from sthdg.solver import solve
 
 from conftest import hanging_mesh, poly_problem, problem_mesh, regression_systems
-from oracles import oracle_estimate, oracle_norms
+from oracles import (
+    Element, elements, oracle_estimate, oracle_local_efficiency, oracle_norms,
+    regime_and_weights, slab_height,
+)
 
 _TERMS = ("eta_R", "eta_J1", "eta_J21", "eta_J22", "eta_J3Q", "eta_J3R",
           "eta_BC1", "eta_BC2", "osc_K", "osc_N")
@@ -51,23 +52,40 @@ def test_slab_height_uses_slab_not_element():
     mesh = SpaceTimeMesh.build(1, 2, 2)
     eid = mesh.element_ids()[0]
     mesh.refine_and_coarsen([eid])
-    kid = next(e for e, el in mesh.elements.items() if el.level == 1)
-    assert abs(slab_height(mesh, mesh.elements[kid]) - 0.5) < 1e-14
-    assert mesh.elements[kid].dt < 0.5
+    kid = next(el for el in elements(mesh).values() if el.level == 1)
+    assert abs(slab_height(mesh, kid) - 0.5) < 1e-14
+    assert kid.dt < 0.5
+
+
+def _assert_regime_weights_match_reference(mesh, eps) -> set[str]:
+    dm = build_dofmap(mesh, 1)
+    els = elements(mesh)
+    weights = [regime_and_weights(els[eid], slab_height(mesh, els[eid]), eps)
+               for eid in dm.elem_ids.tolist()]
+    eps_tilde, tau = regime_weights(dm, eps)
+    assert eps_tilde.tolist() == [w.eps_tilde for w in weights]
+    assert tau.tolist() == [w.tau_eps for w in weights]
+    return {w.regime for w in weights}
 
 
 def test_tau_eps_matches_regime_weights():
     # level 0: dt = h = 0.5; level 1 under h2: dt = 0.125, h = 0.25, so the
     # sweep meets all three regimes and both ties h == eps
     mesh = hanging_mesh(2, policy="h2")
-    dm = build_dofmap(mesh, 1)
     regimes = set()
     for eps in (1e-3, 0.2, 0.25, 0.3, 0.5, 1.0):
-        weights = [regime_and_weights(el, slab_height(mesh, el), eps)
-                   for el in map(mesh.elements.get, dm.elem_ids)]
-        regimes |= {w.regime for w in weights}
-        assert tau_eps(dm, eps).tolist() == [w.tau_eps for w in weights]
+        regimes |= _assert_regime_weights_match_reference(mesh, eps)
     assert regimes == {"d", "x", "c"}
+
+
+@pytest.mark.parametrize("dt,h,eps,regime", [
+    (5e-3, 5e-3, 1e-2, "d"), (5e-3, 0.1, 1e-2, "x"), (0.1, 0.1, 1e-2, "c"),
+    (0.1, 0.5, 1.0, "d"), (0.1, 2.0, 1.0, "x"),
+])
+def test_regime_weights_match_scalar_reference(dt, h, eps, regime):
+    # the cases of test_regime_classification, on a one-slab 2x2 mesh
+    mesh = SpaceTimeMesh.build(2, 1, 2, t_final=dt, x_hi=[2 * h, 2 * h])
+    assert _assert_regime_weights_match_reference(mesh, eps) == {regime}
 
 
 def test_estimator_matches_dense_oracle(rng):
@@ -83,9 +101,9 @@ def test_estimator_matches_dense_oracle(rng):
             x = rng.standard_normal(sys.n_dofs)
             est = estimate(sys, x)
             want = oracle_estimate(sys, x, npts=None if poly else sys.quad_n + 2)
-            for eid, e in est.per_element.items():
+            for i, eid in enumerate(est.elem_ids.tolist()):
                 for k in _TERMS:
-                    a, b = getattr(e, k), want[eid][k]
+                    a, b = getattr(est, k)[i], want[eid][k]
                     assert abs(a - b) <= 1e-8 * max(abs(a), abs(b), 1.0), (
                         f"{spec.name} {k}")
 
@@ -114,7 +132,7 @@ def test_eta_decomposition_is_exact(rng):
     sys = assemble(spec, mesh, p_s)
     x = rng.standard_normal(sys.n_dofs)
     est = estimate(sys, x)
-    total_sq = sum(est.eta_K(eid) ** 2 for eid in est.per_element)
+    total_sq = float(np.sum(est.eta_K ** 2))
     assert abs(est.eta**2 - total_sq) <= 1e-12 * est.eta**2
 
 
@@ -169,9 +187,22 @@ def test_local_efficiency_finite():
     est = estimate(sys, x)
     nb = error_norms(sys, x)
     le = local_efficiency(sys, est, nb)
-    assert set(le) == set(sys.dofmap.elem_ids)
-    for v in le.values():
-        assert np.isfinite(v) and v > 0
+    assert le.shape == (len(sys.dofmap.elem_ids),)
+    assert np.all(np.isfinite(le) & (le > 0))
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("policy", ["h", "h2"])
+def test_local_efficiency_matches_patch_loop(d, policy):
+    spec = poly_problem(d)
+    sys = assemble(spec, hanging_mesh(d, policy=policy), 1)
+    x, _ = solve(sys)
+    est = estimate(sys, x)
+    nb = error_norms(sys, x)
+    got = local_efficiency(sys, est, nb)
+    want = oracle_local_efficiency(sys, est, nb)
+    assert got.tolist() == pytest.approx([want[e] for e in sys.dofmap.elem_ids.tolist()],
+                                         rel=1e-12, abs=0)
 
 
 def test_quadrature_override_is_consistent(rng):

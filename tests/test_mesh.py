@@ -4,31 +4,34 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sthdg.mesh import SpaceTimeMesh, child_boxes, child_id, splitmix64
+from sthdg.mesh import BOUNDARIES, SpaceTimeMesh, child_boxes, child_id, splitmix64
 from sthdg.verify import build_subgrid
 
 from conftest import hanging_mesh
-from oracles import _mix64, reference_facets
+from oracles import _mix64, elements, facets, omega_K, reference_facets
 
 
 def _max_facet_jump(mesh):
-    j = 0
-    for f in mesh.facets.values():
-        if f.neighbor is not None:
-            j = max(j, abs(mesh.elements[f.owner].level - mesh.elements[f.neighbor].level))
-    return j
+    e, f = mesh.etab, mesh.ftab
+    inner = f.neighbor >= 0
+    return int(np.max(np.abs(e.level[f.owner[inner]] - e.level[f.neighbor[inner]]), initial=0))
+
+
+def _children(mesh, parent):
+    return mesh.etab.id[mesh.etab.parent == parent].tolist()
 
 
 def test_build_counts_and_geometry():
     mesh = SpaceTimeMesh.build(2, 3, 4, t_final=2.0, x_lo=[-1, 0], x_hi=[1, 3])
     assert mesh.n_elements == 3 * 16
     assert mesh.element_ids() == sorted(mesh.element_ids())
-    for el in mesh.elements.values():
+    els = elements(mesh)
+    for el in els.values():
         assert el.level == 0
         assert abs(el.dt - 2.0 / 3) < 1e-14
-        t0, t1 = mesh.slab_interval(el.slab)
+        t0, t1 = mesh.slab_times[el.slab], mesh.slab_times[el.slab + 1]
         assert t0 <= el.lo[0] and el.hi[0] <= t1
-    vol = sum(el.volume for el in mesh.elements.values())
+    vol = sum(el.volume for el in els.values())
     assert abs(vol - 2.0 * 2.0 * 3.0) < 1e-12
     mesh.validate()
 
@@ -42,24 +45,25 @@ def test_build_rejects_bad_arguments():
 
 def test_boundary_facet_labels():
     mesh = SpaceTimeMesh.build(1, 1, 1)
-    labels = sorted(f.boundary for f in mesh.facets.values())
+    labels = sorted(f.boundary for f in facets(mesh).values())
     assert labels == ["dirichlet", "dirichlet", "final", "initial"]
 
     mesh = SpaceTimeMesh.build(1, 1, 1, dirichlet_lateral=False)
-    labels = sorted(f.boundary for f in mesh.facets.values())
+    labels = sorted(f.boundary for f in facets(mesh).values())
     assert labels == ["final", "initial", "neumann", "neumann"]
 
 
 def test_facet_geometry_consistency():
     mesh = SpaceTimeMesh.build(2, 2, 2)
-    for f in mesh.facets.values():
+    els = elements(mesh)
+    for f in facets(mesh).values():
         assert f.lo[f.axis] == f.hi[f.axis] == f.coord
         assert f.is_R == (f.axis == 0)
-        el = mesh.elements[f.owner]
+        el = els[f.owner]
         side = el.hi[f.axis] if f.owner_side > 0 else el.lo[f.axis]
         assert abs(side - f.coord) < 1e-14
         if f.neighbor is not None:
-            nb = mesh.elements[f.neighbor]
+            nb = els[f.neighbor]
             # facet box contained in both closures
             assert np.all(f.lo >= np.minimum(el.lo, nb.lo) - 1e-14)
             assert np.all(f.hi <= np.maximum(el.hi, nb.hi) + 1e-14)
@@ -72,7 +76,7 @@ def test_refine_single_element():
     assert rep.refined == [target]
     assert rep.closure_refined == []
     assert mesh.n_elements == 3 + mesh.n_children()
-    assert target not in mesh.elements
+    assert target not in mesh.etab.id
     mesh.validate()
     assert _max_facet_jump(mesh) <= 1
 
@@ -81,7 +85,7 @@ def test_children_tile_parent():
     for policy, kt in (("h", 2), ("h2", 4)):
         mesh = SpaceTimeMesh.build(2, 1, 1, policy=policy)
         assert mesh.n_children() == kt * 4
-        parent = next(iter(mesh.elements.values()))
+        parent = next(iter(elements(mesh).values()))
         boxes = list(zip(*child_boxes(parent.lo[None], parent.hi[None], mesh.k_t)))
         assert len(boxes) == mesh.n_children()
         vol = sum(np.prod(hi - lo) for lo, hi in boxes)
@@ -92,14 +96,12 @@ def test_children_tile_parent():
 
 def test_closure_enforces_one_irregularity():
     mesh = SpaceTimeMesh.build(1, 1, 2)
-    left = min(mesh.element_ids(), key=lambda e: mesh.elements[e].lo[1])
+    left = mesh.etab.id[np.argmin(mesh.etab.lo[:, 1])]
     mesh.refine_and_coarsen([left])
     # refine a left child sitting on the interface: the coarse right
     # neighbor must be pulled in by closure
-    kid = next(
-        e for e, el in mesh.elements.items()
-        if el.level == 1 and abs(el.hi[1] - 0.5) < 1e-14
-    )
+    e = mesh.etab
+    kid = e.id[(e.level == 1) & (np.abs(e.hi[:, 1] - 0.5) < 1e-14)][0]
     rep = mesh.refine_and_coarsen([kid])
     assert len(rep.closure_refined) >= 1
     assert _max_facet_jump(mesh) <= 1
@@ -109,15 +111,14 @@ def test_closure_enforces_one_irregularity():
 def test_coarsen_restores_parent():
     mesh = SpaceTimeMesh.build(1, 2, 2)
     target = mesh.element_ids()[0]
-    el0 = mesh.elements[target]
-    lo0, hi0 = el0.lo.copy(), el0.hi.copy()
+    el0 = elements(mesh)[target]
     mesh.refine_and_coarsen([target])
-    kids = [e for e, el in mesh.elements.items() if el.parent == target]
-    rep = mesh.refine_and_coarsen([], kids)
+    rep = mesh.refine_and_coarsen([], _children(mesh, target))
     assert rep.coarsened_parents == [target]
     assert mesh.n_elements == 4
-    assert np.allclose(mesh.elements[target].lo, lo0)
-    assert np.allclose(mesh.elements[target].hi, hi0)
+    el = elements(mesh)[target]
+    assert np.allclose(el.lo, el0.lo)
+    assert np.allclose(el.hi, el0.hi)
     mesh.validate()
 
 
@@ -125,24 +126,22 @@ def test_partial_sibling_group_is_skipped():
     mesh = SpaceTimeMesh.build(1, 2, 2)
     target = mesh.element_ids()[0]
     mesh.refine_and_coarsen([target])
-    kids = sorted(e for e, el in mesh.elements.items() if el.parent == target)
+    kids = sorted(_children(mesh, target))
     rep = mesh.refine_and_coarsen([], kids[:-1])
     assert rep.coarsened_parents == []
     assert rep.skipped_coarsen == kids[:-1]
-    assert target not in mesh.elements
+    assert target not in mesh.etab.id
 
 
 def test_coarsen_blocked_by_level_jump():
     mesh = SpaceTimeMesh.build(1, 1, 2)
-    a, b = sorted(mesh.element_ids(), key=lambda e: mesh.elements[e].lo[1])
+    a, b = mesh.etab.id[np.argsort(mesh.etab.lo[:, 1])].tolist()
     mesh.refine_and_coarsen([a, b])
     # refine b's child on the interface so a's children would face level 2
-    kid_b = next(
-        e for e, el in mesh.elements.items()
-        if el.parent == b and abs(el.lo[1] - 0.5) < 1e-14
-    )
+    e = mesh.etab
+    kid_b = e.id[(e.parent == b) & (np.abs(e.lo[:, 1] - 0.5) < 1e-14)][0]
     mesh.refine_and_coarsen([kid_b])
-    kids_a = [e for e, el in mesh.elements.items() if el.parent == a]
+    kids_a = _children(mesh, a)
     rep = mesh.refine_and_coarsen([], kids_a)
     assert rep.coarsened_parents == []
     assert sorted(rep.skipped_coarsen) == sorted(kids_a)
@@ -153,10 +152,10 @@ def test_refinement_wins_over_coarsening():
     mesh = SpaceTimeMesh.build(1, 2, 2)
     target = mesh.element_ids()[0]
     mesh.refine_and_coarsen([target])
-    kids = [e for e, el in mesh.elements.items() if el.parent == target]
+    kids = _children(mesh, target)
     rep = mesh.refine_and_coarsen(kids[:1], kids)
     assert rep.coarsened_parents == []
-    assert kids[0] not in mesh.elements  # it was refined
+    assert kids[0] not in mesh.etab.id  # it was refined
 
 
 def test_refine_uniform_counts():
@@ -181,11 +180,8 @@ def test_element_ids_deterministic():
 
 def test_neighborhood_queries():
     mesh = SpaceTimeMesh.build(1, 2, 2)
-    corner = min(
-        mesh.element_ids(),
-        key=lambda e: (mesh.elements[e].lo[0], mesh.elements[e].lo[1]),
-    )
-    assert len(mesh.omega_K(corner)) == 2
+    corner = mesh.etab.id[np.lexsort((mesh.etab.lo[:, 1], mesh.etab.lo[:, 0]))[0]]
+    assert len(omega_K(mesh, corner)) == 2
 
 
 @settings(max_examples=20, deadline=None)
@@ -203,9 +199,9 @@ def test_random_adaptivity_keeps_invariants(data):
         mesh.refine_and_coarsen(refs, coars)
         mesh.validate()
         assert _max_facet_jump(mesh) <= 1
-        for el in mesh.elements.values():
-            t0, t1 = mesh.slab_interval(el.slab)
-            assert t0 - 1e-14 <= el.lo[0] and el.hi[0] <= t1 + 1e-14
+        e = mesh.etab
+        assert np.all(mesh.slab_times[e.slab] - 1e-14 <= e.lo[:, 0])
+        assert np.all(e.hi[:, 0] <= mesh.slab_times[e.slab + 1] + 1e-14)
 
 
 def test_splitmix64_matches_scalar_reference():
@@ -220,28 +216,38 @@ def test_splitmix64_matches_scalar_reference():
     assert kids.tolist() == [_mix64((w >> 1) ^ _mix64(6 ^ _mix64(112))) for w in words[:1000]]
 
 
-def test_entity_views_are_read_only():
+def test_table_arrays_are_read_only():
     mesh = hanging_mesh(2)
-    el = next(iter(mesh.elements.values()))
-    f = next(iter(mesh.facets.values()))
-    for a in (el.lo, f.hi, mesh.etab.lo, mesh.ftab.owner):
-        with pytest.raises(ValueError):
-            a[0] = 0
-    with pytest.raises(TypeError):
-        mesh.elements[el.eid] = el
+    for table in (mesh.etab, mesh.ftab):
+        for name in vars(table):
+            a = getattr(table, name)
+            with pytest.raises(ValueError):
+                a[0] = a[0]
+    with pytest.raises(AttributeError):
+        mesh.ftab.owner = mesh.ftab.neighbor
 
 
 def _assert_facets_match_reference(mesh):
     ref, ref_sides = reference_facets(mesh)
-    assert set(mesh.facets) == set(ref)
-    for fid, r in ref.items():
-        f = mesh.facets[fid]
-        assert f.lo.tobytes() == r.lo.tobytes() and f.hi.tobytes() == r.hi.tobytes()
-        assert (f.axis, f.coord, f.owner, f.neighbor, f.owner_side, f.boundary) == (
+    f, ids = mesh.ftab, mesh.etab.id
+    assert f.id.tolist() == sorted(ref)
+    for i, fid in enumerate(f.id.tolist()):
+        r = ref[fid]
+        ax = int(f.axis[i])
+        assert f.lo[i].tobytes() == r.lo.tobytes() and f.hi[i].tobytes() == r.hi.tobytes()
+        nb = int(ids[f.neighbor[i]]) if f.neighbor[i] >= 0 else None
+        assert (ax, float(f.lo[i, ax]), int(ids[f.owner[i]]), nb, int(f.side[i]),
+                BOUNDARIES[f.boundary[i]]) == (
             r.axis, r.coord, r.owner, r.neighbor, r.owner_side, r.boundary)
-    assert set(mesh.elem_facets) == set(ref_sides) == set(mesh.elements)
-    for eid, sides in ref_sides.items():
-        assert set(mesh.elem_facets[eid]) == set(sides)
+    # each element's sides: the rows that name it as owner or neighbor
+    inner = f.neighbor >= 0
+    side_elem = ids[np.concatenate((f.owner, f.neighbor[inner]))].tolist()
+    side = zip(np.concatenate((f.id, f.id[inner])).tolist(),
+               np.concatenate((f.side, -f.side[inner])).tolist())
+    sides: dict[int, set] = {eid: set() for eid in ids.tolist()}
+    for eid, s in zip(side_elem, side):
+        sides[eid].add(s)
+    assert sides == {eid: set(s) for eid, s in ref_sides.items()}
 
 
 @settings(max_examples=25, deadline=None)
@@ -257,9 +263,9 @@ def test_facet_tables_match_reference_builder(data):
         ids = mesh.element_ids()
         refs = data.draw(st.sets(st.sampled_from(ids), max_size=4))
         # whole sibling groups, so that coarsening happens, plus single ids
-        parents = sorted({el.parent for el in mesh.elements.values() if el.parent})
+        parents = sorted(set(mesh.etab.parent.tolist()) - {0})
         groups = data.draw(st.sets(st.sampled_from(parents), max_size=3)) if parents else set()
-        coars = [e for e, el in mesh.elements.items() if el.parent in groups]
+        coars = mesh.etab.id[np.isin(mesh.etab.parent, list(groups))].tolist()
         coars += data.draw(st.sets(st.sampled_from(ids), max_size=4))
         mesh.refine_and_coarsen(refs, coars)
         _assert_facets_match_reference(mesh)

@@ -6,13 +6,13 @@ import scipy.sparse.linalg as spla
 from scipy.sparse import csgraph
 
 from sthdg.adapt import run_study
-from sthdg.assembly import FieldEval, apply_dirichlet, assemble
+from sthdg.assembly import apply_dirichlet, assemble
 from sthdg.mesh import SpaceTimeMesh
 from sthdg.problem import get_problem
 from sthdg.solver import SolverError, causal_levels, solve
 
 from conftest import poly_problem, regression_systems
-from oracles import element_at
+from oracles import element_at, elements
 
 
 def test_solve_reports():
@@ -100,12 +100,11 @@ def test_linear_solution_is_reproduced_exactly():
     mesh = SpaceTimeMesh.build(1, 2, 2)
     sys = assemble(spec, mesh, 1)
     x, _ = solve(sys)
-    ev = FieldEval(sys.dofmap, x)
-    for eid in sys.dofmap.elem_ids:
-        el = mesh.elements[eid]
+    for el in elements(mesh).values():
+        eid = el.eid
         ref = np.array([[0.0, 0.0], [-0.5, 0.3], [1.0, -1.0]])
         pts = el.lo + 0.5 * (ref + 1) * (el.hi - el.lo)
-        vals, grad, dt = element_at(ev, eid, ref)
+        vals, grad, dt = element_at(sys.dofmap, x, eid, ref)
         assert np.allclose(vals, pts[:, 0] + pts[:, 1], atol=1e-10)
         assert np.allclose(grad[:, 0], 1.0, atol=1e-9)
         assert np.allclose(dt, 1.0, atol=1e-9)

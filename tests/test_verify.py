@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sthdg import fe
-from sthdg.assembly import FieldEval, assemble, build_dofmap
+from sthdg.assembly import assemble, build_dofmap
 from sthdg.mesh import SpaceTimeMesh
 from sthdg.problem import from_symbolic, get_problem
 from sthdg.verify import (
@@ -26,7 +26,7 @@ from sthdg.verify import (
 )
 
 from conftest import hanging_mesh, poly_problem, problem_mesh
-from oracles import element_at
+from oracles import element_at, elements, facets
 
 
 # ----------------------------------------------------------------------
@@ -38,34 +38,35 @@ def test_subgrid_structure(d, policy):
     mesh = hanging_mesh(d, policy=policy)
     pair = build_subgrid(mesh)
     assert pair.fine.n_elements == 2 * mesh.n_elements
-    assert len(pair.new_R) == mesh.n_elements
-    for eid, (lo_id, hi_id) in pair.children.items():
-        el = mesh.elements[eid]
-        lo_el = pair.fine.elements[lo_id]
-        hi_el = pair.fine.elements[hi_id]
+    coarse_ids, fine_ids = mesh.element_ids(), pair.fine.element_ids()
+    els, fine_els = elements(mesh), elements(pair.fine)
+    assert pair.children.shape == (mesh.n_elements, 2)
+    assert sorted(pair.children.reshape(-1).tolist()) == list(range(pair.fine.n_elements))
+    for eid, (lo_pos, hi_pos) in zip(coarse_ids, pair.children.tolist()):
+        el = els[eid]
+        lo_el = fine_els[fine_ids[lo_pos]]
+        hi_el = fine_els[fine_ids[hi_pos]]
         m = 0.5 * (el.lo[0] + el.hi[0])
         assert lo_el.lo[0] == el.lo[0] and abs(lo_el.hi[0] - m) < 1e-15
         assert abs(hi_el.lo[0] - m) < 1e-15 and hi_el.hi[0] == el.hi[0]
         assert np.all(lo_el.lo[1:] == el.lo[1:]) and np.all(hi_el.hi[1:] == el.hi[1:])
-        assert pair.parent_elem[lo_id] == eid
-    # every fine facet either descends from a coarse facet or bisects one
-    # coarse element
-    assert not set(pair.facet_parent) & set(pair.new_R)
-    assert set(pair.facet_parent) | set(pair.new_R) == set(pair.fine.facets)
+        assert lo_el.parent == hi_el.parent == eid
     # the lineage agrees with a search over all coarse facets: a fine facet
     # descends from the one coarse facet on its plane containing it; new
-    # horizontal facets lie inside an element, so no coarse facet contains them
-    expected = {}
-    for f in pair.fine.facets.values():
-        hosts = [g.fid for g in mesh.facets.values()
+    # horizontal facets lie inside an element, so no coarse facet contains
+    # them, and there is one per coarse element
+    coarse_facets = list(facets(mesh).values())
+    expected = []
+    for f in facets(pair.fine).values():
+        hosts = [k for k, g in enumerate(coarse_facets)
                  if g.axis == f.axis and np.all(g.lo <= f.lo) and np.all(f.hi <= g.hi)]
         assert len(hosts) <= 1
-        if hosts:
-            expected[f.fid] = hosts[0]
-    assert pair.facet_parent == expected
-    for fid, eid in pair.new_R.items():
-        f, el = pair.fine.facets[fid], mesh.elements[eid]
-        assert f.is_R and el.lo[0] < f.coord < el.hi[0]
+        expected.append(hosts[0] if hosts else -1)
+        if not hosts:
+            el = els[fine_els[f.owner].parent]
+            assert f.is_R and el.lo[0] < f.coord < el.hi[0]
+    assert pair.facet_parent.tolist() == expected
+    assert expected.count(-1) == mesh.n_elements
 
 
 def test_subgrid_handles_hanging_meshes():
@@ -81,17 +82,19 @@ def test_restriction_reproduces_fields(rng):
     dm_c = build_dofmap(mesh, 1)
     x_c = rng.standard_normal(dm_c.n_dofs)
     x_f = subgrid_restrict(pair, x_c, 1)
-    ev_c = FieldEval(dm_c, x_c)
-    ev_f = FieldEval(build_dofmap(pair.fine, 1), x_f)
+    dm_f = build_dofmap(pair.fine, 1)
+    els, fine_els = elements(mesh), elements(pair.fine)
     ref = rng.uniform(-1, 1, size=(5, 3))
-    for eid in list(pair.children)[:4]:
-        el = mesh.elements[eid]
-        for cid in pair.children[eid]:
-            ch = pair.fine.elements[cid]
+    for i in range(4):
+        eid = dm_c.elem_ids[i]
+        el = els[eid]
+        for cid in dm_f.elem_ids[pair.children[i]].tolist():
+            ch = fine_els[cid]
+            assert ch.parent == eid
             phys = fe.map_to_box(ch.lo, ch.hi, ref)
             ref_c = 2 * (phys - el.lo) / (el.hi - el.lo) - 1
-            vc, _, _ = element_at(ev_c, eid, ref_c)
-            vf, _, _ = element_at(ev_f, cid, ref)
+            vc, _, _ = element_at(dm_c, x_c, eid, ref_c)
+            vf, _, _ = element_at(dm_f, x_f, cid, ref)
             assert np.allclose(vc, vf, atol=1e-12)
 
 
@@ -122,6 +125,12 @@ def test_beta_sup_inheritance_is_needed():
     assert abs((G.T @ sys_f.A @ G) - sys_c.A).max() <= 1e-12
     sys_plain = assemble(spec, pair.fine, 1)
     assert abs((G.T @ sys_plain.A @ G) - sys_c.A).max() > 1e-3
+    # descended facets carry their parent's value; the new horizontal
+    # facets keep the computed one (1 on every horizontal facet)
+    parent = pair.facet_parent
+    assert np.array_equal(sys_f.beta_sup[parent >= 0], sys_c.beta_sup[parent[parent >= 0]])
+    assert np.array_equal(sys_f.beta_sup[parent < 0], sys_plain.beta_sup[parent < 0])
+    assert np.all(sys_f.beta_sup[parent < 0] == 1.0)
 
 
 def test_galerkin_orthogonality_single_and_hanging():
@@ -167,10 +176,10 @@ def _nodal_coeffs(mesh, p_s, fn):
     dm = build_dofmap(mesh, p_s)
     basis = fe.get_basis(dm.elem_degrees)
     out = np.empty(dm.n_elem_dofs)
-    for eid in dm.elem_ids:
-        el = mesh.elements[eid]
-        phys = fe.map_to_box(el.lo, el.hi, basis.nodes)
-        out[dm.elem_offset[eid]:dm.elem_offset[eid] + dm.n_elem_basis] = fn(phys)
+    lo, hi = dm.elem_box
+    for i in range(len(dm.elem_ids)):
+        phys = fe.map_to_box(lo[i], hi[i], basis.nodes)
+        out[i * dm.n_elem_basis:(i + 1) * dm.n_elem_basis] = fn(phys)
     return out
 
 
@@ -179,7 +188,7 @@ def test_averaging_fixes_continuous_fields():
     mesh.refine_and_coarsen([mesh.element_ids()[0]])
     coeffs = _nodal_coeffs(mesh, 1, lambda p: p[:, 0] + 2 * p[:, 1])
     res = averaging_operator(mesh, 1, coeffs)
-    assert max(res.defect.values()) <= 1e-12
+    assert res.defect.max() <= 1e-12
     assert res.continuity <= 1e-12
 
 
@@ -187,19 +196,16 @@ def test_averaging_of_a_step():
     # element-wise constants 0 | 1 jumping across the interior facet
     mesh = SpaceTimeMesh.build(1, 1, 2, dirichlet_lateral=False)
     dm = build_dofmap(mesh, 1)
-    coeffs = np.empty(dm.n_elem_dofs)
-    for eid in dm.elem_ids:
-        val = 0.0 if mesh.elements[eid].lo[1] < 0.25 else 1.0
-        coeffs[dm.elem_offset[eid]:dm.elem_offset[eid] + dm.n_elem_basis] = val
+    coeffs = np.repeat(np.where(dm.elem_box[0][:, 1] < 0.25, 0.0, 1.0), dm.n_elem_basis)
     res = averaging_operator(mesh, 1, coeffs)
     assert res.continuity <= 1e-12
-    assert min(res.defect.values()) > 0
+    assert res.defect.min() > 0
     # interface nodes carry the two-sided mean
     interface_vals = set()
     basis = fe.get_basis((1, 1))
-    for cell in res.cells:
-        phys = fe.map_to_box(cell.lo, cell.hi, basis.nodes)
-        for p, v in zip(phys, cell.values):
+    for lo, hi, values in zip(res.cell_lo, res.cell_hi, res.cell_values):
+        phys = fe.map_to_box(lo, hi, basis.nodes)
+        for p, v in zip(phys, values):
             if abs(p[1] - 0.5) < 1e-12:
                 interface_vals.add(round(float(v), 12))
     assert interface_vals == {0.5}
@@ -210,14 +216,14 @@ def test_averaging_zeroes_dirichlet_walls():
     coeffs = _nodal_coeffs(mesh, 1, lambda p: np.ones(p.shape[0]))
     res = averaging_operator(mesh, 1, coeffs)
     basis = fe.get_basis((1, 1))
-    for cell in res.cells:
-        phys = fe.map_to_box(cell.lo, cell.hi, basis.nodes)
-        for p, v in zip(phys, cell.values):
+    for lo, hi, values in zip(res.cell_lo, res.cell_hi, res.cell_values):
+        phys = fe.map_to_box(lo, hi, basis.nodes)
+        for p, v in zip(phys, values):
             if abs(p[1]) < 1e-12 or abs(p[1] - 1.0) < 1e-12:
                 assert v == 0.0
             else:
                 assert v == 1.0
-    assert max(res.defect.values()) > 0.1
+    assert res.defect.max() > 0.1
 
 
 def test_averaging_validates_input():
@@ -241,7 +247,7 @@ def test_averaging_node_count(mesh_of, p_s, n_nodes):
     coeffs = _nodal_coeffs(mesh, p_s, lambda p: p[:, 0] + p[:, 1] ** 2 - p[:, -1])
     res = averaging_operator(mesh, p_s, coeffs)
     assert res.n_nodes == n_nodes
-    assert max(res.defect.values()) <= 1e-12
+    assert res.defect.max() <= 1e-12
     assert res.continuity <= 1e-12
 
 
@@ -259,9 +265,8 @@ def test_oswald_constant_bounded_on_random_fields(rng):
     for _ in range(3):
         coeffs = rng.standard_normal(dm.n_elem_dofs)
         rep = oswald_constant(mesh, 1, coeffs)
-        assert set(rep.per_element) == set(mesh.element_ids())
-        for defect, bound in rep.per_element.values():
-            assert defect <= rep.constant * bound + 1e-9
+        assert rep.defect.shape == rep.bound.shape == (mesh.n_elements,)
+        assert np.all(rep.defect <= rep.constant * rep.bound + 1e-9)
         worst = max(worst, rep.constant)
     assert 0 < worst < 10.0
 
@@ -269,18 +274,19 @@ def test_oswald_constant_bounded_on_random_fields(rng):
     # |c_K - c_K'|, so each bound is a sum of w |c_K - c_K'| sqrt(|F|) over
     # the interior facets whose closure touches the element
     const = rng.standard_normal(mesh.n_elements)
-    c_of = dict(zip(dm.elem_ids, const))
+    c_of = dict(zip(dm.elem_ids.tolist(), const))
     rep = oswald_constant(mesh, 1, np.repeat(const, dm.n_elem_basis))
-    for eid in dm.elem_ids:
-        el = mesh.elements[eid]
+    els, fcs = elements(mesh), facets(mesh)
+    for i, eid in enumerate(dm.elem_ids.tolist()):
+        el = els[eid]
         want = 0.0
-        for f in mesh.facets.values():
+        for f in fcs.values():
             if f.neighbor is None or not np.all((f.lo <= el.hi) & (el.lo <= f.hi)):
                 continue
             w = np.sqrt(el.h) if f.is_Q else np.sqrt(el.dt)
             want += w * abs(c_of[f.owner] - c_of[f.neighbor]) * np.sqrt(f.measure)
         assert want > 0
-        assert rep.per_element[eid][1] == pytest.approx(want, rel=1e-12, abs=0)
+        assert rep.bound[i] == pytest.approx(want, rel=1e-12, abs=0)
 
 
 # ----------------------------------------------------------------------
