@@ -164,6 +164,7 @@ def run_study(
                 mesh.refine_and_coarsen(refine, coarsen)
             else:
                 mesh.refine_uniform(1)
+        del sys, x, est  # free this cycle's system before the next assemble
         lap("refine")
         rec.maxrss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     return records, mesh

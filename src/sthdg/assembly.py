@@ -26,38 +26,39 @@ dofs (facets sorted by id).  Entities are addressed by position in these
 two orders, `DofMap.elem_ids` and `DofMap.facet_ids`; per-entity results
 (beta_s, estimator terms, cell data) are arrays in the same order.
 
-Everything is batched over groups of entities that share the same reference
-data, so the per-entity work is pure numpy.  The `DofMap` reads the mesh's
-element and facet tables (`SpaceTimeMesh.etab`, `.ftab`) directly, builds
-both group tables once, and assembly, the estimator and the error norms all
-read them:
+Work is batched over groups of entities that share reference data.  The
+`DofMap` reads the mesh tables (`SpaceTimeMesh.etab`, `.ftab`) and builds
+two group tables once, which assembly, the estimator and the norms read:
 
-* `elem_classes`: elements of equal extent (hence equal reference-to-physical
-  scaling), in order of first occurrence in element-id order.
+* `elem_classes`: elements of equal extent, in order of first occurrence.
 * `facet_sides`: one row per (facet, adjacent element) side, with the
-  element and facet positions and first dofs, the facet Jacobian jacF, the
-  element half-width s_ax along the facet normal and the owner's h, plus the
-  facet midpoints and half-widths from which quadrature points are built
-  per chunk.  Sides are grouped by their trace-map key (axis, sign, fixed,
-  alphas, betas, boundary, facet degrees): the element reference coordinate
-  along the facet's frozen axis is `fixed` (+-1), and along its i-th free
-  axis it is alphas[i] + betas[i] * xhat_facet[i].
+  positions, first dofs, facet Jacobian jacF, element half-width s_ax along
+  the normal and owner h.  Sides are grouped by their trace-map key (axis,
+  sign, fixed, alphas, betas, boundary, facet degrees): the element
+  reference coordinate is `fixed` (+-1) along the facet's frozen axis and
+  alphas[i] + betas[i] * xhat_facet[i] along its i-th free axis.  An
+  element and a facet each occur at most once in a group.
 
-The order is fixed: sides are walked in facet-id order, owner side before
-neighbor side; groups come in order of first occurrence in that walk, sides
-inside a group keep it, and groups are cut into chunks of `_CHUNK` sides.
-Every einsum, `np.add.at` and COO concatenation therefore sees the same
-arrays whatever consumer reads the table, so the assembled system and the
-estimator are reproducible bit for bit; a last-bit change to eta_K could
-reorder elements of equal eta_K in marking and change the adapted mesh.
+Sides are walked in facet-id order, owner before neighbor; groups come in
+order of first occurrence, keep the walk order inside and are cut into
+chunks of `_CHUNK` sides.  Every consumer sums the same arrays in the same
+order, so the system and the estimator are reproducible bit for bit (a
+last-bit change to eta_K could reorder near-ties in marking).
+
+`assemble` sums each block once, in place: the volume terms and every
+side's element-element block into one (n_elem, nb, nb) array (A_EE is
+block diagonal), a chunk's four flux terms into one element-facet and one
+facet-element block per side, facet-facet blocks per facet.  `_BlockCSR`
+writes each nonzero once into CSR arrays laid out from the block pattern:
+rows sorted, structural zeros kept, 32-bit indices while they fit.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 from functools import cached_property
-
-import math
 
 import numpy as np
 import scipy.sparse as sp
@@ -75,9 +76,7 @@ def penalty_alpha(p_s: int) -> float:
     return 8.0 * p_s * p_s
 
 
-# ----------------------------------------------------------------------
-# dof map
-# ----------------------------------------------------------------------
+# ---- dof map ---------------------------------------------------------
 
 
 def _facet_degrees(p_s: int, d: int, axis: int) -> tuple[int, ...]:
@@ -115,9 +114,7 @@ class DofMap:
     @cached_property
     def elem_pos(self) -> np.ndarray:
         """Position in elem_ids of every element-table row."""
-        pos = np.empty(len(self.elem_rows), dtype=np.intp)
-        pos[self.elem_rows] = np.arange(len(self.elem_rows))
-        return pos
+        return np.argsort(self.elem_rows)  # the inverse permutation
 
     @cached_property
     def elem_box(self) -> tuple[np.ndarray, np.ndarray]:
@@ -146,9 +143,7 @@ def first_occurrence_labels(keys: np.ndarray) -> np.ndarray:
     """Label of every row of `keys`: equal rows share a label, and labels
     count the distinct rows in order of first occurrence."""
     _, first, inv = np.unique(keys, axis=0, return_index=True, return_inverse=True)
-    rank = np.empty(len(first), dtype=np.intp)
-    rank[np.argsort(first)] = np.arange(len(first))
-    return rank[inv.reshape(-1)]
+    return np.argsort(np.argsort(first))[inv.reshape(-1)]
 
 
 def _groups_of_equal_rows(keys: np.ndarray) -> list[np.ndarray]:
@@ -193,7 +188,6 @@ class SideGroup:
     fdeg: tuple[int, ...]
     facet: np.ndarray  # positions in facet_ids
     elem: np.ndarray  # positions in elem_ids
-    edof: np.ndarray  # first element dof
     fdof: np.ndarray  # first facet dof
     jacF: np.ndarray  # facet reference-to-physical Jacobian
     s_ax: np.ndarray  # element half-width along axis
@@ -219,10 +213,7 @@ class FacetSides:
         (nq, d) on the given facets; free axes ascending.
         The half-width along the frozen axis is zero, so that coordinate is
         the facet plane."""
-        d1 = ref.shape[1] + 1
-        ref_full = np.zeros((d1, ref.shape[0], d1))
-        for a in range(d1):
-            ref_full[a][:, [b for b in range(d1) if b != a]] = ref
+        ref_full = np.stack([np.insert(ref, a, 0.0, axis=1) for a in range(ref.shape[1] + 1)])
         return (self.mid[facets][:, None, :]
                 + self.half[facets][:, None, :] * ref_full[self.axis[facets]])
 
@@ -236,9 +227,7 @@ def _build_facet_sides(dm: DofMap) -> FacetSides:
     flo, fhi = ft.lo, ft.hi
     owner = dm.elem_pos[ft.owner]
     neighbor = np.where(ft.neighbor >= 0, dm.elem_pos[ft.neighbor], -1)
-    owner_side = ft.side
     bcode = ft.boundary
-    fdof = dm.facet_dof
     fmid = 0.5 * (flo + fhi)
     fhalf = 0.5 * (fhi - flo)
     free = np.array([[b for b in range(d1) if b != a] for a in range(d1)], dtype=np.intp)
@@ -249,7 +238,7 @@ def _build_facet_sides(dm: DofMap) -> FacetSides:
     is_nb = np.zeros(len(sf), dtype=bool)
     is_nb[1:] = sf[1:] == sf[:-1]
     se = np.where(is_nb, neighbor[sf], owner[sf])
-    sign = np.where(is_nb, -owner_side[sf], owner_side[sf])
+    sign = np.where(is_nb, -ft.side[sf], ft.side[sf])
 
     # trace map of every side: (facet midpoint - element midpoint) and the
     # facet half-width over the element half-width on the free axes; along
@@ -265,7 +254,6 @@ def _build_facet_sides(dm: DofMap) -> FacetSides:
     fixed = np.sign(rel[ix, sa])
     keys = np.column_stack([sa, sign, fixed, alphas, betas, bcode[sf]])
     s_ax = half_el[ix, sa]
-    nb = dm.n_elem_basis
 
     groups = []
     for rows in _groups_of_equal_rows(keys):
@@ -277,10 +265,10 @@ def _build_facet_sides(dm: DofMap) -> FacetSides:
             alphas=tuple(alphas[k].tolist()), betas=tuple(betas[k].tolist()),
             boundary=BOUNDARIES[bcode[sf[k]]],
             fdeg=dm.facet_degrees(a),
-            facet=fp, elem=se[rows], edof=se[rows] * nb, fdof=fdof[fp],
+            facet=fp, elem=se[rows], fdof=dm.facet_dof[fp],
             jacF=jacF[fp], s_ax=s_ax[rows], h_owner=dm.elem_h[owner[fp]],
         ))
-    return FacetSides(axis=axis, boundary=bcode, mid=fmid, half=fhalf, dof=fdof,
+    return FacetSides(axis=axis, boundary=bcode, mid=fmid, half=fhalf, dof=dm.facet_dof,
                       groups=groups)
 
 
@@ -300,54 +288,27 @@ def build_dofmap(mesh: SpaceTimeMesh, p_s: int) -> DofMap:
     )
 
 
-# ----------------------------------------------------------------------
-# reference data caches
-# ----------------------------------------------------------------------
+# ---- reference data caches -------------------------------------------
 
-_trace_cache: dict[tuple, fe.BasisValues] = {}
-
-
-def elem_trace_basis(
-    degrees: tuple[int, ...], axis: int, fixed: float,
-    alphas: tuple[float, ...], betas: tuple[float, ...], nq: int,
-) -> fe.BasisValues:
+@functools.cache
+def elem_trace_basis(degrees: tuple[int, ...], axis: int, fixed: float, alphas: tuple[float, ...],
+                     betas: tuple[float, ...], nq: int) -> fe.BasisValues:
     """The element basis evaluated at facet quadrature points (reference level)."""
-    key = (degrees, axis, fixed, alphas, betas, nq)
-    hit = _trace_cache.get(key)
-    if hit is not None:
-        return hit
-    k = len(degrees)
-    rule = fe.tensor_rule((nq,) * (k - 1)) if k > 1 else fe.tensor_rule(())
-    pts = np.empty((rule.points.shape[0] if k > 1 else 1, k))
-    free = [a for a in range(k) if a != axis]
-    pts[:, axis] = fixed
-    for i, a in enumerate(free):
-        pts[:, a] = alphas[i] + betas[i] * rule.points[:, i]
-    out = fe.get_basis(degrees).eval(pts)
-    _trace_cache[key] = out
-    return out
+    ref = facet_rule(len(degrees) - 1, nq).points
+    pts = np.insert(np.asarray(alphas) + np.asarray(betas) * ref, axis, fixed, axis=1)
+    return fe.get_basis(degrees).eval(pts)
 
 
-_facet_basis_cache: dict[tuple, fe.BasisValues] = {}
-
-
+@functools.cache
 def facet_basis_at_rule(degrees: tuple[int, ...], nq: int) -> fe.BasisValues:
-    key = (degrees, nq)
-    hit = _facet_basis_cache.get(key)
-    if hit is None:
-        rule = fe.tensor_rule((nq,) * len(degrees))
-        hit = fe.get_basis(degrees).eval(rule.points)
-        _facet_basis_cache[key] = hit
-    return hit
+    return fe.get_basis(degrees).eval(facet_rule(len(degrees), nq).points)
 
 
 def facet_rule(n_free_axes: int, nq: int) -> fe.TensorRule:
     return fe.tensor_rule((nq,) * n_free_axes)
 
 
-# ----------------------------------------------------------------------
-# facet beta_s (sup |beta.n|, one value per facet shared by both sides)
-# ----------------------------------------------------------------------
+# ---- facet beta_s: sup |beta.n|, one value per facet shared by both sides
 
 
 def compute_beta_sup(spec: ProblemSpec, dm: DofMap, nq: int) -> np.ndarray:
@@ -367,9 +328,7 @@ def compute_beta_sup(spec: ProblemSpec, dm: DofMap, nq: int) -> np.ndarray:
     return out
 
 
-# ----------------------------------------------------------------------
-# assembled system
-# ----------------------------------------------------------------------
+# ---- assembled system ------------------------------------------------
 
 
 @dataclass
@@ -394,13 +353,17 @@ class AssembledSystem:
 
 
 def apply_dirichlet(sys: AssembledSystem) -> tuple[sp.csr_matrix, np.ndarray]:
-    """Replace constrained rows by identity with projected boundary values."""
-    n = sys.n_dofs
-    free = sys.free_mask().astype(float)
-    D_free = sp.diags(free)
-    dir_ind = np.zeros(n)
-    dir_ind[sys.dirichlet_idx] = 1.0
-    A_bc = (D_free @ sys.A + sp.diags(dir_ind)).tocsr()
+    """Replace constrained rows by identity with projected boundary values;
+    explicit zeros are dropped, so `causal_levels` sees true couplings only."""
+    A = sys.A
+    free = sys.free_mask()
+    keep = np.repeat(free, np.diff(A.indptr)) & (A.data != 0)
+    kept = np.concatenate(([0], np.cumsum(keep)))[A.indptr]  # kept entries before each row
+    dir_rows = np.flatnonzero(~free)  # these keep nothing: the 1 is their only entry
+    indptr = kept + np.concatenate(([0], np.cumsum(~free)))
+    A_bc = sp.csr_matrix((np.insert(A.data[keep], kept[dir_rows], 1.0),
+                          np.insert(A.indices[keep], kept[dir_rows], dir_rows),
+                          indptr.astype(A.indptr.dtype)), shape=A.shape)
     b_bc = free * sys.b
     b_bc[sys.dirichlet_idx] = sys.dirichlet_values
     return A_bc, b_bc
@@ -408,6 +371,55 @@ def apply_dirichlet(sys: AssembledSystem) -> tuple[sp.csr_matrix, np.ndarray]:
 
 def default_quad_n(p_s: int) -> int:
     return max(P_T, p_s) + 2
+
+
+def _weighted(*terms: np.ndarray) -> np.ndarray:
+    """(m, ni, nj) blocks sum_k sum_q w_k[m, q] X_k[q, i] Y_k[q, j] of
+    (w_k, X_k, Y_k) triples, as one matrix product."""
+    W = np.hstack(terms[0::3])
+    P = np.concatenate([X[:, :, None] * Y[:, None, :] for X, Y in zip(terms[1::3], terms[2::3])])
+    return (W @ P.reshape(len(P), -1)).reshape(len(W), *P.shape[1:])
+
+
+class _BlockCSR:
+    """CSR arrays of the HDG block pattern, filled block by block.  The
+    entities are the elements, then the facets (entity n_elem + f); block k
+    couples the dofs of entity row[k] with those of entity col[k]: one
+    diagonal block per entity, then an element-facet block per facet side,
+    then a facet-element block per side, sides in group order."""
+
+    def __init__(self, dm: DofMap):
+        groups, n_elem, nb = dm.facet_sides.groups, len(dm.elem_ids), dm.n_elem_basis
+        side_e, side_f = (np.concatenate([getattr(g, k) for g in groups])
+                          for k in ("elem", "facet"))
+        self.size = np.concatenate((np.full(n_elem, nb), np.diff(dm.facet_dof, append=dm.n_dofs)))
+        first = np.concatenate((np.arange(n_elem) * nb, dm.facet_dof))
+        ent, side_f = np.arange(len(self.size)), n_elem + side_f
+        row, col = np.concatenate((ent, side_e, side_f)), np.concatenate((ent, side_f, side_e))
+        row_len = np.bincount(row, self.size[col]).astype(np.intp)
+        idx = sp.get_index_dtype(maxval=max(int(row_len @ self.size), dm.n_dofs))
+        self.indptr = np.concatenate(([0], np.cumsum(np.repeat(row_len, self.size)))).astype(idx)
+        # a block starts after the blocks of its row with smaller col
+        order = np.lexsort((col, row))
+        w, r = self.size[col[order]], row[order]
+        self.start = np.empty(len(order), dtype=np.intp)
+        self.start[order] = (np.cumsum(w) - w - (np.cumsum(row_len) - row_len)[r]
+                             + self.indptr[first[r]])
+        self.stride, self.col = row_len[row], first[col]
+        self.data = np.empty(self.indptr[-1])
+        self.indices = np.empty(self.indptr[-1], dtype=idx)
+        # the first element-facet block of every group; the facet-element
+        # block of a side comes n_side blocks after its element-facet block
+        self.n_side = len(side_e)
+        self.group_side = len(ent) + np.cumsum([0] + [len(g.facet) for g in groups[:-1]])
+
+    def put(self, k: np.ndarray, block: np.ndarray):
+        """Write the (m, ni, nj) values of the blocks numbered k."""
+        _, ni, nj = block.shape
+        pos = (self.start[k][:, None, None] + np.arange(nj)
+               + self.stride[k][:, None, None] * np.arange(ni)[:, None])
+        self.data[pos] = block
+        self.indices[pos] = self.col[k][:, None, None] + np.arange(nj)
 
 
 def assemble(
@@ -436,34 +448,32 @@ def assemble(
     elif beta_sup.shape != (len(dm.facet_ids),):
         raise ValueError("beta_sup needs one value per facet")
     fs = dm.facet_sides
-
-    rows: list[np.ndarray] = []
-    cols: list[np.ndarray] = []
-    vals: list[np.ndarray] = []
+    nb = dm.n_elem_basis
+    n_elem = len(dm.elem_ids)
+    csr = _BlockCSR(dm)
+    # the diagonal blocks, one array per block size, entities in order; the
+    # elements lead the blocks of size nb, so A_EE[e] is element e's block
+    diag, in_diag = {}, np.empty(len(csr.size), dtype=np.intp)
+    for k in np.unique(csr.size).tolist():
+        n_k = np.count_nonzero(csr.size == k)
+        diag[k] = np.zeros((n_k, k, k))
+        in_diag[csr.size == k] = np.arange(n_k)
+    A_EE = diag[nb]
     b = np.zeros(dm.n_dofs)
-
-    def scatter(r2d: np.ndarray, c2d: np.ndarray, block: np.ndarray):
-        m, nr, nc = block.shape
-        rows.append(np.repeat(r2d[:, :, None], nc, axis=2).reshape(-1))
-        cols.append(np.repeat(c2d[:, None, :], nr, axis=1).reshape(-1))
-        vals.append(block.reshape(-1))
+    b_E = b[: dm.n_elem_dofs].reshape(n_elem, nb)
 
     # ---------------- volume terms ---------------------------------
     vol_rule = fe.tensor_rule((nq,) * d1)
     wq = vol_rule.weights
-    basis = fe.get_basis(dm.elem_degrees)
-    BV = basis.eval(vol_rule.points)
+    BV = fe.get_basis(dm.elem_degrees).eval(vol_rule.points)
     V, G = BV.values, BV.grad  # (nqv, nb), (nqv, nb, d1)
-    nb = dm.n_elem_basis
 
     for cls in dm.elem_classes:
         half = cls.half
         jac = float(np.prod(half))
         # diffusion: eps sum_a (1/s_a^2) int dGa_j dGa_i   (spatial axes)
-        Ad = np.zeros((nb, nb))
-        for a in range(1, d1):
-            Ga = G[:, :, a]
-            Ad += (eps / half[a] ** 2) * np.einsum("q,qi,qj->ij", wq, Ga, Ga)
+        Ad = sum((eps / half[a] ** 2) * np.einsum("q,qi,qj->ij", wq, G[:, :, a], G[:, :, a])
+                 for a in range(1, d1))
         for sl in cls.chunks():
             pts = cls.points(sl, vol_rule.points)
             m = pts.shape[0]
@@ -472,91 +482,80 @@ def assemble(
             bbar = spec.beta_bar(flat).reshape(m, -1, d)
 
             # advection: -(beta u, grad_st v): -int phi_j (beta . grad phi_i)
-            Bdot = np.broadcast_to((G[:, :, 0] / half[0])[None], (m, len(wq), nb)).copy()
+            terms = [np.broadcast_to(-wq, (m, len(wq))), G[:, :, 0] / half[0], V]
             for a in range(1, d1):
-                Bdot += bbar[:, :, a - 1, None] * (G[None, :, :, a] / half[a])
-            Aa = -np.einsum("q,qj,mqi->mij", wq, V, Bdot)
-            block = jac * (Ad[None, :, :] + Aa)
-            dof2d = (cls.elem[sl] * nb)[:, None] + np.arange(nb)[None, :]
-            scatter(dof2d, dof2d, block)
-            np.add.at(b, dof2d.reshape(-1), (jac * np.einsum("q,mq,qi->mi", wq, fv, V)).reshape(-1))
+                terms += [-wq * bbar[:, :, a - 1], G[:, :, a] / half[a], V]
+            rows = cls.elem[sl]
+            A_EE[rows] += jac * (Ad + _weighted(*terms))
+            b_E[rows] += jac * np.einsum("q,mq,qi->mi", wq, fv, V)
 
     # ---------------- facet terms -----------------------------------
     frule = facet_rule(d, nq)
     wfq = frule.weights
     nqf = len(wfq)
 
-    for g in fs.groups:
+    for g, k0 in zip(fs.groups, csr.group_side):
         axis, sign = g.axis, g.sign
         EB = elem_trace_basis(dm.elem_degrees, axis, g.fixed, g.alphas, g.betas, nq)
-        FB = facet_basis_at_rule(g.fdeg, nq)
         E = EB.values  # (nqf, nb)
-        Fb = FB.values  # (nqf, nbf)
-        nbf = Fb.shape[1]
-        is_Q = axis >= 1
-        neumann_bdy = g.boundary in ("initial", "final", "neumann")
+        Gn = EB.grad[:, :, axis]  # (nqf, nb), d/d(ref axis)
+        Fb = facet_basis_at_rule(g.fdeg, nq).values  # (nqf, nbf)
+        A_FF = diag[Fb.shape[1]]
 
         for sl in g.chunks():
-            facets = g.facet[sl]
+            facets, elems = g.facet[sl], g.elem[sl]
             m = len(facets)
             flat = fs.points(facets, frule.points).reshape(-1, d1)
             bn = sign * spec.beta(flat)[:, axis].reshape(m, nqf)
             bs = beta_sup[facets]
             we = wfq[None, :] * g.jacF[sl][:, None]
 
-            edofs = g.edof[sl][:, None] + np.arange(nb)[None, :]
-            fdofs = g.fdof[sl][:, None] + np.arange(nbf)[None, :]
-
-            # advective flux: ((bn) lambda + bs (u - lambda), v - mu)
+            # advective flux ((bn) lambda + bs (u - lambda), v - mu); on
+            # lateral facets also the penalty and the two consistency terms
+            # -<eps [[u]], grad_n v> and -<eps grad_n u, [[v]]>
             w_bs = we * bs[:, None]
             w_mix = we * (bn - bs[:, None])
-            scatter(edofs, edofs, np.einsum("mq,qi,qj->mij", w_bs, E, E))
-            scatter(edofs, fdofs, np.einsum("mq,qi,qj->mij", w_mix, E, Fb))
-            scatter(fdofs, edofs, -np.einsum("mq,qi,qj->mij", w_bs, Fb, E))
-            scatter(fdofs, fdofs, -np.einsum("mq,qi,qj->mij", w_mix, Fb, Fb))
-
-            if is_Q:
+            if axis >= 1:  # lateral facet
                 wp = we * (eps * alpha / g.h_owner[sl])[:, None]
-                scatter(edofs, edofs, np.einsum("mq,qi,qj->mij", wp, E, E))
-                scatter(edofs, fdofs, -np.einsum("mq,qi,qj->mij", wp, E, Fb))
-                scatter(fdofs, edofs, -np.einsum("mq,qi,qj->mij", wp, Fb, E))
-                scatter(fdofs, fdofs, np.einsum("mq,qi,qj->mij", wp, Fb, Fb))
-
-                Gn = EB.grad[:, :, axis]  # (nqf, nb), d/d(ref axis)
                 wg = we * (sign * eps / g.s_ax[sl])[:, None]
-                # -<eps [[u]], grad_n v>
-                scatter(edofs, edofs, -np.einsum("mq,qi,qj->mij", wg, Gn, E))
-                scatter(edofs, fdofs, np.einsum("mq,qi,qj->mij", wg, Gn, Fb))
-                # -<eps grad_n u, [[v]]>
-                scatter(edofs, edofs, -np.einsum("mq,qj,qi->mij", wg, Gn, E))
-                scatter(fdofs, edofs, np.einsum("mq,qj,qi->mij", wg, Gn, Fb))
+                A_ee = _weighted(w_bs + wp, E, E, -wg, Gn, E, -wg, E, Gn)
+                A_ef = _weighted(w_mix - wp, E, Fb, wg, Gn, Fb)
+                A_fe = _weighted(-w_bs - wp, Fb, E, wg, Fb, Gn)
+                w_ff = wp - w_mix
+            else:
+                A_ee, A_ef = _weighted(w_bs, E, E), _weighted(w_mix, E, Fb)
+                A_fe, w_ff = _weighted(-w_bs, Fb, E), -w_mix
 
-            if neumann_bdy:
-                zp = (bn >= 0).astype(float)
-                scatter(fdofs, fdofs, np.einsum("mq,qi,qj->mij", we * zp * bn, Fb, Fb))
+            if g.boundary in ("initial", "final", "neumann"):
+                w_ff = w_ff + we * (bn >= 0) * bn
                 normal = np.zeros(d1)
                 normal[axis] = sign
                 g_n = spec.neumann_data(flat, normal).reshape(m, nqf)
-                np.add.at(b, fdofs.reshape(-1), np.einsum("mq,qi->mi", we * g_n, Fb).reshape(-1))
+                b_F = np.einsum("mq,qi->mi", we * g_n, Fb)
+                b[g.fdof[sl][:, None] + np.arange(Fb.shape[1])] += b_F
 
-    A = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(dm.n_dofs, dm.n_dofs),
-    ).tocsr()
+            # an element and a facet occur at most once in a group
+            A_EE[elems] += A_ee
+            A_FF[in_diag[n_elem + facets]] += _weighted(w_ff, Fb, Fb)
+            k = k0 + np.arange(sl.start, sl.start + m)
+            csr.put(k, A_ef)
+            csr.put(k + csr.n_side, A_fe)
+
+    for k, blocks in diag.items():
+        csr.put(np.flatnonzero(csr.size == k), blocks)
+    A = sp.csr_matrix((csr.data, csr.indices, csr.indptr), shape=(dm.n_dofs, dm.n_dofs))
 
     # ---------------- Dirichlet values ------------------------------
     # Dirichlet facets are lateral, so they share one facet basis
     dir_facets = np.flatnonzero(fs.boundary == BOUNDARIES.index("dirichlet"))
     if dir_facets.size:
         FB = facet_basis_at_rule(dm.facet_degrees(1), nq)
-        rule = facet_rule(d, nq)
-        Gram = FB.values.T @ (FB.values * rule.weights[:, None])
-        pts = fs.points(dir_facets, rule.points).reshape(-1, d1)
+        Gram = FB.values.T @ (FB.values * wfq[:, None])
+        pts = fs.points(dir_facets, frule.points).reshape(-1, d1)
         gv = spec.dirichlet_data(pts).reshape(len(dir_facets), -1)
-        rhs = np.einsum("q,qi,mq->mi", rule.weights, FB.values, gv)
-        coeffs = np.linalg.solve(Gram, rhs.T).T
+        rhs = np.einsum("q,qi,mq->mi", wfq, FB.values, gv)
         dirichlet_idx = (fs.dof[dir_facets][:, None] + np.arange(FB.values.shape[1])).reshape(-1)
-        dirichlet_values = coeffs.reshape(-1)
+        dirichlet_values = np.linalg.solve(Gram, rhs.T).T.reshape(-1)
     else:
         dirichlet_idx = np.empty(0, dtype=int)
         dirichlet_values = np.empty(0)

@@ -148,8 +148,7 @@ def estimate(sys: AssembledSystem, x: np.ndarray, quad_n: int | None = None) -> 
     frule = facet_rule(d, nq)
     wfq = frule.weights
     fs = dm.facet_sides
-    # facet position -> (normal gradient, element) of the side seen first
-    gradn_store: dict[int, tuple[np.ndarray, int]] = {}
+    j1_sides = []  # (facet, element, normal gradient, h_owner, jacF) per chunk
 
     for g in fs.groups:
         axis, sign, boundary = g.axis, g.sign, g.boundary
@@ -186,17 +185,7 @@ def estimate(sys: AssembledSystem, x: np.ndarray, quad_n: int | None = None) -> 
             if is_Q and (interior or boundary == "neumann"):
                 gradn = (sign / g.s_ax[sl])[:, None] * (ec @ EB.grad[:, :, axis].T)
                 if interior:
-                    # DG jump: sum of outward normal gradients of both sides
-                    h_own = g.h_owner[sl]
-                    for i, (fp, row) in enumerate(zip(facets.tolist(), rows.tolist())):
-                        first = gradn_store.pop(fp, None)
-                        if first is None:
-                            gradn_store[fp] = (gradn[i], row)
-                            continue
-                        gj = first[0] + gradn[i]
-                        val = eps * h_own[i] * float(np.dot(wfq, gj * gj)) * jacF[i]
-                        sq_J1[first[1]] += val
-                        sq_J1[row] += val
+                    j1_sides.append((facets, rows, gradn, g.h_owner[sl], jacF))
                 else:
                     normal = np.zeros(d1); normal[axis] = sign
                     g_n = spec.neumann_data(pts, normal).reshape(m, -1)
@@ -214,6 +203,23 @@ def estimate(sys: AssembledSystem, x: np.ndarray, quad_n: int | None = None) -> 
                 proj = np.linalg.solve(GramF, np.einsum("q,qi,mq->im", wfq, FB.values, RN)).T
                 RN0 = RN - proj @ FB.values.T
                 np.add.at(sq_oscN, rows, (RN0 * RN0 * we).sum(axis=1))
+
+    if j1_sides:
+        # DG jump: the sum of the outward normal gradients of the two sides
+        # of an interior lateral facet.  A stable sort by facet pairs the
+        # sides in walk order; pairs are taken in the order the walk meets
+        # their second side, and np.add.at adds each value to the first
+        # side's element, then the second's.  np.vecdot runs np.dot per
+        # facet, so the sums in sq_J1 do not depend on the batching.
+        facets, rows, gradn, h_own, jacF = (np.concatenate(c) for c in zip(*j1_sides))
+        order = np.argsort(facets, kind="stable")
+        first, second = order[0::2], order[1::2]
+        met = np.argsort(second)
+        first, second = first[met], second[met]
+        gj = gradn[first] + gradn[second]
+        val = eps * h_own[second] * np.vecdot(wfq, gj * gj) * jacF[second]
+        np.add.at(sq_J1, np.column_stack((rows[first], rows[second])).reshape(-1),
+                  np.repeat(val, 2))
 
     terms = dict(
         eta_R=lam_K * np.sqrt(sq_R),

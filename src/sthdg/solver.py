@@ -100,13 +100,25 @@ def causal_levels(A: sp.csr_matrix) -> np.ndarray:
     return level[comp]
 
 
+def _permuted(A: sp.csr_matrix, perm: np.ndarray) -> sp.csr_matrix:
+    """A[perm][:, perm] in one copy: row i is row perm[i] of A, entries in
+    their order in A, columns renumbered."""
+    inv = np.empty_like(perm)
+    inv[perm] = np.arange(len(perm))
+    lens = np.diff(A.indptr)[perm]
+    indptr = np.concatenate(([0], np.cumsum(lens))).astype(A.indptr.dtype)
+    src = np.repeat(A.indptr[perm] - indptr[:-1], lens) + np.arange(indptr[-1])
+    return sp.csr_matrix((A.data[src], inv[A.indices[src]].astype(A.indices.dtype), indptr),
+                         shape=A.shape)
+
+
 def solve(sys: AssembledSystem) -> tuple[np.ndarray, SolveReport]:
     """Solve the bilinear system with Dirichlet rows applied."""
     A_bc, b_bc = apply_dirichlet(sys)
     t0 = time.perf_counter()
     level = causal_levels(A_bc)
     perm = np.argsort(level, kind="stable")
-    A_p = A_bc[perm][:, perm]
+    A_p = _permuted(A_bc, perm)
     b_p = b_bc[perm]
     bounds = np.concatenate(([0], np.cumsum(np.bincount(level))))
     x_p = np.zeros(sys.n_dofs)

@@ -19,8 +19,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
-from sthdg.assembly import P_T, build_dofmap
+from sthdg.assembly import P_T, build_dofmap, elem_trace_basis, facet_rule
 from sthdg.fe import get_basis, lobatto_nodes
 from sthdg.mesh import BOUNDARIES, SpaceTimeMesh
 
@@ -832,3 +833,50 @@ def facet_at(dm, x, fid: int, ref_pts: np.ndarray) -> np.ndarray:
     axis = int(dm.mesh.ftab.axis[np.searchsorted(dm.facet_ids, fid)])
     fb = get_basis(dm.facet_degrees(axis))
     return fb.eval(ref_pts).values @ facet_coeffs(dm, x, fid)
+
+
+# ----------------------------------------------------------------------
+# the sparse-product Dirichlet rows and the per-facet eta_J1 walk
+# ----------------------------------------------------------------------
+
+
+def oracle_apply_dirichlet(sys):
+    """A_bc = D_free A + D_dir by sparse products, which drop exact zeros,
+    and the matching right-hand side."""
+    free = sys.free_mask().astype(float)
+    dir_ind = np.zeros(sys.n_dofs)
+    dir_ind[sys.dirichlet_idx] = 1.0
+    A_bc = (sp.diags(free) @ sys.A + sp.diags(dir_ind)).tocsr()
+    b_bc = free * sys.b
+    b_bc[sys.dirichlet_idx] = sys.dirichlet_values
+    return A_bc, b_bc
+
+
+def oracle_eta_J1(sys, x: np.ndarray) -> np.ndarray:
+    """eta_J1 of every element (elem_ids order) by the side walk: the first
+    side of an interior lateral facet is stored in a dict, and at the second
+    the facet's value, one np.dot, goes to the first side's element, then to
+    the second's."""
+    dm = sys.dofmap
+    nq = sys.quad_n + 2
+    wfq = facet_rule(dm.d, nq).weights
+    xe = np.asarray(x)[: dm.n_elem_dofs].reshape(len(dm.elem_ids), dm.n_elem_basis)
+    sq = np.zeros(len(dm.elem_ids))
+    stored: dict[int, tuple[np.ndarray, int]] = {}
+    for g in dm.facet_sides.groups:
+        if g.axis == 0 or g.boundary is not None:
+            continue
+        EB = elem_trace_basis(dm.elem_degrees, g.axis, g.fixed, g.alphas, g.betas, nq)
+        for sl in g.chunks():
+            gradn = (g.sign / g.s_ax[sl])[:, None] * (xe[g.elem[sl]] @ EB.grad[:, :, g.axis].T)
+            h_own, jacF = g.h_owner[sl], g.jacF[sl]
+            for i, (fp, row) in enumerate(zip(g.facet[sl].tolist(), g.elem[sl].tolist())):
+                first = stored.pop(fp, None)
+                if first is None:
+                    stored[fp] = (gradn[i], row)
+                    continue
+                gj = first[0] + gradn[i]
+                val = sys.spec.eps * h_own[i] * float(np.dot(wfq, gj * gj)) * jacF[i]
+                sq[first[1]] += val
+                sq[row] += val
+    return np.sqrt(sq)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -12,10 +14,10 @@ from sthdg.assembly import (
 )
 from sthdg.mesh import SpaceTimeMesh
 
-from conftest import hanging_mesh, poly_problem, small_meshes
+from conftest import hanging_mesh, poly_problem, regression_systems, small_meshes
 from oracles import (
     box_quad, elem_coeffs, elem_dofs, element_at, elements, facet_at, facet_coeffs, facet_dofs,
-    facets, oracle_beta_sup, oracle_system, trace_map,
+    facets, oracle_apply_dirichlet, oracle_beta_sup, oracle_system, trace_map,
 )
 
 
@@ -45,6 +47,55 @@ def test_matrix_matches_oracle_on_hanging_mesh(d):
     sys = assemble(spec, mesh, 1)
     A2, b2 = oracle_system(spec, mesh, 1)
     _compare(sys, A2, b2, f"hanging d={d}")
+
+
+@pytest.mark.parametrize("policy", ["h", "h2"])
+@pytest.mark.parametrize("p_s", [1, 2])
+@pytest.mark.parametrize("d", [1, 2])
+def test_matrix_is_the_block_pattern(d, p_s, policy):
+    """Every element, side and facet block is stored once, explicit zeros
+    included, in sorted rows with 32-bit indices."""
+    spec = poly_problem(d)
+    for name, mesh in (("regular", SpaceTimeMesh.build(d, 2, 2, policy=policy)),
+                       ("hanging", hanging_mesh(d, policy=policy))):
+        sys = assemble(spec, mesh, p_s)
+        A, dm = sys.A, sys.dofmap
+        tag = f"d={d} p={p_s} {policy} {name}"
+        assert A.indices.dtype == np.int32 and A.indptr.dtype == np.int32, tag
+        # canonical: column keys strictly increase along the rows
+        rows = np.repeat(np.arange(sys.n_dofs), np.diff(A.indptr))
+        assert np.all(np.diff(rows * sys.n_dofs + A.indices) > 0), tag
+        assert A.has_canonical_format, tag
+        nb = dm.n_elem_basis
+        nbf = np.diff(dm.facet_dof, append=dm.n_dofs)
+        sides = sum(len(g.facet) * nb * math.prod(k + 1 for k in g.fdeg)
+                    for g in dm.facet_sides.groups)
+        assert A.nnz == len(dm.elem_ids) * nb**2 + 2 * sides + int(np.sum(nbf**2)), tag
+        A2, b2 = oracle_system(spec, mesh, p_s)
+        _compare(sys, A2, b2, tag)
+
+
+def _dirichlet_systems():
+    for spec, mesh, p_s in regression_systems():
+        yield spec.name, assemble(spec, mesh, p_s)
+    for d in (1, 2):
+        for policy in ("h", "h2"):
+            for dirichlet in (True, False):
+                mesh = hanging_mesh(d, dirichlet=dirichlet, policy=policy)
+                yield f"hanging d={d} {policy} {dirichlet}", assemble(
+                    poly_problem(d, dirichlet=dirichlet), mesh, 1 + (d == 1))
+
+
+def test_dirichlet_rows_match_sparse_product_construction():
+    for name, sys in _dirichlet_systems():
+        A_bc, b_bc = apply_dirichlet(sys)
+        want, b_want = oracle_apply_dirichlet(sys)
+        for key in ("indptr", "indices", "data"):
+            got, ref = getattr(A_bc, key), getattr(want, key)
+            assert got.dtype == ref.dtype and np.array_equal(got, ref), (name, key)
+        assert np.array_equal(b_bc, b_want), name
+        # the raw matrix keeps its structural zeros, the constrained one has none
+        assert np.any(sys.A.data == 0) and not np.any(A_bc.data == 0), name
 
 
 def test_dofmap_layout():
@@ -236,7 +287,6 @@ def test_facet_side_table_matches_per_facet_walk(d, policy, mesh):
             assert g.jacF[i] == 0.5 ** d * np.prod(np.delete(f.hi - f.lo, f.axis))
             assert g.s_ax[i] == 0.5 * (el.hi[g.axis] - el.lo[g.axis])
             assert g.h_owner[i] == els[f.owner].h
-            assert g.edof[i] == elem_dofs(dm, eid)[0]
             assert g.fdof[i] == facet_dofs(dm, fid)[0]
             phys = np.empty((rule.points.shape[0], d + 1))
             phys[:, f.axis] = f.coord

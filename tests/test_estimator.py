@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from sthdg.adapt import run_study
 from sthdg.assembly import assemble, build_dofmap
 from sthdg.estimator import (
     efficiency_index,
@@ -17,7 +18,7 @@ from sthdg.solver import solve
 
 from conftest import hanging_mesh, poly_problem, problem_mesh, regression_systems
 from oracles import (
-    Element, elements, oracle_estimate, oracle_local_efficiency, oracle_norms,
+    Element, elements, oracle_estimate, oracle_eta_J1, oracle_local_efficiency, oracle_norms,
     regime_and_weights, slab_height,
 )
 
@@ -214,3 +215,28 @@ def test_quadrature_override_is_consistent(rng):
     e1 = estimate(sys, x)
     e2 = estimate(sys, x, quad_n=2 * sys.quad_n + 3)
     assert abs(e1.eta - e2.eta) <= 1e-9 * max(e1.eta, 1.0)
+
+
+def _j1_systems():
+    for d in (1, 2):
+        for policy in ("h", "h2"):
+            sys = assemble(poly_problem(d), hanging_mesh(d, policy=policy), 1)
+            yield f"hanging d={d} {policy}", sys, solve(sys)[0]
+    pulse = get_problem("rotating-pulse", eps=1e-3, d=2)
+    seen = {}
+    run_study(pulse, "amr", cycles=5, p_s=1, n_slabs=2, n_cells=2,
+              on_cycle=lambda cycle, mesh, sys, x, est, rec: seen.update(sys=sys, x=x))
+    yield "pulse amr cycle 4", seen["sys"], seen["x"]
+
+
+def test_eta_J1_matches_per_facet_walk_bitwise():
+    # eta_J1 pairs facet sides with arrays; the per-facet walk with one
+    # np.dot per facet must give the same bits, or marking could change
+    for name, sys, x in _j1_systems():
+        est = estimate(sys, x)
+        want = oracle_eta_J1(sys, x)
+        assert np.any(want > 0), name
+        assert est.eta_J1.tobytes() == want.tobytes(), name
+        eta_K = np.sqrt(sum(np.float_power(want if k == "eta_J1" else getattr(est, k), 2.0)
+                            for k in _TERMS[:8]))
+        assert est.eta_K.tobytes() == eta_K.tobytes(), name

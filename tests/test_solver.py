@@ -9,7 +9,7 @@ from sthdg.adapt import run_study
 from sthdg.assembly import apply_dirichlet, assemble
 from sthdg.mesh import SpaceTimeMesh
 from sthdg.problem import get_problem
-from sthdg.solver import SolverError, causal_levels, solve
+from sthdg.solver import SolverError, _permuted, causal_levels, solve
 
 from conftest import poly_problem, regression_systems
 from oracles import element_at, elements
@@ -60,6 +60,15 @@ def test_levels_partition_dofs_and_are_causal():
         _, comp = csgraph.connected_components(A_bc, directed=True, connection="strong")
         same = level[coo.row] == level[coo.col]
         assert np.array_equal(comp[coo.row[same]], comp[coo.col[same]]), name
+
+
+def test_level_permutation_is_the_double_fancy_index():
+    for name, sys in _causal_systems():
+        A_bc, _ = apply_dirichlet(sys)
+        perm = np.argsort(causal_levels(A_bc), kind="stable")
+        got, want = _permuted(A_bc, perm), A_bc[perm][:, perm]
+        for key in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(got, key), getattr(want, key)), (name, key)
 
 
 def test_refined_slabs_split_into_time_layers():
