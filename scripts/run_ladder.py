@@ -5,10 +5,10 @@ Runs `rotating-pulse`, eps = 1e-3, d = 2, p_s = 1, 2 slabs, 2 cells, AMR
 cycles 0-7 under the time-step policy `h` and cycles 0-4 under `h2`, each
 policy in a fresh single-threaded child process so that its peak RSS is its
 own.  For every cycle it records what the `cycles` list of a study's
-run.json records (elements, dofs, solver levels, the seconds of each phase
-and the peak RSS after the cycle), plus the number of matrix entries that
-`assemble` hands to scipy's sparse constructor, the nonzeros of the result
-and their ratio.
+run.json records (elements, dofs, solver levels, LU fill, the seconds of
+each phase and the peak RSS after the cycle), plus the number of matrix
+entries that `assemble` hands to scipy's sparse constructor, the nonzeros
+of the result and their ratio.
 
     PYTHONPATH=src python3 scripts/run_ladder.py --out ladder.json
 
@@ -84,6 +84,7 @@ def ladder(policy: str, cycles: int) -> list[dict]:
         out.append({
             "cycle": rec.cycle, "n_elements": rec.n_elements, "n_dofs": rec.n_dofs,
             "solver_blocks": rec.solver_blocks, "max_block_dofs": rec.max_block_dofs,
+            "lu_fill": rec.lu_fill,
             "phase_s": {k: round(v, 4) for k, v in rec.phase_s.items()},
             "maxrss_mb": round(rec.maxrss_mb, 1),
             "entries": entries, "nnz": nnz, "entries_per_nnz": round(entries / nnz, 3),

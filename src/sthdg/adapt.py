@@ -44,8 +44,10 @@ class StudyRecord:
     wall_ms: float
     # solver statistics and phase timings: kept out of the CSV, reported in
     # run.json
+    solver_method: str
     solver_blocks: int
     max_block_dofs: int
+    lu_fill: int
     residual: float
     phase_s: dict[str, float] = field(default_factory=dict)
     maxrss_mb: float = 0.0
@@ -148,7 +150,8 @@ def run_study(
             cycle=cycle, n_elements=mesh.n_elements, n_dofs=sys.n_dofs,
             eta=est.eta, true_error=err, eff_index=eff,
             wall_ms=1e3 * (time.perf_counter() - t0),
-            solver_blocks=rep.n_blocks, max_block_dofs=max(rep.block_sizes),
+            solver_method=rep.method, solver_blocks=rep.n_blocks,
+            max_block_dofs=max(rep.block_sizes), lu_fill=rep.lu_fill,
             residual=rep.residual, phase_s=phase,
         )
         records.append(rec)

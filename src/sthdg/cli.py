@@ -291,8 +291,10 @@ def _cmd_study(cfg: RunConfig, out: Path) -> int:
     def cycles() -> list[dict]:
         return [{"cycle": rec.cycle, "n_elements": rec.n_elements,
                  "n_dofs": rec.n_dofs, "wall_ms": round(rec.wall_ms, 3),
+                 "solver_method": rec.solver_method,
                  "solver_blocks": rec.solver_blocks,
                  "max_block_dofs": rec.max_block_dofs,
+                 "lu_fill": rec.lu_fill,
                  "residual": rec.residual,
                  "phase_s": {k: round(v, 6) for k, v in rec.phase_s.items()},
                  "maxrss_mb": round(rec.maxrss_mb, 1)} for rec in seen]

@@ -54,7 +54,8 @@ def test_mark_validates_inputs():
 def test_csv_rows_are_deterministic(tmp_path):
     rec = StudyRecord(cycle=0, n_elements=4, n_dofs=100, eta=0.5,
                       true_error=math.nan, eff_index=math.nan, wall_ms=123.4,
-                      solver_blocks=3, max_block_dofs=40, residual=1e-16)
+                      solver_method="block-lu", solver_blocks=3, max_block_dofs=40,
+                      lu_fill=900, residual=1e-16)
     assert rec.csv_row() == "0,4,100,0.5,nan,nan,0"
     p = tmp_path / "study.csv"
     write_csv([rec], p)

@@ -169,10 +169,10 @@ def test_study_solver_failure_exits_3(tmp_path, monkeypatch, capsys):
 def test_study_out_of_memory_exits_3(tmp_path, monkeypatch, capsys):
     import sthdg.solver as solver_mod
 
-    def oom(A, b):
+    def oom(*args, **kwargs):
         raise MemoryError
 
-    monkeypatch.setattr(solver_mod.spla, "spsolve", oom)
+    monkeypatch.setattr(solver_mod.spla, "splu", oom)
     rc = main(["study", "--problem", "sine", "--dim", "1", "--eps", "0.1",
                "--cycles", "1", "--slabs", "2", "--cells", "2",
                "--out", str(tmp_path)])

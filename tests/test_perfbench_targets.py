@@ -71,6 +71,9 @@ def test_traced_study_matches_run_json(tmp_path):
     assert len(trace["cycles"]) == len(cycles) == 2
     for row, cycle in zip(trace["cycles"], cycles):
         assert row["dofs"] == cycle["n_dofs"]
+        # what the solver did sits next to its block counts
+        assert cycle["solver_method"] == "block-lu"
+        assert type(cycle["lu_fill"]) is int and cycle["lu_fill"] > 0
         # a phase lap encloses the wrapped calls it times; run.json rounds
         # the lap to 1e-6 s
         for phase, layers in _PHASE_LAYERS.items():

@@ -2,6 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.sparse import csgraph
 
@@ -9,7 +10,7 @@ from sthdg.adapt import run_study
 from sthdg.assembly import apply_dirichlet, assemble
 from sthdg.mesh import SpaceTimeMesh
 from sthdg.problem import get_problem
-from sthdg.solver import SolverError, _permuted, causal_levels, solve
+from sthdg.solver import SolverError, _lu_solve, _permuted, causal_levels, solve
 
 from conftest import poly_problem, regression_systems
 from oracles import element_at, elements
@@ -91,6 +92,23 @@ def test_solve_matches_whole_system_lu_on_regressions():
         x_lu = spla.spsolve(A_bc.tocsc(), b_bc)
         scale = max(1.0, float(np.max(np.abs(x_lu))))
         assert np.max(np.abs(x - x_lu)) <= 1e-8 * scale, spec.name
+
+
+def test_level_lu_pivots_off_a_tiny_diagonal():
+    # swapped 2x2 pairs [[d, 1], [1, d]] with d = 0 or 1e-14, weakly coupled:
+    # taking the diagonal as pivot regardless of its size (threshold 0)
+    # leaves a residual of order 1 or worse, so the LU must still pivot
+    rng = np.random.default_rng(0)
+    n_pairs = 100
+    d = np.where(rng.random(2 * n_pairs) < 0.5, 0.0, 1e-14).reshape(n_pairs, 2)
+    pairs = sp.block_diag([np.array([[a, 1.0], [1.0, c]]) for a, c in d])
+    weak = sp.random(2 * n_pairs, 2 * n_pairs, density=0.02, random_state=rng,
+                     data_rvs=lambda m: 1e-2 * rng.standard_normal(m))
+    A = (pairs + weak).tocsr()
+    b = rng.standard_normal(2 * n_pairs)
+    x, fill = _lu_solve(A, b)
+    assert np.linalg.norm(A @ x - b) <= 1e-12 * np.linalg.norm(b)
+    assert fill >= A.shape[0]
 
 
 def test_solve_is_deterministic():
