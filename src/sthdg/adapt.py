@@ -13,6 +13,11 @@ a hook may add its own) and the peak RSS after the refine.  CSV
 output is deterministic: the wall_ms column is written as 0 and the solver
 statistics are left out (timings vary run to run and the table must be
 byte-identical across reruns); they go into the run manifest instead.
+
+`StudyRecord` is the one definition of a cycle's record: the run.json
+`cycles` list of `sthdg study` and of `sthdg solve` (a study's first cycle)
+and the cost ladder of `scripts/run_ladder.py` store `dataclasses.asdict`
+of it as it is.
 """
 
 from __future__ import annotations

@@ -423,8 +423,7 @@ class _BlockCSR:
 
 
 def assemble(
-    spec: ProblemSpec, mesh: SpaceTimeMesh, p_s: int, quad_n: int | None = None,
-    beta_sup: np.ndarray | None = None,
+    spec: ProblemSpec, mesh: SpaceTimeMesh, p_s: int, beta_sup: np.ndarray | None = None,
 ) -> AssembledSystem:
     """Assemble the raw system.
 
@@ -438,7 +437,7 @@ def assemble(
     if (mesh.dirichlet_lateral != spec.dirichlet_lateral):
         raise ValueError("mesh and problem disagree on lateral boundary type")
     dm = build_dofmap(mesh, p_s)
-    nq = default_quad_n(p_s) if quad_n is None else quad_n
+    nq = default_quad_n(p_s)
     d = mesh.d
     d1 = d + 1
     eps = spec.eps

@@ -1,15 +1,18 @@
 """Command line front end.
 
-Three subcommands: `solve` (one discrete solve plus a VTK dump), `study`
-(uniform or adaptive refinement loop writing study.csv and per-cycle VTK),
-and `verify` (measured analysis constants written to constants.csv).
+Three subcommands: `study` (uniform or adaptive refinement loop writing
+study.csv and per-cycle VTK), `solve` (the first cycle of a study: one
+discrete solve dumped to solution.vtk, no CSV) and `verify` (measured
+analysis constants written to constants.csv).
 
 Configuration comes from an optional INI file (key = value under any
 section) overridden by command-line flags; flags win.  A run.json manifest
-with the resolved config, package versions and wall-clock timings is
-written next to the artifacts.  Exit codes: 0 success, 2 invalid
-configuration (nothing written), 3 solver failure or out of memory (partial
-outputs kept, run.json status `solver_failure` or `out_of_memory`).
+with the resolved config, package versions and the command's wall-clock
+seconds is written next to the artifacts; for `solve` and `study` its
+`cycles` list holds each cycle's `adapt.StudyRecord` as stored.  Exit codes:
+0 success, 2 invalid configuration (nothing written), 3 solver failure or
+out of memory (partial outputs kept, run.json status `solver_failure` or
+`out_of_memory`).
 """
 
 from __future__ import annotations
@@ -93,6 +96,8 @@ def build_config(command: str, args: argparse.Namespace) -> RunConfig:
         flag = getattr(args, key, None)
         if flag is not None:
             values[key] = flag
+    if command == "solve":
+        values["cycles"] = 1  # solve is the first cycle of a study
     values = {k: _coerce(k, v) for k, v in values.items()}
     cfg = RunConfig(command=command, **values)
 
@@ -186,7 +191,7 @@ def _versions() -> dict:
 
 
 def _write_manifest(out: Path, cfg: RunConfig, timings: dict, status: str,
-                    cycles: list[dict] | None = None) -> None:
+                    cycles: list | None = None) -> None:
     manifest = {
         "config": asdict(cfg),
         "versions": _versions(),
@@ -195,7 +200,7 @@ def _write_manifest(out: Path, cfg: RunConfig, timings: dict, status: str,
         "status": status,
     }
     if cycles is not None:
-        manifest["cycles"] = cycles
+        manifest["cycles"] = [asdict(rec) for rec in cycles]  # StudyRecords
     with open(out / "run.json", "w", newline="\n") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -211,7 +216,7 @@ def _get_spec(cfg: RunConfig):
 
 
 def _fail(out: Path, cfg: RunConfig, timings: dict, exc: Exception,
-          cycles: list[dict] | None = None, kept: str = "") -> int:
+          cycles: list | None = None, kept: str = "") -> int:
     """End a run that failed in the solver or ran out of memory: exit code 3,
     with run.json and whatever partial outputs the caller kept."""
     if isinstance(exc, MemoryError):
@@ -232,85 +237,41 @@ def _write_vtk(path: Path, sys_, x, est) -> None:
     vtk_io.write_mesh_vtk(path, sys_.dofmap.mesh, values)
 
 
-def _cmd_solve(cfg: RunConfig, out: Path) -> int:
-    from .assembly import assemble
-    from .estimator import efficiency_index, error_norms, estimate
-    from .mesh import SpaceTimeMesh
-    from .solver import SolverError, solve
-
-    spec = _get_spec(cfg)
-    timings: dict = {}
-    try:
-        t0 = time.perf_counter()
-        mesh = SpaceTimeMesh.build(
-            cfg.dim, cfg.slabs, cfg.cells, t_final=spec.t_final,
-            x_lo=spec.x_lo, x_hi=spec.x_hi, policy=cfg.dt_policy,
-            dirichlet_lateral=spec.dirichlet_lateral,
-        )
-        timings["mesh"] = time.perf_counter() - t0
-
-        t0 = time.perf_counter()
-        sys_ = assemble(spec, mesh, cfg.ps)
-        timings["assemble"] = time.perf_counter() - t0
-
-        t0 = time.perf_counter()
-        x, rep = solve(sys_)
-        timings["solve"] = time.perf_counter() - t0
-
-        t0 = time.perf_counter()
-        est = estimate(sys_, x)
-        _write_vtk(out / "solution.vtk", sys_, x, est)
-        timings["estimate_and_dump"] = time.perf_counter() - t0
-
-        line = f"n_elements={mesh.n_elements} n_dofs={sys_.n_dofs} eta={est.eta:.6g}"
-        if spec.has_exact():
-            err = error_norms(sys_, x).sT_norm()
-            line += f" error={err:.6g} eff={efficiency_index(est.eta, err):.4g}"
-    except (SolverError, MemoryError) as exc:
-        return _fail(out, cfg, timings, exc)
-    print(line)
-    _write_manifest(out, cfg, timings, "ok")
-    return 0
-
-
 def _cmd_study(cfg: RunConfig, out: Path) -> int:
+    """Run `study`, or `solve` as its one cycle without study.csv."""
     from .adapt import run_study
     from .solver import SolverError
 
     spec = _get_spec(cfg)
-    csv_path = out / "study.csv"
+    study = cfg.command == "study"
     seen: list = []  # the StudyRecord of every cycle that reached the hook
 
     def on_cycle(cycle, mesh, sys_, x, est, rec):
         seen.append(rec)
         t0 = time.perf_counter()
-        _write_vtk(out / f"cycle_{cycle:02d}.vtk", sys_, x, est)
+        _write_vtk(out / (f"cycle_{cycle:02d}.vtk" if study else "solution.vtk"),
+                   sys_, x, est)
         rec.phase_s["vtk"] = time.perf_counter() - t0
         log.info("cycle %d: %s", cycle, rec)
 
-    def cycles() -> list[dict]:
-        return [{"cycle": rec.cycle, "n_elements": rec.n_elements,
-                 "n_dofs": rec.n_dofs, "wall_ms": round(rec.wall_ms, 3),
-                 "solver_method": rec.solver_method,
-                 "solver_blocks": rec.solver_blocks,
-                 "max_block_dofs": rec.max_block_dofs,
-                 "lu_fill": rec.lu_fill,
-                 "residual": rec.residual,
-                 "phase_s": {k: round(v, 6) for k, v in rec.phase_s.items()},
-                 "maxrss_mb": round(rec.maxrss_mb, 1)} for rec in seen]
-
     t0 = time.perf_counter()
     try:
-        records, _ = run_study(
-            spec, cfg.mode, cfg.cycles, cfg.ps, cfg.slabs, cfg.cells,
-            policy=cfg.dt_policy, csv_path=csv_path, on_cycle=on_cycle,
-        )
+        run_study(spec, cfg.mode, cfg.cycles, cfg.ps, cfg.slabs, cfg.cells,
+                  policy=cfg.dt_policy, csv_path=out / "study.csv" if study else None,
+                  on_cycle=on_cycle)
     except (SolverError, MemoryError) as exc:
-        return _fail(out, cfg, {"study": time.perf_counter() - t0}, exc, cycles(),
-                     f" (partial outputs in {out})")
-    _write_manifest(out, cfg, {"study": time.perf_counter() - t0}, "ok", cycles())
-    for rec in records:
-        print(rec.csv_row())
+        return _fail(out, cfg, {cfg.command: time.perf_counter() - t0}, exc, seen,
+                     f" (partial outputs in {out})" if study else "")
+    _write_manifest(out, cfg, {cfg.command: time.perf_counter() - t0}, "ok", seen)
+    if study:
+        for rec in seen:
+            print(rec.csv_row())
+        return 0
+    [rec] = seen
+    line = f"n_elements={rec.n_elements} n_dofs={rec.n_dofs} eta={rec.eta:.6g}"
+    if spec.has_exact():
+        line += f" error={rec.true_error:.6g} eff={rec.eff_index:.4g}"
+    print(line)
     return 0
 
 
@@ -414,11 +375,9 @@ def main(argv=None) -> int:
     out.mkdir(parents=True, exist_ok=True)
 
     log.info("config: %s", asdict(cfg))
-    if cfg.command == "solve":
-        return _cmd_solve(cfg, out)
-    if cfg.command == "study":
-        return _cmd_study(cfg, out)
-    return _cmd_verify(cfg, out)
+    if cfg.command == "verify":
+        return _cmd_verify(cfg, out)
+    return _cmd_study(cfg, out)
 
 
 if __name__ == "__main__":

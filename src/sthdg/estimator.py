@@ -276,7 +276,7 @@ class NormBreakdown:
                        + self.T * self.grad + self.jump_Q + self.dt)
 
 
-def error_norms(sys: AssembledSystem, x: np.ndarray, quad_n: int | None = None) -> NormBreakdown:
+def error_norms(sys: AssembledSystem, x: np.ndarray) -> NormBreakdown:
     """Triple-norm breakdown of u - u_h against the problem's exact solution."""
     dm = sys.dofmap
     mesh = dm.mesh
@@ -286,7 +286,7 @@ def error_norms(sys: AssembledSystem, x: np.ndarray, quad_n: int | None = None) 
     eps = spec.eps
     d = mesh.d
     d1 = d + 1
-    nq = (sys.quad_n + 2) if quad_n is None else quad_n
+    nq = sys.quad_n + 2
     x = np.asarray(x)
     n = len(dm.elem_ids)
     xe = x[: dm.n_elem_dofs].reshape(n, dm.n_elem_basis)

@@ -55,6 +55,8 @@ from .problem import ProblemSpec
 from .solver import solve
 
 SUBGRID_SALT = 101  # keeps subgrid child ids away from refinement child ids
+FORM_PAIRS = 20  # random trial/test pairs of `form_equivalence`
+QUASI_EPS = (1.0, 1e-2, 1e-4)  # diffusion values of the quasi-interpolation rows
 
 
 # ----------------------------------------------------------------------
@@ -222,14 +224,14 @@ def subgrid_restrict(pair: SubgridPair, x_coarse: np.ndarray, p_s: int) -> np.nd
 
 
 def assemble_two_level(
-    spec: ProblemSpec, pair: SubgridPair, p_s: int, quad_n: int | None = None
+    spec: ProblemSpec, pair: SubgridPair, p_s: int
 ) -> tuple[AssembledSystem, AssembledSystem]:
-    sys_c = assemble(spec, pair.coarse, p_s, quad_n)
+    sys_c = assemble(spec, pair.coarse, p_s)
     # descended facets inherit the parent's upwind constant so the subgrid
     # form restricted to coarse fields agrees exactly with the coarse form;
     # the new horizontal facets have unit temporal normal
     inherited = np.where(pair.facet_parent >= 0, sys_c.beta_sup[pair.facet_parent], 1.0)
-    sys_f = assemble(spec, pair.fine, p_s, quad_n, beta_sup=inherited)
+    sys_f = assemble(spec, pair.fine, p_s, beta_sup=inherited)
     return sys_c, sys_f
 
 
@@ -241,12 +243,12 @@ class FormEquivalenceReport:
 
 
 def form_equivalence(
-    spec: ProblemSpec, mesh: SpaceTimeMesh, p_s: int,
-    n_pairs: int = 20, seed: int = 0, quad_n: int | None = None,
+    spec: ProblemSpec, mesh: SpaceTimeMesh, p_s: int, seed: int = 0,
 ) -> FormEquivalenceReport:
-    """Check a_fine(restricted u, restricted v) == a_coarse(u, v)."""
+    """Check a_fine(restricted u, restricted v) == a_coarse(u, v) on
+    FORM_PAIRS random trial/test pairs."""
     pair = build_subgrid(mesh)
-    sys_c, sys_f = assemble_two_level(spec, pair, p_s, quad_n)
+    sys_c, sys_f = assemble_two_level(spec, pair, p_s)
     G = restriction_matrix(pair, sys_c.dofmap, sys_f.dofmap)
     B = (G.T @ sys_f.A @ G).tocsr()
     scale = max(abs(sys_c.A).max(), 1e-300)
@@ -255,14 +257,14 @@ def form_equivalence(
     rng = np.random.default_rng(seed)
     worst = 0.0
     n = sys_c.n_dofs
-    for _ in range(n_pairs):
+    for _ in range(FORM_PAIRS):
         u = rng.standard_normal(n)
         v = rng.standard_normal(n)
         qf = float(v @ (B @ u))
         qc = float(v @ (sys_c.A @ u))
         denom = max(abs(qc), scale * np.linalg.norm(u) * np.linalg.norm(v))
         worst = max(worst, abs(qf - qc) / denom)
-    return FormEquivalenceReport(mat_defect, worst, n_pairs)
+    return FormEquivalenceReport(mat_defect, worst, FORM_PAIRS)
 
 
 @dataclass
@@ -276,13 +278,12 @@ class OrthogonalityReport:
 
 def check_galerkin_orthogonality(
     spec: ProblemSpec, mesh: SpaceTimeMesh, p_s: int,
-    quad_n: int | None = None,
 ) -> OrthogonalityReport:
     """Measure a(u_fine - restricted u_coarse, restricted test) over all
     unconstrained coarse test functions; zero up to roundoff when the
     restriction reproduces the coarse form."""
     pair = build_subgrid(mesh)
-    sys_c, sys_f = assemble_two_level(spec, pair, p_s, quad_n)
+    sys_c, sys_f = assemble_two_level(spec, pair, p_s)
     x_c, _ = solve(sys_c)
     x_f, _ = solve(sys_f)
     G = restriction_matrix(pair, sys_c.dofmap, sys_f.dofmap)
@@ -315,14 +316,13 @@ class SaturationReport:
 
 def measure_saturation(
     spec: ProblemSpec, mesh: SpaceTimeMesh, p_s: int,
-    quad_n: int | None = None,
 ) -> SaturationReport:
     """rho = sqrt(sum_K tau ||dt(u - u_fine)||^2 / sum_K tau ||dt(u - u_coarse)||^2),
     both sums over the coarse elements with the coarse regime weights."""
     if spec.exact_dt is None:
         raise ValueError("saturation measurement needs the exact time derivative")
     pair = build_subgrid(mesh)
-    sys_c, sys_f = assemble_two_level(spec, pair, p_s, quad_n)
+    sys_c, sys_f = assemble_two_level(spec, pair, p_s)
     x_c, _ = solve(sys_c)
     x_f, _ = solve(sys_f)
     dm_c, dm_f = sys_c.dofmap, sys_f.dofmap
@@ -499,14 +499,12 @@ class OswaldReport:
     constant: float  # max defect / bound over elements with a resolvable bound
 
 
-def oswald_constant(mesh: SpaceTimeMesh, p_s: int, elem_coeffs: np.ndarray,
-                    avg: AveragingResult | None = None) -> OswaldReport:
+def oswald_constant(mesh: SpaceTimeMesh, p_s: int, elem_coeffs: np.ndarray) -> OswaldReport:
     """Measured constant of the averaging defect bound: per element, the
     defect is compared against sqrt(h)-weighted lateral jumps plus
     sqrt(dt)-weighted horizontal jumps over the interior facets whose
     closure touches the element."""
-    if avg is None:
-        avg = averaging_operator(mesh, p_s, elem_coeffs)
+    avg = averaging_operator(mesh, p_s, elem_coeffs)
     dm = build_dofmap(mesh, p_s)
     fs = dm.facet_sides
     nq = p_s + 2
@@ -717,7 +715,6 @@ def _face_items(dims: np.ndarray, kinds: str) -> list[tuple[int, float]]:
 def inequality_constants(
     mesh: SpaceTimeMesh, p_s: int, samples: int = 200, seed: int = 0,
     include_quasi: bool | None = None, level: int = 0,
-    eps_grid: tuple[float, ...] = (1.0, 1e-2, 1e-4),
 ) -> list[ConstantReport]:
     """Measured best constants of the anisotropic inverse/trace inequalities,
     the local trace bounds, the quasi-interpolation estimates and the
@@ -858,7 +855,7 @@ def inequality_constants(
         res_vol = Zhi @ BH.values.T - W @ BV.values.T  # (ns, nqv)
         res_norm = np.sqrt(jac * np.einsum("q,iq->i", wq, res_vol**2))
         if include_quasi:
-            for eps in eps_grid:
+            for eps in QUASI_EPS:
                 lam = min(1.0, h_K / np.sqrt(eps))
                 den = lam * (h_K * np.sqrt(eps) * dt_n + np.sqrt(eps) * gr_n + v_n)
                 hit("quasi_interp_volume", float(np.max(res_norm / den)))

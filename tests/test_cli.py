@@ -1,9 +1,11 @@
 import argparse
+import dataclasses
 import json
 import os
 
 import pytest
 
+from sthdg.adapt import StudyRecord
 from sthdg.cli import ConfigError, build_config, main
 
 
@@ -89,13 +91,59 @@ def test_solve_writes_artifacts(tmp_path, capsys):
     manifest = json.loads((tmp_path / "run.json").read_text())
     assert manifest["status"] == "ok"
     assert manifest["config"]["problem"] == "sine"
-    timings = manifest["timings_s"]
-    assert {"mesh", "assemble", "solve", "estimate_and_dump"} <= set(timings)
-    assert timings["mesh"] >= 0
+    # solve is one study cycle: its record is the cycle's StudyRecord
+    assert manifest["config"]["cycles"] == 1
+    assert set(manifest["timings_s"]) == {"solve"}
+    [c] = manifest["cycles"]
+    assert set(c) == {f.name for f in dataclasses.fields(StudyRecord)}
+    assert c["cycle"] == 0 and f"n_dofs={c['n_dofs']} " in line
+    assert set(c["phase_s"]) == {"assemble", "solve", "estimate", "norms", "vtk", "refine"}
+    assert 0 <= c["residual"] <= 1e-10 and c["lu_fill"] > 0
     assert "numpy" in manifest["versions"]
     text = (tmp_path / "solution.vtk").read_text()
     assert "SCALARS eta_K float 1" in text
     assert "SCALARS u float 1" in text
+
+
+def test_solve_is_the_first_study_cycle(tmp_path, capsys):
+    flags = ["--problem", "sine", "--dim", "1", "--eps", "0.1",
+             "--slabs", "2", "--cells", "2"]
+    a, b = tmp_path / "solve", tmp_path / "study"
+    assert main(["solve", *flags, "--out", str(a)]) == 0
+    line = capsys.readouterr().out
+    assert main(["study", *flags, "--cycles", "1", "--out", str(b)]) == 0
+    capsys.readouterr()
+    assert (a / "solution.vtk").read_bytes() == (b / "cycle_00.vtk").read_bytes()
+    assert not (a / "study.csv").exists()
+    # the printed values are the study.csv row's, to the printed digits
+    row = dict(zip(*(ln.split(",") for ln in (b / "study.csv").read_text().splitlines())))
+    assert line.split() == [f"n_elements={row['n_elements']}", f"n_dofs={row['n_dofs']}",
+                            f"eta={float(row['eta']):.6g}",
+                            f"error={float(row['true_error']):.6g}",
+                            f"eff={float(row['eff_index']):.4g}"]
+    solve_cycles = json.loads((a / "run.json").read_text())["cycles"]
+    study_cycles = json.loads((b / "run.json").read_text())["cycles"]
+    assert len(solve_cycles) == len(study_cycles) == 1
+    assert set(solve_cycles[0]) == set(study_cycles[0])
+    assert set(solve_cycles[0]["phase_s"]) == set(study_cycles[0]["phase_s"])
+
+
+def test_solve_solver_failure_exits_3(tmp_path, monkeypatch, capsys):
+    import sthdg.adapt as adapt_mod
+    from sthdg.solver import SolverError
+
+    def boom(sys_):
+        raise SolverError("synthetic failure")
+
+    monkeypatch.setattr(adapt_mod, "solve", boom)
+    rc = main(["solve", "--problem", "sine", "--dim", "1", "--eps", "0.1",
+               "--slabs", "1", "--cells", "2", "--out", str(tmp_path)])
+    assert rc == 3
+    assert "synthetic failure" in capsys.readouterr().err
+    assert not (tmp_path / "solution.vtk").exists()
+    manifest = json.loads((tmp_path / "run.json").read_text())
+    assert manifest["status"] == "solver_failure"
+    assert manifest["cycles"] == []
 
 
 def test_study_writes_artifacts(tmp_path, capsys, monkeypatch):

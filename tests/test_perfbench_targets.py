@@ -74,8 +74,7 @@ def test_traced_study_matches_run_json(tmp_path):
         # what the solver did sits next to its block counts
         assert cycle["solver_method"] == "block-lu"
         assert type(cycle["lu_fill"]) is int and cycle["lu_fill"] > 0
-        # a phase lap encloses the wrapped calls it times; run.json rounds
-        # the lap to 1e-6 s
+        # a phase lap encloses the wrapped calls it times
         for phase, layers in _PHASE_LAYERS.items():
             traced = sum(row["layers_s"].get(layer, 0.0) for layer in layers)
             assert traced > 0, (row["cycle"], phase)
