@@ -26,8 +26,10 @@ level and numbers its nodes on an integer lattice (per axis, cell index x
 degree + local index, with cells placed by the cut coordinates that
 touching cells share bitwise); facet jumps take both sides of each facet
 from `DofMap.facet_sides`; the saturation pass evaluates both fields per
-`DofMap.elem_classes` class; and the inequality pass finds its element and
-facet shapes with `np.unique` over the table extents.
+`DofMap.elem_classes` class; and the inequality pass tabulates its Gram
+matrices and residual norms once on the reference element, face and edge,
+and only scales them for each distinct extent that `np.unique` finds in the
+element and facet tables.
 """
 
 from __future__ import annotations
@@ -212,15 +214,6 @@ def restriction_matrix(pair: SubgridPair, dm_c: DofMap, dm_f: DofMap) -> sp.csr_
         shape=(dm_f.n_dofs, dm_c.n_dofs),
     )
     return G.tocsr()
-
-
-def subgrid_restrict(pair: SubgridPair, x_coarse: np.ndarray, p_s: int) -> np.ndarray:
-    """Restrict a coarse solution vector to the subgrid."""
-    dm_c = build_dofmap(pair.coarse, p_s)
-    dm_f = build_dofmap(pair.fine, p_s)
-    if x_coarse.shape != (dm_c.n_dofs,):
-        raise ValueError("solution vector does not match the coarse mesh")
-    return restriction_matrix(pair, dm_c, dm_f) @ x_coarse
 
 
 def assemble_two_level(
@@ -602,48 +595,54 @@ def _sym_eig_bounds(A: np.ndarray, M: np.ndarray) -> tuple[float, float]:
     return float(w[0]), float(w[-1])
 
 
+def _gram(w: np.ndarray, A: np.ndarray, B: np.ndarray | None = None) -> np.ndarray:
+    """sum_q w_q A_qa B_qb: the weighted Gram matrix of the columns of A
+    against those of B (default A)."""
+    return np.einsum("q,qa,qb->ab", w, A, A if B is None else B)
+
+
+def _qform(Z: np.ndarray, A: np.ndarray) -> np.ndarray:
+    """z^T A z for every row z of Z."""
+    return np.einsum("ia,ab,ib->i", Z, A, Z)
+
+
 def bubble_constants(
-    p_s: int, kind: str, kappa: float = 1.0, samples: int = 200,
+    p_s: int, kappa: float = 1.0, samples: int = 200,
     d: int = 2, seed: int = 0, level: int = 0,
     box: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> list[ConstantReport]:
     """Norm-equivalence constants of the bubble-weighted inner products.
 
-    kind='element': c1 with ||psi v|| <= c1 ||v|| and c2 with
-    c2 ||v||^2 <= (v, psi v), over the element polynomial space.
-    kind='facet': the face-norm analogues plus the volume and gradient
-    bounds of the squeezed bubble against sqrt(kappa)-scaled face norms.
+    The element rows come first: c1 with ||psi v|| <= c1 ||v|| and c2 with
+    c2 ||v||^2 <= (v, psi v), over the element polynomial space on `box`
+    (default the reference element).  The facet rows follow: the face-norm
+    analogues plus the volume and gradient bounds of the squeezed bubble
+    against sqrt(kappa)-scaled face norms.
 
     The reported constants are the exact extremes of the corresponding
     Rayleigh quotients (generalized eigenvalues); `samples` random fields
     are drawn as a cross-check and must fall inside the eigenvalue range.
+    The element and the facet draws each start afresh from `seed`.
     """
-    rng = np.random.default_rng(seed)
     reports: list[ConstantReport] = []
-    if kind == "element":
-        degrees = (P_T,) + (p_s,) * d
-        nq = max(degrees) + 2 ** (d + 1) + 2
-        rule = fe.tensor_rule((nq,) * (d + 1))
-        basis = fe.get_basis(degrees)
-        BV = basis.eval(rule.points).values
-        psi = element_bubble(d)(rule.points)
-        w = rule.weights
-        if box is not None:
-            w = w * fe.box_jacobian(*box)
-        M = np.einsum("q,qa,qb->ab", w, BV, BV)
-        Mpsi = np.einsum("q,qa,qb->ab", w * psi, BV, BV)
-        Mpsi2 = np.einsum("q,qa,qb->ab", w * psi**2, BV, BV)
-        c2_lo, c2_hi = _sym_eig_bounds(Mpsi, M)
-        c1_lo, c1_hi = _sym_eig_bounds(Mpsi2, M)
-        Z = rng.standard_normal((samples, basis.n_basis))
-        r_c2 = np.einsum("ia,ab,ib->i", Z, Mpsi, Z) / np.einsum("ia,ab,ib->i", Z, M, Z)
-        if np.any(r_c2 < c2_lo - 1e-10) or np.any(r_c2 > c2_hi + 1e-10):
-            raise RuntimeError("sampled bubble ratios escape the eigenvalue range")
-        reports.append(ConstantReport("bubble_elem_c1", level, samples, np.sqrt(c1_hi)))
-        reports.append(ConstantReport("bubble_elem_c2", level, samples, c2_lo))
-        return reports
-    if kind != "facet":
-        raise ValueError(f"kind must be 'element' or 'facet', got {kind!r}")
+    degrees = (P_T,) + (p_s,) * d
+    nq = max(degrees) + 2 ** (d + 1) + 2
+    rule = fe.tensor_rule((nq,) * (d + 1))
+    basis = fe.get_basis(degrees)
+    BV = basis.eval(rule.points).values
+    psi = element_bubble(d)(rule.points)
+    w = rule.weights
+    if box is not None:
+        w = w * fe.box_jacobian(*box)
+    M, Mpsi, Mpsi2 = _gram(w, BV), _gram(w * psi, BV), _gram(w * psi**2, BV)
+    c2_lo, c2_hi = _sym_eig_bounds(Mpsi, M)
+    c1_lo, c1_hi = _sym_eig_bounds(Mpsi2, M)
+    Z = np.random.default_rng(seed).standard_normal((samples, basis.n_basis))
+    r_c2 = _qform(Z, Mpsi) / _qform(Z, M)
+    if np.any(r_c2 < c2_lo - 1e-10) or np.any(r_c2 > c2_hi + 1e-10):
+        raise RuntimeError("sampled bubble ratios escape the eigenvalue range")
+    reports.append(ConstantReport("bubble_elem_c1", level, samples, np.sqrt(c1_hi)))
+    reports.append(ConstantReport("bubble_elem_c2", level, samples, c2_lo))
 
     # facet bubble: transverse axes are (time, spatial others); the normal
     # axis is integrated separately over the squeezed band
@@ -655,9 +654,8 @@ def bubble_constants(
     profile, transverse = facet_bubble_profile(d, kappa)
     psiF = transverse(frule.points)
     w = frule.weights
-    MF = np.einsum("q,qa,qb->ab", w, FB.values, FB.values)
-    MpsiF = np.einsum("q,qa,qb->ab", w * psiF, FB.values, FB.values)
-    Mpsi2F = np.einsum("q,qa,qb->ab", w * psiF**2, FB.values, FB.values)
+    MF, MpsiF = _gram(w, FB.values), _gram(w * psiF, FB.values)
+    Mpsi2F = _gram(w * psiF**2, FB.values)
     c2_lo, _ = _sym_eig_bounds(MpsiF, MF)
     c1_lo, c1_hi = _sym_eig_bounds(Mpsi2F, MF)
 
@@ -677,13 +675,13 @@ def bubble_constants(
     for j in range(1, d):  # transverse axis 0 is time
         dpsi = psiF * (-2 ** (d - 1) * 2.0 * frule.points[:, j] / (1.0 - frule.points[:, j] ** 2))
         U = psiF[:, None] * FB.grad[:, :, j] + dpsi[:, None] * FB.values
-        grad_form = grad_form + int_p2 * np.einsum("q,qa,qb->ab", w, U, U)
+        grad_form = grad_form + int_p2 * _gram(w, U)
     vol_form = int_p2 * Mpsi2F
     _, vol_hi = _sym_eig_bounds(vol_form, MF)
     _, grad_hi = _sym_eig_bounds(grad_form, MF)
 
-    Z = rng.standard_normal((samples, tb.n_basis))
-    r_c2 = np.einsum("ia,ab,ib->i", Z, MpsiF, Z) / np.einsum("ia,ab,ib->i", Z, MF, Z)
+    Z = np.random.default_rng(seed).standard_normal((samples, tb.n_basis))
+    r_c2 = _qform(Z, MpsiF) / _qform(Z, MF)
     if np.any(r_c2 < c2_lo - 1e-10):
         raise RuntimeError("sampled facet bubble ratios escape the eigenvalue range")
 
@@ -702,64 +700,78 @@ def bubble_constants(
 
 
 def _ratio_max(num_form: np.ndarray, den_form: np.ndarray, Z: np.ndarray) -> float:
-    num = np.einsum("ia,ab,ib->i", Z, num_form, Z)
-    den = np.einsum("ia,ab,ib->i", Z, den_form, Z)
-    return float(np.sqrt(np.max(num / den)))
+    return float(np.sqrt(np.max(_qform(Z, num_form) / _qform(Z, den_form))))
 
 
-def _face_items(dims: np.ndarray, kinds: str) -> list[tuple[int, float]]:
-    axes = range(1, len(dims)) if kinds == "Q" else (0,)
-    return [(a, s) for a in axes for s in (-1.0, 1.0)]
+def _sq_norms(w: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """sum_q w_q V_iq^2 for every row i of V."""
+    return np.einsum("q,iq->i", w, V**2)
+
+
+def _box_faces(degrees: tuple[int, ...], axes, nq: int) -> list[tuple[int, np.ndarray]]:
+    """(axis, basis values) on the two faces of the reference box normal to
+    each of `axes`, side -1 first, at the face Gauss points of `nq` per axis."""
+    n = len(degrees) - 1
+    return [(a, elem_trace_basis(degrees, a, side, (0.0,) * n, (1.0,) * n, nq).values)
+            for a in axes for side in (-1.0, 1.0)]
 
 
 def inequality_constants(
-    mesh: SpaceTimeMesh, p_s: int, samples: int = 200, seed: int = 0,
-    include_quasi: bool | None = None, level: int = 0,
+    mesh: SpaceTimeMesh, p_s: int, samples: int = 200, seed: int = 0, level: int = 0,
 ) -> list[ConstantReport]:
     """Measured best constants of the anisotropic inverse/trace inequalities,
     the local trace bounds, the quasi-interpolation estimates and the
     element-vs-facet projection gap, maximized over random fields and all
     element and facet shapes of the mesh.
 
-    Quasi-interpolation rows appear only when the mesh satisfies the
-    parabolic scaling dt <= 4 h^2 elementwise (or when forced).
+    Everything that does not depend on the shape is tabulated once on the
+    reference element, face and edge: the Gram matrices of the bases and
+    their traces, and the squared norms of the random fields' traces and
+    projection residuals.  Each shape only scales these by its
+    half-extents.  Quasi-interpolation rows appear only when the mesh
+    satisfies the parabolic scaling dt <= 4 h^2 elementwise.
     """
     d = mesh.d
     d1 = d + 1
-    rng = np.random.default_rng(seed)
     degrees = (P_T,) + (p_s,) * d
     degrees_hi = (P_T + 1,) + (p_s + 1,) * d
-    basis = fe.get_basis(degrees)
-    basis_hi = fe.get_basis(degrees_hi)
-    qdeg = (P_T,) + (p_s,) * (d - 1)
-    rdeg = (p_s,) * d
-    qb = fe.get_basis(qdeg)
-    rb = fe.get_basis(rdeg)
+    qdeg = (P_T,) + (p_s,) * (d - 1)  # lateral facets
+    rdeg = (p_s,) * d  # horizontal facets
 
     # one deterministic batch per space, shared across shapes and levels
-    Z = rng.standard_normal((samples, basis.n_basis))
-    Zhi = rng.standard_normal((samples, basis_hi.n_basis))
-    Zq = rng.standard_normal((samples, qb.n_basis))
-    Zr = rng.standard_normal((samples, rb.n_basis))
-
-    # distinct element extents, each with the first element row that has it
-    e = mesh.etab
-    ext = e.hi - e.lo
-    h_el = np.max(ext[:, 1:], axis=1)
-    if include_quasi is None:
-        include_quasi = bool(np.all(ext[:, 0] <= 4.0 * h_el**2 + 1e-14))
+    rng = np.random.default_rng(seed)
+    Z, Zhi, Zq, Zr = [rng.standard_normal((samples, fe.get_basis(g).n_basis))
+                      for g in (degrees, degrees_hi, qdeg, rdeg)]
 
     nq = max(P_T + 1, p_s + 1) + 2
-    vol_rule = fe.tensor_rule((nq,) * d1)
-    BV = basis.eval(vol_rule.points)
-    BH = basis_hi.eval(vol_rule.points)
-    frule = fe.tensor_rule((nq,) * d) if d1 > 1 else None
-    wq = vol_rule.weights
+    vol = fe.tensor_rule((nq,) * d1)
+    face = fe.tensor_rule((nq,) * d)
+    w_edge = fe.tensor_rule((nq,) * (d - 1)).weights
+    wv, wf = vol.weights, face.weights
 
-    # element-space projection of the enriched space, reference level
-    M_ref = np.einsum("q,qa,qb->ab", wq, BV.values, BV.values)
-    C_ref = np.einsum("q,qa,qb->ab", wq, BV.values, BH.values)
-    P_hi = np.linalg.solve(M_ref, C_ref)  # (nb, nb_hi)
+    # reference element: Gram matrices of the element space (values and each
+    # derivative), of the enriched space, and the residual of the
+    # element-space projection applied to the enriched fields
+    BV = fe.get_basis(degrees).eval(vol.points)
+    BH = fe.get_basis(degrees_hi).eval(vol.points)
+    M_ref, H_ref = _gram(wv, BV.values), _gram(wv, BH.values)
+    G = [_gram(wv, BV.grad[:, :, a]) for a in range(d1)]
+    GH = [_gram(wv, BH.grad[:, :, a]) for a in range(d1)]
+    P_hi = np.linalg.solve(M_ref, _gram(wv, BV.values, BH.values))  # (nb, nb_hi)
+    W = Zhi @ P_hi.T  # projected coefficients in the element space
+    res_sq = _sq_norms(wv, Zhi @ BH.values.T - W @ BV.values.T)
+
+    # reference faces: the trace Gram matrix, and per enriched field the
+    # squared norms of its trace, of its projection residual and of the gap
+    # between the element projection and the facet projection of its trace
+    faces = []
+    for (axis, tr), (_, tr_hi) in zip(_box_faces(degrees, range(d1), nq),
+                                      _box_faces(degrees_hi, range(d1), nq)):
+        FBv = fe.get_basis(qdeg if axis >= 1 else rdeg).eval(face.points).values
+        PF = np.linalg.solve(_gram(wf, FBv), _gram(wf, FBv, tr_hi))
+        T_hi, T_W = Zhi @ tr_hi.T, W @ tr.T  # traces of the fields and of their projections
+        faces.append((axis, _gram(wf, tr), _sq_norms(wf, T_hi), _sq_norms(wf, T_hi - T_W),
+                      _sq_norms(wf, T_W - (Zhi @ PF.T) @ FBv.T)))
 
     best: dict[str, float] = {}
 
@@ -767,168 +779,89 @@ def inequality_constants(
         if np.isfinite(value):
             best[name] = max(best.get(name, 0.0), value)
 
-    # shapes are keyed by extents rounded to 14 decimals; an element shape
-    # takes dt and h from the first element row with its key, and a facet
-    # shape is its free extents with its owner's h and dt
-    exact, first = np.unique(ext, axis=0, return_index=True)
-    elem_shapes: dict[tuple, int] = {}
-    for k in np.argsort(first):
-        elem_shapes.setdefault(tuple(np.round(exact[k], 14)), first[k])
-    f = mesh.ftab
-    free = np.array([[b for b in range(d1) if b != a] for a in range(d1)])
-    f_keys = np.unique(np.column_stack((
-        f.axis, np.take_along_axis(f.hi - f.lo, free[f.axis], 1),
-        h_el[f.owner], ext[f.owner, 0])), axis=0)
-    q_shapes: dict[tuple, None] = {}
-    r_shapes: dict[tuple, None] = {}
-    for ax, *f_ext, h_o, dt_o in f_keys:
-        key = (tuple(np.round(f_ext, 14)), round(float(h_o), 14), round(float(dt_o), 14))
-        (q_shapes if ax >= 1 else r_shapes).setdefault(key)
-
-    for dims_key, row in elem_shapes.items():
-        dims = np.asarray(dims_key)
+    # an element shape is its extents rounded to 14 decimals, with dt and h
+    # taken from the first element row that has it
+    e = mesh.etab
+    ext = e.hi - e.lo
+    h_el = np.max(ext[:, 1:], axis=1)
+    quasi = bool(np.all(ext[:, 0] <= 4.0 * h_el**2 + 1e-14))
+    shapes, first = np.unique(np.round(ext, 14), axis=0, return_index=True)
+    for dims, row in zip(shapes, first):
         half = 0.5 * dims
         jac = float(np.prod(half))
         dt_K, h_K = float(ext[row, 0]), float(h_el[row])
+        fjac = [float(np.prod(np.delete(half, axis))) for axis, *_ in faces]
 
         M = jac * M_ref
-        Mdt = jac * np.einsum("q,qa,qb->ab", wq, BV.grad[:, :, 0], BV.grad[:, :, 0]) / half[0] ** 2
-        Mgr = sum(
-            jac * np.einsum("q,qa,qb->ab", wq, BV.grad[:, :, a], BV.grad[:, :, a]) / half[a] ** 2
-            for a in range(1, d1)
-        )
+        Mdt = jac * G[0] / half[0] ** 2
+        Mgr = sum(jac * G[a] / half[a] ** 2 for a in range(1, d1))
         hit("inv_time_deriv", dt_K * _ratio_max(Mdt, M, Z))
         hit("inv_space_grad", h_K * _ratio_max(Mgr, M, Z))
 
         # whole lateral / horizontal boundary of the element
-        def face_mass(vals_list, which_basis):
-            out = np.zeros((which_basis.n_basis,) * 2)
-            for axis, side, tbv, fjac in vals_list:
-                out += fjac * np.einsum("q,qa,qb->ab", frule.weights, tbv, tbv)
-            return out
-
-        def face_traces(which_deg, kinds):
-            items = []
-            for axis, side in _face_items(dims, kinds):
-                free = [a for a in range(d1) if a != axis]
-                tbv = elem_trace_basis(which_deg, axis, side,
-                                       (0.0,) * d, (1.0,) * d, nq).values
-                fjac = float(np.prod(half[free]))
-                items.append((axis, side, tbv, fjac))
-            return items
-
-        q_traces = face_traces(degrees, "Q")
-        r_traces = face_traces(degrees, "R")
-        Mq = face_mass(q_traces, basis)
-        Mr = face_mass(r_traces, basis)
+        Mq = sum(fj * gram for fj, (axis, gram, *_) in zip(fjac, faces) if axis >= 1)
+        Mr = sum(fj * gram for fj, (axis, gram, *_) in zip(fjac, faces) if axis == 0)
         hit("trace_lateral", np.sqrt(h_K) * _ratio_max(Mq, M, Z))
         hit("trace_temporal", np.sqrt(dt_K) * _ratio_max(Mr, M, Z))
 
-        # enriched-space quantities for the H1-style bounds
-        Mh = jac * np.einsum("q,qa,qb->ab", wq, BH.values, BH.values)
-        Mh_dt = jac * np.einsum("q,qa,qb->ab", wq, BH.grad[:, :, 0], BH.grad[:, :, 0]) / half[0] ** 2
-        Mh_gr = sum(
-            jac * np.einsum("q,qa,qb->ab", wq, BH.grad[:, :, a], BH.grad[:, :, a]) / half[a] ** 2
-            for a in range(1, d1)
-        )
-        v_n = np.sqrt(np.einsum("ia,ab,ib->i", Zhi, Mh, Zhi))
-        dt_n = np.sqrt(np.einsum("ia,ab,ib->i", Zhi, Mh_dt, Zhi))
-        gr_n = np.sqrt(np.einsum("ia,ab,ib->i", Zhi, Mh_gr, Zhi))
-
-        q_traces_hi = face_traces(degrees_hi, "Q")
-        r_traces_hi = face_traces(degrees_hi, "R")
-        for (axis, side, tbv, fjac), hi_item in zip(q_traces + r_traces,
-                                                    q_traces_hi + r_traces_hi):
-            _, _, tbv_hi, _ = hi_item
-            tr_sq = fjac * np.einsum("q,iq->i", frule.weights, (Zhi @ tbv_hi.T) ** 2)
-            # these bounds are stated on squared norms, so no square root
-            if axis >= 1:
-                hit("local_trace_lateral",
-                    float(np.max(tr_sq / (v_n**2 / h_K + v_n * gr_n))))
-            else:
-                hit("local_trace_horizontal",
-                    float(np.max(tr_sq / (v_n**2 / dt_K + v_n * dt_n))))
-
-        # quasi-interpolation and projection-gap bounds use the residual of
-        # the element-space projection applied to enriched fields
-        W = Zhi @ P_hi.T  # projected coefficients in the element space
-        res_vol = Zhi @ BH.values.T - W @ BV.values.T  # (ns, nqv)
-        res_norm = np.sqrt(jac * np.einsum("q,iq->i", wq, res_vol**2))
-        if include_quasi:
+        # enriched-space norms for the H1-style bounds
+        v_n = np.sqrt(_qform(Zhi, jac * H_ref))
+        dt_n = np.sqrt(_qform(Zhi, jac * GH[0] / half[0] ** 2))
+        gr_n = np.sqrt(_qform(Zhi, sum(jac * GH[a] / half[a] ** 2 for a in range(1, d1))))
+        if quasi:
+            res_norm = np.sqrt(jac * res_sq)
             for eps in QUASI_EPS:
                 lam = min(1.0, h_K / np.sqrt(eps))
                 den = lam * (h_K * np.sqrt(eps) * dt_n + np.sqrt(eps) * gr_n + v_n)
                 hit("quasi_interp_volume", float(np.max(res_norm / den)))
-            den_g = h_K * dt_n + gr_n  # the eps factors cancel on the faces
-            for (axis, side, tbv, fjac), hi_item in zip(q_traces + r_traces,
-                                                        q_traces_hi + r_traces_hi):
-                _, _, tbv_hi, _ = hi_item
-                res_f = Zhi @ tbv_hi.T - W @ tbv.T
-                fn = np.sqrt(fjac * np.einsum("q,iq->i", frule.weights, res_f**2))
-                if axis >= 1:
-                    hit("quasi_interp_lateral", float(np.max(fn / (np.sqrt(h_K) * den_g))))
-                else:
-                    hit("quasi_interp_horizontal", float(np.max(fn / den_g)))
+        den_g = h_K * dt_n + gr_n  # the eps factors cancel on the faces
 
-        # gap between the element projection and the facet projection
-        for (axis, side, tbv, fjac), hi_item in zip(q_traces + r_traces,
-                                                    q_traces_hi + r_traces_hi):
-            _, _, tbv_hi, _ = hi_item
-            fb_deg = qdeg if axis >= 1 else rdeg
-            fbasis = qb if axis >= 1 else rb
-            FBv = fe.get_basis(fb_deg).eval(frule.points).values
-            MFf = np.einsum("q,qa,qb->ab", frule.weights, FBv, FBv)
-            CF = np.einsum("q,qa,qb->ab", frule.weights, FBv, tbv_hi)
-            PF = np.linalg.solve(MFf, CF)  # facet projection of the trace
-            gap = W @ tbv.T - (Zhi @ PF.T) @ FBv.T
-            gn = np.sqrt(fjac * np.einsum("q,iq->i", frule.weights, gap**2))
-            if axis >= 1:
-                hit("proj_gap_lateral", float(np.max(gn / (np.sqrt(h_K) * gr_n))))
-            else:
-                hit("proj_gap_horizontal", float(np.max(gn / (np.sqrt(dt_K) * dt_n))))
+        # the trace bounds are stated on squared norms, so no square root
+        for fj, (axis, _, tr_sq, quasi_sq, gap_sq) in zip(fjac, faces):
+            where, s, s_n, q_scale = (("lateral", h_K, gr_n, np.sqrt(h_K)) if axis >= 1
+                                      else ("horizontal", dt_K, dt_n, 1.0))
+            hit(f"local_trace_{where}", float(np.max(fj * tr_sq / (v_n**2 / s + v_n * s_n))))
+            if quasi:
+                hit(f"quasi_interp_{where}",
+                    float(np.max(np.sqrt(fj * quasi_sq) / (q_scale * den_g))))
+            hit(f"proj_gap_{where}", float(np.max(np.sqrt(fj * gap_sq) / (np.sqrt(s) * s_n))))
 
-    # facet-space inequalities
-    for ext_key, h_key, dt_key in q_shapes:
-        ext = np.asarray(ext_key)
-        half = 0.5 * ext
+    # a facet shape is its free extents rounded to 14 decimals, and for a
+    # horizontal facet also its owner's h (rounded alike)
+    f = mesh.ftab
+    free = np.array([[b for b in range(d1) if b != a] for a in range(d1)])
+    f_ext = np.round(np.take_along_axis(f.hi - f.lo, free[f.axis], 1), 14)
+
+    # lateral facets: time derivative and the edges at their temporal ends
+    FQ = fe.get_basis(qdeg).eval(face.points)
+    MQ_ref, GQ_dt = _gram(wf, FQ.values), _gram(wf, FQ.grad[:, :, 0])
+    q_edges = [_gram(w_edge, tr) for _, tr in _box_faces(qdeg, (0,), nq)]
+    for dims in np.unique(f_ext[f.axis >= 1], axis=0):
+        half = 0.5 * dims
         jac = float(np.prod(half))
-        rule_q = fe.tensor_rule((nq,) * d)
-        FB = qb.eval(rule_q.points)
-        w = rule_q.weights
-        MF = jac * np.einsum("q,qa,qb->ab", w, FB.values, FB.values)
-        MFdt = jac * np.einsum("q,qa,qb->ab", w, FB.grad[:, :, 0], FB.grad[:, :, 0]) / half[0] ** 2
-        dt_F = float(ext[0])
-        hit("facet_time_deriv", dt_F * _ratio_max(MFdt, MF, Zq))
-        # edges at the temporal ends of the lateral facet
-        for side in (-1.0, 1.0):
-            tbv = elem_trace_basis(qdeg, 0, side, (0.0,) * (d - 1), (1.0,) * (d - 1), nq).values
-            ejac = float(np.prod(half[1:])) if d > 1 else 1.0
-            ew = fe.tensor_rule((nq,) * (d - 1)).weights if d > 1 else np.ones(1)
-            Me = ejac * np.einsum("q,qa,qb->ab", ew, tbv, tbv)
-            hit("edge_trace_lateral", np.sqrt(dt_F) * _ratio_max(Me, MF, Zq))
+        MF = jac * MQ_ref
+        dt_F = float(dims[0])
+        hit("facet_time_deriv", dt_F * _ratio_max(jac * GQ_dt / half[0] ** 2, MF, Zq))
+        for Me in q_edges:
+            hit("edge_trace_lateral",
+                np.sqrt(dt_F) * _ratio_max(float(np.prod(half[1:])) * Me, MF, Zq))
 
-    for ext_key, h_key, dt_key in r_shapes:
-        ext = np.asarray(ext_key)
-        half = 0.5 * ext
+    # horizontal facets: spatial gradient and the edges of every spatial axis
+    FR = fe.get_basis(rdeg).eval(face.points)
+    MR_ref = _gram(wf, FR.values)
+    GR = [_gram(wf, FR.grad[:, :, a]) for a in range(d)]
+    r_edges = [(a, _gram(w_edge, tr)) for a, tr in _box_faces(rdeg, range(d), nq)]
+    hor = np.unique(np.column_stack((f_ext, h_el[f.owner]))[f.axis == 0], axis=0)
+    for dims, h in zip(hor[:, :d], hor[:, d]):
+        half = 0.5 * dims
         jac = float(np.prod(half))
-        rule_f = fe.tensor_rule((nq,) * d)
-        FB = rb.eval(rule_f.points)
-        w = rule_f.weights
-        MF = jac * np.einsum("q,qa,qb->ab", w, FB.values, FB.values)
-        MFgr = sum(
-            jac * np.einsum("q,qa,qb->ab", w, FB.grad[:, :, a], FB.grad[:, :, a]) / half[a] ** 2
-            for a in range(d)
-        )
-        h_K = float(h_key)
-        hit("facet_grad_horizontal", h_K * _ratio_max(MFgr, MF, Zr))
-        for a in range(d):
-            for side in (-1.0, 1.0):
-                tbv = elem_trace_basis(rdeg, a, side, (0.0,) * (d - 1), (1.0,) * (d - 1), nq).values
-                free = [ax for ax in range(d) if ax != a]
-                ejac = float(np.prod(half[free])) if d > 1 else 1.0
-                ew = fe.tensor_rule((nq,) * (d - 1)).weights if d > 1 else np.ones(1)
-                Me = ejac * np.einsum("q,qa,qb->ab", ew, tbv, tbv)
-                hit("edge_trace_horizontal", np.sqrt(h_K) * _ratio_max(Me, MF, Zr))
+        MF = jac * MR_ref
+        h_K = round(float(h), 14)
+        hit("facet_grad_horizontal",
+            h_K * _ratio_max(sum(jac * GR[a] / half[a] ** 2 for a in range(d)), MF, Zr))
+        for a, Me in r_edges:
+            hit("edge_trace_horizontal",
+                np.sqrt(h_K) * _ratio_max(float(np.prod(np.delete(half, a))) * Me, MF, Zr))
 
     return [ConstantReport(name, level, samples, best[name]) for name in sorted(best)]
 

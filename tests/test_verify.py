@@ -21,7 +21,6 @@ from sthdg.verify import (
     measure_saturation,
     oswald_constant,
     restriction_matrix,
-    subgrid_restrict,
     write_constants_csv,
 )
 
@@ -80,9 +79,9 @@ def test_restriction_reproduces_fields(rng):
     mesh = SpaceTimeMesh.build(2, 2, 2)
     pair = build_subgrid(mesh)
     dm_c = build_dofmap(mesh, 1)
-    x_c = rng.standard_normal(dm_c.n_dofs)
-    x_f = subgrid_restrict(pair, x_c, 1)
     dm_f = build_dofmap(pair.fine, 1)
+    x_c = rng.standard_normal(dm_c.n_dofs)
+    x_f = restriction_matrix(pair, dm_c, dm_f) @ x_c
     els, fine_els = elements(mesh), elements(pair.fine)
     ref = rng.uniform(-1, 1, size=(5, 3))
     for i in range(4):
@@ -96,13 +95,6 @@ def test_restriction_reproduces_fields(rng):
             vc, _, _ = element_at(dm_c, x_c, eid, ref_c)
             vf, _, _ = element_at(dm_f, x_f, cid, ref)
             assert np.allclose(vc, vf, atol=1e-12)
-
-
-def test_restriction_rejects_wrong_size():
-    mesh = SpaceTimeMesh.build(1, 1, 1)
-    pair = build_subgrid(mesh)
-    with pytest.raises(ValueError):
-        subgrid_restrict(pair, np.zeros(3), 1)
 
 
 def test_form_equivalence_is_exact():
@@ -323,12 +315,14 @@ def test_facet_bubble_profile_shape():
 
 def test_element_bubble_constants_positive_and_scale_invariant():
     for d in (1, 2):
-        reps = bubble_constants(1, "element", d=d, samples=60)
+        reps = [r for r in bubble_constants(1, d=d, samples=60)
+                if r.inequality.startswith("bubble_elem_")]
         by = {r.inequality: r.constant for r in reps}
         assert by["bubble_elem_c2"] > 0
         assert by["bubble_elem_c1"] >= by["bubble_elem_c2"]
         box = (np.zeros(d + 1), np.array([0.125] + [2.0] * d))
-        reps_box = bubble_constants(1, "element", d=d, samples=60, box=box)
+        reps_box = [r for r in bubble_constants(1, d=d, samples=60, box=box)
+                    if r.inequality.startswith("bubble_elem_")]
         for a, b in zip(reps, reps_box):
             assert a.inequality == b.inequality
             assert abs(a.constant - b.constant) <= 1e-12 * max(1.0, a.constant)
@@ -337,19 +331,14 @@ def test_element_bubble_constants_positive_and_scale_invariant():
 def test_facet_bubble_constants_uniform_in_squeeze():
     rows = {}
     for kappa in (1.0, 0.5, 0.1):
-        reps = bubble_constants(1, "facet", kappa=kappa, d=2, samples=60)
-        for r in reps:
-            rows.setdefault(r.inequality, []).append(r.constant)
+        for r in bubble_constants(1, kappa=kappa, d=2, samples=60):
+            if r.inequality.startswith("bubble_face_"):
+                rows.setdefault(r.inequality, []).append(r.constant)
     assert set(rows) == {"bubble_face_c1", "bubble_face_c2",
                          "bubble_face_volume", "bubble_face_gradient"}
     for name, vals in rows.items():
         assert all(v > 0 for v in vals)
         assert max(vals) / min(vals) < 2.0, name
-
-
-def test_bubble_constants_rejects_bad_kind():
-    with pytest.raises(ValueError):
-        bubble_constants(1, "edge")
 
 
 # ----------------------------------------------------------------------
@@ -380,9 +369,6 @@ def test_inequality_quasi_gating():
     mesh = SpaceTimeMesh.build(1, 1, 4)  # dt = 1 > 4 h^2 = 0.25
     names = {r.inequality for r in inequality_constants(mesh, 1, samples=40)}
     assert not any(n.startswith("quasi") for n in names)
-    names = {r.inequality
-             for r in inequality_constants(mesh, 1, samples=40, include_quasi=True)}
-    assert any(n.startswith("quasi") for n in names)
 
 
 def test_inequality_constants_stable_under_refinement():
@@ -395,6 +381,63 @@ def test_inequality_constants_stable_under_refinement():
     for name, vals in rows.items():
         assert len(vals) == 3, name
         assert max(vals) / min(vals) <= 2.0, name
+
+
+# inequality_constants(hanging_mesh(d, policy=policy), 1, samples=40) as
+# computed when each element shape was measured from its own bases; keyed by
+# (d, policy), rows in name order
+_HANGING_ROWS = {
+    (1, "h"): dict(
+        edge_trace_horizontal=1.9990924281421198, edge_trace_lateral=1.999863086052843,
+        facet_grad_horizontal=3.4577499037516977, facet_time_deriv=3.4640126645008396,
+        inv_space_grad=3.429700201750156, inv_time_deriv=3.3937649900746316,
+        local_trace_horizontal=1.267156443825242, local_trace_lateral=1.2863343230029216,
+        proj_gap_horizontal=0.28501329758042926, proj_gap_lateral=0.2836526990676776,
+        quasi_interp_horizontal=0.2515204475779644, quasi_interp_lateral=0.4144055250935796,
+        quasi_interp_volume=0.7811930365572292, trace_lateral=2.43329978108501,
+        trace_temporal=2.4164464824652656),
+    (1, "h2"): dict(
+        edge_trace_horizontal=1.9990924281421198, edge_trace_lateral=1.999863086052843,
+        facet_grad_horizontal=3.4577499037516977, facet_time_deriv=3.4640126645008396,
+        inv_space_grad=3.429700201750156, inv_time_deriv=3.3937649900746316,
+        local_trace_horizontal=1.267156443825242, local_trace_lateral=1.286334323002922,
+        proj_gap_horizontal=0.28501329758042926, proj_gap_lateral=0.2836526990676776,
+        quasi_interp_horizontal=0.24836683164446213, quasi_interp_lateral=0.3092950082080103,
+        quasi_interp_volume=0.7811930365572292, trace_lateral=2.43329978108501,
+        trace_temporal=2.4164464824652656),
+    (2, "h"): dict(
+        edge_trace_horizontal=1.984521204774863, edge_trace_lateral=1.9890062578646144,
+        facet_grad_horizontal=4.275479444631688, facet_time_deriv=3.30824184545246,
+        inv_space_grad=3.606371115147964, inv_time_deriv=3.084588225893922,
+        local_trace_horizontal=0.9581844541800256, local_trace_lateral=0.748108793326635,
+        proj_gap_horizontal=0.28220153696237604, proj_gap_lateral=0.25076422961506883,
+        quasi_interp_horizontal=0.15923816942414232, quasi_interp_lateral=0.2593211008961964,
+        quasi_interp_volume=0.7264413369031801, trace_lateral=2.887092691051766,
+        trace_temporal=2.2741067494237104),
+    (2, "h2"): dict(
+        edge_trace_horizontal=1.984521204774863, edge_trace_lateral=1.9890062578646144,
+        facet_grad_horizontal=4.275479444631688, facet_time_deriv=3.30824184545246,
+        inv_space_grad=3.606371115147964, inv_time_deriv=3.084588225893922,
+        local_trace_horizontal=0.9581844541800254, local_trace_lateral=0.748108793326635,
+        proj_gap_horizontal=0.28220153696237604, proj_gap_lateral=0.2507642296150688,
+        quasi_interp_horizontal=0.15923816942414232, quasi_interp_lateral=0.23150507155869823,
+        quasi_interp_volume=0.7264413369031801, trace_lateral=2.887092691051766,
+        trace_temporal=2.2741067494237104),
+}
+
+
+@pytest.mark.parametrize("d,policy", sorted(_HANGING_ROWS))
+def test_inequality_constants_on_hanging_meshes(d, policy):
+    # several element and facet shapes: every shape scales the same
+    # reference tables, and the maxima over shapes must not move
+    mesh = hanging_mesh(d, policy=policy)
+    assert len(np.unique(mesh.etab.hi - mesh.etab.lo, axis=0)) > 1
+    reps = inequality_constants(mesh, 1, samples=40)
+    assert [r.inequality for r in reps] == list(_HANGING_ROWS[d, policy])
+    for r in reps:
+        assert r.level == 0 and r.samples == 40
+        assert r.constant == pytest.approx(_HANGING_ROWS[d, policy][r.inequality],
+                                           rel=1e-12, abs=0.0)
 
 
 def test_write_constants_csv(tmp_path):
