@@ -1,7 +1,9 @@
 """Fixed-fraction marking and the solve-estimate-mark-refine loop.
 
-Marking sorts elements by their estimator value eta_K descending (ties
-broken by ascending element id) and refines the top 25% while coarsening
+Marking sorts elements by their estimator value eta_K, rounded to 12
+significant digits, descending (ties broken by ascending element id), so
+mirror-image elements whose eta_K differ only in the last bits do not
+depend on summation order; it refines the top 25% while coarsening
 the bottom 10% by element count.  Coarsening only takes effect for
 complete sibling groups; the mesh layer drops partial groups.
 
@@ -69,6 +71,14 @@ class StudyRecord:
         )
 
 
+def _round_12(v: np.ndarray) -> np.ndarray:
+    """v rounded to 12 significant decimal digits; 0, inf and nan kept."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        scale = 10.0 ** (11 - np.floor(np.log10(np.abs(v))))
+        r = np.round(v * scale) / scale
+    return np.where(np.isfinite(r), r, v)
+
+
 def mark(
     est: EstimateResult,
     refine_fraction: float = 0.25,
@@ -81,7 +91,7 @@ def mark(
         raise ValueError("fractions must lie in [0, 1]")
     if refine_fraction + coarsen_fraction > 1:
         raise ValueError("refine and coarsen fractions overlap")
-    order = est.elem_ids[np.lexsort((est.elem_ids, -est.eta_K))].tolist()
+    order = est.elem_ids[np.lexsort((est.elem_ids, -_round_12(est.eta_K)))].tolist()
     n = len(order)
     n_ref = math.ceil(refine_fraction * n)
     n_coar = math.floor(coarsen_fraction * n)

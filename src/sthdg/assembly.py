@@ -141,9 +141,19 @@ class DofMap:
 
 def first_occurrence_labels(keys: np.ndarray) -> np.ndarray:
     """Label of every row of `keys`: equal rows share a label, and labels
-    count the distinct rows in order of first occurrence."""
-    _, first, inv = np.unique(keys, axis=0, return_index=True, return_inverse=True)
-    return np.argsort(np.argsort(first))[inv.reshape(-1)]
+    count the distinct rows in order of first occurrence.  Rows are equal
+    as `==` says, so 0.0 and -0.0 group together and a row with a NaN is
+    its own group."""
+    order = np.lexsort(keys.T[::-1])  # stable: a group's first row comes first
+    srt = keys[order]
+    new = np.ones(len(keys), dtype=bool)
+    new[1:] = np.any(srt[1:] != srt[:-1], axis=1)
+    first = order[new]
+    rank = np.empty(len(first), dtype=np.intp)
+    rank[np.argsort(first)] = np.arange(len(first))
+    labels = np.empty(len(keys), dtype=np.intp)
+    labels[order] = rank[np.cumsum(new) - 1]
+    return labels
 
 
 def _groups_of_equal_rows(keys: np.ndarray) -> list[np.ndarray]:
@@ -213,9 +223,14 @@ class FacetSides:
         (nq, d) on the given facets; free axes ascending.
         The half-width along the frozen axis is zero, so that coordinate is
         the facet plane."""
-        ref_full = np.stack([np.insert(ref, a, 0.0, axis=1) for a in range(ref.shape[1] + 1)])
-        return (self.mid[facets][:, None, :]
-                + self.half[facets][:, None, :] * ref_full[self.axis[facets]])
+        d1 = ref.shape[1] + 1
+        ref_full = np.zeros((d1, len(ref), d1))  # [a]: ref with a zero column at a
+        for a in range(d1):
+            ref_full[a][:, np.arange(d1) != a] = ref
+        pts = ref_full[self.axis[facets]]
+        pts *= self.half[facets][:, None, :]
+        pts += self.mid[facets][:, None, :]
+        return pts
 
 
 def _build_facet_sides(dm: DofMap) -> FacetSides:

@@ -312,14 +312,14 @@ def error_norms(sys: AssembledSystem, x: np.ndarray) -> NormBreakdown:
             m = len(rows)
             coeffs = xe[rows]
 
-            ev = spec.exact(pts).reshape(m, -1) - coeffs @ BV.values.T
+            u, u_t, eg = spec.exact_jet(pts)
+            ev = u.reshape(m, -1) - coeffs @ BV.values.T
             l2[rows] += jac * (ev * ev) @ wq
-            edt = spec.exact_dt(pts).reshape(m, -1) - coeffs @ (BV.grad[:, :, 0].T / half[0])
+            edt = u_t.reshape(m, -1) - coeffs @ (BV.grad[:, :, 0].T / half[0])
             dterm[rows] += tau[rows] * jac * ((edt * edt) @ wq)
-            eg = spec.exact_grad(pts).reshape(m, -1, d)
             gsq = np.zeros((m, len(wq)))
             for a in range(1, d1):
-                ga = eg[:, :, a - 1] - coeffs @ (BV.grad[:, :, a].T / half[a])
+                ga = eg[:, a - 1].reshape(m, -1) - coeffs @ (BV.grad[:, :, a].T / half[a])
                 gsq += ga * ga
             grad_t[rows] += eps * jac * (gsq @ wq)
 

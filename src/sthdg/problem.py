@@ -19,6 +19,12 @@ defined symbolically and their derivatives and (unless a problem states
 its own, as the rotating pulse does with f = 0) source terms generated with
 sympy, so manufactured data is consistent with the stated exact solution by
 construction (and cross-checked by finite differences in the tests).
+
+`exact` is u alone (initial and Dirichlet data).  `exact_jet` maps the
+points to (u, u_t, grad u), shapes (n,), (n,) and (n, d), from one
+lambdify with common subexpressions shared, so the error norms, the
+lateral Neumann data and the saturation measurement evaluate the exact
+solution once per point; its u agrees with `exact` to rounding.
 """
 
 from __future__ import annotations
@@ -42,8 +48,7 @@ class ProblemSpec:
     beta_bar: Field  # (n, d+1) -> (n, d)
     f: Field  # (n, d+1) -> (n,)
     exact: Optional[Field] = None
-    exact_grad: Optional[Field] = None  # spatial gradient, (n, d)
-    exact_dt: Optional[Field] = None
+    exact_jet: Optional[Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]]] = None
     g_initial: Optional[Field] = None  # defaults to exact at t = 0
     g_dirichlet: Optional[Field] = None  # defaults to exact trace / zero
     g_neumann_lateral: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
@@ -90,8 +95,8 @@ class ProblemSpec:
             raise ValueError(f"problem {self.name} has no lateral Neumann data")
         bn = self.beta(pts) @ normal
         zminus = (bn < 0).astype(float)
-        flux = self.exact_grad(pts) @ normal[1:]
-        return -zminus * self.exact(pts) * bn + self.eps * flux
+        u, _, grad = self.exact_jet(pts)
+        return -zminus * u * bn + self.eps * (grad @ normal[1:])
 
     def has_exact(self) -> bool:
         return self.exact is not None
@@ -118,6 +123,25 @@ def _vectorize(fn, width: int | None = None):
         return np.column_stack(cols)
 
     return wrapped
+
+
+_JET_BLOCK = 16384  # points per call of the jet: its temporaries stay in cache
+
+
+def _jet(fn, d: int):
+    """(n, d+1) points -> (u, u_t, grad u) from a lambdified [u, u_t, *grad],
+    called on blocks of contiguous coordinate columns."""
+
+    def jet(pts: np.ndarray):
+        pts = np.atleast_2d(np.asarray(pts, dtype=float))
+        out = np.empty((d + 2, pts.shape[0]))
+        for start in range(0, pts.shape[0], _JET_BLOCK):
+            blk = slice(start, start + _JET_BLOCK)
+            for row, v in zip(out[:, blk], fn(*np.ascontiguousarray(pts[blk].T))):
+                row[:] = v
+        return out[0], out[1], out[2:].T
+
+    return jet
 
 
 def from_symbolic(
@@ -154,7 +178,7 @@ def from_symbolic(
     else:
         f = sp.sympify(source)
 
-    lam = lambda e: sp.lambdify(syms, e, "numpy")
+    lam = lambda e, **kw: sp.lambdify(syms, e, "numpy", **kw)
     return ProblemSpec(
         name=name,
         d=d,
@@ -165,8 +189,7 @@ def from_symbolic(
         beta_bar=_vectorize(lam(sp.Matrix(beta).T.tolist()[0]), width=d),
         f=_vectorize(lam(f)),
         exact=_vectorize(lam(u)),
-        exact_grad=_vectorize(lam(grad), width=d),
-        exact_dt=_vectorize(lam(u_t)),
+        exact_jet=_jet(lam([u, u_t, *grad], cse=True), d),
         dirichlet_lateral=dirichlet_lateral,
     )
 

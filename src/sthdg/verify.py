@@ -312,7 +312,7 @@ def measure_saturation(
 ) -> SaturationReport:
     """rho = sqrt(sum_K tau ||dt(u - u_fine)||^2 / sum_K tau ||dt(u - u_coarse)||^2),
     both sums over the coarse elements with the coarse regime weights."""
-    if spec.exact_dt is None:
+    if spec.exact_jet is None:
         raise ValueError("saturation measurement needs the exact time derivative")
     pair = build_subgrid(mesh)
     sys_c, sys_f = assemble_two_level(spec, pair, p_s)
@@ -340,7 +340,7 @@ def measure_saturation(
                 ch = pair.children[rows, ci]
                 half = 0.5 * (fhi[ch] - flo[ch])
                 phys = 0.5 * (flo[ch] + fhi[ch])[:, None, :] + half[:, None, :] * rule.points
-                dt_ex = spec.exact_dt(phys.reshape(-1, d1)).reshape(len(ch), -1)
+                dt_ex = spec.exact_jet(phys.reshape(-1, d1))[1].reshape(len(ch), -1)
                 dt_c = coef_c[rows] @ dt_ref_c.T / cls.half[0]
                 dt_f = coef_f[ch] @ dt_ref.T / half[:, :1]
                 jac = np.prod(half, axis=1)

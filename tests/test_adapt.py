@@ -41,6 +41,24 @@ def test_mark_orders_by_indicator():
     assert coarsen == [1]
 
 
+def test_mark_ignores_last_bit_differences_at_the_cut():
+    # mirror-image elements whose eta_K differ by 1 ulp straddle the cut:
+    # the lower id is refined whichever of the two sums came out larger
+    e = 0.5083427265643041
+    up = np.nextafter(e, 1.0)
+    for a, b in ((e, up), (up, e)):
+        est = _fake_estimate({0: 0.1, 3: 2.0, 5: a, 7: b})
+        refine, _ = mark(est, refine_fraction=0.5, coarsen_fraction=0.0)
+        assert refine == [3, 5]
+
+
+def test_mark_keeps_zero_and_tiny_indicators_ordered():
+    est = _fake_estimate({1: 0.0, 2: 1e-300, 3: 5e-324, 4: 1e-3})
+    refine, coarsen = mark(est, refine_fraction=0.75, coarsen_fraction=0.25)
+    assert refine == [4, 2, 3]
+    assert coarsen == [1]
+
+
 def test_mark_validates_inputs():
     est = _fake_estimate({1: 1.0})
     with pytest.raises(ValueError):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sthdg import fe
 from sthdg.assembly import (
@@ -10,6 +11,7 @@ from sthdg.assembly import (
     build_dofmap,
     compute_beta_sup,
     default_quad_n,
+    first_occurrence_labels,
     penalty_alpha,
 )
 from sthdg.mesh import SpaceTimeMesh
@@ -295,3 +297,23 @@ def test_facet_side_table_matches_per_facet_walk(d, policy, mesh):
             for k, a in enumerate(free):
                 phys[:, a] = mid[a] + half[a] * rule.points[:, k]
             assert np.array_equal(pts[i], phys)
+
+
+def _unique_labels(keys):
+    """The np.unique(axis=0) labelling that first_occurrence_labels replaced."""
+    _, first, inv = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+    return np.argsort(np.argsort(first))[inv.reshape(-1)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_first_occurrence_labels_match_np_unique(data):
+    # few distinct values, so rows repeat; 0.0 and -0.0 must share a label,
+    # rows with a NaN must each get their own, and one row is one label
+    n = data.draw(st.integers(1, 12))
+    k = data.draw(st.integers(1, 4))
+    vals = data.draw(st.sampled_from([
+        st.sampled_from([0.0, -0.0, np.nan, 1.0, -1.0, 0.5]), st.integers(-2, 2)]))
+    keys = np.array(data.draw(st.lists(st.lists(vals, min_size=k, max_size=k),
+                                       min_size=n, max_size=n)))
+    assert np.array_equal(first_occurrence_labels(keys), _unique_labels(keys))

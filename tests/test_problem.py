@@ -111,12 +111,26 @@ def test_given_source_skips_simplify(rng, monkeypatch):
     assert np.array_equal(spec.f(pts), pts[:, 1])
 
 
+JET_CASES = [
+    ("rotating-pulse", 1e-3, 2), ("boundary-layer", 1e-2, 2), ("interior-layer", 1e-2, 2),
+    ("linear", 0.5, 1), ("linear", 0.5, 2), ("sine", 0.3, 1), ("sine", 0.3, 2),
+]
+
+
 def test_exact_gradient_and_dt(rng):
-    spec = get_problem("sine", 0.3, d=2)
-    pts = _interior_points(spec, 20, rng)
-    g = fd_gradient(spec.exact, pts)
-    assert np.allclose(spec.exact_grad(pts), g[:, 1:], atol=1e-8)
-    assert np.allclose(spec.exact_dt(pts), g[:, 0], atol=1e-8)
+    # the jet of every builtin and generated problem against `exact` and
+    # against central differences of `exact`
+    for name, eps, d in JET_CASES:
+        spec = get_problem(name, eps, d=d)
+        pts = _interior_points(spec, 40, rng)
+        u, u_t, grad = spec.exact_jet(pts)
+        assert u.shape == u_t.shape == (40,) and grad.shape == (40, d)
+        want = spec.exact(pts)
+        assert np.allclose(u, want, rtol=1e-14, atol=1e-14 * np.abs(want).max()), name
+        g = fd_gradient(spec.exact, pts)
+        scale = np.abs(g).max()
+        assert np.allclose(grad, g[:, 1:], rtol=1e-6, atol=1e-8 * scale), name
+        assert np.allclose(u_t, g[:, 0], rtol=1e-6, atol=1e-8 * scale), name
 
 
 def test_boundary_data_defaults(rng):
@@ -143,14 +157,14 @@ def test_neumann_data_by_plane(rng):
     # flux survives
     n_lat = np.array([0.0, 1.0, 0.0])
     ptsL = pts.copy(); ptsL[:, 1] = 1.0
-    want = spec.eps * spec.exact_grad(ptsL)[:, 0]
+    want = spec.eps * spec.exact_jet(ptsL)[2][:, 0]
     assert np.allclose(spec.neumann_data(ptsL, n_lat), want, atol=1e-12)
 
     # inflow face x1 = 0: beta.n = -1 < 0 adds the advective term
     n_in = np.array([0.0, -1.0, 0.0])
     ptsI = pts.copy(); ptsI[:, 1] = 0.0
     bn = spec.beta(ptsI) @ n_in
-    want = -spec.exact(ptsI) * bn - spec.eps * spec.exact_grad(ptsI)[:, 0]
+    want = -spec.exact(ptsI) * bn - spec.eps * spec.exact_jet(ptsI)[2][:, 0]
     assert np.allclose(spec.neumann_data(ptsI, n_in), want, atol=1e-12)
 
 
