@@ -7,12 +7,13 @@ analysis constants written to constants.csv).
 
 Configuration comes from an optional INI file (key = value under any
 section) overridden by command-line flags; flags win.  A run.json manifest
-with the resolved config, package versions and the command's wall-clock
-seconds is written next to the artifacts; for `solve` and `study` its
-`cycles` list holds each cycle's `adapt.StudyRecord` as stored.  Exit codes:
-0 success, 2 invalid configuration (nothing written), 3 solver failure or
-out of memory (partial outputs kept, run.json status `solver_failure` or
-`out_of_memory`).
+with the resolved config, package versions and wall-clock seconds (the
+problem's set-up under `problem`, then the command or its phases) is
+written next to the artifacts; for `solve` and `study` its `cycles` list
+holds each cycle's `adapt.StudyRecord` as stored.  Exit codes: 0 success,
+2 invalid configuration, an unknown problem included (nothing written), 3
+solver failure or out of memory (partial outputs kept, run.json status
+`solver_failure` or `out_of_memory`).
 """
 
 from __future__ import annotations
@@ -206,13 +207,18 @@ def _write_manifest(out: Path, cfg: RunConfig, timings: dict, status: str,
         fh.write("\n")
 
 
-def _get_spec(cfg: RunConfig):
+def _get_spec(cfg: RunConfig, timings: dict):
+    """The configured problem; its set-up seconds go to timings["problem"]."""
     from .problem import get_problem
 
+    t0 = time.perf_counter()
     try:
-        return get_problem(cfg.problem, eps=cfg.eps, d=cfg.dim)
+        spec = get_problem(cfg.problem, eps=cfg.eps, d=cfg.dim)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
+    timings["problem"] = time.perf_counter() - t0
+    log.info("problem %s: %.3f s", spec.name, timings["problem"])
+    return spec
 
 
 def _fail(out: Path, cfg: RunConfig, timings: dict, exc: Exception,
@@ -237,12 +243,11 @@ def _write_vtk(path: Path, sys_, x, est) -> None:
     vtk_io.write_mesh_vtk(path, sys_.dofmap.mesh, values)
 
 
-def _cmd_study(cfg: RunConfig, out: Path) -> int:
+def _cmd_study(cfg: RunConfig, spec, out: Path, timings: dict) -> int:
     """Run `study`, or `solve` as its one cycle without study.csv."""
     from .adapt import run_study
     from .solver import SolverError
 
-    spec = _get_spec(cfg)
     study = cfg.command == "study"
     seen: list = []  # the StudyRecord of every cycle that reached the hook
 
@@ -260,9 +265,11 @@ def _cmd_study(cfg: RunConfig, out: Path) -> int:
                   policy=cfg.dt_policy, csv_path=out / "study.csv" if study else None,
                   on_cycle=on_cycle)
     except (SolverError, MemoryError) as exc:
-        return _fail(out, cfg, {cfg.command: time.perf_counter() - t0}, exc, seen,
+        timings[cfg.command] = time.perf_counter() - t0
+        return _fail(out, cfg, timings, exc, seen,
                      f" (partial outputs in {out})" if study else "")
-    _write_manifest(out, cfg, {cfg.command: time.perf_counter() - t0}, "ok", seen)
+    timings[cfg.command] = time.perf_counter() - t0
+    _write_manifest(out, cfg, timings, "ok", seen)
     if study:
         for rec in seen:
             print(rec.csv_row())
@@ -275,7 +282,7 @@ def _cmd_study(cfg: RunConfig, out: Path) -> int:
     return 0
 
 
-def _measure_constants(cfg: RunConfig, reports: list, timings: dict) -> None:
+def _measure_constants(cfg: RunConfig, spec, reports: list, timings: dict) -> None:
     """Append the verify constants to `reports` and the phase times to
     `timings`, so that both hold the finished part if a phase fails."""
     import numpy as np
@@ -318,7 +325,6 @@ def _measure_constants(cfg: RunConfig, reports: list, timings: dict) -> None:
 
     # two-level saturation of the time-derivative error on the benchmark
     t0 = time.perf_counter()
-    spec = _get_spec(cfg)
     if spec.has_exact():
         for level in range(2, 2 + L):
             n = 2 ** level
@@ -335,14 +341,13 @@ def _measure_constants(cfg: RunConfig, reports: list, timings: dict) -> None:
     timings["saturation"] = time.perf_counter() - t0
 
 
-def _cmd_verify(cfg: RunConfig, out: Path) -> int:
+def _cmd_verify(cfg: RunConfig, spec, out: Path, timings: dict) -> int:
     from .solver import SolverError
     from . import verify
 
-    timings: dict = {}
     reports: list = []
     try:
-        _measure_constants(cfg, reports, timings)
+        _measure_constants(cfg, spec, reports, timings)
     except (SolverError, MemoryError) as exc:
         verify.write_constants_csv(out / "constants.csv", reports)
         return _fail(out, cfg, timings, exc, kept=" (partial constants.csv kept)")
@@ -361,20 +366,21 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on bad flags, matching the invalid-config code
         return int(exc.code or 0)
+    timings: dict = {}
     try:
         cfg = build_config(args.command, args)
+        log.info("config: %s", asdict(cfg))
+        _cap_threads(cfg.threads)
+        spec = _get_spec(cfg, timings)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    _cap_threads(cfg.threads)
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
-
-    log.info("config: %s", asdict(cfg))
     if cfg.command == "verify":
-        return _cmd_verify(cfg, out)
-    return _cmd_study(cfg, out)
+        return _cmd_verify(cfg, spec, out, timings)
+    return _cmd_study(cfg, spec, out, timings)
 
 
 if __name__ == "__main__":

@@ -14,22 +14,25 @@ relation reduces to u = g, i.e. the initial condition) and the final plane
 (g = 0 there).
 
 All field callbacks are vectorized: they take an (n, d+1) array of points
-[t, x_1, .., x_d] and return (n,) or (n, d) arrays.  Built-in problems are
-defined symbolically and their derivatives and (unless a problem states
-its own, as the rotating pulse does with f = 0) source terms generated with
-sympy, so manufactured data is consistent with the stated exact solution by
-construction (and cross-checked by finite differences in the tests).
+[t, x_1, .., x_d] and return (n,) or (n, d) arrays.  Each built-in problem
+is one closed form in numpy that gives (u, u_t, grad u, lap u) of its exact
+solution.  The derivatives are written by hand and checked in the tests,
+with the sources built from them, against sympy's derivatives of the same
+expressions (`from_symbolic` in tests/oracles.py) and against finite
+differences.  The source is f = u_t + beta_bar . grad u - eps lap u (every
+built-in beta_bar is divergence-free), except for the rotating pulse, an
+exact solution of the homogeneous equation, whose f is 0.
 
 `exact` is u alone (initial and Dirichlet data).  `exact_jet` maps the
-points to (u, u_t, grad u), shapes (n,), (n,) and (n, d), from one
-lambdify with common subexpressions shared, so the error norms, the
-lateral Neumann data and the saturation measurement evaluate the exact
-solution once per point; its u agrees with `exact` to rounding.
+points to (u, u_t, grad u), shapes (n,), (n,) and (n, d), so the error
+norms, the lateral Neumann data and the saturation measurement evaluate the
+exact solution once per point; its u is `exact`'s.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -49,9 +52,6 @@ class ProblemSpec:
     f: Field  # (n, d+1) -> (n,)
     exact: Optional[Field] = None
     exact_jet: Optional[Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]]] = None
-    g_initial: Optional[Field] = None  # defaults to exact at t = 0
-    g_dirichlet: Optional[Field] = None  # defaults to exact trace / zero
-    g_neumann_lateral: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
     dirichlet_lateral: bool = True
 
     def beta(self, pts: np.ndarray) -> np.ndarray:
@@ -63,15 +63,11 @@ class ProblemSpec:
         return out
 
     def initial_data(self, pts: np.ndarray) -> np.ndarray:
-        if self.g_initial is not None:
-            return self.g_initial(pts)
         if self.exact is not None:
             return self.exact(pts)
         raise ValueError(f"problem {self.name} has no initial data")
 
     def dirichlet_data(self, pts: np.ndarray) -> np.ndarray:
-        if self.g_dirichlet is not None:
-            return self.g_dirichlet(pts)
         if self.exact is not None:
             return self.exact(pts)
         return np.zeros(np.atleast_2d(pts).shape[0])
@@ -89,8 +85,6 @@ class ProblemSpec:
             return self.initial_data(pts)
         if normal[0] > 0 and np.all(normal[1:] == 0):
             return np.zeros(pts.shape[0])
-        if self.g_neumann_lateral is not None:
-            return self.g_neumann_lateral(pts, normal)
         if self.exact is None:
             raise ValueError(f"problem {self.name} has no lateral Neumann data")
         bn = self.beta(pts) @ normal
@@ -103,172 +97,183 @@ class ProblemSpec:
 
 
 # ----------------------------------------------------------------------
-# symbolic construction of built-in problems
+# built-in problems from closed forms
 # ----------------------------------------------------------------------
 
 
-def _vectorize(fn, width: int | None = None):
-    """Wrap a sympy-lambdified function of (t, x1[, x2]) for (n, k) input."""
+_JET_BLOCK = 16384  # points per call of a closed form: its temporaries stay in cache
 
-    def wrapped(pts: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        args = [pts[:, j] for j in range(pts.shape[1])]
-        out = fn(*args)
-        if width is None:
-            return np.broadcast_to(np.asarray(out, dtype=float), (pts.shape[0],)).copy()
-        cols = [
-            np.broadcast_to(np.asarray(c, dtype=float), (pts.shape[0],))
-            for c in out
-        ]
-        return np.column_stack(cols)
-
-    return wrapped
+# (t, x_1, .., x_d) coordinate columns -> (u, u_t, [du/dx_1, ..], lap u);
+# any entry may be a scalar
+ClosedForm = Callable[..., tuple]
 
 
-_JET_BLOCK = 16384  # points per call of the jet: its temporaries stay in cache
+def _unit_diagonal(pts: np.ndarray) -> np.ndarray:
+    """beta_bar = (1, .., 1)."""
+    return np.ones((pts.shape[0], pts.shape[1] - 1))
 
 
-def _jet(fn, d: int):
-    """(n, d+1) points -> (u, u_t, grad u) from a lambdified [u, u_t, *grad],
-    called on blocks of contiguous coordinate columns."""
-
-    def jet(pts: np.ndarray):
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        out = np.empty((d + 2, pts.shape[0]))
-        for start in range(0, pts.shape[0], _JET_BLOCK):
-            blk = slice(start, start + _JET_BLOCK)
-            for row, v in zip(out[:, blk], fn(*np.ascontiguousarray(pts[blk].T))):
-                row[:] = v
-        return out[0], out[1], out[2:].T
-
-    return jet
+def _rotation(pts: np.ndarray) -> np.ndarray:
+    """beta_bar = (-4 x_2, 4 x_1): rotation about the origin at angular speed 4."""
+    return np.column_stack((-4 * pts[:, 2], 4 * pts[:, 1]))
 
 
-def from_symbolic(
+def from_closed_form(
     name: str,
     d: int,
     eps: float,
-    u_expr,
-    beta_exprs,
+    closed_form: ClosedForm,
+    beta_bar: Field,
     x_lo,
     x_hi,
-    t_final: float = 1.0,
+    homogeneous: bool = False,
     dirichlet_lateral: bool = True,
-    source=None,
 ) -> ProblemSpec:
-    """Build a ProblemSpec from a sympy exact solution and advective field.
+    """Build a ProblemSpec from a closed form of the exact solution.
 
-    Unless `source` gives f as a sympy expression (lambdified as it is), the
-    source is manufactured as f = du/dt + div(beta_bar u) - eps lap(u) and
-    simplified; beta_bar need not be divergence-free for the source to be
-    consistent, but the discretization assumes it is.
+    The closed form is called on blocks of contiguous coordinate columns.
+    f = u_t + beta_bar . grad u - eps lap u, or 0 when the problem is
+    `homogeneous`; beta_bar must be divergence-free for the first to be the
+    source of the conservative equation.
     """
-    import sympy as sp
 
-    syms = sp.symbols("t x1 x2")[: d + 1]
-    u = sp.sympify(u_expr)
-    beta = [sp.sympify(b) for b in beta_exprs]
-    grad = [sp.diff(u, syms[1 + i]) for i in range(d)]
-    u_t = sp.diff(u, syms[0])
-    if source is None:
-        lap = sum(sp.diff(u, syms[1 + i], 2) for i in range(d))
-        f = sp.simplify(
-            u_t + sum(sp.diff(beta[i] * u, syms[1 + i]) for i in range(d)) - eps * lap
-        )
-    else:
-        f = sp.sympify(source)
+    def rows(pts: np.ndarray) -> np.ndarray:
+        """(d+3, n) rows u, u_t, du/dx_1 .. du/dx_d, lap u at the points."""
+        pts = np.atleast_2d(np.asarray(pts, dtype=float))
+        out = np.empty((d + 3, pts.shape[0]))
+        for start in range(0, pts.shape[0], _JET_BLOCK):
+            blk = slice(start, start + _JET_BLOCK)
+            u, u_t, grad, lap = closed_form(*np.ascontiguousarray(pts[blk].T))
+            for row, v in zip(out[:, blk], (u, u_t, *grad, lap)):
+                row[:] = v
+        return out
 
-    lam = lambda e, **kw: sp.lambdify(syms, e, "numpy", **kw)
+    def exact(pts):
+        return rows(pts)[0]
+
+    def exact_jet(pts):
+        r = rows(pts)
+        return r[0], r[1], r[2:-1].T
+
+    def f(pts):
+        pts = np.atleast_2d(np.asarray(pts, dtype=float))
+        if homogeneous:
+            return np.zeros(pts.shape[0])
+        r = rows(pts)
+        return r[1] + np.sum(beta_bar(pts).T * r[2:-1], axis=0) - eps * r[-1]
+
     return ProblemSpec(
-        name=name,
-        d=d,
-        eps=eps,
-        t_final=t_final,
-        x_lo=np.asarray(x_lo, dtype=float),
-        x_hi=np.asarray(x_hi, dtype=float),
-        beta_bar=_vectorize(lam(sp.Matrix(beta).T.tolist()[0]), width=d),
-        f=_vectorize(lam(f)),
-        exact=_vectorize(lam(u)),
-        exact_jet=_jet(lam([u, u_t, *grad], cse=True), d),
+        name=name, d=d, eps=eps, t_final=1.0,
+        x_lo=np.asarray(x_lo, dtype=float), x_hi=np.asarray(x_hi, dtype=float),
+        beta_bar=beta_bar, f=f, exact=exact, exact_jet=exact_jet,
         dirichlet_lateral=dirichlet_lateral,
     )
 
 
 def rotating_pulse(eps: float) -> ProblemSpec:
-    """Gaussian pulse rotating around the origin; f = 0."""
-    import sympy as sp
+    """Gaussian pulse rotating around the origin; f = 0.
 
-    t, x1, x2 = sp.symbols("t x1 x2")
-    sigma = sp.Rational(1, 10)
-    x1c, x2c = -sp.Rational(1, 5), sp.Rational(1, 10)
-    xt1 = x1 * sp.cos(4 * t) + x2 * sp.sin(4 * t)
-    xt2 = -x1 * sp.sin(4 * t) + x2 * sp.cos(4 * t)
-    u = (
-        sigma**2
-        / (sigma**2 + 2 * eps * t)
-        * sp.exp(-((xt1 - x1c) ** 2 + (xt2 - x2c) ** 2) / (2 * sigma**2 + 4 * eps * t))
-    )
+    u = s^2 / (s^2 + 2 eps t) exp(-r^2 / D) with s = 1/10, D = 2 s^2 + 4 eps t
+    and r the distance of the rotated point R(4t) x from (-1/5, 1/10).
+    """
+
+    def closed_form(t, x1, x2):
+        c, s = np.cos(4 * t), np.sin(4 * t)
+        X1, X2 = x1 * c + x2 * s, x2 * c - x1 * s  # R(4t) x
+        a, b = X1 + 0.2, X2 - 0.1
+        r2, D = a * a + b * b, 4 * eps * t + 0.02
+        u = 0.01 * np.exp(-r2 / D) / (2 * eps * t + 0.01)
+        g = u / D
+        lap = 4 * g * (r2 / D - 1)
+        # d/dt (a, b) = 4 (X2, -X1): the rotation's share of u_t is the
+        # advection term -beta_bar . grad u, and the rest is eps lap u
+        u_t = eps * lap - 8 * g * (a * X2 - b * X1)
+        return u, u_t, (2 * g * (b * s - a * c), -2 * g * (a * s + b * c)), lap
+
     # the pulse is an exact solution of the homogeneous equation
-    return from_symbolic(
-        "rotating-pulse", 2, eps, u, [-4 * x2, 4 * x1],
-        x_lo=[-0.5, -0.5], x_hi=[0.5, 0.5], source=0,
+    return from_closed_form(
+        "rotating-pulse", 2, eps, closed_form, _rotation,
+        x_lo=[-0.5, -0.5], x_hi=[0.5, 0.5], homogeneous=True,
     )
 
 
 def boundary_layer(eps: float) -> ProblemSpec:
-    """Outflow boundary layers of width O(eps) on the unit square."""
-    import sympy as sp
+    """Outflow boundary layers of width O(eps) on the unit square.
 
-    t, x1, x2 = sp.symbols("t x1 x2")
+    u = (1 - e^-t) r(x_1) r(x_2), r(z) = z - (e^((z-1)/eps) - c) / (1 - c)
+    with c = e^(-1/eps), so r(0) = r(1) = 0.
+    """
+    c = math.exp(-1 / eps)
 
     def ramp(z):
-        return (sp.exp((z - 1) / eps) - 1) / (sp.exp(-1 / sp.Float(eps)) - 1) + z - 1
+        e = np.exp((z - 1) / eps) / (1 - c)
+        return z - (e - c / (1 - c)), 1 - e / eps, -e / eps**2
 
-    u = (1 - sp.exp(-t)) * ramp(x1) * ramp(x2)
-    return from_symbolic(
-        "boundary-layer", 2, eps, u, [1, 1], x_lo=[0.0, 0.0], x_hi=[1.0, 1.0]
+    def closed_form(t, x1, x2):
+        (r1, d1, dd1), (r2, d2, dd2) = ramp(x1), ramp(x2)
+        et = np.exp(-t)
+        T = 1 - et
+        return T * r1 * r2, et * r1 * r2, (T * d1 * r2, T * r1 * d2), T * (dd1 * r2 + r1 * dd2)
+
+    return from_closed_form(
+        "boundary-layer", 2, eps, closed_form, _unit_diagonal,
+        x_lo=[0.0, 0.0], x_hi=[1.0, 1.0],
     )
 
 
 def interior_layer(eps: float) -> ProblemSpec:
-    """Diagonal interior layer driven by constant advection."""
-    import sympy as sp
+    """Diagonal interior layer driven by constant advection.
 
-    t, x1, x2 = sp.symbols("t x1 x2")
-    u = (
-        (1 - sp.exp(-t))
-        * sp.atan((x2 - x1) / (sp.sqrt(2) * eps))
-        * (1 - (x1 + x2) ** 2 / 2)
+    u = (1 - e^-t) atan((x_2 - x_1) / (sqrt(2) eps)) (1 - (x_1 + x_2)^2 / 2).
+    """
+    k = 1 / (math.sqrt(2) * eps)
+
+    def closed_form(t, x1, x2):
+        w, s = x2 - x1, x1 + x2
+        at = np.arctan(k * w)
+        da = k / (1 + (k * w) ** 2)  # d atan / dx_2 = -d atan / dx_1
+        q = 1 - s * s / 2  # grad q = (-s, -s), lap q = -2
+        et = np.exp(-t)
+        T = 1 - et
+        lap = T * (-4 * k * w * da * da * q - 2 * at)
+        return T * at * q, et * at * q, (T * (-da * q - at * s), T * (da * q - at * s)), lap
+
+    return from_closed_form(
+        "interior-layer", 2, eps, closed_form, _unit_diagonal,
+        x_lo=[-0.5, -0.5], x_hi=[0.5, 0.5],
     )
-    return from_symbolic(
-        "interior-layer", 2, eps, u, [1, 1], x_lo=[-0.5, -0.5], x_hi=[0.5, 0.5]
-    )
 
 
-def linear_exact(d: int, eps: float = 1.0, beta_const=None) -> ProblemSpec:
+def linear_exact(d: int, eps: float = 1.0) -> ProblemSpec:
     """u = t + x_1 (+ x_2): reproduced exactly by any discretization order."""
-    import sympy as sp
 
-    if beta_const is None:
-        beta_const = (1.0,) * d
-    syms = sp.symbols("t x1 x2")[: d + 1]
-    u = syms[0] + sum(syms[1 + i] for i in range(d))
-    return from_symbolic(
-        f"linear-{d}d", d, eps, u, list(beta_const), x_lo=[0.0] * d, x_hi=[1.0] * d
+    def closed_form(t, *xs):
+        return sum(xs, t), 1.0, (1.0,) * d, 0.0
+
+    return from_closed_form(
+        f"linear-{d}d", d, eps, closed_form, _unit_diagonal,
+        x_lo=[0.0] * d, x_hi=[1.0] * d,
     )
 
 
 def sine_product(d: int, eps: float, dirichlet_lateral: bool = True) -> ProblemSpec:
-    """Smooth manufactured solution, homogeneous on the lateral boundary."""
-    import sympy as sp
+    """Smooth manufactured solution, homogeneous on the lateral boundary.
 
-    syms = sp.symbols("t x1 x2")[: d + 1]
-    u = (1 + syms[0] / 2)
-    for i in range(d):
-        u = u * sp.sin(sp.pi * syms[1 + i])
-    return from_symbolic(
-        f"sine-{d}d", d, eps, u, [1] * d, x_lo=[0.0] * d, x_hi=[1.0] * d,
-        dirichlet_lateral=dirichlet_lateral,
+    u = (1 + t/2) sin(pi x_1) .. sin(pi x_d).
+    """
+
+    def closed_form(t, *xs):
+        amp = 0.5 * t + 1
+        sines = [np.sin(np.pi * x) for x in xs]
+        # rest[i]: the product of the sines other than the i-th
+        rest = [np.prod(sines[:i] + sines[i + 1:], axis=0) for i in range(d)]
+        u = amp * sines[0] * rest[0]
+        grad = [np.pi * amp * np.cos(np.pi * x) * r for x, r in zip(xs, rest)]
+        return u, 0.5 * sines[0] * rest[0], grad, -d * np.pi**2 * u
+
+    return from_closed_form(
+        f"sine-{d}d", d, eps, closed_form, _unit_diagonal,
+        x_lo=[0.0] * d, x_hi=[1.0] * d, dirichlet_lateral=dirichlet_lateral,
     )
 
 

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from sthdg.mesh import SpaceTimeMesh
-from sthdg.problem import ProblemSpec, from_symbolic, get_problem
+from sthdg.problem import ProblemSpec, get_problem
+
+from oracles import from_symbolic
 
 
 def poly_problem(d: int, dirichlet: bool = True, eps: float = 0.3) -> ProblemSpec:

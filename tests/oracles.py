@@ -5,8 +5,9 @@ numerical path than the package: nodal basis functions are evaluated by
 solving monomial Vandermonde systems (the package uses Lagrange polynomial
 objects), quadrature runs at double order, assembly is plain dense loops
 with no batching, and facet data (sup |beta.n|, normals, jacobians) is
-recomputed from the geometry.  Agreement is therefore evidence, not
-tautology.
+recomputed from the geometry.  Problem data come from sympy derivatives of
+an exact solution (`from_symbolic`) or from finite differences.  Agreement
+is therefore evidence, not tautology.
 
 The package addresses elements and facets by table row; the oracles build
 their own per-entity records (`Element`, `Facet`, keyed by id) from the
@@ -24,6 +25,7 @@ import scipy.sparse as sp
 from sthdg.assembly import P_T, build_dofmap, elem_trace_basis, facet_rule
 from sthdg.fe import get_basis, lobatto_nodes
 from sthdg.mesh import BOUNDARIES, SpaceTimeMesh
+from sthdg.problem import _JET_BLOCK, ProblemSpec
 
 
 # ----------------------------------------------------------------------
@@ -545,6 +547,95 @@ def oracle_norms(sys, x: np.ndarray, npts: int | None = None) -> dict:
     sT = math.sqrt(tot["l2"] + tot["jump_adv"] + T * tot["neumann"]
                    + T * tot["grad"] + tot["jump_Q"] + tot["dt"])
     return dict(per_element=acc, totals=tot, s_norm=s, sT_norm=sT)
+
+
+# ----------------------------------------------------------------------
+# symbolic problems: sympy derivatives of an exact solution
+# ----------------------------------------------------------------------
+
+
+def _vectorize(fn, width: int | None = None):
+    """Wrap a sympy-lambdified function of (t, x1[, x2]) for (n, k) input."""
+
+    def wrapped(pts: np.ndarray) -> np.ndarray:
+        pts = np.atleast_2d(np.asarray(pts, dtype=float))
+        args = [pts[:, j] for j in range(pts.shape[1])]
+        out = fn(*args)
+        if width is None:
+            return np.broadcast_to(np.asarray(out, dtype=float), (pts.shape[0],)).copy()
+        cols = [
+            np.broadcast_to(np.asarray(c, dtype=float), (pts.shape[0],))
+            for c in out
+        ]
+        return np.column_stack(cols)
+
+    return wrapped
+
+
+def _jet(fn, d: int):
+    """(n, d+1) points -> (u, u_t, grad u) from a lambdified [u, u_t, *grad],
+    called on blocks of contiguous coordinate columns."""
+
+    def jet(pts: np.ndarray):
+        pts = np.atleast_2d(np.asarray(pts, dtype=float))
+        out = np.empty((d + 2, pts.shape[0]))
+        for start in range(0, pts.shape[0], _JET_BLOCK):
+            blk = slice(start, start + _JET_BLOCK)
+            for row, v in zip(out[:, blk], fn(*np.ascontiguousarray(pts[blk].T))):
+                row[:] = v
+        return out[0], out[1], out[2:].T
+
+    return jet
+
+
+def from_symbolic(
+    name: str,
+    d: int,
+    eps: float,
+    u_expr,
+    beta_exprs,
+    x_lo,
+    x_hi,
+    t_final: float = 1.0,
+    dirichlet_lateral: bool = True,
+    source=None,
+) -> ProblemSpec:
+    """Build a ProblemSpec from a sympy exact solution and advective field.
+
+    Unless `source` gives f as a sympy expression (lambdified as it is), the
+    source is manufactured as f = du/dt + div(beta_bar u) - eps lap(u) and
+    simplified; beta_bar need not be divergence-free for the source to be
+    consistent, but the discretization assumes it is.
+    """
+    import sympy as sp
+
+    syms = sp.symbols("t x1 x2")[: d + 1]
+    u = sp.sympify(u_expr)
+    beta = [sp.sympify(b) for b in beta_exprs]
+    grad = [sp.diff(u, syms[1 + i]) for i in range(d)]
+    u_t = sp.diff(u, syms[0])
+    if source is None:
+        lap = sum(sp.diff(u, syms[1 + i], 2) for i in range(d))
+        f = sp.simplify(
+            u_t + sum(sp.diff(beta[i] * u, syms[1 + i]) for i in range(d)) - eps * lap
+        )
+    else:
+        f = sp.sympify(source)
+
+    lam = lambda e, **kw: sp.lambdify(syms, e, "numpy", **kw)
+    return ProblemSpec(
+        name=name,
+        d=d,
+        eps=eps,
+        t_final=t_final,
+        x_lo=np.asarray(x_lo, dtype=float),
+        x_hi=np.asarray(x_hi, dtype=float),
+        beta_bar=_vectorize(lam(sp.Matrix(beta).T.tolist()[0]), width=d),
+        f=_vectorize(lam(f)),
+        exact=_vectorize(lam(u)),
+        exact_jet=_jet(lam([u, u_t, *grad], cse=True), d),
+        dirichlet_lateral=dirichlet_lateral,
+    )
 
 
 # ----------------------------------------------------------------------

@@ -12,8 +12,10 @@ from sthdg.adapt import (
     write_csv,
 )
 from sthdg.estimator import ETA_TERMS, EstimateResult
-from sthdg.problem import get_problem
+from sthdg.problem import ProblemSpec, get_problem
 from sthdg.solver import SolverError
+
+from oracles import from_symbolic
 
 
 def _fake_estimate(etas: dict[int, float]) -> EstimateResult:
@@ -108,12 +110,17 @@ def test_run_study_uniform_growth():
 
 
 def test_run_study_without_exact_solution(tmp_path):
-    from sthdg.problem import from_symbolic
+    # the data of u = t*x1, from a spec that states no exact solution
+    base = from_symbolic("noexact", 1, 0.5, "t*x1", ["1"], [0.0], [1.0])
 
-    spec = from_symbolic("noexact", 1, 0.5, "t*x1", ["1"], [0.0], [1.0])
-    spec.g_initial = spec.exact
-    spec.g_dirichlet = spec.exact
-    spec.exact = None
+    class DataOnly(ProblemSpec):
+        def initial_data(self, pts):
+            return base.exact(pts)
+
+        dirichlet_data = initial_data
+
+    spec = DataOnly(**{**vars(base), "exact": None, "exact_jet": None})
+    assert not spec.has_exact()
     records, _ = run_study(spec, "amr", cycles=2, p_s=1, n_slabs=1, n_cells=2)
     assert all(math.isnan(r.true_error) for r in records)
     assert all(math.isnan(r.eff_index) for r in records)

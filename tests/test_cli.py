@@ -63,6 +63,11 @@ def test_invalid_config_exits_2_without_artifacts(tmp_path, capsys):
     rc = main(["solve", "--eps", "abc", "--out", str(out)])
     assert rc == 2
     assert "error:" in capsys.readouterr().err
+    # an unknown problem, or one not defined in the asked dimension
+    assert main(["study", "--problem", "no-such", "--out", str(out)]) == 2
+    assert main(["verify", "--problem", "rotating-pulse", "--dim", "1",
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err.count("error: ") == 2
     assert not out.exists()
 
 
@@ -93,7 +98,8 @@ def test_solve_writes_artifacts(tmp_path, capsys):
     assert manifest["config"]["problem"] == "sine"
     # solve is one study cycle: its record is the cycle's StudyRecord
     assert manifest["config"]["cycles"] == 1
-    assert set(manifest["timings_s"]) == {"solve"}
+    assert set(manifest["timings_s"]) == {"problem", "solve"}
+    assert manifest["timings_s"]["problem"] >= 0
     [c] = manifest["cycles"]
     assert set(c) == {f.name for f in dataclasses.fields(StudyRecord)}
     assert c["cycle"] == 0 and f"n_dofs={c['n_dofs']} " in line
@@ -269,8 +275,8 @@ def test_verify_writes_constants(tmp_path, capsys):
             "saturation_rho"} <= names
     assert len(out.strip().splitlines()) == len(lines) - 1
     manifest = json.loads((tmp_path / "run.json").read_text())
-    assert {"bubbles", "inequalities", "oswald", "saturation"} <= set(
-        manifest["timings_s"])
+    assert set(manifest["timings_s"]) == {"problem", "bubbles", "inequalities",
+                                          "oswald", "saturation"}
 
 
 def test_log_level_env(tmp_path, monkeypatch, capsys):
@@ -287,5 +293,6 @@ def test_log_level_env(tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert "config:" in err
     assert err.count("solve: ") == 1  # one line per solve
+    assert err.count("problem linear-1d: ") == 1  # with its set-up seconds
     for h in root.handlers[:]:
         root.removeHandler(h)

@@ -1,9 +1,15 @@
+import functools
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from sthdg.problem import from_symbolic, get_problem
+from sthdg.problem import get_problem
 
-from oracles import fd_source, fd_gradient
+from oracles import fd_source, fd_gradient, from_symbolic
 
 
 def _interior_points(spec, n, rng, margin=0.08):
@@ -89,28 +95,6 @@ def test_pulse_solves_homogeneous_equation(rng):
     assert np.max(np.abs(fd_source(spec, pts, h=2e-3))) < 1e-5
 
 
-def test_given_source_skips_simplify(rng, monkeypatch):
-    # a stated source is lambdified as it is; only manufactured sources
-    # go through the (slow) sympy simplification
-    import sympy
-
-    def no_simplify(*args, **kwargs):
-        raise AssertionError("sympy.simplify called for a given source")
-
-    monkeypatch.setattr(sympy, "simplify", no_simplify)
-    spec = get_problem("rotating-pulse", 1e-3)
-    pts = _interior_points(spec, 30, rng)
-    f = spec.f(pts)
-    assert f.dtype == np.float64 and f.shape == (30,)
-    assert np.all(f == 0.0)
-
-    spec = from_symbolic(
-        "given", 1, 0.5, "t + x1", ["1"], x_lo=[0.0], x_hi=[1.0], source="x1"
-    )
-    pts = _interior_points(spec, 15, rng)
-    assert np.array_equal(spec.f(pts), pts[:, 1])
-
-
 JET_CASES = [
     ("rotating-pulse", 1e-3, 2), ("boundary-layer", 1e-2, 2), ("interior-layer", 1e-2, 2),
     ("linear", 0.5, 1), ("linear", 0.5, 2), ("sine", 0.3, 1), ("sine", 0.3, 2),
@@ -131,6 +115,100 @@ def test_exact_gradient_and_dt(rng):
         scale = np.abs(g).max()
         assert np.allclose(grad, g[:, 1:], rtol=1e-6, atol=1e-8 * scale), name
         assert np.allclose(u_t, g[:, 0], rtol=1e-6, atol=1e-8 * scale), name
+
+
+def _symbolic(name, eps, d):
+    """The exact solution and beta_bar of a builtin as sympy expressions."""
+    import sympy as sp
+
+    t, x1, x2 = sp.symbols("t x1 x2")
+    eps = sp.nsimplify(eps)
+    if name == "rotating-pulse":
+        sigma = sp.Rational(1, 10)
+        xt1 = x1 * sp.cos(4 * t) + x2 * sp.sin(4 * t)
+        xt2 = -x1 * sp.sin(4 * t) + x2 * sp.cos(4 * t)
+        r2 = (xt1 + sp.Rational(1, 5)) ** 2 + (xt2 - sp.Rational(1, 10)) ** 2
+        u = sigma**2 / (sigma**2 + 2 * eps * t) * sp.exp(-r2 / (2 * sigma**2 + 4 * eps * t))
+        return u, [-4 * x2, 4 * x1]
+    if name == "boundary-layer":
+        def ramp(z):
+            return (sp.exp((z - 1) / eps) - 1) / (sp.exp(-1 / eps) - 1) + z - 1
+
+        return (1 - sp.exp(-t)) * ramp(x1) * ramp(x2), [1, 1]
+    if name == "interior-layer":
+        u = (1 - sp.exp(-t)) * sp.atan((x2 - x1) / (sp.sqrt(2) * eps)) * (1 - (x1 + x2) ** 2 / 2)
+        return u, [1, 1]
+    xs = (x1, x2)[:d]
+    if name == "linear":
+        return t + sum(xs), [1] * d
+    assert name == "sine"
+    return (1 + t / 2) * sp.prod([sp.sin(sp.pi * x) for x in xs]), [1] * d
+
+
+@functools.cache
+def _sympy_oracle(name, eps, d):
+    """`from_symbolic` of the builtin's expression.  The source is sympy's
+    derivative of the conservative form, not simplified: simplifying the
+    boundary layer at eps = 1e-3 splits exp(1000 (x - 1)) into exp(1000 x)
+    and exp(1000), which overflow in numpy.  The pulse states f = 0."""
+    import sympy as sp
+
+    u, beta = _symbolic(name, eps, d)
+    t, *xs = sp.symbols("t x1 x2")[: d + 1]
+    source = 0 if name == "rotating-pulse" else sp.diff(u, t) + sum(
+        sp.diff(b * u, x) - sp.nsimplify(eps) * sp.diff(u, x, 2) for b, x in zip(beta, xs))
+    spec = get_problem(name, eps, d=d)
+    return from_symbolic(name, d, eps, u, beta, spec.x_lo, spec.x_hi, source=source)
+
+
+CROSS_CASES = JET_CASES + [("boundary-layer", 1e-3, 2), ("interior-layer", 1e-3, 2)]
+
+
+@pytest.mark.parametrize("name,eps,d", CROSS_CASES)
+def test_closed_forms_match_sympy(name, eps, d):
+    # every field of the hand-derived closed form against sympy's
+    # derivatives of the same expression, anywhere in the domain (the
+    # layers included), to 1e-12 of the field's largest value
+    spec, ref = get_problem(name, eps, d=d), _sympy_oracle(name, eps, d)
+    pts = _interior_points(spec, 4000, np.random.default_rng(7), margin=0.0)
+    with np.errstate(under="ignore"):
+        got = dict(zip(("u", "u_t", "grad"), spec.exact_jet(pts)),
+                   exact=spec.exact(pts), f=spec.f(pts), beta_bar=spec.beta_bar(pts))
+        want = dict(zip(("u", "u_t", "grad"), ref.exact_jet(pts)),
+                    exact=ref.exact(pts), f=ref.f(pts), beta_bar=ref.beta_bar(pts))
+    for key, w in want.items():
+        assert got[key].shape == w.shape, key
+        err, scale = np.abs(got[key] - w).max(), np.abs(w).max()
+        assert err <= 1e-12 * scale, f"{name} eps={eps} d={d} {key}: {err:.3g} of {scale:.3g}"
+
+
+def test_runtime_path_imports_no_sympy(tmp_path):
+    # sympy is a test dependency only: importing every module, building and
+    # evaluating every builtin and running a one-cycle study leave it unloaded
+    import sthdg
+
+    code = f"""
+import importlib, pkgutil, sys
+import numpy as np
+import sthdg
+for mod in pkgutil.iter_modules(sthdg.__path__):
+    importlib.import_module("sthdg." + mod.name)
+from sthdg.cli import main
+from sthdg.problem import get_problem
+for name, eps, d in {JET_CASES!r}:
+    spec = get_problem(name, eps, d=d)
+    pts = np.full((3, d + 1), 0.25)
+    spec.f(pts), spec.exact_jet(pts), spec.beta(pts)
+assert main(["study", "--problem", "linear", "--dim", "1", "--eps", "1", "--cycles", "1",
+             "--mode", "uniform", "--slabs", "1", "--cells", "1", "--out", {str(tmp_path)!r}]) == 0
+assert "sympy" not in sys.modules, sorted(m for m in sys.modules if m.startswith("sympy"))[:5]
+"""
+    env = dict(os.environ, PYTHONPATH=str(Path(sthdg.__file__).parents[1]),
+               OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert (tmp_path / "study.csv").is_file()
 
 
 def test_boundary_data_defaults(rng):

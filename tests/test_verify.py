@@ -6,7 +6,7 @@ import pytest
 from sthdg import fe
 from sthdg.assembly import assemble, build_dofmap
 from sthdg.mesh import SpaceTimeMesh
-from sthdg.problem import from_symbolic, get_problem
+from sthdg.problem import get_problem
 from sthdg.verify import (
     ConstantReport,
     assemble_two_level,
@@ -25,7 +25,7 @@ from sthdg.verify import (
 )
 
 from conftest import hanging_mesh, poly_problem, problem_mesh
-from oracles import element_at, elements, facets
+from oracles import element_at, elements, facets, from_symbolic
 
 
 # ----------------------------------------------------------------------
