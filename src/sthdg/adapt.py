@@ -11,7 +11,7 @@ complete sibling groups; the mesh layer drops partial groups.
 per solve, with the solver's block count, largest block and residual, its
 wall time (through the `on_cycle` hook), the seconds of each phase
 (assemble, solve, estimate, norms, then the refine that follows the cycle;
-a hook may add its own) and the peak RSS after the refine.  CSV
+a hook may add its own) and the peak RSS after each of them.  CSV
 output is deterministic: the wall_ms column is written as 0 and the solver
 statistics are left out (timings vary run to run and the table must be
 byte-identical across reruns); they go into the run manifest instead.
@@ -57,6 +57,7 @@ class StudyRecord:
     lu_fill: int
     residual: float
     phase_s: dict[str, float] = field(default_factory=dict)
+    phase_maxrss_mb: dict[str, float] = field(default_factory=dict)  # after each phase
     maxrss_mb: float = 0.0
 
     def csv_row(self) -> str:
@@ -139,12 +140,13 @@ def run_study(
         write_csv(records, csv_path)
     for cycle in range(cycles):
         phase: dict[str, float] = {}
+        rss: dict[str, float] = {}
         t0 = t = time.perf_counter()
 
         def lap(name: str) -> None:
             nonlocal t
             now = time.perf_counter()
-            phase[name] = now - t
+            phase[name], rss[name] = now - t, maxrss_mb()
             t = now
 
         sys = assemble(spec, mesh, p_s)
@@ -167,7 +169,7 @@ def run_study(
             wall_ms=1e3 * (time.perf_counter() - t0),
             solver_method=rep.method, solver_blocks=rep.n_blocks,
             max_block_dofs=max(rep.block_sizes), lu_fill=rep.lu_fill,
-            residual=rep.residual, phase_s=phase,
+            residual=rep.residual, phase_s=phase, phase_maxrss_mb=rss,
         )
         records.append(rec)
         if csv_path is not None:
@@ -184,8 +186,13 @@ def run_study(
                 mesh.refine_uniform(1)
         del sys, x, est  # free this cycle's system before the next assemble
         lap("refine")
-        rec.maxrss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+        rec.maxrss_mb = rss["refine"]
     return records, mesh
+
+
+def maxrss_mb() -> float:
+    """Peak resident set size of this process so far, in MB."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
 def loglog_slope(ns: list[int], errs: list[float], last: int) -> float:

@@ -245,7 +245,7 @@ def _write_vtk(path: Path, sys_, x, est) -> None:
 
 def _cmd_study(cfg: RunConfig, spec, out: Path, timings: dict) -> int:
     """Run `study`, or `solve` as its one cycle without study.csv."""
-    from .adapt import run_study
+    from .adapt import maxrss_mb, run_study
     from .solver import SolverError
 
     study = cfg.command == "study"
@@ -256,7 +256,7 @@ def _cmd_study(cfg: RunConfig, spec, out: Path, timings: dict) -> int:
         t0 = time.perf_counter()
         _write_vtk(out / (f"cycle_{cycle:02d}.vtk" if study else "solution.vtk"),
                    sys_, x, est)
-        rec.phase_s["vtk"] = time.perf_counter() - t0
+        rec.phase_s["vtk"], rec.phase_maxrss_mb["vtk"] = time.perf_counter() - t0, maxrss_mb()
         log.info("cycle %d: %s", cycle, rec)
 
     t0 = time.perf_counter()

@@ -13,12 +13,14 @@ for every stored entry A[i, j], and assumes nothing about the mesh:
   depends on.  Blocks of one level do not depend on each other, so the
   diagonal submatrix of a level is block diagonal.
 
-The matrix is permuted once so that every level is a contiguous range of
-rows, and the levels are forward-substituted in order with one sparse LU
-each.  Causality keeps the blocks small: later time slabs, and after
-temporal refinement later time layers of a slab, depend only on earlier
-ones.  A system without such structure is solved as a single block; there
-is no mode to choose.
+The levels are forward-substituted in order with one sparse LU each.  A
+level's rows are gathered from the Dirichlet matrix itself, in ascending
+dof order, and its diagonal block is cut from them; no permuted copy of
+the matrix is made, and the solution keeps the original numbering.
+Causality keeps the blocks small: later time slabs, and after temporal
+refinement later time layers of a slab, depend only on earlier ones.  A
+system without such structure is solved as a single block; there is no
+mode to choose.
 
 Each level is factored by SuperLU in its symmetric mode (X. S. Li, "An
 overview of SuperLU", ACM TOMS 31(3), 2005): columns ordered by minimum
@@ -121,36 +123,24 @@ def causal_levels(A: sp.csr_matrix) -> np.ndarray:
     return level[comp]
 
 
-def _permuted(A: sp.csr_matrix, perm: np.ndarray) -> sp.csr_matrix:
-    """A[perm][:, perm] in one copy: row i is row perm[i] of A, entries in
-    their order in A, columns renumbered."""
-    inv = np.empty_like(perm)
-    inv[perm] = np.arange(len(perm))
-    lens = np.diff(A.indptr)[perm]
-    indptr = np.concatenate(([0], np.cumsum(lens))).astype(A.indptr.dtype)
-    src = np.repeat(A.indptr[perm] - indptr[:-1], lens) + np.arange(indptr[-1])
-    return sp.csr_matrix((A.data[src], inv[A.indices[src]].astype(A.indices.dtype), indptr),
-                         shape=A.shape)
-
-
 def solve(sys: AssembledSystem) -> tuple[np.ndarray, SolveReport]:
     """Solve the bilinear system with Dirichlet rows applied."""
     A_bc, b_bc = apply_dirichlet(sys)
     t0 = time.perf_counter()
     level = causal_levels(A_bc)
-    perm = np.argsort(level, kind="stable")
-    A_p = _permuted(A_bc, perm)
-    b_p = b_bc[perm]
+    order = np.argsort(level, kind="stable")  # ascending dof ids within each level
     bounds = np.concatenate(([0], np.cumsum(np.bincount(level))))
-    x_p = np.zeros(sys.n_dofs)
+    x = np.zeros(sys.n_dofs)
     fill = []
     for lo, hi in zip(bounds[:-1], bounds[1:]):
-        rows = A_p[lo:hi]
-        rhs = b_p[lo:hi] - rows @ x_p  # x_p is zero on this and later levels
-        x_p[lo:hi], nnz_lu = _lu_solve(rows[:, lo:hi], rhs)
+        idx = order[lo:hi]
+        rows = A_bc[idx]
+        rhs = b_bc[idx] - rows @ x  # x is zero on this and later levels
+        block = rows[:, idx].tocsc()
+        del rows  # free the level's rows before its LU ...
+        x[idx], nnz_lu = _lu_solve(block, rhs)
+        del block  # ... and its block before the next level's gathers
         fill.append(nnz_lu)
-    x = np.empty_like(x_p)
-    x[perm] = x_p
     resid = _check_residual(A_bc, b_bc, x, "block-lu")
     rep = SolveReport(
         n_dofs=sys.n_dofs, nnz=A_bc.nnz, residual=resid, method="block-lu",

@@ -21,11 +21,13 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from sthdg.assembly import P_T, build_dofmap, elem_trace_basis, facet_rule
 from sthdg.fe import get_basis, lobatto_nodes
 from sthdg.mesh import BOUNDARIES, SpaceTimeMesh
 from sthdg.problem import _JET_BLOCK, ProblemSpec
+from sthdg.solver import causal_levels
 
 
 # ----------------------------------------------------------------------
@@ -942,6 +944,26 @@ def oracle_apply_dirichlet(sys):
     b_bc = free * sys.b
     b_bc[sys.dirichlet_idx] = sys.dirichlet_values
     return A_bc, b_bc
+
+
+def oracle_block_solve(sys) -> np.ndarray:
+    """x of the Dirichlet system by forward substitution over the permuted
+    copy A_bc[perm][:, perm], one SuperLU per causal level with the
+    package's settings, un-permuted at the end."""
+    A_bc, b_bc = oracle_apply_dirichlet(sys)
+    level = causal_levels(A_bc)
+    perm = np.argsort(level, kind="stable")
+    A_p, b_p = A_bc[perm][:, perm], b_bc[perm]
+    bounds = np.concatenate(([0], np.cumsum(np.bincount(level))))
+    x_p = np.zeros(sys.n_dofs)
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        rows = A_p[lo:hi]
+        lu = spla.splu(rows[:, lo:hi].tocsc(), permc_spec="MMD_AT_PLUS_A",
+                       diag_pivot_thresh=0.1, options=dict(SymmetricMode=True))
+        x_p[lo:hi] = lu.solve(b_p[lo:hi] - rows @ x_p)
+    x = np.empty_like(x_p)
+    x[perm] = x_p
+    return x
 
 
 def oracle_eta_J1(sys, x: np.ndarray) -> np.ndarray:

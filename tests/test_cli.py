@@ -1,6 +1,7 @@
 import argparse
 import dataclasses
 import json
+import math
 import os
 
 import pytest
@@ -180,9 +181,17 @@ def test_study_writes_artifacts(tmp_path, capsys, monkeypatch):
         # phase seconds: the cycle's wall time covers all but the refine
         # that follows it
         phases = c["phase_s"]
-        assert set(phases) == {"assemble", "solve", "estimate", "norms", "vtk", "refine"}
+        order = ["assemble", "solve", "estimate", "norms", "vtk", "refine"]
+        assert set(phases) == set(order)
         assert min(phases.values()) >= 0 and c["maxrss_mb"] > 0
         assert sum(phases.values()) <= c["wall_ms"] / 1e3 + phases["refine"] + 1e-5
+        # peak RSS after each phase (run.json sorts keys): it never falls in
+        # phase order, and the last phase's is the cycle's
+        rss = c["phase_maxrss_mb"]
+        assert set(rss) == set(phases)
+        mb = [rss[p] for p in order]
+        assert all(math.isfinite(v) for v in mb) and mb == sorted(mb)
+        assert mb[-1] <= c["maxrss_mb"]
     # the thread caps that actually apply: an inherited value wins
     assert manifest["threads"]["OMP_NUM_THREADS"] == "3"
     assert manifest["threads"] == {
