@@ -156,7 +156,7 @@ def run_study(
         est = estimate(sys, x)
         lap("estimate")
         if spec.has_exact():
-            nb = error_norms(sys, x)
+            nb = error_norms(sys, x, est)
             err = nb.sT_norm()
             eff = efficiency_index(est.eta, err)
         else:

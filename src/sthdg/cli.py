@@ -203,7 +203,7 @@ def _write_manifest(out: Path, cfg: RunConfig, timings: dict, status: str,
     if cycles is not None:
         manifest["cycles"] = [asdict(rec) for rec in cycles]  # StudyRecords
     with open(out / "run.json", "w", newline="\n") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
+        json.dump(manifest, fh, indent=2)
         fh.write("\n")
 
 

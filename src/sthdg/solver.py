@@ -104,8 +104,7 @@ def _lu_solve(A: sp.spmatrix, b: np.ndarray) -> tuple[np.ndarray, int]:
 def causal_levels(A: sp.csr_matrix) -> np.ndarray:
     """Level of every unknown in the block-triangular order of A."""
     n_comp, comp = csgraph.connected_components(A, directed=True, connection="strong")
-    coo = A.tocoo()
-    ci, cj = comp[coo.row], comp[coo.col]
+    ci, cj = np.repeat(comp, np.diff(A.indptr)), comp[A.indices]
     cross = ci != cj
     # row j of `dependents` lists the blocks that read block j's unknowns
     dependents = sp.csr_matrix(

@@ -3,7 +3,9 @@
 Everything in this module measures; nothing proves.  It covers
 
 * the temporal subgrid (every element split once in time) with the
-  restriction of a coarse discrete solution onto it,
+  restriction of a coarse discrete solution onto it, and the two-level
+  assembly, whose fine form restricted to coarse fields is the coarse
+  form,
 * Galerkin orthogonality of the two-level pair,
 * the saturation factor of the weighted time-derivative error,
 * the vertex-averaging (Oswald) operator and its jump-based defect bound,
@@ -57,7 +59,6 @@ from .problem import ProblemSpec
 from .solver import solve
 
 SUBGRID_SALT = 101  # keeps subgrid child ids away from refinement child ids
-FORM_PAIRS = 20  # random trial/test pairs of `form_equivalence`
 QUASI_EPS = (1.0, 1e-2, 1e-4)  # diffusion values of the quasi-interpolation rows
 
 
@@ -226,38 +227,6 @@ def assemble_two_level(
     inherited = np.where(pair.facet_parent >= 0, sys_c.beta_sup[pair.facet_parent], 1.0)
     sys_f = assemble(spec, pair.fine, p_s, beta_sup=inherited)
     return sys_c, sys_f
-
-
-@dataclass
-class FormEquivalenceReport:
-    matrix_defect: float  # max |restricted fine form - coarse form| entrywise, relative
-    pair_defect: float  # worst normalized defect over random trial/test pairs
-    n_pairs: int
-
-
-def form_equivalence(
-    spec: ProblemSpec, mesh: SpaceTimeMesh, p_s: int, seed: int = 0,
-) -> FormEquivalenceReport:
-    """Check a_fine(restricted u, restricted v) == a_coarse(u, v) on
-    FORM_PAIRS random trial/test pairs."""
-    pair = build_subgrid(mesh)
-    sys_c, sys_f = assemble_two_level(spec, pair, p_s)
-    G = restriction_matrix(pair, sys_c.dofmap, sys_f.dofmap)
-    B = (G.T @ sys_f.A @ G).tocsr()
-    scale = max(abs(sys_c.A).max(), 1e-300)
-    D = B - sys_c.A
-    mat_defect = float(abs(D).max() / scale) if D.nnz else 0.0
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    n = sys_c.n_dofs
-    for _ in range(FORM_PAIRS):
-        u = rng.standard_normal(n)
-        v = rng.standard_normal(n)
-        qf = float(v @ (B @ u))
-        qc = float(v @ (sys_c.A @ u))
-        denom = max(abs(qc), scale * np.linalg.norm(u) * np.linalg.norm(v))
-        worst = max(worst, abs(qf - qc) / denom)
-    return FormEquivalenceReport(mat_defect, worst, FORM_PAIRS)
 
 
 @dataclass

@@ -109,7 +109,7 @@ def test_criterion_01_linear_exactness():
     for d, spec in specs:
         sys = assemble(spec, SpaceTimeMesh.build(d, 2, 2), 1)
         x, _ = solve(sys)
-        err = error_norms(sys, x).sT_norm()
+        err = error_norms(sys, x, estimate(sys, x)).sT_norm()
         assert err <= 1e-9, f"d={d}: |||u - u_h|||_sT = {err:.3e}"
     elapsed = time.perf_counter() - t0
     assert elapsed < 1.0, f"exactness check took {elapsed:.2f}s"
@@ -143,7 +143,7 @@ def test_criterion_02_oracle_equivalence():
                         a, b = getattr(est, term)[k], ref[eid][term]
                         assert _close(a, b), \
                             f"d={d} mesh{i} {term}: {a!r} vs {b!r}"
-                nb = error_norms(sys, x)
+                nb = error_norms(sys, x, est)
                 refn = oracle_norms(sys, x)["per_element"]
                 for k, eid in enumerate(nb.elem_ids):
                     for ours, theirs in _NORM_KEYS.items():

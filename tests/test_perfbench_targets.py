@@ -1,7 +1,9 @@
 """The benchmark's tracer wraps sthdg functions by name, unguarded: a target
 that was renamed or deleted breaks every traced benchmark run.  A traced
-study must also still report what its run.json reports."""
+study must also still report what its run.json reports, and the study
+workload must still write its reference outputs byte for byte."""
 
+import hashlib
 import importlib
 import importlib.util
 import json
@@ -9,6 +11,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+from sthdg.cli import main
 
 _TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -79,3 +83,30 @@ def test_traced_study_matches_run_json(tmp_path):
             traced = sum(row["layers_s"].get(layer, 0.0) for layer in layers)
             assert traced > 0, (row["cycle"], phase)
             assert traced <= cycle["phase_s"][phase] + 5e-7, (row["cycle"], phase)
+
+
+# SHA-256 of cycle_00.vtk .. cycle_05.vtk of `pulse-amr-h`, recorded at
+# commit fb00f8c; the benchmark checks only the CSV, so these pin the rest
+_PULSE_VTK_SHA256 = (
+    "e5ebb45febef81c7b7ab43316c2b0d8d2223afc54a0d5adf6d2ec15416080912",
+    "3974d7d617eb7018fac75cd99bd70c4e6854b87131d34e553afd78385e362bde",
+    "c110f12bd076ffe659d034e26aec4b206f53fb95eef8db021fd859949c3141d8",
+    "4f18ecb83ace9132c2fa49f520deaf2ae6fa7977fb70628b5635f4edef253dca",
+    "1a217edf926463259498791ca39afee319e8d96a4d06e306c4c06050d5c7e3ef",
+    "e6e731736f0b627300b97b17c1ac0599e436f8ffb4f2ce1311272cae6b02700b",
+)
+
+
+def test_pulse_amr_h_outputs_are_byte_identical(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(_TRACER.parent))  # run.py imports its siblings
+    spec = importlib.util.spec_from_file_location("perfbench_run", _TRACER.parent / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, run)  # for its dataclass
+    spec.loader.exec_module(run)
+    wl = run.WORKLOADS["pulse-amr-h"]
+    assert main(wl.argv(0, tmp_path)) == 0
+    ref = wl.ref_path("pulse-amr-h", 0)
+    assert (tmp_path / wl.output).read_bytes() == ref.read_bytes()
+    digests = [hashlib.sha256((tmp_path / f"cycle_{c:02d}.vtk").read_bytes()).hexdigest()
+               for c in range(wl.vtk_cycles)]
+    assert digests == list(_PULSE_VTK_SHA256)

@@ -16,7 +16,6 @@ from sthdg.verify import (
     check_galerkin_orthogonality,
     element_bubble,
     facet_bubble_profile,
-    form_equivalence,
     inequality_constants,
     measure_saturation,
     oswald_constant,
@@ -97,14 +96,6 @@ def test_restriction_reproduces_fields(rng):
             assert np.allclose(vc, vf, atol=1e-12)
 
 
-def test_form_equivalence_is_exact():
-    spec = poly_problem(1)
-    rep = form_equivalence(spec, SpaceTimeMesh.build(1, 2, 2), 1)
-    assert rep.matrix_defect <= 1e-12
-    assert rep.pair_defect <= 1e-12
-    assert rep.n_pairs == 20
-
-
 def test_beta_sup_inheritance_is_needed():
     # a time dependent advective field makes the child facet suprema differ
     # from the parent's; without inheritance the restricted form drifts
@@ -123,6 +114,10 @@ def test_beta_sup_inheritance_is_needed():
     assert np.array_equal(sys_f.beta_sup[parent >= 0], sys_c.beta_sup[parent[parent >= 0]])
     assert np.array_equal(sys_f.beta_sup[parent < 0], sys_plain.beta_sup[parent < 0])
     assert np.all(sys_f.beta_sup[parent < 0] == 1.0)
+    # G^T A_f G = A_c also for a time independent field, relative to the form's size
+    poly_c, poly_f = assemble_two_level(poly_problem(1), pair, 1)
+    G = restriction_matrix(pair, poly_c.dofmap, poly_f.dofmap)
+    assert abs((G.T @ poly_f.A @ G) - poly_c.A).max() <= 1e-12 * abs(poly_c.A).max()
 
 
 def test_galerkin_orthogonality_single_and_hanging():
