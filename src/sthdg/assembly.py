@@ -19,7 +19,9 @@ with grad the spatial gradient, alpha = 8 p_s^2 the interior-penalty weight
 where beta_s := sup_F |beta.n| per facet and zeta+ is the pointwise outflow
 indicator.  The right-hand side is (f, v)_T + <g, mu>_bdyN.  Dirichlet facet
 unknowns are constrained to the facet-wise L2 projection of the boundary
-data; `apply_dirichlet` replaces their rows by the identity.
+data; `apply_dirichlet` replaces their rows by the identity, in the whole
+system or in a given set of rows only (the solver asks for one causal
+level's rows at a time).
 
 Dof ordering: all element dofs first (elements sorted by id), then facet
 dofs (facets sorted by id).  Entities are addressed by position in these
@@ -366,21 +368,34 @@ class AssembledSystem:
         mask[self.dirichlet_idx] = False
         return mask
 
+    def dirichlet_rhs(self) -> np.ndarray:
+        """Right-hand side of the Dirichlet system: b on free rows, the
+        projected boundary values on constrained rows."""
+        b_bc = self.free_mask() * self.b
+        b_bc[self.dirichlet_idx] = self.dirichlet_values
+        return b_bc
 
-def apply_dirichlet(sys: AssembledSystem) -> tuple[sp.csr_matrix, np.ndarray]:
+
+def apply_dirichlet(sys: AssembledSystem, rows: np.ndarray | None = None,
+                    ) -> tuple[sp.csr_matrix, np.ndarray]:
     """Replace constrained rows by identity with projected boundary values;
-    explicit zeros are dropped, so `causal_levels` sees true couplings only."""
-    A = sys.A
-    free = sys.free_mask()
+    explicit zeros are dropped, so each row holds true couplings only.
+
+    With `rows` (an array of dof indices) only those rows of the Dirichlet
+    system are built, in that order: the same arrays, byte for byte, as the
+    matching rows of the whole system, without a whole copy of the matrix."""
+    rows = np.arange(sys.n_dofs) if rows is None else rows
+    A, free, b_bc = sys.A[rows], sys.free_mask()[rows], sys.dirichlet_rhs()[rows]
+    if free.all():  # nothing to insert: drop the zeros, keeping the order
+        A.eliminate_zeros()
+        return A, b_bc
     keep = np.repeat(free, np.diff(A.indptr)) & (A.data != 0)
     kept = np.concatenate(([0], np.cumsum(keep)))[A.indptr]  # kept entries before each row
-    dir_rows = np.flatnonzero(~free)  # these keep nothing: the 1 is their only entry
+    at = kept[np.flatnonzero(~free)]  # these keep nothing: the 1 is their only entry
     indptr = kept + np.concatenate(([0], np.cumsum(~free)))
-    A_bc = sp.csr_matrix((np.insert(A.data[keep], kept[dir_rows], 1.0),
-                          np.insert(A.indices[keep], kept[dir_rows], dir_rows),
+    A_bc = sp.csr_matrix((np.insert(A.data[keep], at, 1.0),
+                          np.insert(A.indices[keep], at, rows[~free]),
                           indptr.astype(A.indptr.dtype)), shape=A.shape)
-    b_bc = free * sys.b
-    b_bc[sys.dirichlet_idx] = sys.dirichlet_values
     return A_bc, b_bc
 
 

@@ -38,10 +38,12 @@ Matching.  `_rebuild_facets` lists the 2(d+1) faces of every element and
 labels those on the domain boundary.  One lexsort of the interior faces by
 (axis, box, side) puts equal boxes side by side: an equal pair is a
 conforming facet owned by the element below/left.  Every other face is
-paired with the opposite faces of its plane; a face inside exactly one of
-them is a hanging facet owned by its own element.  Refinement closes its
-marks over the facet owner/neighbor/level arrays until no marked element
-has an unmarked neighbor one level coarser, and builds all children at once.
+paired with the opposite faces of its plane that overlap it along one free
+axis (a sort and a `searchsorted`, `_nested_pairs`); a face inside exactly
+one of them is a hanging facet owned by its own element.  Refinement
+closes its marks over the facet owner/neighbor/level arrays until no
+marked element has an unmarked neighbor one level coarser, and builds all
+children at once.
 """
 
 from __future__ import annotations
@@ -154,6 +156,30 @@ def child_boxes(lo: np.ndarray, hi: np.ndarray, k_t: int) -> tuple[np.ndarray, n
     clo = np.stack([cuts[a][:, multi[a]] for a in range(d1)], axis=-1)
     chi = np.stack([cuts[a][:, multi[a] + 1] for a in range(d1)], axis=-1)
     return clo.reshape(-1, d1), chi.reshape(-1, d1)
+
+
+def _nested_pairs(plane: np.ndarray, plus: np.ndarray, lo: np.ndarray,
+                  hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Positions (i, j) of a plus face i and a minus face j of the same plane
+    such that one of the intervals [lo, hi) along a free axis starts inside
+    the other.  Every pair of faces in which one contains the other is
+    among them.  A plane's minus faces are sorted by the start of their
+    interval and each plus face takes those that start inside its own with
+    one `searchsorted`; the plus faces that start strictly inside a minus
+    face are found the same way."""
+    vals, rank = np.unique(np.concatenate((lo, hi)), return_inverse=True)
+    # (plane, value) pairs as one sortable integer
+    key_lo, key_hi = np.split(np.tile(plane.astype(np.int64), 2) * len(vals) + rank, 2)
+    pairs = []
+    for a, b, first_side in ((plus, ~plus, "left"), (~plus, plus, "right")):
+        ia, ib = np.flatnonzero(a), np.flatnonzero(b)
+        ib = ib[np.argsort(key_lo[ib], kind="stable")]
+        first = np.searchsorted(key_lo[ib], key_lo[ia], side=first_side)
+        n = np.searchsorted(key_lo[ib], key_hi[ia], side="left") - first
+        pairs.append((np.repeat(ia, n),
+                      ib[np.repeat(first - np.cumsum(n) + n, n) + np.arange(n.sum())]))
+    (p1, m1), (m2, p2) = pairs
+    return np.concatenate((p1, p2)), np.concatenate((m1, m2))
 
 
 class SpaceTimeMesh:
@@ -354,8 +380,8 @@ class SpaceTimeMesh:
         unmatched[:-1] &= ~same
         unmatched[1:] &= ~same
 
-        # hanging faces: every hi face of a plane against every lo face of
-        # it, matched by containment of closed boxes
+        # hanging faces: the hi and lo faces of a plane that overlap along
+        # its first free axis, matched by containment of closed boxes
         u = s[unmatched]
         u = u[np.lexsort((side[u], coord[u], ax[u]))]
         new_plane = np.ones(len(u), dtype=bool)
@@ -366,10 +392,8 @@ class SpaceTimeMesh:
         n_minus = np.bincount(plane[~plus], minlength=len(start))
         if np.any((n_minus == 0) | (n_minus == np.diff(np.r_[start, len(u)]))):
             raise RuntimeError("unmatched interior faces")
-        ps = np.flatnonzero(plus)
-        reps = n_minus[plane[ps]]
-        pi = np.repeat(ps, reps)
-        mi = np.repeat(start[plane[ps]] - np.cumsum(reps) + reps, reps) + np.arange(len(pi))
+        free_ax = (ax[u] == 0).astype(np.intp)
+        pi, mi = _nested_pairs(plane, plus, flo[u, free_ax], fhi[u, free_ax])
         fp, fm = u[pi], u[mi]
         p_in_m = np.all((flo[fp] >= flo[fm]) & (fhi[fp] <= fhi[fm]), axis=1)
         m_in_p = np.all((flo[fm] >= flo[fp]) & (fhi[fm] <= fhi[fp]), axis=1)

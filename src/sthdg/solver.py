@@ -3,8 +3,8 @@
 With the upwind flux in time an unknown depends only on unknowns at the same
 or earlier times, so some symmetric permutation makes the system matrix
 block lower triangular (the Duff-Reid block-triangular form).  The solver
-finds that order from the sparsity graph of the matrix, with an edge i -> j
-for every stored entry A[i, j], and assumes nothing about the mesh:
+finds that order from the sparsity graph of the Dirichlet system, with an
+edge i -> j where row i reads unknown j, and assumes nothing about the mesh:
 
 * a block is a strongly connected component of that graph; its unknowns
   are coupled both ways and must be solved together;
@@ -13,14 +13,18 @@ for every stored entry A[i, j], and assumes nothing about the mesh:
   depends on.  Blocks of one level do not depend on each other, so the
   diagonal submatrix of a level is block diagonal.
 
-The levels are forward-substituted in order with one sparse LU each.  A
-level's rows are gathered from the Dirichlet matrix itself, in ascending
-dof order, and its diagonal block is cut from them; no permuted copy of
-the matrix is made, and the solution keeps the original numbering.
-Causality keeps the blocks small: later time slabs, and after temporal
-refinement later time layers of a slab, depend only on earlier ones.  A
-system without such structure is solved as a single block; there is no
-mode to choose.
+The solver reads the assembled matrix `sys.A` as it is, with its stored
+zeros and its raw Dirichlet rows.  Its graph has an edge i -> j for every
+nonzero A[i, j] in a free row; a constrained row reads nothing, since its
+unknown is the projected boundary value.  The levels are
+forward-substituted in order with one sparse LU each.  A level's rows of
+the Dirichlet system are cut from `sys.A` by `apply_dirichlet(sys, rows)`,
+in ascending dof order, and its diagonal block is cut from them.  No whole
+Dirichlet copy of the matrix and no permuted copy are made, and the
+solution keeps the original numbering.  Causality keeps the blocks small:
+later time slabs, and after temporal refinement later time layers of a
+slab, depend only on earlier ones.  A system without such structure is
+solved as a single block; there is no mode to choose.
 
 Each level is factored by SuperLU in its symmetric mode (X. S. Li, "An
 overview of SuperLU", ACM TOMS 31(3), 2005): columns ordered by minimum
@@ -29,8 +33,9 @@ is at least 0.1 times the largest entry of its column.  The HDG level
 matrices are nearly structurally symmetric, so this keeps a half to a third
 of the fill of COLAMD with full partial pivoting, and the threshold still
 lets SuperLU pivot off a small or zero diagonal.  The relative residual of the
-full system is checked to 1e-10.  Running out of memory or a failed
-factorization is reported as SolverError.
+full Dirichlet system, A x - b on free rows and x - g on constrained rows, is
+checked to 1e-10.  Running out of memory or a failed factorization is
+reported as SolverError.
 """
 
 from __future__ import annotations
@@ -47,6 +52,7 @@ from scipy.sparse import csgraph
 from .assembly import AssembledSystem, apply_dirichlet
 
 RESIDUAL_TOL = 1e-10
+_CHUNK = 1 << 14  # entries per pass over the matrix in `causal_levels`
 
 log = logging.getLogger(__name__)
 
@@ -76,9 +82,13 @@ class SolveReport:
         return sum(self.fill)
 
 
-def _check_residual(A: sp.csr_matrix, b: np.ndarray, x: np.ndarray, method: str) -> float:
-    r = A @ x - b
-    denom = np.linalg.norm(b)
+def _check_residual(sys: AssembledSystem, x: np.ndarray, method: str) -> float:
+    """Relative residual of the Dirichlet system, from the raw matrix: A x - b
+    on free rows and x - g on constrained rows."""
+    b_bc = sys.dirichlet_rhs()
+    r = sys.A @ x - b_bc
+    r[sys.dirichlet_idx] = x[sys.dirichlet_idx] - sys.dirichlet_values
+    denom = np.linalg.norm(b_bc)
     resid = np.linalg.norm(r) / (denom if denom > 0 else 1.0)
     if not np.isfinite(resid) or resid > RESIDUAL_TOL:
         raise SolverError(
@@ -101,21 +111,42 @@ def _lu_solve(A: sp.spmatrix, b: np.ndarray) -> tuple[np.ndarray, int]:
         raise SolverError(f"sparse LU failed: {type(exc).__name__}: {exc}") from exc
 
 
-def causal_levels(A: sp.csr_matrix) -> np.ndarray:
-    """Level of every unknown in the block-triangular order of A."""
-    n_comp, comp = csgraph.connected_components(A, directed=True, connection="strong")
-    ci, cj = np.repeat(comp, np.diff(A.indptr)), comp[A.indices]
-    cross = ci != cj
-    # row j of `dependents` lists the blocks that read block j's unknowns
-    dependents = sp.csr_matrix(
-        (np.ones(np.count_nonzero(cross)), (cj[cross], ci[cross])), shape=(n_comp, n_comp))
-    waiting = np.bincount(dependents.indices, minlength=n_comp)
+def causal_levels(A: sp.csr_matrix, free: np.ndarray) -> np.ndarray:
+    """Level of every unknown in the block-triangular order of the Dirichlet
+    system of A: a free row i reads unknown j where A[i, j] != 0, and a
+    constrained row reads nothing."""
+    n, ptr = A.shape[0], A.indptr
+    cuts = np.unique(np.r_[0, np.searchsorted(ptr, np.arange(_CHUNK, ptr[-1], _CHUNK)), n])
+    chunks = list(zip(cuts[:-1], cuts[1:]))  # row ranges of about _CHUNK entries each
+    # an entry that couples nothing becomes a self loop on its row, which no
+    # strong component sees; the graph shares A's data and indptr
+    cols = A.indices.copy()
+    for r0, r1 in chunks:
+        row = np.repeat(np.arange(r0, r1, dtype=cols.dtype), np.diff(ptr[r0:r1 + 1]))
+        idle = ~free[row] | (A.data[ptr[r0]:ptr[r1]] == 0)
+        cols[ptr[r0]:ptr[r1]][idle] = row[idle]
+    graph = sp.csr_matrix((A.data, cols, ptr), shape=A.shape, copy=False)
+    n_comp, comp = csgraph.connected_components(graph, directed=True, connection="strong")
+    # distinct block pairs (j, i) where block i reads block j, as j * n_comp + i
+    pairs = []
+    for r0, r1 in chunks:
+        ci = np.repeat(comp[r0:r1], np.diff(ptr[r0:r1 + 1]))
+        cj = comp[cols[ptr[r0]:ptr[r1]]]
+        cross = ci != cj
+        pairs.append(np.unique(cj[cross].astype(np.int64) * n_comp + ci[cross]))
+    del cols
+    src, dependents = np.divmod(np.unique(np.concatenate(pairs)), n_comp)
+    # dependents[start[j]:start[j + 1]] are the blocks that read block j
+    start = np.concatenate(([0], np.cumsum(np.bincount(src, minlength=n_comp))))
+    waiting = np.bincount(dependents, minlength=n_comp)
     level = np.empty(n_comp, dtype=np.intp)
     ready = np.flatnonzero(waiting == 0)
     k = 0
     while ready.size:  # level-synchronous Kahn sweep: each edge is visited once
         level[ready] = k
-        hit, n_hit = np.unique(dependents[ready].indices, return_counts=True)
+        lo, cnt = start[ready], start[ready + 1] - start[ready]
+        at = np.repeat(lo - np.cumsum(cnt) + cnt, cnt) + np.arange(cnt.sum())
+        hit, n_hit = np.unique(dependents[at], return_counts=True)
         waiting[hit] -= n_hit
         ready = hit[waiting[hit] == 0]
         k += 1
@@ -124,25 +155,25 @@ def causal_levels(A: sp.csr_matrix) -> np.ndarray:
 
 def solve(sys: AssembledSystem) -> tuple[np.ndarray, SolveReport]:
     """Solve the bilinear system with Dirichlet rows applied."""
-    A_bc, b_bc = apply_dirichlet(sys)
     t0 = time.perf_counter()
-    level = causal_levels(A_bc)
+    level = causal_levels(sys.A, sys.free_mask())
     order = np.argsort(level, kind="stable")  # ascending dof ids within each level
     bounds = np.concatenate(([0], np.cumsum(np.bincount(level))))
     x = np.zeros(sys.n_dofs)
-    fill = []
+    nnz, fill = 0, []
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         idx = order[lo:hi]
-        rows = A_bc[idx]
-        rhs = b_bc[idx] - rows @ x  # x is zero on this and later levels
+        rows, b_lvl = apply_dirichlet(sys, idx)
+        nnz += rows.nnz
+        rhs = b_lvl - rows @ x  # x is zero on this and later levels
         block = rows[:, idx].tocsc()
         del rows  # free the level's rows before its LU ...
         x[idx], nnz_lu = _lu_solve(block, rhs)
         del block  # ... and its block before the next level's gathers
         fill.append(nnz_lu)
-    resid = _check_residual(A_bc, b_bc, x, "block-lu")
+    resid = _check_residual(sys, x, "block-lu")
     rep = SolveReport(
-        n_dofs=sys.n_dofs, nnz=A_bc.nnz, residual=resid, method="block-lu",
+        n_dofs=sys.n_dofs, nnz=nnz, residual=resid, method="block-lu",
         elapsed=time.perf_counter() - t0, block_sizes=np.diff(bounds).tolist(), fill=fill,
     )
     log.info("solve: %d dofs, %d levels, largest %d dofs, LU fill %d, residual %.2e, %.3f s",

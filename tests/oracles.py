@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import networkx as nx
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
@@ -27,7 +28,6 @@ from sthdg.assembly import P_T, build_dofmap, elem_trace_basis, facet_rule
 from sthdg.fe import get_basis, lobatto_nodes
 from sthdg.mesh import BOUNDARIES, SpaceTimeMesh
 from sthdg.problem import _JET_BLOCK, ProblemSpec
-from sthdg.solver import causal_levels
 
 
 # ----------------------------------------------------------------------
@@ -717,6 +717,21 @@ def _facet_id(owner: int, axis: int, side: int, lo, hi) -> int:
     return key
 
 
+def oracle_all_pairs(plane, plus, lo, hi):
+    """Every (plus face, minus face) pair of each plane, the pairing that
+    `SpaceTimeMesh._rebuild_facets` used before it paired only faces that
+    overlap along a free axis (`mesh._nested_pairs`, whose signature this
+    shares; `lo` and `hi` are not read).  Faces are sorted by plane, minus
+    faces first within a plane."""
+    start = np.searchsorted(plane, np.arange(plane.max() + 1))
+    n_minus = np.bincount(plane[~plus], minlength=len(start))
+    ps = np.flatnonzero(plus)
+    reps = n_minus[plane[ps]]
+    pi = np.repeat(ps, reps)
+    mi = np.repeat(start[plane[ps]] - np.cumsum(reps) + reps, reps) + np.arange(len(pi))
+    return pi, mi
+
+
 def reference_facets(mesh: SpaceTimeMesh):
     """Facets of `mesh` from its elements, one plane at a time.
 
@@ -946,12 +961,30 @@ def oracle_apply_dirichlet(sys):
     return A_bc, b_bc
 
 
+def oracle_levels(A_bc) -> np.ndarray:
+    """Causal level of every unknown by networkx: the condensation of the
+    graph with an edge i -> j for every stored entry A_bc[i, j], and for each
+    strong component the length of the longest chain of components it reads
+    through (0 for a component that reads no other)."""
+    coo = A_bc.tocoo()
+    G = nx.DiGraph()
+    G.add_nodes_from(range(A_bc.shape[0]))
+    G.add_edges_from(zip(coo.row.tolist(), coo.col.tolist()))
+    C = nx.condensation(G)
+    level = np.empty(A_bc.shape[0], dtype=np.intp)
+    # generation k of the reversed condensation: the longest chain below it is k
+    for k, gen in enumerate(nx.topological_generations(C.reverse(copy=False))):
+        for c in gen:
+            level[list(C.nodes[c]["members"])] = k
+    return level
+
+
 def oracle_block_solve(sys) -> np.ndarray:
     """x of the Dirichlet system by forward substitution over the permuted
-    copy A_bc[perm][:, perm], one SuperLU per causal level with the
-    package's settings, un-permuted at the end."""
+    copy A_bc[perm][:, perm], one SuperLU per causal level (`oracle_levels`)
+    with the package's settings, un-permuted at the end."""
     A_bc, b_bc = oracle_apply_dirichlet(sys)
-    level = causal_levels(A_bc)
+    level = oracle_levels(A_bc)
     perm = np.argsort(level, kind="stable")
     A_p, b_p = A_bc[perm][:, perm], b_bc[perm]
     bounds = np.concatenate(([0], np.cumsum(np.bincount(level))))

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sthdg import mesh as mesh_mod
 from sthdg.mesh import BOUNDARIES, SpaceTimeMesh, child_boxes, child_id, splitmix64
 from sthdg.verify import build_subgrid
 
 from conftest import hanging_mesh
-from oracles import _mix64, elements, facets, omega_K, reference_facets
+from oracles import _mix64, elements, facets, omega_K, oracle_all_pairs, reference_facets
 
 
 def _max_facet_jump(mesh):
@@ -270,3 +271,21 @@ def test_facet_tables_match_reference_builder(data):
         mesh.refine_and_coarsen(refs, coars)
         _assert_facets_match_reference(mesh)
     _assert_facets_match_reference(build_subgrid(mesh).fine)
+
+
+def test_hanging_pairs_match_all_pairs_oracle(monkeypatch):
+    # pairing only faces that overlap along a free axis finds the same
+    # hanging facets as pairing every hi face of a plane with every lo face
+    for d in (1, 2):
+        for policy in ("h", "h2"):
+            mesh = hanging_mesh(d, policy=policy)
+            for step in range(3):
+                if step:  # planes with faces of more levels
+                    mesh.refine_and_coarsen(mesh.element_ids()[::3])
+                got = mesh.ftab
+                with monkeypatch.context() as m:
+                    m.setattr(mesh_mod, "_nested_pairs", oracle_all_pairs)
+                    mesh._rebuild_facets()
+                for name in vars(got):
+                    a, b = getattr(got, name), getattr(mesh.ftab, name)
+                    assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (d, policy, name)

@@ -11,10 +11,12 @@ from sthdg.adapt import run_study
 from sthdg.assembly import apply_dirichlet, assemble
 from sthdg.mesh import SpaceTimeMesh
 from sthdg.problem import get_problem
+from sthdg import solver
 from sthdg.solver import SolverError, _lu_solve, causal_levels, solve
 
 from conftest import poly_problem, regression_systems
-from oracles import element_at, elements, oracle_block_solve
+from oracles import (element_at, elements, oracle_apply_dirichlet, oracle_block_solve,
+                     oracle_levels)
 
 
 def test_solve_reports():
@@ -51,17 +53,46 @@ def _causal_systems():
 def test_levels_partition_dofs_and_are_causal():
     for name, sys in _causal_systems():
         A_bc, _ = apply_dirichlet(sys)
-        level = causal_levels(A_bc)
+        level = causal_levels(sys.A, sys.free_mask())
         # every dof has one level and every level is used
         assert level.shape == (sys.n_dofs,), name
         assert np.array_equal(np.unique(level), np.arange(level.max() + 1)), name
-        # sorted by level, no row has a nonzero in a later level ...
+        # sorted by level, no row of the Dirichlet system has a nonzero in a
+        # later level ...
         coo = A_bc.tocoo()
         assert np.all(level[coo.row] >= level[coo.col]), name
         # ... and within a level only unknowns of one block are coupled
         _, comp = csgraph.connected_components(A_bc, directed=True, connection="strong")
         same = level[coo.row] == level[coo.col]
         assert np.array_equal(comp[coo.row[same]], comp[coo.col[same]]), name
+
+
+def test_levels_match_networkx_condensation():
+    for name, sys in _causal_systems():
+        want = oracle_levels(oracle_apply_dirichlet(sys)[0])
+        assert np.array_equal(causal_levels(sys.A, sys.free_mask()), want), name
+
+
+def test_level_rows_match_the_whole_dirichlet_system():
+    # apply_dirichlet(sys, rows) builds the rows of apply_dirichlet(sys) with
+    # the same arrays, byte for byte, whether or not they hold Dirichlet rows
+    rng = np.random.default_rng(1)
+    for name, sys in _causal_systems():
+        A_bc, b_bc = apply_dirichlet(sys)
+        level = causal_levels(sys.A, sys.free_mask())
+        subsets = [np.flatnonzero(level == k) for k in range(level.max() + 1)]
+        some = rng.choice(sys.n_dofs, size=sys.n_dofs // 3, replace=False)
+        subsets.append(rng.permutation(np.union1d(some, sys.dirichlet_idx[::2])))
+        for rows in subsets:
+            got, b_got = apply_dirichlet(sys, rows)
+            want = A_bc[rows]
+            assert got.shape == want.shape, name
+            for key in ("data", "indices", "indptr"):
+                a, b = getattr(got, key), getattr(want, key)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (name, key)
+            assert b_got.tobytes() == b_bc[rows].tobytes(), name
+        # the Dirichlet rows read nothing, so level 0 holds all of them
+        assert np.isin(sys.dirichlet_idx, subsets[0]).all(), name
 
 
 def test_solve_is_the_permuted_copy_substitution_bit_for_bit():
@@ -102,11 +133,22 @@ def test_solve_holds_no_second_copy_of_the_matrix(pulse_cycle4):
     assert _traced_peak(solve, sys) <= 2.0 * _nbytes(sys.A)
 
 
+def test_solve_builds_no_whole_dirichlet_matrix(pulse_cycle4):
+    # 1.86 with the whole A_bc alive through the LUs, 1.09 with each level's
+    # Dirichlet rows cut from the raw matrix
+    sys = pulse_cycle4
+    assert _traced_peak(solve, sys) <= 1.4 * _nbytes(sys.A)
+
+
 def test_causal_levels_makes_no_copy_of_the_matrix(pulse_cycle4):
     # traced peak over the bytes of A_bc: 1.21 with a COO copy of A_bc, 0.88
-    # with the component pairs read from the CSR arrays
-    A_bc, _ = apply_dirichlet(pulse_cycle4)
-    assert _traced_peak(causal_levels, A_bc) <= 1.0 * _nbytes(A_bc)
+    # with the component pairs read from the CSR arrays, 0.68 on the raw
+    # matrix's own arrays with the pairs taken in chunks
+    sys = pulse_cycle4
+    A_bc, _ = apply_dirichlet(sys)
+    limit = 1.0 * _nbytes(A_bc)
+    del A_bc
+    assert _traced_peak(causal_levels, sys.A, sys.free_mask()) <= limit
 
 
 def test_refined_slabs_split_into_time_layers():
@@ -186,3 +228,19 @@ def test_singular_system_raises_solver_error():
         warnings.simplefilter("ignore")
         with pytest.raises(SolverError):
             solve(sys)
+
+
+def test_wrong_level_solution_fails_the_residual_check(monkeypatch):
+    # a level LU that is off by 1e-6 must not pass: the residual is checked
+    # on the raw matrix, with x - g on the Dirichlet rows
+    lu_solve = solver._lu_solve
+
+    def off(A, b):
+        x, fill = lu_solve(A, b)
+        return x + 1e-6, fill
+
+    spec = poly_problem(1)
+    sys = assemble(spec, SpaceTimeMesh.build(1, 2, 2), 1)
+    monkeypatch.setattr(solver, "_lu_solve", off)
+    with pytest.raises(SolverError, match="relative residual"):
+        solve(sys)
