@@ -8,13 +8,14 @@ the bottom 10% by element count.  Coarsening only takes effect for
 complete sibling groups; the mesh layer drops partial groups.
 
 `run_study` drives uniform or adaptive cycles and records one StudyRecord
-per solve, with the solver's block count, largest block and residual, its
-wall time (through the `on_cycle` hook), the seconds of each phase
-(assemble, solve, estimate, norms, then the refine that follows the cycle;
-a hook may add its own) and the peak RSS after each of them.  CSV
-output is deterministic: the wall_ms column is written as 0 and the solver
-statistics are left out (timings vary run to run and the table must be
-byte-identical across reruns); they go into the run manifest instead.
+per solve, with the solver's block count, largest block, largest factored
+matrix and residual, its wall time (through the `on_cycle` hook), the
+seconds of each phase (assemble, solve, estimate, norms, then the refine
+that follows the cycle; a hook may add its own) and the peak RSS after
+each of them.  CSV output is deterministic: the wall_ms column is written
+as 0 and the solver statistics are left out (timings vary run to run and
+the table must be byte-identical across reruns); they go into the run
+manifest instead.
 
 `StudyRecord` is the one definition of a cycle's record: the run.json
 `cycles` list of `sthdg study` and of `sthdg solve` (a study's first cycle)
@@ -56,6 +57,7 @@ class StudyRecord:
     max_block_dofs: int
     lu_fill: int
     residual: float
+    max_factored_dofs: int = 0  # largest matrix SuperLU factored
     phase_s: dict[str, float] = field(default_factory=dict)
     phase_maxrss_mb: dict[str, float] = field(default_factory=dict)  # after each phase
     maxrss_mb: float = 0.0
@@ -169,7 +171,8 @@ def run_study(
             wall_ms=1e3 * (time.perf_counter() - t0),
             solver_method=rep.method, solver_blocks=rep.n_blocks,
             max_block_dofs=max(rep.block_sizes), lu_fill=rep.lu_fill,
-            residual=rep.residual, phase_s=phase, phase_maxrss_mb=rss,
+            residual=rep.residual, max_factored_dofs=rep.max_factored_dofs,
+            phase_s=phase, phase_maxrss_mb=rss,
         )
         records.append(rec)
         if csv_path is not None:

@@ -166,9 +166,9 @@ def _groups_of_equal_rows(keys: np.ndarray) -> list[np.ndarray]:
     return np.split(order, np.cumsum(np.bincount(r))[:-1])
 
 
-def _chunks(n: int):
-    for start in range(0, n, _CHUNK):
-        yield slice(start, start + _CHUNK)
+def _chunks(n: int, size: int = _CHUNK):
+    for start in range(0, n, size):
+        yield slice(start, start + size)
 
 
 @dataclass
@@ -179,8 +179,8 @@ class ElemClass:
     elem: np.ndarray  # positions in elem_ids
     mid: np.ndarray  # (m, d+1)
 
-    def chunks(self):
-        return _chunks(len(self.elem))
+    def chunks(self, size: int = _CHUNK):
+        return _chunks(len(self.elem), size)
 
     def points(self, sl: slice, ref: np.ndarray) -> np.ndarray:
         """Physical points (m, nq, d+1) of reference points `ref` (nq, d+1)."""
@@ -534,8 +534,11 @@ def assemble(
         for sl in g.chunks():
             facets, elems = g.facet[sl], g.elem[sl]
             m = len(facets)
-            flat = fs.points(facets, frule.points).reshape(-1, d1)
-            bn = sign * spec.beta(flat)[:, axis].reshape(m, nqf)
+            flat = fs.points(facets, frule.points).reshape(-1, d1) if axis or g.boundary else None
+            if axis == 0:  # beta = (1, beta_bar): beta.n is the sign itself
+                bn = np.full((m, nqf), float(sign))
+            else:
+                bn = sign * spec.beta(flat)[:, axis].reshape(m, nqf)
             bs = beta_sup[facets]
             we = wfq[None, :] * g.jacF[sl][:, None]
 

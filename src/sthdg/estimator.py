@@ -47,6 +47,7 @@ from .assembly import (
     facet_basis_at_rule,
     facet_rule,
 )
+from .problem import _JET_BLOCK
 
 
 # ----------------------------------------------------------------------
@@ -71,6 +72,15 @@ def regime_weights(dm: DofMap, eps: float) -> tuple[np.ndarray, np.ndarray]:
     et = np.where(dt <= eps, np.where(h <= eps, 1.0, math.sqrt(eps)), eps)
     slab = dm.mesh.etab.slab[dm.elem_rows]
     return et, np.diff(dm.mesh.slab_times)[slab] * et
+
+
+def _elem_chunk(n_points: int) -> int:
+    """Elements per chunk of a volume loop with n_points quadrature points
+    per element: about one closed-form block of points (`_JET_BLOCK`), in
+    whole multiples of 64 elements.  With OpenBLAS, chunks cut at such
+    multiples give each element the sums, bit for bit, of one call over its
+    whole class; chunks of 131 elements did not."""
+    return 64 * max(1, _JET_BLOCK // (64 * n_points))
 
 
 # ----------------------------------------------------------------------
@@ -124,6 +134,7 @@ def estimate(sys: AssembledSystem, x: np.ndarray) -> EstimateResult:
     # ---- interior residual ----------------------------------------
     vrule = fe.tensor_rule((nq,) * d1)
     wq = vrule.weights
+    step = _elem_chunk(len(wq))
     basis = fe.get_basis(dm.elem_degrees)
     BV = basis.eval(vrule.points)
     Gram = BV.values.T @ (BV.values * wq[:, None])
@@ -132,7 +143,7 @@ def estimate(sys: AssembledSystem, x: np.ndarray) -> EstimateResult:
         half = cls.half
         jac = float(np.prod(half))
         lap = sum(BV.second[:, :, a] / half[a] ** 2 for a in range(1, d1))
-        for sl in cls.chunks():
+        for sl in cls.chunks(step):
             pts = cls.points(sl, vrule.points).reshape(-1, d1)
             rows = cls.elem[sl]
             m = len(rows)
@@ -167,8 +178,12 @@ def estimate(sys: AssembledSystem, x: np.ndarray) -> EstimateResult:
             facets = g.facet[sl]
             m = len(facets)
             jacF = g.jacF[sl]
-            pts = fs.points(facets, frule.points).reshape(-1, d1)
-            bn = sign * spec.beta(pts)[:, axis].reshape(m, -1)
+            if is_Q or boundary == "initial":
+                pts = fs.points(facets, frule.points).reshape(-1, d1)
+            if is_Q:
+                bn = sign * spec.beta(pts)[:, axis].reshape(m, -1)
+            else:  # beta = (1, beta_bar): beta.n is the sign itself
+                bn = np.full((m, len(wfq)), float(sign))
             bs = sys.beta_sup[facets]
             rows = g.elem[sl]
             ec = xe[rows]
@@ -307,13 +322,14 @@ def error_norms(sys: AssembledSystem, x: np.ndarray, est: EstimateResult) -> Nor
 
     vrule = fe.tensor_rule((nq,) * d1)
     wq = vrule.weights
+    step = _elem_chunk(len(wq))
     basis = fe.get_basis(dm.elem_degrees)
     BV = basis.eval(vrule.points)
 
     for cls in dm.elem_classes:
         half = cls.half
         jac = float(np.prod(half))
-        for sl in cls.chunks():
+        for sl in cls.chunks(step):
             pts = cls.points(sl, vrule.points).reshape(-1, d1)
             rows = cls.elem[sl]
             m = len(rows)
@@ -343,12 +359,12 @@ def error_norms(sys: AssembledSystem, x: np.ndarray, est: EstimateResult) -> Nor
             facets = g.facet[sl]
             m = len(facets)
             pts = fs.points(facets, frule.points).reshape(-1, d1)
-            bn = spec.beta(pts)[:, g.axis].reshape(m, -1)
+            abs_bn = np.abs(spec.beta(pts)[:, g.axis].reshape(m, -1)) if g.axis else 1.0
             fc = x[g.fdof[sl][:, None] + np.arange(nbf)]
             we = wfq[None, :] * g.jacF[sl][:, None]
             # Neumann trace error mu = u|_F - lambda_h
             mu = spec.exact(pts).reshape(m, -1) - fc @ FB.values.T
-            np.add.at(neu, g.elem[sl], (0.5 * np.abs(bn) * mu * mu * we).sum(axis=1))
+            np.add.at(neu, g.elem[sl], (0.5 * abs_bn * mu * mu * we).sum(axis=1))
 
     return NormBreakdown(
         elem_ids=dm.elem_ids, l2=l2, jump_adv=est.eta_J3Q**2 + est.eta_J3R**2,

@@ -26,8 +26,28 @@ later time slabs, and after temporal refinement later time layers of a
 slab, depend only on earlier ones.  A system without such structure is
 solved as a single block; there is no mode to choose.
 
-Each level is factored by SuperLU in its symmetric mode (X. S. Li, "An
-overview of SuperLU", ACM TOMS 31(3), 2005): columns ordered by minimum
+The solver reads one thing of the discretization beyond the matrix: the
+dof numbering of `DofMap`, element dofs first and then the dofs of each
+facet in one run.  A facet's unknowns couple only with each other and with
+the elements on its two sides, so the facet-facet block of a level, D =
+B_FF, is block diagonal with one small SPD block per facet.  A level of at
+least `_CONDENSE_MIN[p_s]` dofs that holds element and facet dofs inverts
+those blocks (batched by size) and factors the element Schur complement
+
+    S = B_EE - B_EF D^-1 B_FE,   S z_E = rhs_E - B_EF D^-1 rhs_F,
+
+then takes z_F = D^-1 (rhs_F - B_FE z_E) from its facet rows, gathered
+again after the LU so that only S and its factors are alive through it.
+The reverse, condensing the element dofs onto the facets, gives a Schur
+complement with about 11 times the nonzeros of B_FF and was rejected.
+On the p_s = 1 pulse ladder S stores 2-24 % less fill than the whole
+level and, with the cost of forming it, is not slower from about 7,000
+dofs.  At p_s = 2 it was slower on all but two of the levels measured
+(3.5k-51k dofs), so those levels, like all smaller ones, are factored
+whole.
+
+Each level, or its S, is factored by SuperLU in its symmetric mode (X. S.
+Li, "An overview of SuperLU", ACM TOMS 31(3), 2005): columns ordered by minimum
 degree on the pattern of A + A^T, and the diagonal taken as pivot while it
 is at least 0.1 times the largest entry of its column.  The HDG level
 matrices are nearly structurally symmetric, so this keeps a half to a third
@@ -35,12 +55,13 @@ of the fill of COLAMD with full partial pivoting, and the threshold still
 lets SuperLU pivot off a small or zero diagonal.  The relative residual of the
 full Dirichlet system, A x - b on free rows and x - g on constrained rows, is
 checked to 1e-10.  Running out of memory or a failed factorization is
-reported as SolverError.
+reported as SolverError, and so is a singular facet block.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 import time
 from dataclasses import dataclass
 
@@ -53,6 +74,9 @@ from .assembly import AssembledSystem, apply_dirichlet
 
 RESIDUAL_TOL = 1e-10
 _CHUNK = 1 << 14  # entries per pass over the matrix in `causal_levels`
+# dofs from which a level is factored on its element Schur complement, by
+# p_s (measured on the pulse ladder); levels of other degrees are factored whole
+_CONDENSE_MIN = {1: 7000}
 
 log = logging.getLogger(__name__)
 
@@ -70,6 +94,7 @@ class SolveReport:
     elapsed: float
     block_sizes: list[int]  # dofs of each level, in solve order
     fill: list[int]  # entries stored for each level's L and U, in solve order
+    factored: list[int]  # dofs SuperLU factored for each level, in solve order
 
     @property
     def n_blocks(self) -> int:
@@ -80,6 +105,11 @@ class SolveReport:
     def lu_fill(self) -> int:
         """Entries stored for all LU factors together."""
         return sum(self.fill)
+
+    @property
+    def max_factored_dofs(self) -> int:
+        """Dofs of the largest matrix SuperLU factored."""
+        return max(self.factored)
 
 
 def _check_residual(sys: AssembledSystem, x: np.ndarray, method: str) -> float:
@@ -153,30 +183,92 @@ def causal_levels(A: sp.csr_matrix, free: np.ndarray) -> np.ndarray:
     return level[comp]
 
 
+def _facet_inverse(B_FF: sp.csr_matrix, facet: np.ndarray) -> sp.csr_matrix:
+    """Inverse of B_FF, which couples the dofs of each facet only with each
+    other: one dense inverse per facet, batched by block size.  `facet` is
+    the facet of each row, ascending, so a facet's dofs are one run."""
+    start = np.flatnonzero(np.r_[True, facet[1:] != facet[:-1]])
+    size = np.diff(np.r_[start, len(facet)])
+    blk = np.repeat(np.arange(len(start)), size)  # block of each row
+    off = np.arange(len(facet)) - start[blk]  # its offset in the block
+    coo = B_FF.tocoo()
+    rows, cols, vals = [], [], []
+    for k in np.unique(size).tolist():
+        sel = size == k
+        rank = np.cumsum(sel) - 1  # position among the blocks of size k
+        on = sel[blk[coo.row]]
+        r, c = coo.row[on], coo.col[on]
+        D = np.zeros((np.count_nonzero(sel), k, k))
+        D[rank[blk[r]], off[r], off[c]] = coo.data[on]
+        try:
+            vals.append(np.linalg.inv(D).reshape(-1))
+        except np.linalg.LinAlgError as exc:
+            raise SolverError(f"singular facet block: {exc}") from exc
+        dofs = start[sel][:, None] + np.arange(k)
+        rows.append(np.repeat(dofs, k, axis=1).reshape(-1))
+        cols.append(np.tile(dofs, k).reshape(-1))
+    n = len(facet)
+    return sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                         shape=(n, n))
+
+
+def _schur(block: sp.csc_matrix, rhs: np.ndarray, m_e: int, facet: np.ndarray,
+           ) -> tuple[sp.csc_matrix, np.ndarray]:
+    """The element Schur complement S = B_EE - B_EF D^-1 B_FE of a level
+    block whose first m_e dofs are element dofs and whose facet block D =
+    B_FF is block diagonal, and its right-hand side rhs_E - B_EF D^-1 rhs_F.
+    S is taken as [B_EE B_EF] [I; -D^-1 B_FE], so B_EF D^-1 B_FE is never
+    held beside S."""
+    D_inv = _facet_inverse(block[m_e:, m_e:], facet)
+    top = block[:m_e]
+    r_E = rhs[:m_e] - top[:, m_e:] @ (D_inv @ rhs[m_e:])
+    lift = sp.vstack((sp.identity(m_e, format="csc"), -(D_inv @ block[m_e:, :m_e])),
+                     format="csc")
+    del D_inv
+    return top @ lift, r_E
+
+
 def solve(sys: AssembledSystem) -> tuple[np.ndarray, SolveReport]:
     """Solve the bilinear system with Dirichlet rows applied."""
     t0 = time.perf_counter()
+    dm = sys.dofmap
     level = causal_levels(sys.A, sys.free_mask())
     order = np.argsort(level, kind="stable")  # ascending dof ids within each level
     bounds = np.concatenate(([0], np.cumsum(np.bincount(level))))
     x = np.zeros(sys.n_dofs)
-    nnz, fill = 0, []
+    nnz, fill, factored = 0, [], []
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         idx = order[lo:hi]
+        m_e = int(np.searchsorted(idx, dm.n_elem_dofs))  # element dofs come first
         rows, b_lvl = apply_dirichlet(sys, idx)
         nnz += rows.nnz
         rhs = b_lvl - rows @ x  # x is zero on this and later levels
         block = rows[:, idx].tocsc()
         del rows  # free the level's rows before its LU ...
-        x[idx], nnz_lu = _lu_solve(block, rhs)
-        del block  # ... and its block before the next level's gathers
+        if len(idx) < _CONDENSE_MIN.get(dm.p_s, math.inf) or m_e in (0, len(idx)):
+            x[idx], nnz_lu = _lu_solve(block, rhs)
+            del block  # ... and its block before the next level's gathers
+            factored.append(len(idx))
+        else:
+            E, F = idx[:m_e], idx[m_e:]
+            facet = np.searchsorted(dm.facet_dof, F, side="right") - 1
+            S, r_E = _schur(block, rhs, m_e, facet)
+            del block  # only S is alive through its LU
+            x[E], nnz_lu = _lu_solve(S, r_E)
+            del S
+            # z_F = D^-1 (rhs_F - B_FE z_E), from the facet rows gathered again
+            rows, b_F = apply_dirichlet(sys, F)
+            x[F] = _facet_inverse(rows[:, F], facet) @ (b_F - rows @ x)
+            del rows
+            factored.append(m_e)
         fill.append(nnz_lu)
     resid = _check_residual(sys, x, "block-lu")
     rep = SolveReport(
         n_dofs=sys.n_dofs, nnz=nnz, residual=resid, method="block-lu",
         elapsed=time.perf_counter() - t0, block_sizes=np.diff(bounds).tolist(), fill=fill,
+        factored=factored,
     )
-    log.info("solve: %d dofs, %d levels, largest %d dofs, LU fill %d, residual %.2e, %.3f s",
-             rep.n_dofs, rep.n_blocks, max(rep.block_sizes), rep.lu_fill, rep.residual,
-             rep.elapsed)
+    log.info("solve: %d dofs, %d levels, largest %d dofs, largest LU %d dofs, LU fill %d, "
+             "residual %.2e, %.3f s", rep.n_dofs, rep.n_blocks, max(rep.block_sizes),
+             rep.max_factored_dofs, rep.lu_fill, rep.residual, rep.elapsed)
     return x, rep

@@ -100,6 +100,31 @@ def test_dirichlet_rows_match_sparse_product_construction():
         assert np.any(sys.A.data == 0) and not np.any(A_bc.data == 0), name
 
 
+def test_facets_and_elements_couple_only_through_each_other():
+    """The premise of the solver's element Schur complement: no entry of A
+    couples two facets or two elements, and every facet's own block is SPD."""
+    block_sizes = set()
+    for name, sys in _dirichlet_systems():
+        A, dm = sys.A.tocoo(), sys.dofmap
+        n_elem = len(dm.elem_ids)
+        # entity of every dof: elements 0 .. n_elem - 1, then the facets
+        ent = np.concatenate((np.arange(dm.n_elem_dofs) // dm.n_elem_basis,
+                              n_elem + np.searchsorted(
+                                  dm.facet_dof, np.arange(dm.n_elem_dofs, dm.n_dofs),
+                                  side="right") - 1))
+        er, ec = ent[A.row], ent[A.col]
+        same_kind = (er >= n_elem) == (ec >= n_elem)
+        assert np.array_equal(er[same_kind], ec[same_kind]), name
+        dense = sys.A.toarray()
+        sizes = np.diff(dm.facet_dof, append=dm.n_dofs)
+        block_sizes.add(frozenset(sizes.tolist()))
+        for f0, k in zip(dm.facet_dof.tolist(), sizes.tolist()):
+            B = dense[f0:f0 + k, f0:f0 + k]
+            assert np.max(np.abs(B - B.T)) <= 1e-13 * np.max(np.abs(B)), (name, f0)
+            assert np.linalg.eigvalsh(B)[0] > 0, (name, f0)
+    assert frozenset({6, 9}) in block_sizes  # p_s = 2 in d = 2: lateral and time facets
+
+
 def test_dofmap_layout():
     mesh = SpaceTimeMesh.build(2, 2, 2)
     dm = build_dofmap(mesh, 2)

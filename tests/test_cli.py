@@ -177,6 +177,7 @@ def test_study_writes_artifacts(tmp_path, capsys, monkeypatch):
         assert c["wall_ms"] > 0 and wall_ms == "0"
         # solver statistics go to run.json only, never to the CSV
         assert 1 <= c["solver_blocks"] and 1 <= c["max_block_dofs"] <= c["n_dofs"]
+        assert 1 <= c["max_factored_dofs"] <= c["max_block_dofs"]
         assert 0 <= c["residual"] <= 1e-10
         # phase seconds: the cycle's wall time covers all but the refine
         # that follows it

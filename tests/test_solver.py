@@ -101,6 +101,75 @@ def test_solve_is_the_permuted_copy_substitution_bit_for_bit():
         assert solve(sys)[0].tobytes() == oracle_block_solve(sys).tobytes(), name
 
 
+@pytest.fixture
+def condense_all(monkeypatch):
+    """Factor every level that holds element and facet dofs on its element
+    Schur complement, whatever its size."""
+    monkeypatch.setattr(solver, "_CONDENSE_MIN", {1: 0, 2: 0})
+
+
+def _condensed_systems():
+    yield from _causal_systems()
+    # p_s = 2 in d = 2: facet blocks of 6 (lateral) and 9 (time) dofs
+    mesh = SpaceTimeMesh.build(2, 2, 2, policy="h2")
+    mesh.refine_and_coarsen([mesh.element_ids()[0]])
+    yield "hanging d=2 h2 p_s=2", assemble(poly_problem(2), mesh, 2)
+
+
+def test_condensed_levels_match_the_oracle(condense_all):
+    for name, sys in _condensed_systems():
+        x, rep = solve(sys)  # passes _check_residual
+        want = oracle_block_solve(sys)
+        assert np.max(np.abs(x - want)) <= 1e-12 * np.max(np.abs(want)), name
+        assert rep.residual <= 1e-10, name
+        # some level was condensed: SuperLU factored its element dofs alone
+        assert any(f < n for f, n in zip(rep.factored, rep.block_sizes)), name
+
+
+def test_small_levels_are_factored_whole():
+    for name, sys in _condensed_systems():
+        _, rep = solve(sys)
+        assert rep.factored == rep.block_sizes, name
+
+
+def _hanging_poly_system():
+    return assemble(poly_problem(2), SpaceTimeMesh.build(2, 2, 2, policy="h2"), 1)
+
+
+def test_singular_facet_block_raises_solver_error(condense_all):
+    sys = _hanging_poly_system()
+    dm = sys.dofmap
+    # zero the own block of a free facet that the elements on both sides read
+    f0 = next(f for f in dm.facet_dof.tolist()
+              if sys.free_mask()[f] and np.any(sys.A[:dm.n_elem_dofs, f].toarray()))
+    k = np.diff(dm.facet_dof, append=dm.n_dofs)[np.searchsorted(dm.facet_dof, f0)]
+    A = sys.A.tolil()
+    A[f0:f0 + k, f0:f0 + k] = 0.0
+    sys.A = A.tocsr()
+    with pytest.raises(SolverError, match="singular facet block"):
+        solve(sys)
+
+
+def test_singular_element_schur_complement_raises_solver_error(condense_all, monkeypatch):
+    # two equal rows of one element make two equal rows of S; with unequal
+    # right-hand sides the system has no solution.  SuperLU meets no exactly
+    # zero pivot here, so the residual check is what stops it
+    sys = _hanging_poly_system()
+    A = sys.A
+    i, j = 0, 1
+    assert np.array_equal(A.indices[A.indptr[i]:A.indptr[i + 1]],
+                          A.indices[A.indptr[j]:A.indptr[j + 1]])
+    A.data[A.indptr[j]:A.indptr[j + 1]] = A.data[A.indptr[i]:A.indptr[i + 1]]
+    assert sys.b[i] != sys.b[j]
+    schur, calls = solver._schur, []
+    monkeypatch.setattr(solver, "_schur", lambda *a: calls.append(a) or schur(*a))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        with pytest.raises(SolverError):
+            solve(sys)
+    assert calls
+
+
 @pytest.fixture(scope="module")
 def pulse_cycle4():
     pulse = get_problem("rotating-pulse", eps=1e-3, d=2)
@@ -136,6 +205,12 @@ def test_solve_holds_no_second_copy_of_the_matrix(pulse_cycle4):
 def test_solve_builds_no_whole_dirichlet_matrix(pulse_cycle4):
     # 1.86 with the whole A_bc alive through the LUs, 1.09 with each level's
     # Dirichlet rows cut from the raw matrix
+    sys = pulse_cycle4
+    assert _traced_peak(solve, sys) <= 1.4 * _nbytes(sys.A)
+
+
+def test_condensed_solve_builds_no_whole_dirichlet_matrix(pulse_cycle4, condense_all):
+    # the same bound with every level of two or more kinds of dofs condensed
     sys = pulse_cycle4
     assert _traced_peak(solve, sys) <= 1.4 * _nbytes(sys.A)
 
