@@ -23,10 +23,11 @@ data; `apply_dirichlet` replaces their rows by the identity, in the whole
 system or in a given set of rows only (the solver asks for one causal
 level's rows at a time).
 
-Dof ordering: all element dofs first (elements sorted by id), then facet
-dofs (facets sorted by id).  Entities are addressed by position in these
-two orders, `DofMap.elem_ids` and `DofMap.facet_ids`; per-entity results
-(beta_s, estimator terms, cell data) are arrays in the same order.
+Dof ordering: all element dofs first, then facet dofs, each in the row
+order of its mesh table (ids ascending).  Entities are addressed by their
+table row, which is their position in `DofMap.elem_ids` and
+`DofMap.facet_ids`; per-entity results (beta_s, estimator terms, cell
+data) are arrays in the same order.
 
 Work is batched over groups of entities that share reference data.  The
 `DofMap` reads the mesh tables (`SpaceTimeMesh.etab`, `.ftab`) and builds
@@ -40,6 +41,8 @@ two group tables once, which assembly, the estimator and the norms read:
   reference coordinate is `fixed` (+-1) along the facet's frozen axis and
   alphas[i] + betas[i] * xhat_facet[i] along its i-th free axis.  An
   element and a facet each occur at most once in a group.
+  `FacetSides.beta_n` evaluates beta along each facet's frozen axis once
+  per facet; a side's beta.n is its sign times that.
 
 Sides are walked in facet-id order, owner before neighbor; groups come in
 order of first occurrence, keep the walk order inside and are cut into
@@ -91,8 +94,7 @@ def _facet_degrees(p_s: int, d: int, axis: int) -> tuple[int, ...]:
 class DofMap:
     mesh: SpaceTimeMesh
     p_s: int
-    elem_rows: np.ndarray  # element-table row of each element, ids ascending
-    elem_ids: np.ndarray
+    elem_ids: np.ndarray  # element-table order, ids ascending
     facet_ids: np.ndarray  # facet-table order, ids ascending
     facet_dof: np.ndarray  # first dof of each facet
     n_elem_dofs: int
@@ -113,15 +115,10 @@ class DofMap:
     def n_elem_basis(self) -> int:
         return (P_T + 1) * (self.p_s + 1) ** self.d
 
-    @cached_property
-    def elem_pos(self) -> np.ndarray:
-        """Position in elem_ids of every element-table row."""
-        return np.argsort(self.elem_rows)  # the inverse permutation
-
-    @cached_property
+    @property
     def elem_box(self) -> tuple[np.ndarray, np.ndarray]:
         """(lo, hi) of every element, rows in elem_ids order."""
-        return self.mesh.etab.lo[self.elem_rows], self.mesh.etab.hi[self.elem_rows]
+        return self.mesh.etab.lo, self.mesh.etab.hi
 
     @cached_property
     def elem_h(self) -> np.ndarray:
@@ -234,6 +231,21 @@ class FacetSides:
         pts += self.mid[facets][:, None, :]
         return pts
 
+    def beta_n(self, spec: ProblemSpec, ref: np.ndarray) -> np.ndarray:
+        """beta along the frozen axis of every facet at the facet-reference
+        points `ref` (nq, d), as an (nf, nq) array: beta = (1, beta_bar),
+        so it is exactly 1 on time facets.  The outward normal of a side is
+        its sign times this axis."""
+        d1 = ref.shape[1] + 1
+        out = np.ones((len(self.axis), len(ref)))
+        for axis in range(1, d1):
+            facets = np.flatnonzero(self.axis == axis)
+            for sl in _chunks(len(facets)):
+                f = facets[sl]
+                pts = self.points(f, ref).reshape(-1, d1)
+                out[f] = spec.beta(pts)[:, axis].reshape(len(f), -1)
+        return out
+
 
 def _build_facet_sides(dm: DofMap) -> FacetSides:
     mesh = dm.mesh
@@ -242,8 +254,6 @@ def _build_facet_sides(dm: DofMap) -> FacetSides:
     ft = mesh.ftab
     axis = ft.axis.astype(np.intp)
     flo, fhi = ft.lo, ft.hi
-    owner = dm.elem_pos[ft.owner]
-    neighbor = np.where(ft.neighbor >= 0, dm.elem_pos[ft.neighbor], -1)
     bcode = ft.boundary
     fmid = 0.5 * (flo + fhi)
     fhalf = 0.5 * (fhi - flo)
@@ -251,10 +261,10 @@ def _build_facet_sides(dm: DofMap) -> FacetSides:
     jacF = 0.5 ** d * np.prod(np.take_along_axis(fhi - flo, free[axis], 1), axis=1)
 
     # the walk: facet-id order, owner side then neighbor side
-    sf = np.repeat(np.arange(len(ft)), 1 + (neighbor >= 0))
+    sf = np.repeat(np.arange(len(ft)), 1 + (ft.neighbor >= 0))
     is_nb = np.zeros(len(sf), dtype=bool)
     is_nb[1:] = sf[1:] == sf[:-1]
-    se = np.where(is_nb, neighbor[sf], owner[sf])
+    se = np.where(is_nb, ft.neighbor[sf], ft.owner[sf])
     sign = np.where(is_nb, -ft.side[sf], ft.side[sf])
 
     # trace map of every side: (facet midpoint - element midpoint) and the
@@ -283,7 +293,7 @@ def _build_facet_sides(dm: DofMap) -> FacetSides:
             boundary=BOUNDARIES[bcode[sf[k]]],
             fdeg=dm.facet_degrees(a),
             facet=fp, elem=se[rows], fdof=dm.facet_dof[fp],
-            jacF=jacF[fp], s_ax=s_ax[rows], h_owner=dm.elem_h[owner[fp]],
+            jacF=jacF[fp], s_ax=s_ax[rows], h_owner=dm.elem_h[ft.owner[fp]],
         ))
     return FacetSides(axis=axis, boundary=bcode, mid=fmid, half=fhalf, dof=dm.facet_dof,
                       groups=groups)
@@ -292,14 +302,13 @@ def _build_facet_sides(dm: DofMap) -> FacetSides:
 def build_dofmap(mesh: SpaceTimeMesh, p_s: int) -> DofMap:
     if p_s < 1:
         raise ValueError(f"spatial degree must be >= 1, got {p_s}")
-    rows = np.argsort(mesh.etab.id)
     d = mesh.d
-    n_elem = (P_T + 1) * (p_s + 1) ** d * len(rows)
+    n_elem = (P_T + 1) * (p_s + 1) ** d * len(mesh.etab)
     per_axis = [math.prod(k + 1 for k in _facet_degrees(p_s, d, a)) for a in range(d + 1)]
     n_basis = np.array(per_axis)[mesh.ftab.axis]
     ends = n_elem + np.cumsum(n_basis)
     return DofMap(
-        mesh=mesh, p_s=p_s, elem_rows=rows, elem_ids=mesh.etab.id[rows],
+        mesh=mesh, p_s=p_s, elem_ids=mesh.etab.id,
         facet_ids=mesh.ftab.id, facet_dof=ends - n_basis,
         n_elem_dofs=n_elem, n_dofs=int(ends[-1]) if len(ends) else n_elem,
     )
@@ -332,17 +341,9 @@ def compute_beta_sup(spec: ProblemSpec, dm: DofMap, nq: int) -> np.ndarray:
     """sup |beta.n| of every facet, in facet_ids order, sampled at the facet
     quadrature points and corners."""
     d = dm.d
-    fs = dm.facet_sides
-    out = np.ones(len(dm.facet_ids))  # beta.n = +-1 exactly on horizontal facets
     grid = np.array(np.meshgrid(*([[-1.0, 1.0]] * d), indexing="ij"))
     ref = np.vstack([facet_rule(d, nq).points, grid.reshape(d, -1).T])
-    for axis in range(1, d + 1):
-        facets = np.flatnonzero(fs.axis == axis)
-        if facets.size:
-            pts = fs.points(facets, ref).reshape(-1, d + 1)
-            bvals = spec.beta(pts)[:, axis].reshape(len(facets), -1)
-            out[facets] = np.max(np.abs(bvals), axis=1)
-    return out
+    return np.max(np.abs(dm.facet_sides.beta_n(spec, ref)), axis=1)
 
 
 # ---- assembled system ------------------------------------------------
@@ -521,7 +522,7 @@ def assemble(
     # ---------------- facet terms -----------------------------------
     frule = facet_rule(d, nq)
     wfq = frule.weights
-    nqf = len(wfq)
+    beta_n = fs.beta_n(spec, frule.points)
 
     for g, k0 in zip(fs.groups, csr.group_side):
         axis, sign = g.axis, g.sign
@@ -534,11 +535,7 @@ def assemble(
         for sl in g.chunks():
             facets, elems = g.facet[sl], g.elem[sl]
             m = len(facets)
-            flat = fs.points(facets, frule.points).reshape(-1, d1) if axis or g.boundary else None
-            if axis == 0:  # beta = (1, beta_bar): beta.n is the sign itself
-                bn = np.full((m, nqf), float(sign))
-            else:
-                bn = sign * spec.beta(flat)[:, axis].reshape(m, nqf)
+            bn = sign * beta_n[facets]
             bs = beta_sup[facets]
             we = wfq[None, :] * g.jacF[sl][:, None]
 
@@ -562,7 +559,8 @@ def assemble(
                 w_ff = w_ff + we * (bn >= 0) * bn
                 normal = np.zeros(d1)
                 normal[axis] = sign
-                g_n = spec.neumann_data(flat, normal).reshape(m, nqf)
+                flat = fs.points(facets, frule.points).reshape(-1, d1)
+                g_n = spec.neumann_data(flat, normal).reshape(m, -1)
                 b_F = np.einsum("mq,qi->mi", we * g_n, Fb)
                 b[g.fdof[sl][:, None] + np.arange(Fb.shape[1])] += b_F
 

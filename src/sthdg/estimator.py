@@ -25,11 +25,13 @@ eta^K / (sum_{K' in patch(K)} eps^-1/2 eps_tilde^-1/2 |||u-u_h|||_{sT,h,K'}
 K with the elements that share a facet with it, read from the facet
 table's interior (owner, neighbor) pairs.
 
-Every per-element result is an array in `DofMap.elem_ids` order.  The
-squares in eta_K and eta are taken with `np.float_power` (libm pow, which
-can differ from x*x in the last bit) and eta sums the eta_K^2
-sequentially: marking breaks near-ties on these last bits, so they must
-not depend on how the arrays are reduced.
+Every per-element result is an array in `DofMap.elem_ids` order, which is
+the row order of the element table, so the facet table's `owner` and
+`neighbor` index these arrays directly.  The squares in eta_K and eta are
+taken with `np.float_power` (libm pow, which can differ from x*x in the
+last bit) and eta sums the eta_K^2 sequentially: marking breaks near-ties
+on these last bits, so they must not depend on how the arrays are
+reduced.
 """
 
 from __future__ import annotations
@@ -70,8 +72,7 @@ def regime_weights(dm: DofMap, eps: float) -> tuple[np.ndarray, np.ndarray]:
     lo, hi = dm.elem_box
     dt, h = hi[:, 0] - lo[:, 0], dm.elem_h
     et = np.where(dt <= eps, np.where(h <= eps, 1.0, math.sqrt(eps)), eps)
-    slab = dm.mesh.etab.slab[dm.elem_rows]
-    return et, np.diff(dm.mesh.slab_times)[slab] * et
+    return et, np.diff(dm.mesh.slab_times)[dm.mesh.etab.slab] * et
 
 
 def _elem_chunk(n_points: int) -> int:
@@ -163,6 +164,7 @@ def estimate(sys: AssembledSystem, x: np.ndarray) -> EstimateResult:
     frule = facet_rule(d, nq)
     wfq = frule.weights
     fs = dm.facet_sides
+    beta_n = fs.beta_n(spec, frule.points)
     j1_sides = []  # (facet, element, normal gradient, h_owner, jacF) per chunk
 
     for g in fs.groups:
@@ -178,12 +180,7 @@ def estimate(sys: AssembledSystem, x: np.ndarray) -> EstimateResult:
             facets = g.facet[sl]
             m = len(facets)
             jacF = g.jacF[sl]
-            if is_Q or boundary == "initial":
-                pts = fs.points(facets, frule.points).reshape(-1, d1)
-            if is_Q:
-                bn = sign * spec.beta(pts)[:, axis].reshape(m, -1)
-            else:  # beta = (1, beta_bar): beta.n is the sign itself
-                bn = np.full((m, len(wfq)), float(sign))
+            bn = sign * beta_n[facets]
             bs = sys.beta_sup[facets]
             rows = g.elem[sl]
             ec = xe[rows]
@@ -201,24 +198,21 @@ def estimate(sys: AssembledSystem, x: np.ndarray) -> EstimateResult:
             else:
                 np.add.at(sq_J3R, rows, jsq)
 
-            if is_Q and (interior or boundary == "neumann"):
+            if is_Q and boundary in (None, "neumann"):
                 gradn = (sign / g.s_ax[sl])[:, None] * (ec @ EB.grad[:, :, axis].T)
-                if interior:
-                    j1_sides.append((facets, rows, gradn, g.h_owner[sl], jacF))
-                else:
+            if is_Q and interior:
+                j1_sides.append((facets, rows, gradn, g.h_owner[sl], jacF))
+            elif boundary in ("neumann", "initial"):
+                # boundary data residual: Neumann on lateral, initial on the
+                # first time plane
+                pts = fs.points(facets, frule.points).reshape(-1, d1)
+                if boundary == "neumann":
                     normal = np.zeros(d1); normal[axis] = sign
                     g_n = spec.neumann_data(pts, normal).reshape(m, -1)
-                    zm = (bn < 0).astype(float)
-                    RN = g_n - eps * gradn + zm * utr * bn
-                    np.add.at(sq_BC1, rows, (RN * RN * we).sum(axis=1))
-                    proj = np.linalg.solve(GramF, np.einsum("q,qi,mq->im", wfq, FB.values, RN)).T
-                    RN0 = RN - proj @ FB.values.T
-                    np.add.at(sq_oscN, rows, (RN0 * RN0 * we).sum(axis=1))
-
-            if boundary == "initial":
-                g_0 = spec.initial_data(pts).reshape(m, -1)
-                RN = g_0 - utr
-                np.add.at(sq_BC2, rows, (RN * RN * we).sum(axis=1))
+                    RN, sq_BC = g_n - eps * gradn + (bn < 0) * utr * bn, sq_BC1
+                else:
+                    RN, sq_BC = spec.initial_data(pts).reshape(m, -1) - utr, sq_BC2
+                np.add.at(sq_BC, rows, (RN * RN * we).sum(axis=1))
                 proj = np.linalg.solve(GramF, np.einsum("q,qi,mq->im", wfq, FB.values, RN)).T
                 RN0 = RN - proj @ FB.values.T
                 np.add.at(sq_oscN, rows, (RN0 * RN0 * we).sum(axis=1))
@@ -392,7 +386,7 @@ def local_efficiency(
     # distinct face-neighbor pairs (both orders) from the interior facets
     f = dm.mesh.ftab
     inner = f.neighbor >= 0
-    a, b = dm.elem_pos[f.owner[inner]], dm.elem_pos[f.neighbor[inner]]
+    a, b = f.owner[inner], f.neighbor[inner]
     n = len(dm.elem_ids)
     pairs = np.unique(np.concatenate((a * n + b, b * n + a)))
     denom = weighted + np.bincount(pairs // n, weights=weighted[pairs % n], minlength=n)

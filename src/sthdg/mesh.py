@@ -21,12 +21,11 @@ geometrically compare bitwise equal and facet matching needs no tolerances.
 
 Storage.  Elements and facets are struct-of-arrays tables with read-only
 arrays, and a table row is the only handle on an entity: there are no
-per-entity objects.  `ElementTable` rows keep creation order (survivors of
-a refinement, then restored parents, then new children by ascending parent
-id); `FacetTable` rows are in ascending id order, with `owner` and
-`neighbor` as element rows (-1 on the boundary) and `boundary` as an index
-into `BOUNDARIES`.  The elements sharing a facet with K are the other sides
-of K's rows in `owner`/`neighbor`.
+per-entity objects.  `ElementTable` rows are in ascending id order, like
+`FacetTable` rows, so an element's row is its position in the dof order;
+`owner` and `neighbor` are element rows (-1 on the boundary) and
+`boundary` is an index into `BOUNDARIES`.  The elements sharing a facet
+with K are the other sides of K's rows in `owner`/`neighbor`.
 
 Ids are 63-bit splitmix64 values computed over uint64 arrays (wrapping mod
 2^64): a root element mixes its grid position, a child mixes its parent id
@@ -249,13 +248,14 @@ class SpaceTimeMesh:
         return mesh
 
     def _set_elements(self, etab: ElementTable) -> None:
-        if len(np.unique(etab.id)) != len(etab):
+        etab = etab.take(np.argsort(etab.id))
+        if np.any(etab.id[1:] == etab.id[:-1]):
             raise RuntimeError("element id collision")
         self.etab = etab
         self._rebuild_facets()
 
     def element_ids(self) -> list[int]:
-        return np.sort(self.etab.id).tolist()
+        return self.etab.id.tolist()
 
     @property
     def n_elements(self) -> int:
@@ -283,7 +283,7 @@ class SpaceTimeMesh:
         nc = self.n_children()
         report = ApplyReport()
         refine = self._rows_of(refine_ids)
-        report.refined = np.sort(ids[refine]).tolist()
+        report.refined = ids[refine].tolist()
 
         # 1-irregularity closure: a neighbor one level coarser than a refined
         # element must be refined as well; sweep over the element pairs that
@@ -299,7 +299,7 @@ class SpaceTimeMesh:
             if not pulled.size:
                 break
             refine[pulled] = True
-        report.closure_refined = np.sort(ids[refine & ~marked]).tolist()
+        report.closure_refined = ids[refine & ~marked].tolist()
         post_level = e.level + refine
 
         # complete sibling groups among the coarsening candidates, unless a
@@ -313,7 +313,7 @@ class SpaceTimeMesh:
         blocked = in_group & ~sibling & (post_level[b] > e.level[a])
         merged = complete[~np.isin(complete, e.parent[a[blocked]])]
         kids = grouped & np.isin(e.parent, merged)
-        report.skipped_coarsen = np.sort(ids[grouped & ~kids]).tolist()
+        report.skipped_coarsen = ids[grouped & ~kids].tolist()
         report.coarsened_parents = merged.tolist()
 
         # restored parents come from the refined-element record
@@ -322,7 +322,6 @@ class SpaceTimeMesh:
 
         # children of the refined elements, by ascending parent id
         rows = np.flatnonzero(refine)
-        rows = rows[np.argsort(ids[rows])]
         clo, chi = child_boxes(e.lo[rows], e.hi[rows], self.k_t)
         parent = np.repeat(ids[rows], nc)
         index = np.tile(np.arange(nc), len(rows))

@@ -17,12 +17,13 @@ Measured constants are reported as `ConstantReport` rows and can be dumped
 to a CSV with schema ``inequality,level,samples,constant``.
 
 Entities are addressed by position in `DofMap.elem_ids` / `facet_ids` order
-(a facet's position is its facet-table row), and per-element results are
-arrays in that order.  The passes read tables that are already built instead
-of searching the geometry: the subgrid fills the fine mesh's element table
-directly, and a fine facet's parent is looked up among the facet sides of
-its owner's parent element on the same axis and side (a sorted key over the
-coarse facet table); the restriction evaluates one basis per distinct
+(an entity's position is its row in the mesh's element or facet table), and
+per-element results are arrays in that order.  The passes read tables that
+are already built instead of searching the geometry: the subgrid fills the
+fine mesh's element table directly, a fine element finds its parent's row
+by its parent id among the sorted coarse ids, and a fine facet's parent is
+looked up among the facet sides of its owner's parent element on the same
+axis and side (a sorted key over the coarse facet table); the restriction evaluates one basis per distinct
 child-to-parent affine map; averaging subdivides the element table level by
 level and numbers its nodes on an integer lattice (per axis, cell index x
 degree + local index, with cells placed by the cut coordinates that
@@ -92,7 +93,7 @@ def build_subgrid(mesh: SpaceTimeMesh) -> SubgridPair:
     )
     # the two halves of every coarse element, coarse ids ascending
     e = mesh.etab
-    rows = np.repeat(np.argsort(e.id), 2)
+    rows = np.repeat(np.arange(len(e)), 2)
     half = np.tile([0, 1], len(e))
     lo, hi = e.lo[rows], e.hi[rows]
     mid = 0.5 * (lo[:, 0] + hi[:, 0])
@@ -108,8 +109,9 @@ def build_subgrid(mesh: SpaceTimeMesh) -> SubgridPair:
     # element is new; every other fine facet lies on its owner's parent's
     # face on the same side, inside exactly one of the coarse facets there
     ff, cf = fine.ftab, mesh.ftab
-    pe = rows[ff.owner]
-    is_new = (ff.axis == 0) & (ff.neighbor >= 0) & (rows[ff.neighbor] == pe)
+    parent_row = np.searchsorted(e.id, fine.etab.parent)  # coarse row of each fine row
+    pe = parent_row[ff.owner]
+    is_new = (ff.axis == 0) & (ff.neighbor >= 0) & (parent_row[ff.neighbor] == pe)
     # coarse facet sides keyed by (element row, axis, outward sign)
     d1 = mesh.d + 1
     inner = cf.neighbor >= 0
@@ -365,7 +367,7 @@ def averaging_operator(mesh: SpaceTimeMesh, p_s: int, elem_coeffs: np.ndarray) -
     # is replaced by its children last child first, so the cells of one
     # element come in the order of a depth-first walk that pushes children
     # in order and pops the last
-    level = mesh.etab.level[dm.elem_rows]
+    level = mesh.etab.level
     parent = np.arange(len(level))
     lo, hi = dm.elem_box
     nc = mesh.n_children()

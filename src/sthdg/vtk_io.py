@@ -1,11 +1,12 @@
 """Legacy ASCII VTK output for space-time meshes and solutions.
 
 Space-time elements are written as hexahedra for d=2 (coordinates
-(x1, x2, t)) and quads for d=1 (coordinates (x1, t)).  Cells come in
-element-id order and cell data are arrays in that order
-(`DofMap.elem_ids`).  Corner coordinates are rounded to 12 decimals and
-equal rounded corners share one point; points are numbered in order of
-first occurrence over the cells, each written as its first corner.
+(x1, x2, t)) and quads for d=1 (coordinates (x1, t)).  Cells come in the
+row order of the element table, which is element-id order, and cell data
+are arrays in that order (`DofMap.elem_ids`).  Corner coordinates are
+rounded to 12 decimals and equal rounded corners share one point; points
+are numbered in order of first occurrence over the cells, each written as
+its first corner.
 """
 
 from __future__ import annotations
@@ -55,10 +56,9 @@ def write_mesh_vtk(path, mesh: SpaceTimeMesh, cell_values: dict[str, np.ndarray]
     `slab` are always included.
     """
     e = mesh.etab
-    rows = np.argsort(e.id)
-    points, cells = _grid(e.lo[rows], e.hi[rows])
+    points, cells = _grid(e.lo, e.hi)
     n, width = cells.shape
-    data = {"level": e.level[rows], "slab": e.slab[rows], **(cell_values or {})}
+    data = {"level": e.level, "slab": e.slab, **(cell_values or {})}
     lines = [
         "# vtk DataFile Version 3.0",
         "space-time hybrid DG output",

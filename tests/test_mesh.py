@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sthdg import mesh as mesh_mod
-from sthdg.mesh import BOUNDARIES, SpaceTimeMesh, child_boxes, child_id, splitmix64
+from sthdg.assembly import build_dofmap
+from sthdg.mesh import BOUNDARIES, ElementTable, SpaceTimeMesh, child_boxes, child_id, splitmix64
 from sthdg.verify import build_subgrid
 
 from conftest import hanging_mesh
@@ -177,6 +178,34 @@ def test_element_ids_deterministic():
     assert m1.element_ids() == m2.element_ids()
     assert child_id(t, 0) == child_id(t, 0)
     assert child_id(t, 0) != child_id(t, 1)
+
+
+def test_element_rows_are_in_ascending_id_order():
+    # an element's table row is its position in the dof order
+    def ascending(mesh):
+        return bool(np.all(np.diff(mesh.etab.id) > 0))
+
+    mesh = SpaceTimeMesh.build(2, 2, 2)
+    assert ascending(mesh)
+    target = mesh.element_ids()[0]
+    mesh.refine_and_coarsen([target, mesh.element_ids()[-1]])
+    assert ascending(mesh)
+    rep = mesh.refine_and_coarsen([], _children(mesh, target))
+    assert rep.coarsened_parents == [target]
+    assert ascending(mesh)
+    assert ascending(build_subgrid(mesh).fine)
+    assert np.array_equal(build_dofmap(mesh, 1).elem_ids, mesh.etab.id)
+    for policy in ("h", "h2"):
+        mesh = SpaceTimeMesh.build(1, 2, 2, policy=policy)
+        mesh.refine_uniform()
+        assert ascending(mesh)
+        assert ascending(build_subgrid(mesh).fine)
+
+
+def test_element_id_collision_is_rejected():
+    mesh = SpaceTimeMesh.build(1, 2, 2)
+    with pytest.raises(RuntimeError, match="element id collision"):
+        mesh._set_elements(ElementTable.concat([mesh.etab, mesh.etab.take([2])]))
 
 
 def test_neighborhood_queries():

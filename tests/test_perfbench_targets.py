@@ -1,7 +1,8 @@
 """The benchmark's tracer wraps sthdg functions by name, unguarded: a target
 that was renamed or deleted breaks every traced benchmark run.  A traced
-study must also still report what its run.json reports, and the study
-workload must still write its reference outputs byte for byte."""
+study must also still report what its run.json reports, the study
+workload must still write its reference outputs byte for byte, and the
+verify workload must still pass the benchmark's check of its output."""
 
 import hashlib
 import importlib
@@ -97,12 +98,18 @@ _PULSE_VTK_SHA256 = (
 )
 
 
-def test_pulse_amr_h_outputs_are_byte_identical(tmp_path, monkeypatch):
+def _perfbench_run(monkeypatch):
+    """perfbench/run.py as a module, for its workloads and its `check`."""
     monkeypatch.syspath_prepend(str(_TRACER.parent))  # run.py imports its siblings
     spec = importlib.util.spec_from_file_location("perfbench_run", _TRACER.parent / "run.py")
     run = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, run)  # for its dataclass
     spec.loader.exec_module(run)
+    return run
+
+
+def test_pulse_amr_h_outputs_are_byte_identical(tmp_path, monkeypatch):
+    run = _perfbench_run(monkeypatch)
     wl = run.WORKLOADS["pulse-amr-h"]
     assert main(wl.argv(0, tmp_path)) == 0
     ref = wl.ref_path("pulse-amr-h", 0)
@@ -110,3 +117,15 @@ def test_pulse_amr_h_outputs_are_byte_identical(tmp_path, monkeypatch):
     digests = [hashlib.sha256((tmp_path / f"cycle_{c:02d}.vtk").read_bytes()).hexdigest()
                for c in range(wl.vtk_cycles)]
     assert digests == list(_PULSE_VTK_SHA256)
+
+
+def test_verify_sine1d_matches_its_reference(tmp_path, monkeypatch):
+    # the benchmark's check of the verify workload (two-level subgrid
+    # systems, averaging, inequality constants) at seed 0
+    run = _perfbench_run(monkeypatch)
+    wl = run.WORKLOADS["verify-sine1d"]
+    assert main(wl.argv(0, tmp_path)) == 0
+    ref = wl.ref_path("verify-sine1d", 0)
+    assert ref.exists()
+    got = run.check.read_csv(tmp_path / wl.output)
+    assert run.check.compare(got, run.check.read_csv(ref)) == []
