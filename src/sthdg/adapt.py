@@ -87,14 +87,17 @@ def mark(
     refine_fraction: float = 0.25,
     coarsen_fraction: float = 0.10,
 ) -> tuple[list[int], list[int]]:
-    """Ids to refine (top fraction by eta_K) and to coarsen (bottom fraction)."""
+    """Ids to refine (top fraction by eta_K) and to coarsen (bottom fraction).
+
+    Equal rounded indicators keep the order of `est.elem_ids`, which is
+    ascending as `estimate` returns it, so ties go to the lower id."""
     if not len(est.eta_K):
         raise ValueError("cannot mark an empty estimate")
     if not (0 <= refine_fraction <= 1 and 0 <= coarsen_fraction <= 1):
         raise ValueError("fractions must lie in [0, 1]")
     if refine_fraction + coarsen_fraction > 1:
         raise ValueError("refine and coarsen fractions overlap")
-    order = est.elem_ids[np.lexsort((est.elem_ids, -_round_12(est.eta_K)))].tolist()
+    order = est.elem_ids[np.argsort(-_round_12(est.eta_K), kind="stable")].tolist()
     n = len(order)
     n_ref = math.ceil(refine_fraction * n)
     n_coar = math.floor(coarsen_fraction * n)
@@ -117,8 +120,6 @@ def run_study(
     n_slabs: int,
     n_cells,
     policy: str = "h",
-    refine_fraction: float = 0.25,
-    coarsen_fraction: float = 0.10,
     csv_path=None,
     on_cycle=None,
 ) -> tuple[list[StudyRecord], SpaceTimeMesh]:
@@ -183,7 +184,7 @@ def run_study(
         rec.wall_ms = 1e3 * (t - t0)
         if cycle < cycles - 1:
             if mode == "amr":
-                refine, coarsen = mark(est, refine_fraction, coarsen_fraction)
+                refine, coarsen = mark(est)
                 mesh.refine_and_coarsen(refine, coarsen)
             else:
                 mesh.refine_uniform(1)

@@ -25,9 +25,8 @@ level's rows at a time).
 
 Dof ordering: all element dofs first, then facet dofs, each in the row
 order of its mesh table (ids ascending).  Entities are addressed by their
-table row, which is their position in `DofMap.elem_ids` and
-`DofMap.facet_ids`; per-entity results (beta_s, estimator terms, cell
-data) are arrays in the same order.
+row of `mesh.etab` or `mesh.ftab`; per-entity results (beta_s, estimator
+terms, cell data) are arrays in the same row order.
 
 Work is batched over groups of entities that share reference data.  The
 `DofMap` reads the mesh tables (`SpaceTimeMesh.etab`, `.ftab`) and builds
@@ -94,8 +93,6 @@ def _facet_degrees(p_s: int, d: int, axis: int) -> tuple[int, ...]:
 class DofMap:
     mesh: SpaceTimeMesh
     p_s: int
-    elem_ids: np.ndarray  # element-table order, ids ascending
-    facet_ids: np.ndarray  # facet-table order, ids ascending
     facet_dof: np.ndarray  # first dof of each facet
     n_elem_dofs: int
     n_dofs: int
@@ -115,20 +112,15 @@ class DofMap:
     def n_elem_basis(self) -> int:
         return (P_T + 1) * (self.p_s + 1) ** self.d
 
-    @property
-    def elem_box(self) -> tuple[np.ndarray, np.ndarray]:
-        """(lo, hi) of every element, rows in elem_ids order."""
-        return self.mesh.etab.lo, self.mesh.etab.hi
-
     @cached_property
     def elem_h(self) -> np.ndarray:
         """Largest spatial extent h of every element."""
-        lo, hi = self.elem_box
+        lo, hi = self.mesh.etab.lo, self.mesh.etab.hi
         return np.max(hi[:, 1:] - lo[:, 1:], axis=1)
 
     @cached_property
     def elem_classes(self) -> list[ElemClass]:
-        lo, hi = self.elem_box
+        lo, hi = self.mesh.etab.lo, self.mesh.etab.hi
         ext = hi - lo
         return [ElemClass(half=0.5 * ext[rows[0]], elem=rows, mid=0.5 * (lo[rows] + hi[rows]))
                 for rows in _groups_of_equal_rows(ext)]
@@ -170,10 +162,10 @@ def _chunks(n: int, size: int = _CHUNK):
 
 @dataclass
 class ElemClass:
-    """Elements of one extent: positions in elem_ids order and midpoints."""
+    """Elements of one extent: element-table rows and midpoints."""
 
     half: np.ndarray  # (d+1,) half-widths shared by the class
-    elem: np.ndarray  # positions in elem_ids
+    elem: np.ndarray  # rows of mesh.etab
     mid: np.ndarray  # (m, d+1)
 
     def chunks(self, size: int = _CHUNK):
@@ -195,8 +187,8 @@ class SideGroup:
     betas: tuple[float, ...]
     boundary: str | None
     fdeg: tuple[int, ...]
-    facet: np.ndarray  # positions in facet_ids
-    elem: np.ndarray  # positions in elem_ids
+    facet: np.ndarray  # rows of mesh.ftab
+    elem: np.ndarray  # rows of mesh.etab
     fdof: np.ndarray  # first facet dof
     jacF: np.ndarray  # facet reference-to-physical Jacobian
     s_ax: np.ndarray  # element half-width along axis
@@ -208,13 +200,11 @@ class SideGroup:
 
 @dataclass
 class FacetSides:
-    """Per-facet arrays (rows in facet_ids order) and the side groups."""
+    """Per-facet arrays (rows in facet-table order) and the side groups."""
 
     axis: np.ndarray
-    boundary: np.ndarray  # index into mesh.BOUNDARIES
     mid: np.ndarray  # (nf, d+1)
     half: np.ndarray  # (nf, d+1), zero along the frozen axis
-    dof: np.ndarray  # first facet dof
     groups: list[SideGroup]
 
     def points(self, facets: np.ndarray, ref: np.ndarray) -> np.ndarray:
@@ -271,7 +261,7 @@ def _build_facet_sides(dm: DofMap) -> FacetSides:
     # facet half-width over the element half-width on the free axes; along
     # the frozen axis the facet midpoint is the plane coordinate, so that
     # column of `rel` gives the sign `fixed`
-    elo, ehi = dm.elem_box
+    elo, ehi = mesh.etab.lo, mesh.etab.hi
     half_el = (0.5 * (ehi - elo))[se]
     rel = (fmid[sf] - (0.5 * (ehi + elo))[se]) / half_el
     sa = axis[sf]
@@ -295,8 +285,7 @@ def _build_facet_sides(dm: DofMap) -> FacetSides:
             facet=fp, elem=se[rows], fdof=dm.facet_dof[fp],
             jacF=jacF[fp], s_ax=s_ax[rows], h_owner=dm.elem_h[ft.owner[fp]],
         ))
-    return FacetSides(axis=axis, boundary=bcode, mid=fmid, half=fhalf, dof=dm.facet_dof,
-                      groups=groups)
+    return FacetSides(axis=axis, mid=fmid, half=fhalf, groups=groups)
 
 
 def build_dofmap(mesh: SpaceTimeMesh, p_s: int) -> DofMap:
@@ -308,8 +297,7 @@ def build_dofmap(mesh: SpaceTimeMesh, p_s: int) -> DofMap:
     n_basis = np.array(per_axis)[mesh.ftab.axis]
     ends = n_elem + np.cumsum(n_basis)
     return DofMap(
-        mesh=mesh, p_s=p_s, elem_ids=mesh.etab.id,
-        facet_ids=mesh.ftab.id, facet_dof=ends - n_basis,
+        mesh=mesh, p_s=p_s, facet_dof=ends - n_basis,
         n_elem_dofs=n_elem, n_dofs=int(ends[-1]) if len(ends) else n_elem,
     )
 
@@ -338,7 +326,7 @@ def facet_rule(n_free_axes: int, nq: int) -> fe.TensorRule:
 
 
 def compute_beta_sup(spec: ProblemSpec, dm: DofMap, nq: int) -> np.ndarray:
-    """sup |beta.n| of every facet, in facet_ids order, sampled at the facet
+    """sup |beta.n| of every facet, in facet-table order, sampled at the facet
     quadrature points and corners."""
     d = dm.d
     grid = np.array(np.meshgrid(*([[-1.0, 1.0]] * d), indexing="ij"))
@@ -356,7 +344,7 @@ class AssembledSystem:
     dofmap: DofMap
     dirichlet_idx: np.ndarray  # constrained dof indices
     dirichlet_values: np.ndarray
-    beta_sup: np.ndarray  # per facet, facet_ids order
+    beta_sup: np.ndarray  # per facet, in mesh.ftab row order
     spec: ProblemSpec
     quad_n: int
 
@@ -420,7 +408,7 @@ class _BlockCSR:
     then a facet-element block per side, sides in group order."""
 
     def __init__(self, dm: DofMap):
-        groups, n_elem, nb = dm.facet_sides.groups, len(dm.elem_ids), dm.n_elem_basis
+        groups, n_elem, nb = dm.facet_sides.groups, len(dm.mesh.etab), dm.n_elem_basis
         side_e, side_f = (np.concatenate([getattr(g, k) for g in groups])
                           for k in ("elem", "facet"))
         self.size = np.concatenate((np.full(n_elem, nb), np.diff(dm.facet_dof, append=dm.n_dofs)))
@@ -458,7 +446,7 @@ def assemble(
 ) -> AssembledSystem:
     """Assemble the raw system.
 
-    beta_sup, when given, is the per-facet upwind constant in facet_ids
+    beta_sup, when given, is the per-facet upwind constant in facet-table
     order and replaces `compute_beta_sup`.  The subgrid construction uses it
     to inherit beta_s from the parent facet so the refined form agrees
     exactly with the coarse one on restricted fields.
@@ -475,11 +463,11 @@ def assemble(
     alpha = penalty_alpha(p_s)
     if beta_sup is None:
         beta_sup = compute_beta_sup(spec, dm, nq + 2)
-    elif beta_sup.shape != (len(dm.facet_ids),):
+    elif beta_sup.shape != (len(mesh.ftab),):
         raise ValueError("beta_sup needs one value per facet")
     fs = dm.facet_sides
     nb = dm.n_elem_basis
-    n_elem = len(dm.elem_ids)
+    n_elem = len(mesh.etab)
     csr = _BlockCSR(dm)
     # the diagonal blocks, one array per block size, entities in order; the
     # elements lead the blocks of size nb, so A_EE[e] is element e's block
@@ -577,14 +565,14 @@ def assemble(
 
     # ---------------- Dirichlet values ------------------------------
     # Dirichlet facets are lateral, so they share one facet basis
-    dir_facets = np.flatnonzero(fs.boundary == BOUNDARIES.index("dirichlet"))
+    dir_facets = np.flatnonzero(mesh.ftab.boundary == BOUNDARIES.index("dirichlet"))
     if dir_facets.size:
         FB = facet_basis_at_rule(dm.facet_degrees(1), nq)
         Gram = FB.values.T @ (FB.values * wfq[:, None])
         pts = fs.points(dir_facets, frule.points).reshape(-1, d1)
         gv = spec.dirichlet_data(pts).reshape(len(dir_facets), -1)
         rhs = np.einsum("q,qi,mq->mi", wfq, FB.values, gv)
-        dirichlet_idx = (fs.dof[dir_facets][:, None] + np.arange(FB.values.shape[1])).reshape(-1)
+        dirichlet_idx = (dm.facet_dof[dir_facets, None] + np.arange(len(Gram))).reshape(-1)
         dirichlet_values = np.linalg.solve(Gram, rhs.T).T.reshape(-1)
     else:
         dirichlet_idx = np.empty(0, dtype=int)

@@ -25,13 +25,12 @@ eta^K / (sum_{K' in patch(K)} eps^-1/2 eps_tilde^-1/2 |||u-u_h|||_{sT,h,K'}
 K with the elements that share a facet with it, read from the facet
 table's interior (owner, neighbor) pairs.
 
-Every per-element result is an array in `DofMap.elem_ids` order, which is
-the row order of the element table, so the facet table's `owner` and
-`neighbor` index these arrays directly.  The squares in eta_K and eta are
-taken with `np.float_power` (libm pow, which can differ from x*x in the
-last bit) and eta sums the eta_K^2 sequentially: marking breaks near-ties
-on these last bits, so they must not depend on how the arrays are
-reduced.
+Every per-element result is an array in the row order of the element table
+`mesh.etab`, so the facet table's `owner` and `neighbor` index these arrays
+directly.  The squares in eta_K and eta are taken with `np.float_power`
+(libm pow, which can differ from x*x in the last bit) and eta sums the
+eta_K^2 sequentially: marking breaks near-ties on these last bits, so they
+must not depend on how the arrays are reduced.
 """
 
 from __future__ import annotations
@@ -59,7 +58,7 @@ from .problem import _JET_BLOCK
 
 def regime_weights(dm: DofMap, eps: float) -> tuple[np.ndarray, np.ndarray]:
     """eps_tilde and tau_eps = (slab height) * eps_tilde of every element,
-    in elem_ids order.
+    in element-table order.
 
     eps_tilde is 1 in the diffusive regime (dt <= eps and h <= eps),
     sqrt(eps) in the mixed regime (dt <= eps < h) and eps in the convective
@@ -69,7 +68,7 @@ def regime_weights(dm: DofMap, eps: float) -> tuple[np.ndarray, np.ndarray]:
     both small relative to eps is diffusive, delta_t small but h large is
     mixed, and delta_t exceeding eps is convective.
     """
-    lo, hi = dm.elem_box
+    lo, hi = dm.mesh.etab.lo, dm.mesh.etab.hi
     dt, h = hi[:, 0] - lo[:, 0], dm.elem_h
     et = np.where(dt <= eps, np.where(h <= eps, 1.0, math.sqrt(eps)), eps)
     return et, np.diff(dm.mesh.slab_times)[dm.mesh.etab.slab] * et
@@ -91,8 +90,9 @@ def _elem_chunk(n_points: int) -> int:
 
 @dataclass
 class EstimateResult:
-    """Estimator terms of every element, arrays in elem_ids order; eta_K
-    combines the eight eta terms (not the oscillations)."""
+    """Estimator terms of every element, arrays in element-table order
+    (`elem_ids` ascending); eta_K combines the eight eta terms (not the
+    oscillations)."""
 
     elem_ids: np.ndarray
     eta_R: np.ndarray
@@ -121,7 +121,7 @@ def estimate(sys: AssembledSystem, x: np.ndarray) -> EstimateResult:
     d1 = d + 1
     nq = sys.quad_n + 2
     x = np.asarray(x)
-    n = len(dm.elem_ids)
+    n = len(dm.mesh.etab)
     nb = dm.n_elem_basis
     xe = x[: dm.n_elem_dofs].reshape(n, nb)
     sq_R = np.zeros(n); sq_osc = np.zeros(n)
@@ -247,7 +247,7 @@ def estimate(sys: AssembledSystem, x: np.ndarray) -> EstimateResult:
     eta_K = np.sqrt(sum(np.float_power(terms[k], 2.0) for k in ETA_TERMS))
     eta = math.sqrt(np.cumsum(np.float_power(eta_K, 2.0))[-1]) if n else 0.0
     return EstimateResult(
-        elem_ids=dm.elem_ids, **terms, osc_K=lam_K * np.sqrt(sq_osc),
+        elem_ids=dm.mesh.etab.id, **terms, osc_K=lam_K * np.sqrt(sq_osc),
         osc_N=np.sqrt(h_K / eps * sq_oscN), eta_K=eta_K, eta=eta,
     )
 
@@ -264,7 +264,6 @@ class NormBreakdown:
     Fields hold sums of squares; `neumann_trace` and `grad` receive the
     extra factor T in the sT,h norm.
     """
-    elem_ids: np.ndarray
     l2: np.ndarray
     jump_adv: np.ndarray  # |beta_s - beta.n/2|-weighted jump over dK
     neumann_trace: np.ndarray
@@ -305,7 +304,7 @@ def error_norms(sys: AssembledSystem, x: np.ndarray, est: EstimateResult) -> Nor
     d1 = d + 1
     nq = sys.quad_n + 2
     x = np.asarray(x)
-    n = len(dm.elem_ids)
+    n = len(mesh.etab)
     xe = x[: dm.n_elem_dofs].reshape(n, dm.n_elem_basis)
     T = mesh.slab_times[-1] - mesh.slab_times[0]
 
@@ -361,8 +360,8 @@ def error_norms(sys: AssembledSystem, x: np.ndarray, est: EstimateResult) -> Nor
             np.add.at(neu, g.elem[sl], (0.5 * abs_bn * mu * mu * we).sum(axis=1))
 
     return NormBreakdown(
-        elem_ids=dm.elem_ids, l2=l2, jump_adv=est.eta_J3Q**2 + est.eta_J3R**2,
-        neumann_trace=neu, grad=grad_t, jump_Q=est.eta_J21**2, dt=dterm, T=T,
+        l2=l2, jump_adv=est.eta_J3Q**2 + est.eta_J3R**2, neumann_trace=neu,
+        grad=grad_t, jump_Q=est.eta_J21**2, dt=dterm, T=T,
     )
 
 
@@ -377,7 +376,7 @@ def local_efficiency(
     sys: AssembledSystem, est: EstimateResult, nb: NormBreakdown
 ) -> np.ndarray:
     """Per-element ratio of eta^K to the patch-weighted local error norm,
-    in elem_ids order; the patch is K and every element sharing a facet
+    in element-table order; the patch is K and every element sharing a facet
     with K."""
     dm = sys.dofmap
     eps = sys.spec.eps
@@ -387,7 +386,7 @@ def local_efficiency(
     f = dm.mesh.ftab
     inner = f.neighbor >= 0
     a, b = f.owner[inner], f.neighbor[inner]
-    n = len(dm.elem_ids)
+    n = len(dm.mesh.etab)
     pairs = np.unique(np.concatenate((a * n + b, b * n + a)))
     denom = weighted + np.bincount(pairs // n, weights=weighted[pairs % n], minlength=n)
     denom += est.osc_K + est.osc_N

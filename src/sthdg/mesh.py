@@ -185,7 +185,6 @@ class SpaceTimeMesh:
     def __init__(
         self,
         d: int,
-        t_final: float,
         x_lo: np.ndarray,
         x_hi: np.ndarray,
         slab_times: np.ndarray,
@@ -197,7 +196,6 @@ class SpaceTimeMesh:
         if policy not in ("h", "h2"):
             raise ValueError(f"dt policy must be 'h' or 'h2', got {policy!r}")
         self.d = d
-        self.t_final = float(t_final)
         self.x_lo = np.asarray(x_lo, dtype=float)
         self.x_hi = np.asarray(x_hi, dtype=float)
         self.slab_times = np.asarray(slab_times, dtype=float)
@@ -231,7 +229,7 @@ class SpaceTimeMesh:
         if np.isscalar(n_cells):
             n_cells = (int(n_cells),) * d
         slab_times = np.linspace(0.0, t_final, n_slabs + 1)
-        mesh = cls(d, t_final, x_lo, x_hi, slab_times, policy, dirichlet_lateral)
+        mesh = cls(d, x_lo, x_hi, slab_times, policy, dirichlet_lateral)
         axes_pts = [slab_times] + [
             np.linspace(x_lo[i], x_hi[i], n_cells[i] + 1) for i in range(d)
         ]
@@ -253,9 +251,6 @@ class SpaceTimeMesh:
             raise RuntimeError("element id collision")
         self.etab = etab
         self._rebuild_facets()
-
-    def element_ids(self) -> list[int]:
-        return self.etab.id.tolist()
 
     @property
     def n_elements(self) -> int:
@@ -433,7 +428,7 @@ class SpaceTimeMesh:
         d1 = self.d + 1
         ext = e.hi - e.lo
         vol = float(np.prod(ext, axis=1).sum())
-        dom = (self.t_final - float(self.slab_times[0])) * float(
+        dom = float(self.slab_times[-1] - self.slab_times[0]) * float(
             np.prod(self.x_hi - self.x_lo)
         )
         if not np.isclose(vol, dom, rtol=1e-12, atol=0.0):

@@ -23,10 +23,10 @@ differences.  The source is f = u_t + beta_bar . grad u - eps lap u (every
 built-in beta_bar is divergence-free), except for the rotating pulse, an
 exact solution of the homogeneous equation, whose f is 0.
 
-`exact` is u alone (initial and Dirichlet data).  `exact_jet` maps the
-points to (u, u_t, grad u), shapes (n,), (n,) and (n, d), so the error
-norms, the lateral Neumann data and the saturation measurement evaluate the
-exact solution once per point; its u is `exact`'s.
+`exact_jet` maps the points to (u, u_t, grad u), shapes (n,), (n,) and
+(n, d), so the error norms, the lateral Neumann data and the saturation
+measurement evaluate the exact solution once per point; `exact` is its u
+alone (initial and Dirichlet data).
 """
 
 from __future__ import annotations
@@ -50,7 +50,6 @@ class ProblemSpec:
     x_hi: np.ndarray
     beta_bar: Field  # (n, d+1) -> (n, d)
     f: Field  # (n, d+1) -> (n,)
-    exact: Optional[Field] = None
     exact_jet: Optional[Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]]] = None
     dirichlet_lateral: bool = True
 
@@ -62,13 +61,17 @@ class ProblemSpec:
         out[:, 1:] = self.beta_bar(pts)
         return out
 
+    def exact(self, pts: np.ndarray) -> np.ndarray:
+        """u of the exact solution at the points."""
+        return self.exact_jet(pts)[0]
+
     def initial_data(self, pts: np.ndarray) -> np.ndarray:
-        if self.exact is not None:
+        if self.exact_jet is not None:
             return self.exact(pts)
         raise ValueError(f"problem {self.name} has no initial data")
 
     def dirichlet_data(self, pts: np.ndarray) -> np.ndarray:
-        if self.exact is not None:
+        if self.exact_jet is not None:
             return self.exact(pts)
         return np.zeros(np.atleast_2d(pts).shape[0])
 
@@ -85,7 +88,7 @@ class ProblemSpec:
             return self.initial_data(pts)
         if normal[0] > 0 and np.all(normal[1:] == 0):
             return np.zeros(pts.shape[0])
-        if self.exact is None:
+        if self.exact_jet is None:
             raise ValueError(f"problem {self.name} has no lateral Neumann data")
         bn = self.beta(pts) @ normal
         zminus = (bn < 0).astype(float)
@@ -93,7 +96,7 @@ class ProblemSpec:
         return -zminus * u * bn + self.eps * (grad @ normal[1:])
 
     def has_exact(self) -> bool:
-        return self.exact is not None
+        return self.exact_jet is not None
 
 
 # ----------------------------------------------------------------------
@@ -148,9 +151,6 @@ def from_closed_form(
                 row[:] = v
         return out
 
-    def exact(pts):
-        return rows(pts)[0]
-
     def exact_jet(pts):
         r = rows(pts)
         return r[0], r[1], r[2:-1].T
@@ -165,7 +165,7 @@ def from_closed_form(
     return ProblemSpec(
         name=name, d=d, eps=eps, t_final=1.0,
         x_lo=np.asarray(x_lo, dtype=float), x_hi=np.asarray(x_hi, dtype=float),
-        beta_bar=beta_bar, f=f, exact=exact, exact_jet=exact_jet,
+        beta_bar=beta_bar, f=f, exact_jet=exact_jet,
         dirichlet_lateral=dirichlet_lateral,
     )
 

@@ -2,8 +2,8 @@
 
 Space-time elements are written as hexahedra for d=2 (coordinates
 (x1, x2, t)) and quads for d=1 (coordinates (x1, t)).  Cells come in the
-row order of the element table, which is element-id order, and cell data
-are arrays in that order (`DofMap.elem_ids`).  Corner coordinates are
+row order of the element table `mesh.etab`, which is element-id order, and
+cell data are arrays in that order.  Corner coordinates are
 rounded to 12 decimals and equal rounded corners share one point; points
 are numbered in order of first occurrence over the cells, each written as
 its first corner.
@@ -85,7 +85,7 @@ def write_mesh_vtk(path, mesh: SpaceTimeMesh, cell_values: dict[str, np.ndarray]
 
 
 def center_values(dm: DofMap, x: np.ndarray) -> np.ndarray:
-    """Solution value at each element's space-time center, elem_ids order."""
+    """Solution value at each element's space-time center, element-table order."""
     coeffs = np.asarray(x)[: dm.n_elem_dofs].reshape(-1, dm.n_elem_basis)
     v = fe.get_basis(dm.elem_degrees).eval(np.zeros((1, dm.d + 1))).values[0]
     return coeffs @ v

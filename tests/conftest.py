@@ -40,7 +40,7 @@ def small_meshes(d: int, dirichlet: bool = True):
 def hanging_mesh(d: int, dirichlet: bool = True, policy: str = "h") -> SpaceTimeMesh:
     """2x2^d grid with one element refined: exercises hanging facets."""
     mesh = SpaceTimeMesh.build(d, 2, 2, policy=policy, dirichlet_lateral=dirichlet)
-    mesh.refine_and_coarsen([mesh.element_ids()[0]])
+    mesh.refine_and_coarsen(mesh.etab.id[:1].tolist())
     return mesh
 
 

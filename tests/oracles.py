@@ -119,14 +119,14 @@ def omega_K(mesh: SpaceTimeMesh, eid: int) -> set[int]:
 
 
 def elem_dofs(dm, eid: int) -> np.ndarray:
-    i = int(np.searchsorted(dm.elem_ids, eid))
-    assert dm.elem_ids[i] == eid
+    i = int(np.searchsorted(dm.mesh.etab.id, eid))
+    assert dm.mesh.etab.id[i] == eid
     return np.arange(i * dm.n_elem_basis, (i + 1) * dm.n_elem_basis)
 
 
 def facet_dofs(dm, fid: int) -> np.ndarray:
-    i = int(np.searchsorted(dm.facet_ids, fid))
-    assert dm.facet_ids[i] == fid
+    i = int(np.searchsorted(dm.mesh.ftab.id, fid))
+    assert dm.mesh.ftab.id[i] == fid
     end = dm.facet_dof[i + 1] if i + 1 < len(dm.facet_dof) else dm.n_dofs
     return np.arange(dm.facet_dof[i], end)
 
@@ -187,7 +187,7 @@ def oracle_local_efficiency(sys, est, nb) -> dict[int, float]:
     mesh = sys.dofmap.mesh
     eps = sys.spec.eps
     els = elements(mesh)
-    eidx = {eid: i for i, eid in enumerate(nb.elem_ids.tolist())}
+    eidx = {eid: i for i, eid in enumerate(mesh.etab.id.tolist())}
     local_sT = nb.local_sT()
     out = {}
     for eid, i in eidx.items():
@@ -330,7 +330,7 @@ def oracle_system(spec, mesh: SpaceTimeMesh, p_s: int, npts: int | None = None):
     b = np.zeros(n)
     edeg = dm.elem_degrees
 
-    for eid in dm.elem_ids.tolist():
+    for eid in dm.mesh.etab.id.tolist():
         el = els[eid]
         pts, w = box_quad(el.lo, el.hi, nq)
         V, G, _ = box_basis(el.lo, el.hi, edeg, pts)
@@ -346,7 +346,7 @@ def oracle_system(spec, mesh: SpaceTimeMesh, p_s: int, npts: int | None = None):
         A[np.ix_(dofs, dofs)] += loc
         b[dofs] += V.T @ (w * spec.f(pts))
 
-    for fid in dm.facet_ids.tolist():
+    for fid in dm.mesh.ftab.id.tolist():
         f = fcs[fid]
         free, pts, w, _ = _facet_geometry(mesh, f, nq)
         fdeg = dm.facet_degrees(f.axis)
@@ -409,10 +409,10 @@ def oracle_estimate(sys, x: np.ndarray, npts: int | None = None) -> dict[int, di
     terms = {
         eid: dict(eta_R=0.0, eta_J1=0.0, J2sq=0.0, J3Qsq=0.0, J3Rsq=0.0,
                   BC1sq=0.0, BC2sq=0.0, osc_K=0.0, oscNsq=0.0)
-        for eid in dm.elem_ids.tolist()
+        for eid in dm.mesh.etab.id.tolist()
     }
 
-    for eid in dm.elem_ids.tolist():
+    for eid in dm.mesh.etab.id.tolist():
         el = els[eid]
         lam = min(1.0, el.h / math.sqrt(eps))
         pts, w = box_quad(el.lo, el.hi, nq)
@@ -426,7 +426,7 @@ def oracle_estimate(sys, x: np.ndarray, npts: int | None = None) -> dict[int, di
         terms[eid]["osc_K"] = lam * math.sqrt(float(w @ (R0 * R0)))
 
     gradn_acc: dict[int, np.ndarray] = {}
-    for fid in dm.facet_ids.tolist():
+    for fid in dm.mesh.ftab.id.tolist():
         f = fcs[fid]
         free, pts, w, _ = _facet_geometry(mesh, f, nq)
         fdeg = dm.facet_degrees(f.axis)
@@ -473,7 +473,7 @@ def oracle_estimate(sys, x: np.ndarray, npts: int | None = None) -> dict[int, di
                 t["oscNsq"] += float(w @ (RN0 * RN0))
 
     out = {}
-    for eid in dm.elem_ids.tolist():
+    for eid in dm.mesh.etab.id.tolist():
         el = els[eid]
         t = terms[eid]
         out[eid] = dict(
@@ -504,17 +504,16 @@ def oracle_norms(sys, x: np.ndarray, npts: int | None = None) -> dict:
     edeg = dm.elem_degrees
     T = float(mesh.slab_times[-1] - mesh.slab_times[0])
     acc = {eid: dict(l2=0.0, jump_adv=0.0, neumann=0.0, grad=0.0,
-                     jump_Q=0.0, dt=0.0) for eid in dm.elem_ids.tolist()}
+                     jump_Q=0.0, dt=0.0) for eid in dm.mesh.etab.id.tolist()}
 
-    for eid in dm.elem_ids.tolist():
+    for eid in dm.mesh.etab.id.tolist():
         el = els[eid]
         tau = regime_and_weights(el, slab_height(mesh, el), eps).tau_eps
         pts, w = box_quad(el.lo, el.hi, nq)
         V, G, _ = box_basis(el.lo, el.hi, edeg, pts)
         c = x[elem_dofs(dm, eid)]
-        # u from the plain lambdify, its derivatives from the jet
-        _, u_t, eg = spec.exact_jet(pts)
-        ev = spec.exact(pts) - V @ c
+        u, u_t, eg = spec.exact_jet(pts)
+        ev = u - V @ c
         acc[eid]["l2"] = float(w @ (ev * ev))
         edt = u_t - G[0] @ c
         acc[eid]["dt"] = tau * float(w @ (edt * edt))
@@ -524,7 +523,7 @@ def oracle_norms(sys, x: np.ndarray, npts: int | None = None) -> dict:
             gsq += float(w @ (ga * ga))
         acc[eid]["grad"] = eps * gsq
 
-    for fid in dm.facet_ids.tolist():
+    for fid in dm.mesh.ftab.id.tolist():
         f = fcs[fid]
         free, pts, w, _ = _facet_geometry(mesh, f, nq)
         Fv, _, _ = box_basis(f.lo[free], f.hi[free], dm.facet_degrees(f.axis), pts[:, free])
@@ -634,7 +633,6 @@ def from_symbolic(
         x_hi=np.asarray(x_hi, dtype=float),
         beta_bar=_vectorize(lam(sp.Matrix(beta).T.tolist()[0]), width=d),
         f=_vectorize(lam(f)),
-        exact=_vectorize(lam(u)),
         exact_jet=_jet(lam([u, u_t, *grad], cse=True), d),
         dirichlet_lateral=dirichlet_lateral,
     )
@@ -899,7 +897,7 @@ def reference_grid(mesh: SpaceTimeMesh) -> tuple[list[str], list[str]]:
     points: list[tuple] = []
     index: dict[tuple, int] = {}
     cells: list[str] = []
-    for eid in mesh.element_ids():
+    for eid in mesh.etab.id.tolist():
         row = int(np.flatnonzero(mesh.etab.id == eid)[0])
         conn = []
         for c in _corner_loop(mesh.etab.lo[row], mesh.etab.hi[row], mesh.d):
@@ -939,7 +937,7 @@ def element_at(dm, x, eid: int, ref_pts: np.ndarray):
 
 
 def facet_at(dm, x, fid: int, ref_pts: np.ndarray) -> np.ndarray:
-    axis = int(dm.mesh.ftab.axis[np.searchsorted(dm.facet_ids, fid)])
+    axis = int(dm.mesh.ftab.axis[np.searchsorted(dm.mesh.ftab.id, fid)])
     fb = get_basis(dm.facet_degrees(axis))
     return fb.eval(ref_pts).values @ facet_coeffs(dm, x, fid)
 
@@ -1000,15 +998,15 @@ def oracle_block_solve(sys) -> np.ndarray:
 
 
 def oracle_eta_J1(sys, x: np.ndarray) -> np.ndarray:
-    """eta_J1 of every element (elem_ids order) by the side walk: the first
-    side of an interior lateral facet is stored in a dict, and at the second
-    the facet's value, one np.dot, goes to the first side's element, then to
-    the second's."""
+    """eta_J1 of every element (element-table order) by the side walk: the
+    first side of an interior lateral facet is stored in a dict, and at the
+    second the facet's value, one np.dot, goes to the first side's element,
+    then to the second's."""
     dm = sys.dofmap
     nq = sys.quad_n + 2
     wfq = facet_rule(dm.d, nq).weights
-    xe = np.asarray(x)[: dm.n_elem_dofs].reshape(len(dm.elem_ids), dm.n_elem_basis)
-    sq = np.zeros(len(dm.elem_ids))
+    xe = np.asarray(x)[: dm.n_elem_dofs].reshape(len(dm.mesh.etab), dm.n_elem_basis)
+    sq = np.zeros(len(dm.mesh.etab))
     stored: dict[int, tuple[np.ndarray, int]] = {}
     for g in dm.facet_sides.groups:
         if g.axis == 0 or g.boundary is not None:

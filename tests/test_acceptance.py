@@ -145,7 +145,7 @@ def test_criterion_02_oracle_equivalence():
                             f"d={d} mesh{i} {term}: {a!r} vs {b!r}"
                 nb = error_norms(sys, x, est)
                 refn = oracle_norms(sys, x)["per_element"]
-                for k, eid in enumerate(nb.elem_ids):
+                for k, eid in enumerate(est.elem_ids.tolist()):
                     for ours, theirs in _NORM_KEYS.items():
                         a = getattr(nb, ours)[k]
                         assert _close(a, refn[eid][theirs]), \

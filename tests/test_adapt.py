@@ -119,7 +119,7 @@ def test_run_study_without_exact_solution(tmp_path):
 
         dirichlet_data = initial_data
 
-    spec = DataOnly(**{**vars(base), "exact": None, "exact_jet": None})
+    spec = DataOnly(**{**vars(base), "exact_jet": None})
     assert not spec.has_exact()
     records, _ = run_study(spec, "amr", cycles=2, p_s=1, n_slabs=1, n_cells=2)
     assert all(math.isnan(r.true_error) for r in records)

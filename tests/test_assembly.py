@@ -72,7 +72,7 @@ def test_matrix_is_the_block_pattern(d, p_s, policy):
         nbf = np.diff(dm.facet_dof, append=dm.n_dofs)
         sides = sum(len(g.facet) * nb * math.prod(k + 1 for k in g.fdeg)
                     for g in dm.facet_sides.groups)
-        assert A.nnz == len(dm.elem_ids) * nb**2 + 2 * sides + int(np.sum(nbf**2)), tag
+        assert A.nnz == len(dm.mesh.etab) * nb**2 + 2 * sides + int(np.sum(nbf**2)), tag
         A2, b2 = oracle_system(spec, mesh, p_s)
         _compare(sys, A2, b2, tag)
 
@@ -106,7 +106,7 @@ def test_facets_and_elements_couple_only_through_each_other():
     block_sizes = set()
     for name, sys in _dirichlet_systems():
         A, dm = sys.A.tocoo(), sys.dofmap
-        n_elem = len(dm.elem_ids)
+        n_elem = len(dm.mesh.etab)
         # entity of every dof: elements 0 .. n_elem - 1, then the facets
         ent = np.concatenate((np.arange(dm.n_elem_dofs) // dm.n_elem_basis,
                               n_elem + np.searchsorted(
@@ -131,14 +131,13 @@ def test_dofmap_layout():
     assert dm.n_elem_basis == 2 * 3**2
     assert dm.n_elem_dofs == mesh.n_elements * dm.n_elem_basis
     seen = []
-    for eid in dm.elem_ids.tolist():
+    for eid in dm.mesh.etab.id.tolist():
         seen.extend(elem_dofs(dm, eid).tolist())
-    for fid in dm.facet_ids.tolist():
+    for fid in dm.mesh.ftab.id.tolist():
         seen.extend(facet_dofs(dm, fid).tolist())
     assert sorted(seen) == list(range(dm.n_dofs))
-    # element block comes first and follows element_ids() order
-    assert dm.elem_ids.tolist() == mesh.element_ids()
-    assert elem_dofs(dm, dm.elem_ids[0])[0] == 0
+    # the element block comes first
+    assert elem_dofs(dm, dm.mesh.etab.id[0])[0] == 0
     assert np.all(dm.facet_dof >= dm.n_elem_dofs)
 
 
@@ -148,9 +147,9 @@ def test_beta_sup_matches_oracle():
     nq = default_quad_n(1) + 2
     dm = build_dofmap(mesh, 1)
     got = compute_beta_sup(spec, dm, nq)
-    assert got.shape == (len(dm.facet_ids),)
+    assert got.shape == (len(dm.mesh.ftab),)
     fcs = facets(mesh)
-    for i, fid in enumerate(dm.facet_ids.tolist()):
+    for i, fid in enumerate(dm.mesh.ftab.id.tolist()):
         f = fcs[fid]
         if f.is_R:
             assert got[i] == 1.0
@@ -226,12 +225,12 @@ def test_field_eval_is_nodal(rng):
     dm = build_dofmap(mesh, 2)
     x = rng.standard_normal(dm.n_dofs)
     basis = fe.get_basis(dm.elem_degrees)
-    for eid in dm.elem_ids[:2].tolist():
+    for eid in dm.mesh.etab.id[:2].tolist():
         vals, grad, dt = element_at(dm, x, eid, basis.nodes)
         assert np.allclose(vals, elem_coeffs(dm, x, eid), atol=1e-12)
         assert grad.shape == (basis.n_basis, 2)
         assert dt.shape == (basis.n_basis,)
-    fid = dm.facet_ids[0]
+    fid = dm.mesh.ftab.id[0]
     fb = fe.get_basis(dm.facet_degrees(int(mesh.ftab.axis[0])))
     fvals = facet_at(dm, x, fid, fb.nodes)
     assert np.allclose(fvals, facet_coeffs(dm, x, fid), atol=1e-12)
@@ -242,7 +241,7 @@ def test_field_eval_gradient_scaling(rng):
     mesh = SpaceTimeMesh.build(1, 1, 1, t_final=2.0, x_lo=[0.0], x_hi=[4.0])
     dm = build_dofmap(mesh, 1)
     x = np.zeros(dm.n_dofs)
-    eid = dm.elem_ids[0]
+    eid = dm.mesh.etab.id[0]
     el = elements(mesh)[eid]
     # u = t + x1 in physical coordinates, nodal values at GL points
     basis = fe.get_basis(dm.elem_degrees)
@@ -273,8 +272,8 @@ def _refined_meshes():
     for d in (1, 2):
         for policy in ("h", "h2"):
             mesh = SpaceTimeMesh.build(d, 2, 2, policy=policy)
-            mesh.refine_and_coarsen([mesh.element_ids()[0]])
-            ids = mesh.element_ids()
+            mesh.refine_and_coarsen(mesh.etab.id[:1].tolist())
+            ids = mesh.etab.id.tolist()
             mesh.refine_and_coarsen([ids[len(ids) // 2], ids[-1]], ids[:4])
             yield d, policy, mesh
 
@@ -287,7 +286,7 @@ def test_facet_side_table_matches_per_facet_walk(d, policy, mesh):
     dm = build_dofmap(mesh, 1)
     # reference: the owner-then-neighbor walk in facet-id order, keyed by trace_map
     ref: dict[tuple, list[tuple[int, int, int]]] = {}
-    for fid in dm.facet_ids.tolist():
+    for fid in dm.mesh.ftab.id.tolist():
         f = fcs[fid]
         sides = [(f.owner, f.owner_side)]
         if f.neighbor is not None:
@@ -303,7 +302,7 @@ def test_facet_side_table_matches_per_facet_walk(d, policy, mesh):
     nq = default_quad_n(1)
     rule = fe.tensor_rule((nq,) * d)
     for g, want in zip(groups, ref.values()):
-        got = [(dm.facet_ids[fp], dm.elem_ids[ep], g.sign)
+        got = [(dm.mesh.ftab.id[fp], dm.mesh.etab.id[ep], g.sign)
                for fp, ep in zip(g.facet.tolist(), g.elem.tolist())]
         assert got == want
         pts = dm.facet_sides.points(g.facet, rule.points)

@@ -51,7 +51,7 @@ def test_regime_classification():
 
 def test_slab_height_uses_slab_not_element():
     mesh = SpaceTimeMesh.build(1, 2, 2)
-    eid = mesh.element_ids()[0]
+    eid = int(mesh.etab.id[0])
     mesh.refine_and_coarsen([eid])
     kid = next(el for el in elements(mesh).values() if el.level == 1)
     assert abs(slab_height(mesh, kid) - 0.5) < 1e-14
@@ -62,7 +62,7 @@ def _assert_regime_weights_match_reference(mesh, eps) -> set[str]:
     dm = build_dofmap(mesh, 1)
     els = elements(mesh)
     weights = [regime_and_weights(els[eid], slab_height(mesh, els[eid]), eps)
-               for eid in dm.elem_ids.tolist()]
+               for eid in dm.mesh.etab.id.tolist()]
     eps_tilde, tau = regime_weights(dm, eps)
     assert eps_tilde.tolist() == [w.eps_tilde for w in weights]
     assert tau.tolist() == [w.tau_eps for w in weights]
@@ -118,7 +118,7 @@ def test_norms_match_dense_oracle(rng):
         want = oracle_norms(sys, x, npts=None if poly else sys.quad_n + 2)
         keymap = dict(l2="l2", jump_adv="jump_adv", neumann_trace="neumann",
                       grad="grad", jump_Q="jump_Q", dt="dt")
-        for i, eid in enumerate(nb.elem_ids):
+        for i, eid in enumerate(mesh.etab.id.tolist()):
             for ours, theirs in keymap.items():
                 a = getattr(nb, ours)[i]
                 b = want["per_element"][eid][theirs]
@@ -188,7 +188,7 @@ def test_local_efficiency_finite():
     est = estimate(sys, x)
     nb = error_norms(sys, x, est)
     le = local_efficiency(sys, est, nb)
-    assert le.shape == (len(sys.dofmap.elem_ids),)
+    assert le.shape == (len(sys.dofmap.mesh.etab),)
     assert np.all(np.isfinite(le) & (le > 0))
 
 
@@ -202,7 +202,7 @@ def test_local_efficiency_matches_patch_loop(d, policy):
     nb = error_norms(sys, x, est)
     got = local_efficiency(sys, est, nb)
     want = oracle_local_efficiency(sys, est, nb)
-    assert got.tolist() == pytest.approx([want[e] for e in sys.dofmap.elem_ids.tolist()],
+    assert got.tolist() == pytest.approx([want[e] for e in sys.dofmap.mesh.etab.id.tolist()],
                                          rel=1e-12, abs=0)
 
 

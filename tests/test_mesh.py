@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sthdg import mesh as mesh_mod
-from sthdg.assembly import build_dofmap
 from sthdg.mesh import BOUNDARIES, ElementTable, SpaceTimeMesh, child_boxes, child_id, splitmix64
 from sthdg.verify import build_subgrid
 
@@ -26,7 +25,7 @@ def _children(mesh, parent):
 def test_build_counts_and_geometry():
     mesh = SpaceTimeMesh.build(2, 3, 4, t_final=2.0, x_lo=[-1, 0], x_hi=[1, 3])
     assert mesh.n_elements == 3 * 16
-    assert mesh.element_ids() == sorted(mesh.element_ids())
+    assert mesh.etab.id.tolist() == sorted(mesh.etab.id.tolist())
     els = elements(mesh)
     for el in els.values():
         assert el.level == 0
@@ -73,7 +72,7 @@ def test_facet_geometry_consistency():
 
 def test_refine_single_element():
     mesh = SpaceTimeMesh.build(1, 2, 2)
-    target = mesh.element_ids()[0]
+    target = int(mesh.etab.id[0])
     rep = mesh.refine_and_coarsen([target])
     assert rep.refined == [target]
     assert rep.closure_refined == []
@@ -112,7 +111,7 @@ def test_closure_enforces_one_irregularity():
 
 def test_coarsen_restores_parent():
     mesh = SpaceTimeMesh.build(1, 2, 2)
-    target = mesh.element_ids()[0]
+    target = int(mesh.etab.id[0])
     el0 = elements(mesh)[target]
     mesh.refine_and_coarsen([target])
     rep = mesh.refine_and_coarsen([], _children(mesh, target))
@@ -126,7 +125,7 @@ def test_coarsen_restores_parent():
 
 def test_partial_sibling_group_is_skipped():
     mesh = SpaceTimeMesh.build(1, 2, 2)
-    target = mesh.element_ids()[0]
+    target = int(mesh.etab.id[0])
     mesh.refine_and_coarsen([target])
     kids = sorted(_children(mesh, target))
     rep = mesh.refine_and_coarsen([], kids[:-1])
@@ -152,7 +151,7 @@ def test_coarsen_blocked_by_level_jump():
 
 def test_refinement_wins_over_coarsening():
     mesh = SpaceTimeMesh.build(1, 2, 2)
-    target = mesh.element_ids()[0]
+    target = int(mesh.etab.id[0])
     mesh.refine_and_coarsen([target])
     kids = _children(mesh, target)
     rep = mesh.refine_and_coarsen(kids[:1], kids)
@@ -171,11 +170,11 @@ def test_refine_uniform_counts():
 def test_element_ids_deterministic():
     m1 = SpaceTimeMesh.build(2, 2, 2)
     m2 = SpaceTimeMesh.build(2, 2, 2)
-    assert m1.element_ids() == m2.element_ids()
-    t = m1.element_ids()[3]
+    assert m1.etab.id.tolist() == m2.etab.id.tolist()
+    t = int(m1.etab.id[3])
     m1.refine_and_coarsen([t])
     m2.refine_and_coarsen([t])
-    assert m1.element_ids() == m2.element_ids()
+    assert m1.etab.id.tolist() == m2.etab.id.tolist()
     assert child_id(t, 0) == child_id(t, 0)
     assert child_id(t, 0) != child_id(t, 1)
 
@@ -187,14 +186,13 @@ def test_element_rows_are_in_ascending_id_order():
 
     mesh = SpaceTimeMesh.build(2, 2, 2)
     assert ascending(mesh)
-    target = mesh.element_ids()[0]
-    mesh.refine_and_coarsen([target, mesh.element_ids()[-1]])
+    target = int(mesh.etab.id[0])
+    mesh.refine_and_coarsen([target, int(mesh.etab.id[-1])])
     assert ascending(mesh)
     rep = mesh.refine_and_coarsen([], _children(mesh, target))
     assert rep.coarsened_parents == [target]
     assert ascending(mesh)
     assert ascending(build_subgrid(mesh).fine)
-    assert np.array_equal(build_dofmap(mesh, 1).elem_ids, mesh.etab.id)
     for policy in ("h", "h2"):
         mesh = SpaceTimeMesh.build(1, 2, 2, policy=policy)
         mesh.refine_uniform()
@@ -223,7 +221,7 @@ def test_random_adaptivity_keeps_invariants(data):
     for _ in range(data.draw(st.integers(min_value=1, max_value=3))):
         if mesh.n_elements > 400:
             break
-        ids = mesh.element_ids()
+        ids = mesh.etab.id.tolist()
         refs = data.draw(st.sets(st.sampled_from(ids), max_size=3))
         coars = data.draw(st.sets(st.sampled_from(ids), max_size=8))
         mesh.refine_and_coarsen(refs, coars)
@@ -290,7 +288,7 @@ def test_facet_tables_match_reference_builder(data):
     for _ in range(data.draw(st.integers(min_value=1, max_value=3))):
         if mesh.n_elements > 300:
             break
-        ids = mesh.element_ids()
+        ids = mesh.etab.id.tolist()
         refs = data.draw(st.sets(st.sampled_from(ids), max_size=4))
         # whole sibling groups, so that coarsening happens, plus single ids
         parents = sorted(set(mesh.etab.parent.tolist()) - {0})
@@ -310,7 +308,7 @@ def test_hanging_pairs_match_all_pairs_oracle(monkeypatch):
             mesh = hanging_mesh(d, policy=policy)
             for step in range(3):
                 if step:  # planes with faces of more levels
-                    mesh.refine_and_coarsen(mesh.element_ids()[::3])
+                    mesh.refine_and_coarsen(mesh.etab.id[::3].tolist())
                 got = mesh.ftab
                 with monkeypatch.context() as m:
                     m.setattr(mesh_mod, "_nested_pairs", oracle_all_pairs)

@@ -43,7 +43,7 @@ def _causal_systems():
         spec = poly_problem(d)
         for policy in ("h", "h2"):  # h2 hangs facets in time
             mesh = SpaceTimeMesh.build(d, 2, 2, policy=policy)
-            mesh.refine_and_coarsen([mesh.element_ids()[0]])
+            mesh.refine_and_coarsen(mesh.etab.id[:1].tolist())
             yield f"hanging d={d} {policy}", assemble(spec, mesh, 1)
     pulse = get_problem("rotating-pulse", eps=1e-3, d=2)
     _, mesh = run_study(pulse, "amr", cycles=2, p_s=1, n_slabs=2, n_cells=2)
@@ -112,7 +112,7 @@ def _condensed_systems():
     yield from _causal_systems()
     # p_s = 2 in d = 2: facet blocks of 6 (lateral) and 9 (time) dofs
     mesh = SpaceTimeMesh.build(2, 2, 2, policy="h2")
-    mesh.refine_and_coarsen([mesh.element_ids()[0]])
+    mesh.refine_and_coarsen(mesh.etab.id[:1].tolist())
     yield "hanging d=2 h2 p_s=2", assemble(poly_problem(2), mesh, 2)
 
 

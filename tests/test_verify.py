@@ -36,7 +36,7 @@ def test_subgrid_structure(d, policy):
     mesh = hanging_mesh(d, policy=policy)
     pair = build_subgrid(mesh)
     assert pair.fine.n_elements == 2 * mesh.n_elements
-    coarse_ids, fine_ids = mesh.element_ids(), pair.fine.element_ids()
+    coarse_ids, fine_ids = mesh.etab.id.tolist(), pair.fine.etab.id.tolist()
     els, fine_els = elements(mesh), elements(pair.fine)
     assert pair.children.shape == (mesh.n_elements, 2)
     assert sorted(pair.children.reshape(-1).tolist()) == list(range(pair.fine.n_elements))
@@ -84,9 +84,9 @@ def test_restriction_reproduces_fields(rng):
     els, fine_els = elements(mesh), elements(pair.fine)
     ref = rng.uniform(-1, 1, size=(5, 3))
     for i in range(4):
-        eid = dm_c.elem_ids[i]
+        eid = dm_c.mesh.etab.id[i]
         el = els[eid]
-        for cid in dm_f.elem_ids[pair.children[i]].tolist():
+        for cid in dm_f.mesh.etab.id[pair.children[i]].tolist():
             ch = fine_els[cid]
             assert ch.parent == eid
             phys = fe.map_to_box(ch.lo, ch.hi, ref)
@@ -163,8 +163,8 @@ def _nodal_coeffs(mesh, p_s, fn):
     dm = build_dofmap(mesh, p_s)
     basis = fe.get_basis(dm.elem_degrees)
     out = np.empty(dm.n_elem_dofs)
-    lo, hi = dm.elem_box
-    for i in range(len(dm.elem_ids)):
+    lo, hi = mesh.etab.lo, mesh.etab.hi
+    for i in range(len(mesh.etab)):
         phys = fe.map_to_box(lo[i], hi[i], basis.nodes)
         out[i * dm.n_elem_basis:(i + 1) * dm.n_elem_basis] = fn(phys)
     return out
@@ -172,7 +172,7 @@ def _nodal_coeffs(mesh, p_s, fn):
 
 def test_averaging_fixes_continuous_fields():
     mesh = SpaceTimeMesh.build(1, 2, 2, dirichlet_lateral=False)
-    mesh.refine_and_coarsen([mesh.element_ids()[0]])
+    mesh.refine_and_coarsen(mesh.etab.id[:1].tolist())
     coeffs = _nodal_coeffs(mesh, 1, lambda p: p[:, 0] + 2 * p[:, 1])
     res = averaging_operator(mesh, 1, coeffs)
     assert res.defect.max() <= 1e-12
@@ -183,7 +183,7 @@ def test_averaging_of_a_step():
     # element-wise constants 0 | 1 jumping across the interior facet
     mesh = SpaceTimeMesh.build(1, 1, 2, dirichlet_lateral=False)
     dm = build_dofmap(mesh, 1)
-    coeffs = np.repeat(np.where(dm.elem_box[0][:, 1] < 0.25, 0.0, 1.0), dm.n_elem_basis)
+    coeffs = np.repeat(np.where(mesh.etab.lo[:, 1] < 0.25, 0.0, 1.0), dm.n_elem_basis)
     res = averaging_operator(mesh, 1, coeffs)
     assert res.continuity <= 1e-12
     assert res.defect.min() > 0
@@ -261,10 +261,10 @@ def test_oswald_constant_bounded_on_random_fields(rng):
     # |c_K - c_K'|, so each bound is a sum of w |c_K - c_K'| sqrt(|F|) over
     # the interior facets whose closure touches the element
     const = rng.standard_normal(mesh.n_elements)
-    c_of = dict(zip(dm.elem_ids.tolist(), const))
+    c_of = dict(zip(dm.mesh.etab.id.tolist(), const))
     rep = oswald_constant(mesh, 1, np.repeat(const, dm.n_elem_basis))
     els, fcs = elements(mesh), facets(mesh)
-    for i, eid in enumerate(dm.elem_ids.tolist()):
+    for i, eid in enumerate(dm.mesh.etab.id.tolist()):
         el = els[eid]
         want = 0.0
         for f in fcs.values():
@@ -274,6 +274,23 @@ def test_oswald_constant_bounded_on_random_fields(rng):
             want += w * abs(c_of[f.owner] - c_of[f.neighbor]) * np.sqrt(f.measure)
         assert want > 0
         assert rep.bound[i] == pytest.approx(want, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: SpaceTimeMesh.build(1, 4, 4),
+    lambda: SpaceTimeMesh.build(2, 4, 4),
+    lambda: hanging_mesh(2, policy="h"),
+    lambda: hanging_mesh(1, policy="h2"),
+], ids=["d1", "d2", "d2-hanging-h", "d1-hanging-h2"])
+def test_oswald_constant_does_not_depend_on_the_field_scale(make):
+    # defect and bound are both linear in the field, so their ratio is too
+    mesh = make()
+    coeffs = np.random.default_rng(7).standard_normal(build_dofmap(mesh, 1).n_elem_dofs)
+    ref = oswald_constant(mesh, 1, coeffs).constant
+    assert ref > 0
+    for scale in (1e-12, 1e12):
+        got = oswald_constant(mesh, 1, scale * coeffs).constant
+        assert got == pytest.approx(ref, rel=1e-12, abs=0), scale
 
 
 # ----------------------------------------------------------------------

@@ -56,7 +56,7 @@ def test_mesh_vtk_d2_hexahedra(tmp_path):
 
 def test_mesh_vtk_is_deterministic(tmp_path):
     mesh = SpaceTimeMesh.build(2, 2, 2)
-    mesh.refine_and_coarsen([mesh.element_ids()[0]])
+    mesh.refine_and_coarsen(mesh.etab.id[:1].tolist())
     vals = np.arange(mesh.n_elements, dtype=float)
     p1, p2 = tmp_path / "a.vtk", tmp_path / "b.vtk"
     write_mesh_vtk(p1, mesh, {"v": vals})
@@ -71,7 +71,7 @@ def test_mesh_vtk_is_deterministic(tmp_path):
 ], ids=["hanging-d1", "hanging-d2-h2", "thirds-d2"])
 def test_grid_matches_per_corner_reference(tmp_path, mesh_of):
     mesh = mesh_of()
-    mesh.refine_and_coarsen(mesh.element_ids()[-2:])
+    mesh.refine_and_coarsen(mesh.etab.id[-2:].tolist())
     p = tmp_path / "mesh.vtk"
     write_mesh_vtk(p, mesh)
     lines = p.read_text().splitlines()
@@ -90,6 +90,6 @@ def test_center_and_slice_values():
     cv = center_values(sys.dofmap, x)
     els = elements(mesh)
     assert cv.shape == (mesh.n_elements,)
-    for eid, v in zip(sys.dofmap.elem_ids.tolist(), cv.tolist()):
+    for eid, v in zip(sys.dofmap.mesh.etab.id.tolist(), cv.tolist()):
         c = els[eid].center()
         assert abs(v - (c[0] + c[1])) < 1e-9
