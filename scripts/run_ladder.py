@@ -5,8 +5,9 @@ Runs `rotating-pulse`, eps = 1e-3, d = 2, p_s = 1, 2 slabs, 2 cells, AMR
 cycles 0-7 under the time-step policy `h` and cycles 0-4 under `h2`, each
 policy in a fresh single-threaded child process so that its peak RSS is its
 own.  For every cycle it records the cycle's `StudyRecord` as the `cycles`
-list of a study's run.json stores it (elements, dofs, solver levels, LU
-fill, the seconds of each phase and the peak RSS after the cycle).  Right
+list of a study's run.json stores it (elements, dofs, the solver's
+`SolveReport` with the dofs, factored dofs and LU fill of each level, the
+seconds of each phase and the peak RSS after each).  Right
 before and right after each child it times the host probe of
 `perfbench/child.py` (`host_probe_s`, seconds of a fixed pure-Python loop),
 so a ladder that ran in a slow phase of the host can be told apart.

@@ -8,19 +8,18 @@ the bottom 10% by element count.  Coarsening only takes effect for
 complete sibling groups; the mesh layer drops partial groups.
 
 `run_study` drives uniform or adaptive cycles and records one StudyRecord
-per solve, with the solver's block count, largest block, largest factored
-matrix and residual, its wall time (through the `on_cycle` hook), the
-seconds of each phase (assemble, solve, estimate, norms, then the refine
-that follows the cycle; a hook may add its own) and the peak RSS after
-each of them.  CSV output is deterministic: the wall_ms column is written
-as 0 and the solver statistics are left out (timings vary run to run and
-the table must be byte-identical across reruns); they go into the run
-manifest instead.
+per solve, with the solver's `SolveReport` as it returned it, its wall
+time (through the `on_cycle` hook), the seconds of each phase (assemble,
+solve, estimate, norms, then the refine that follows the cycle; a hook may
+add its own) and the peak RSS after each of them.  CSV output is
+deterministic: the wall_ms column is written as 0 and the solver report is
+left out (timings vary run to run and the table must be byte-identical
+across reruns); they go into the run manifest instead.
 
 `StudyRecord` is the one definition of a cycle's record: the run.json
 `cycles` list of `sthdg study` and of `sthdg solve` (a study's first cycle)
 and the cost ladder of `scripts/run_ladder.py` store `dataclasses.asdict`
-of it as it is.
+of it as it is, so a field added to `SolveReport` reaches them uncopied.
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ from .assembly import assemble
 from .estimator import EstimateResult, efficiency_index, error_norms, estimate
 from .mesh import SpaceTimeMesh
 from .problem import ProblemSpec
-from .solver import solve
+from .solver import SolveReport, solve
 
 CSV_HEADER = "cycle,n_elements,n_dofs,eta,true_error,eff_index,wall_ms"
 
@@ -50,17 +49,11 @@ class StudyRecord:
     true_error: float  # nan when the problem has no exact solution
     eff_index: float
     wall_ms: float
-    # solver statistics and phase timings: kept out of the CSV, reported in
-    # run.json
-    solver_method: str
-    solver_blocks: int
-    max_block_dofs: int
-    lu_fill: int
-    residual: float
-    max_factored_dofs: int = 0  # largest matrix SuperLU factored
+    # what the solver did and the phase timings: kept out of the CSV,
+    # reported in run.json
+    solve: SolveReport
     phase_s: dict[str, float] = field(default_factory=dict)
     phase_maxrss_mb: dict[str, float] = field(default_factory=dict)  # after each phase
-    maxrss_mb: float = 0.0
 
     def csv_row(self) -> str:
         def num(v: float) -> str:
@@ -158,7 +151,7 @@ def run_study(
         lap("solve")
         est = estimate(sys, x)
         lap("estimate")
-        if spec.has_exact():
+        if spec.exact_jet is not None:
             nb = error_norms(sys, x, est)
             err = nb.sT_norm()
             eff = efficiency_index(est.eta, err)
@@ -169,10 +162,7 @@ def run_study(
         rec = StudyRecord(
             cycle=cycle, n_elements=mesh.n_elements, n_dofs=sys.n_dofs,
             eta=est.eta, true_error=err, eff_index=eff,
-            wall_ms=1e3 * (time.perf_counter() - t0),
-            solver_method=rep.method, solver_blocks=rep.n_blocks,
-            max_block_dofs=max(rep.block_sizes), lu_fill=rep.lu_fill,
-            residual=rep.residual, max_factored_dofs=rep.max_factored_dofs,
+            wall_ms=1e3 * (time.perf_counter() - t0), solve=rep,
             phase_s=phase, phase_maxrss_mb=rss,
         )
         records.append(rec)
@@ -190,7 +180,6 @@ def run_study(
                 mesh.refine_uniform(1)
         del sys, x, est  # free this cycle's system before the next assemble
         lap("refine")
-        rec.maxrss_mb = rss["refine"]
     return records, mesh
 
 

@@ -98,19 +98,15 @@ class DofMap:
     n_dofs: int
 
     @property
-    def d(self) -> int:
-        return self.mesh.d
-
-    @property
     def elem_degrees(self) -> tuple[int, ...]:
-        return (P_T,) + (self.p_s,) * self.d
+        return (P_T,) + (self.p_s,) * self.mesh.d
 
     def facet_degrees(self, axis: int) -> tuple[int, ...]:
-        return _facet_degrees(self.p_s, self.d, axis)
+        return _facet_degrees(self.p_s, self.mesh.d, axis)
 
     @property
     def n_elem_basis(self) -> int:
-        return (P_T + 1) * (self.p_s + 1) ** self.d
+        return (P_T + 1) * (self.p_s + 1) ** self.mesh.d
 
     @cached_property
     def elem_h(self) -> np.ndarray:
@@ -328,7 +324,7 @@ def facet_rule(n_free_axes: int, nq: int) -> fe.TensorRule:
 def compute_beta_sup(spec: ProblemSpec, dm: DofMap, nq: int) -> np.ndarray:
     """sup |beta.n| of every facet, in facet-table order, sampled at the facet
     quadrature points and corners."""
-    d = dm.d
+    d = dm.mesh.d
     grid = np.array(np.meshgrid(*([[-1.0, 1.0]] * d), indexing="ij"))
     ref = np.vstack([facet_rule(d, nq).points, grid.reshape(d, -1).T])
     return np.max(np.abs(dm.facet_sides.beta_n(spec, ref)), axis=1)

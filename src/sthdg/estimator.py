@@ -117,7 +117,7 @@ def estimate(sys: AssembledSystem, x: np.ndarray) -> EstimateResult:
     dm = sys.dofmap
     spec = sys.spec
     eps = spec.eps
-    d = dm.d
+    d = dm.mesh.d
     d1 = d + 1
     nq = sys.quad_n + 2
     x = np.asarray(x)
@@ -297,7 +297,7 @@ def error_norms(sys: AssembledSystem, x: np.ndarray, est: EstimateResult) -> Nor
     dm = sys.dofmap
     mesh = dm.mesh
     spec = sys.spec
-    if not spec.has_exact():
+    if spec.exact_jet is None:
         raise ValueError("error norms require a problem with an exact solution")
     eps = spec.eps
     d = mesh.d

@@ -95,9 +95,6 @@ class ProblemSpec:
         u, _, grad = self.exact_jet(pts)
         return -zminus * u * bn + self.eps * (grad @ normal[1:])
 
-    def has_exact(self) -> bool:
-        return self.exact_jet is not None
-
 
 # ----------------------------------------------------------------------
 # built-in problems from closed forms

@@ -87,5 +87,5 @@ def write_mesh_vtk(path, mesh: SpaceTimeMesh, cell_values: dict[str, np.ndarray]
 def center_values(dm: DofMap, x: np.ndarray) -> np.ndarray:
     """Solution value at each element's space-time center, element-table order."""
     coeffs = np.asarray(x)[: dm.n_elem_dofs].reshape(-1, dm.n_elem_basis)
-    v = fe.get_basis(dm.elem_degrees).eval(np.zeros((1, dm.d + 1))).values[0]
+    v = fe.get_basis(dm.elem_degrees).eval(np.zeros((1, dm.mesh.d + 1))).values[0]
     return coeffs @ v

@@ -932,7 +932,7 @@ def element_at(dm, x, eid: int, ref_pts: np.ndarray):
     half = 0.5 * (e.hi[row] - e.lo[row])
     vals = bv.values @ c
     dt = (bv.grad[:, :, 0] @ c) / half[0]
-    grad = np.stack([(bv.grad[:, :, a] @ c) / half[a] for a in range(1, dm.d + 1)], axis=-1)
+    grad = np.stack([(bv.grad[:, :, a] @ c) / half[a] for a in range(1, dm.mesh.d + 1)], axis=-1)
     return vals, grad, dt
 
 
@@ -1004,7 +1004,7 @@ def oracle_eta_J1(sys, x: np.ndarray) -> np.ndarray:
     then to the second's."""
     dm = sys.dofmap
     nq = sys.quad_n + 2
-    wfq = facet_rule(dm.d, nq).weights
+    wfq = facet_rule(dm.mesh.d, nq).weights
     xe = np.asarray(x)[: dm.n_elem_dofs].reshape(len(dm.mesh.etab), dm.n_elem_basis)
     sq = np.zeros(len(dm.mesh.etab))
     stored: dict[int, tuple[np.ndarray, int]] = {}

@@ -13,7 +13,7 @@ from sthdg.adapt import (
 )
 from sthdg.estimator import ETA_TERMS, EstimateResult
 from sthdg.problem import ProblemSpec, get_problem
-from sthdg.solver import SolverError
+from sthdg.solver import SolveReport, SolverError
 
 from oracles import from_symbolic
 
@@ -74,8 +74,9 @@ def test_mark_validates_inputs():
 def test_csv_rows_are_deterministic(tmp_path):
     rec = StudyRecord(cycle=0, n_elements=4, n_dofs=100, eta=0.5,
                       true_error=math.nan, eff_index=math.nan, wall_ms=123.4,
-                      solver_method="block-lu", solver_blocks=3, max_block_dofs=40,
-                      lu_fill=900, residual=1e-16)
+                      solve=SolveReport(n_dofs=100, nnz=2000, residual=1e-16,
+                                        block_sizes=[40, 30, 30], fill=[300, 300, 300],
+                                        factored=[40, 30, 30]))
     assert rec.csv_row() == "0,4,100,0.5,nan,nan,0"
     p = tmp_path / "study.csv"
     write_csv([rec], p)
@@ -120,7 +121,7 @@ def test_run_study_without_exact_solution(tmp_path):
         dirichlet_data = initial_data
 
     spec = DataOnly(**{**vars(base), "exact_jet": None})
-    assert not spec.has_exact()
+    assert spec.exact_jet is None
     records, _ = run_study(spec, "amr", cycles=2, p_s=1, n_slabs=1, n_cells=2)
     assert all(math.isnan(r.true_error) for r in records)
     assert all(math.isnan(r.eff_index) for r in records)

@@ -105,7 +105,7 @@ def test_solve_writes_artifacts(tmp_path, capsys):
     assert set(c) == {f.name for f in dataclasses.fields(StudyRecord)}
     assert c["cycle"] == 0 and f"n_dofs={c['n_dofs']} " in line
     assert set(c["phase_s"]) == {"assemble", "solve", "estimate", "norms", "vtk", "refine"}
-    assert 0 <= c["residual"] <= 1e-10 and c["lu_fill"] > 0
+    assert 0 <= c["solve"]["residual"] <= 1e-10 and sum(c["solve"]["fill"]) > 0
     assert "numpy" in manifest["versions"]
     text = (tmp_path / "solution.vtk").read_text()
     assert "SCALARS eta_K float 1" in text
@@ -176,9 +176,10 @@ def test_study_writes_artifacts(tmp_path, capsys, monkeypatch):
         assert (c["n_elements"], c["n_dofs"]) == (int(n_elements), int(n_dofs))
         assert c["wall_ms"] > 0 and wall_ms == "0"
         # solver statistics go to run.json only, never to the CSV
-        assert 1 <= c["solver_blocks"] and 1 <= c["max_block_dofs"] <= c["n_dofs"]
-        assert 1 <= c["max_factored_dofs"] <= c["max_block_dofs"]
-        assert 0 <= c["residual"] <= 1e-10
+        rep = c["solve"]
+        assert rep["n_dofs"] == c["n_dofs"] and 1 <= max(rep["block_sizes"]) <= c["n_dofs"]
+        assert 1 <= max(rep["factored"]) <= max(rep["block_sizes"])
+        assert 0 <= rep["residual"] <= 1e-10
         # phase seconds: the cycle's wall time covers all but the refine
         # that follows it
         phases = c["phase_s"]
@@ -186,18 +187,53 @@ def test_study_writes_artifacts(tmp_path, capsys, monkeypatch):
         # run.json keeps the phases in the order they ran
         assert list(phases) == list(rss) == ["assemble", "solve", "estimate", "norms",
                                              "vtk", "refine"]
-        assert min(phases.values()) >= 0 and c["maxrss_mb"] > 0
+        assert min(phases.values()) >= 0 and rss["refine"] > 0
         assert sum(phases.values()) <= c["wall_ms"] / 1e3 + phases["refine"] + 1e-5
-        # peak RSS after each phase never falls in file order, and the last
-        # phase's is the cycle's
+        # peak RSS after each phase never falls in file order
         mb = list(rss.values())
         assert all(math.isfinite(v) for v in mb) and mb == sorted(mb)
-        assert mb[-1] <= c["maxrss_mb"]
     # the thread caps that actually apply: an inherited value wins
     assert manifest["threads"]["OMP_NUM_THREADS"] == "3"
     assert manifest["threads"] == {
         var: os.environ[var] for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
                                          "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")}
+
+
+def test_run_json_holds_each_cycle_solve_report(tmp_path, monkeypatch, capsys):
+    import numpy as np
+
+    import sthdg.adapt as adapt_mod
+    from sthdg import solver
+    from sthdg.solver import causal_levels
+
+    # every level that holds element and facet dofs is factored on its
+    # element Schur complement
+    monkeypatch.setattr(solver, "_CONDENSE_MIN", {1: 0})
+    seen, mixed = [], []  # each cycle's report, and which of its levels are mixed
+    run_study = adapt_mod.run_study
+
+    def spy(*args, on_cycle, **kw):
+        def hook(cycle, mesh, sys_, x, est, rec):
+            seen.append(dataclasses.asdict(rec.solve))
+            level = causal_levels(sys_.A, sys_.free_mask())
+            n_elem = np.bincount(level[:sys_.dofmap.n_elem_dofs], minlength=level.max() + 1)
+            mixed.append(((n_elem > 0) & (n_elem < np.bincount(level))).tolist())
+            on_cycle(cycle, mesh, sys_, x, est, rec)
+
+        return run_study(*args, on_cycle=hook, **kw)
+
+    monkeypatch.setattr(adapt_mod, "run_study", spy)
+    assert main(["study", "--problem", "sine", "--dim", "1", "--eps", "0.1", "--cycles", "2",
+                 "--slabs", "2", "--cells", "2", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    cycles = json.loads((tmp_path / "run.json").read_text())["cycles"]
+    assert [c["solve"] for c in cycles] == seen and len(seen) == 2
+    for c, both in zip(cycles, mixed):
+        rep = c["solve"]
+        assert len(rep["block_sizes"]) == len(rep["fill"]) == len(rep["factored"]) == len(both)
+        assert sum(rep["block_sizes"]) == rep["n_dofs"] == c["n_dofs"]
+        assert [f < n for f, n in zip(rep["factored"], rep["block_sizes"])] == both
+        assert any(both)
 
 
 def test_study_runs_are_byte_identical(tmp_path):

@@ -22,7 +22,7 @@ def _interior_points(spec, n, rng, margin=0.08):
 def test_get_problem_dispatch():
     assert get_problem("linear", 1.0, d=1).name == "linear-1d"
     assert get_problem("sine", 0.1, d=2).name == "sine-2d"
-    assert get_problem("rotating-pulse", 1e-3).has_exact()
+    assert get_problem("rotating-pulse", 1e-3).exact_jet is not None
     with pytest.raises(ValueError):
         get_problem("rotating-pulse", 1e-3, d=1)
     with pytest.raises(ValueError):

@@ -39,4 +39,5 @@ def test_ladder_records_each_cycle_in_run_order(monkeypatch):
         assert list(rec) == [f.name for f in fields(StudyRecord)]
         assert list(rec["phase_s"]) == list(rec["phase_maxrss_mb"]) == phases
         rss = list(rec["phase_maxrss_mb"].values())
-        assert rss == sorted(rss) and rec["maxrss_mb"] == rss[-1]
+        assert rss == sorted(rss)
+        assert sum(rec["solve"]["block_sizes"]) == rec["solve"]["n_dofs"] == rec["n_dofs"]
