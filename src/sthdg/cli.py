@@ -5,15 +5,17 @@ study.csv and per-cycle VTK), `solve` (the first cycle of a study: one
 discrete solve dumped to solution.vtk, no CSV) and `verify` (measured
 analysis constants written to constants.csv).
 
-Configuration comes from an optional INI file (key = value under any
-section) overridden by command-line flags; flags win.  A run.json manifest
-with the resolved config, package versions and wall-clock seconds (the
-problem's set-up under `problem`, then the command or its phases) is
-written next to the artifacts; for `solve` and `study` its `cycles` list
-holds each cycle's `adapt.StudyRecord` as stored.  Exit codes: 0 success,
-2 invalid configuration, an unknown problem included (nothing written), 3
-solver failure or out of memory (partial outputs kept, run.json status
-`solver_failure` or `out_of_memory`).
+`_parser` declares every option once, with its type, default and allowed
+values (`sthdg <cmd> --help` prints them); the parsed namespace is the
+run's config.  An optional INI file (key = value under any section) sets
+options too, and flags override it.  A run.json manifest with the resolved
+config, package versions and wall-clock seconds (the problem's set-up
+under `problem`, then the command or its phases) is written next to the
+artifacts; for `solve` and `study` its `cycles` list holds each cycle's
+`adapt.StudyRecord` as stored.  Exit codes: 0 success, 2 invalid
+configuration, an unknown problem or a missing or malformed INI file
+included (nothing written), 3 solver failure or out of memory (partial
+outputs kept, run.json status `solver_failure` or `out_of_memory`).
 """
 
 from __future__ import annotations
@@ -22,108 +24,40 @@ import argparse
 import configparser
 import json
 import logging
+import math
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 from pathlib import Path
 
 log = logging.getLogger("sthdg")
-
-_DEFAULTS = dict(
-    problem="rotating-pulse", eps=1e-2, dim=2, ps=1, cycles=3, mode="amr",
-    dt_policy="h", slabs=2, cells=2, out=".", seed=0, threads=1,
-)
-
-_INT_KEYS = ("dim", "ps", "cycles", "slabs", "cells", "seed", "threads")
-_FLOAT_KEYS = ("eps",)
-
-
-@dataclass
-class RunConfig:
-    command: str
-    problem: str
-    eps: float
-    dim: int
-    ps: int
-    cycles: int
-    mode: str
-    dt_policy: str
-    slabs: int
-    cells: int
-    out: str
-    seed: int
-    threads: int
 
 
 class ConfigError(ValueError):
     pass
 
 
-def _load_ini(path: str) -> dict:
-    cp = configparser.ConfigParser()
-    read = cp.read(path)
-    if not read:
-        raise ConfigError(f"config file not found: {path}")
-    values: dict = {}
-    for section in cp.sections():
-        for key, raw in cp.items(section):
-            norm = key.replace("-", "_")
-            if norm not in _DEFAULTS:
-                raise ConfigError(f"unknown config key {key!r} in [{section}]")
-            values[norm] = raw
-    return values
+def _checked(convert, ok, expected: str):
+    """An argparse `type`: `convert` the text and require `ok` of the value."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+            if ok(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+    return parse
 
 
-def _coerce(key: str, raw):
-    if not isinstance(raw, str):
-        return raw
-    try:
-        if key in _INT_KEYS:
-            return int(raw)
-        if key in _FLOAT_KEYS:
-            return float(raw)
-    except ValueError:
-        raise ConfigError(f"invalid value for {key}: {raw!r}") from None
-    return raw
+_positive = _checked(float, lambda v: 0 < v < math.inf, "a finite number > 0")
+_count = _checked(int, lambda v: v >= 1, "an integer >= 1")
+_seed = _checked(int, lambda v: v >= 0, "an integer >= 0")
 
 
-def build_config(command: str, args: argparse.Namespace) -> RunConfig:
-    """Merge defaults, INI file and flags (flags win) into a validated config."""
-    values = dict(_DEFAULTS)
-    if args.config is not None:
-        values.update(_load_ini(args.config))
-    for key in _DEFAULTS:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            values[key] = flag
-    if command == "solve":
-        values["cycles"] = 1  # solve is the first cycle of a study
-    values = {k: _coerce(k, v) for k, v in values.items()}
-    cfg = RunConfig(command=command, **values)
-
-    if cfg.eps <= 0:
-        raise ConfigError(f"eps must be positive, got {cfg.eps}")
-    if cfg.dim not in (1, 2):
-        raise ConfigError(f"dim must be 1 or 2, got {cfg.dim}")
-    if cfg.ps < 1:
-        raise ConfigError(f"ps must be >= 1, got {cfg.ps}")
-    if cfg.cycles < 1:
-        raise ConfigError(f"cycles must be >= 1, got {cfg.cycles}")
-    if cfg.mode not in ("uniform", "amr"):
-        raise ConfigError(f"mode must be 'uniform' or 'amr', got {cfg.mode!r}")
-    if cfg.dt_policy not in ("h", "h2"):
-        raise ConfigError(f"dt-policy must be 'h' or 'h2', got {cfg.dt_policy!r}")
-    if cfg.slabs < 1 or cfg.cells < 1:
-        raise ConfigError("slabs and cells must be >= 1")
-    if cfg.seed < 0:
-        raise ConfigError("seed must be >= 0")
-    if cfg.threads < 1:
-        raise ConfigError("threads must be >= 1")
-    return cfg
-
-
-def _parser() -> argparse.ArgumentParser:
+def _parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and the parser of each subcommand."""
     ap = argparse.ArgumentParser(
         prog="sthdg",
         description="space-time hybrid DG solver for advection-diffusion",
@@ -134,25 +68,77 @@ def _parser() -> argparse.ArgumentParser:
         ("study", "refinement study writing study.csv and per-cycle VTK"),
         ("verify", "measure analysis constants into constants.csv"),
     ):
-        p = sub.add_parser(name, help=help_)
-        p.add_argument("config", nargs="?", default=None,
+        p = sub.add_parser(name, help=help_,
+                           formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+        p.add_argument("config", nargs="?",
                        help="optional INI config file (flags override it)")
-        p.add_argument("--problem", help="problem name")
-        p.add_argument("--eps", help="diffusion coefficient")
-        p.add_argument("--dim", help="spatial dimension (1 or 2)")
-        p.add_argument("--ps", help="spatial polynomial degree")
-        if name != "solve":
-            p.add_argument("--cycles", help="refinement cycles / verification levels")
+        p.add_argument("--problem", default="rotating-pulse", help="problem name")
+        p.add_argument("--eps", type=_positive, default=1e-2,
+                       help="diffusion coefficient, finite and > 0")
+        p.add_argument("--dim", type=int, choices=(1, 2), default=2,
+                       help="spatial dimension")
+        p.add_argument("--ps", type=_count, default=1,
+                       help="spatial polynomial degree, >= 1")
+        if name == "solve":
+            p.set_defaults(cycles=1)  # solve is the first cycle of a study
+        else:
+            p.add_argument("--cycles", type=_count, default=3,
+                           help="refinement cycles / verification levels, >= 1")
+        # only study takes a mode; run.json records one for every command
+        p.set_defaults(mode="amr")
         if name == "study":
-            p.add_argument("--mode", help="study mode: uniform or amr")
-        p.add_argument("--dt-policy", dest="dt_policy", choices=("h", "h2"),
+            p.add_argument("--mode", choices=("uniform", "amr"), help="study mode")
+        p.add_argument("--dt-policy", choices=("h", "h2"), default="h",
                        help="slab height under refinement: dt ~ h or dt ~ h^2")
-        p.add_argument("--slabs", help="initial number of time slabs")
-        p.add_argument("--cells", help="initial spatial cells per axis")
-        p.add_argument("--out", help="output directory")
-        p.add_argument("--seed", help="random seed for sampled measurements")
-        p.add_argument("--threads", help="cap on BLAS/solver worker threads")
-    return ap
+        p.add_argument("--slabs", type=_count, default=2,
+                       help="initial number of time slabs, >= 1")
+        p.add_argument("--cells", type=_count, default=2,
+                       help="initial spatial cells per axis, >= 1")
+        p.add_argument("--out", default=".", help="output directory")
+        p.add_argument("--seed", type=_seed, default=0,
+                       help="random seed for sampled measurements, >= 0")
+        p.add_argument("--threads", type=_count, default=1,
+                       help="value for OMP_NUM_THREADS, OPENBLAS_NUM_THREADS, "
+                            "MKL_NUM_THREADS and NUMEXPR_NUM_THREADS where the "
+                            "environment leaves them unset (an inherited value "
+                            "wins); the solver itself starts no threads")
+    return ap, sub.choices
+
+
+def _ini_argv(path: str, commands: dict[str, argparse.ArgumentParser]) -> list[str]:
+    """The INI file's pairs as `--key=value` flags; a key no command has
+    is an error."""
+    known = set().union(*(vars(p.parse_args([])) for p in commands.values()))
+    known.discard("config")
+    cp = configparser.ConfigParser()
+    try:
+        if not cp.read(path):
+            raise ConfigError(f"config file not found: {path}")
+        pairs = [(section, key, raw) for section in cp.sections()
+                 for key, raw in cp.items(section)]
+    except configparser.Error as exc:
+        raise ConfigError(f"malformed config file {path}: {exc}") from None
+    flags = []
+    for section, key, raw in pairs:
+        norm = key.replace("-", "_")
+        if norm not in known:
+            raise ConfigError(f"unknown config key {key!r} in [{section}]")
+        flags.append(f"--{norm.replace('_', '-')}={raw}")
+    return flags
+
+
+def _parse_config(argv: list[str]) -> argparse.Namespace:
+    """Defaults, then the INI file, then flags.  The INI pairs go through the
+    command's parser as flags placed before the user's, so they are checked
+    the same way and the user's win; a pair for an option the command does
+    not take (`cycles` or `mode` under `solve`) is dropped."""
+    ap, commands = _parser()
+    args = ap.parse_args(argv)
+    if args.config is not None:
+        ini = _ini_argv(args.config, commands)
+        args, _dropped = ap.parse_known_args(argv[:1] + ini + argv[1:])
+    del args.config
+    return args
 
 
 def _setup_logging() -> None:
@@ -191,10 +177,10 @@ def _versions() -> dict:
     }
 
 
-def _write_manifest(out: Path, cfg: RunConfig, timings: dict, status: str,
+def _write_manifest(out: Path, cfg: argparse.Namespace, timings: dict, status: str,
                     cycles: list | None = None) -> None:
     manifest = {
-        "config": asdict(cfg),
+        "config": vars(cfg),
         "versions": _versions(),
         "threads": {var: os.environ.get(var) for var in _THREAD_VARS},
         "timings_s": {k: round(v, 6) for k, v in timings.items()},
@@ -207,7 +193,7 @@ def _write_manifest(out: Path, cfg: RunConfig, timings: dict, status: str,
         fh.write("\n")
 
 
-def _get_spec(cfg: RunConfig, timings: dict):
+def _get_spec(cfg: argparse.Namespace, timings: dict):
     """The configured problem; its set-up seconds go to timings["problem"]."""
     from .problem import get_problem
 
@@ -221,7 +207,7 @@ def _get_spec(cfg: RunConfig, timings: dict):
     return spec
 
 
-def _fail(out: Path, cfg: RunConfig, timings: dict, exc: Exception,
+def _fail(out: Path, cfg: argparse.Namespace, timings: dict, exc: Exception,
           cycles: list | None = None, kept: str = "") -> int:
     """End a run that failed in the solver or ran out of memory: exit code 3,
     with run.json and whatever partial outputs the caller kept."""
@@ -243,7 +229,7 @@ def _write_vtk(path: Path, sys_, x, est) -> None:
     vtk_io.write_mesh_vtk(path, sys_.dofmap.mesh, values)
 
 
-def _cmd_study(cfg: RunConfig, spec, out: Path, timings: dict) -> int:
+def _cmd_study(cfg: argparse.Namespace, spec, out: Path, timings: dict) -> int:
     """Run `study`, or `solve` as its one cycle without study.csv."""
     from .adapt import maxrss_mb, run_study
     from .solver import SolverError
@@ -282,7 +268,7 @@ def _cmd_study(cfg: RunConfig, spec, out: Path, timings: dict) -> int:
     return 0
 
 
-def _measure_constants(cfg: RunConfig, spec, reports: list, timings: dict) -> None:
+def _measure_constants(cfg: argparse.Namespace, spec, reports: list, timings: dict) -> None:
     """Append the verify constants to `reports` and the phase times to
     `timings`, so that both hold the finished part if a phase fails."""
     import numpy as np
@@ -341,7 +327,7 @@ def _measure_constants(cfg: RunConfig, spec, reports: list, timings: dict) -> No
     timings["saturation"] = time.perf_counter() - t0
 
 
-def _cmd_verify(cfg: RunConfig, spec, out: Path, timings: dict) -> int:
+def _cmd_verify(cfg: argparse.Namespace, spec, out: Path, timings: dict) -> int:
     from .solver import SolverError
     from . import verify
 
@@ -360,18 +346,16 @@ def _cmd_verify(cfg: RunConfig, spec, out: Path, timings: dict) -> int:
 
 def main(argv=None) -> int:
     _setup_logging()
-    ap = _parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    timings: dict = {}
     try:
-        args = ap.parse_args(argv)
+        cfg = _parse_config(argv)
+        log.info("config: %s", vars(cfg))
+        _cap_threads(cfg.threads)
+        spec = _get_spec(cfg, timings)
     except SystemExit as exc:
         # argparse exits 2 on bad flags, matching the invalid-config code
         return int(exc.code or 0)
-    timings: dict = {}
-    try:
-        cfg = build_config(args.command, args)
-        log.info("config: %s", asdict(cfg))
-        _cap_threads(cfg.threads)
-        spec = _get_spec(cfg, timings)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -272,11 +272,6 @@ class NormBreakdown:
     dt: np.ndarray  # tau_eps ||dv/dt||^2
     T: float
 
-    def s_norm(self) -> float:
-        return math.sqrt(float(
-            self.l2.sum() + self.jump_adv.sum() + self.neumann_trace.sum()
-            + self.grad.sum() + self.jump_Q.sum() + self.dt.sum()))
-
     def sT_norm(self) -> float:
         return math.sqrt(float(
             self.l2.sum() + self.jump_adv.sum() + self.T * self.neumann_trace.sum()

@@ -165,15 +165,6 @@ def get_basis(degrees: tuple[int, ...]) -> TensorBasis:
     return TensorBasis(degrees)
 
 
-def map_to_box(lo: np.ndarray, hi: np.ndarray, ref_pts: np.ndarray) -> np.ndarray:
-    """Affine map from [-1, 1]^k reference points to the box [lo, hi]."""
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    return mid + half * np.atleast_2d(ref_pts)
-
-
 def box_jacobian(lo: np.ndarray, hi: np.ndarray) -> float:
     """Constant Jacobian determinant of the affine map onto [lo, hi]."""
     return float(np.prod(0.5 * (np.asarray(hi) - np.asarray(lo))))

@@ -206,6 +206,13 @@ def gauss(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.polynomial.legendre.leggauss(n)
 
 
+def map_to_box(lo, hi, ref_pts) -> np.ndarray:
+    """Affine map from [-1, 1]^k reference points to the box [lo, hi]."""
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    return 0.5 * (lo + hi) + 0.5 * (hi - lo) * np.atleast_2d(ref_pts)
+
+
 # ----------------------------------------------------------------------
 # monomial-path nodal basis evaluation
 # ----------------------------------------------------------------------
@@ -548,6 +555,12 @@ def oracle_norms(sys, x: np.ndarray, npts: int | None = None) -> dict:
     sT = math.sqrt(tot["l2"] + tot["jump_adv"] + T * tot["neumann"]
                    + T * tot["grad"] + tot["jump_Q"] + tot["dt"])
     return dict(per_element=acc, totals=tot, s_norm=s, sT_norm=sT)
+
+
+def s_norm(nb) -> float:
+    """The s,h norm of a package `NormBreakdown`: its sT,h norm with T = 1."""
+    return math.sqrt(float(nb.l2.sum() + nb.jump_adv.sum() + nb.neumann_trace.sum()
+                           + nb.grad.sum() + nb.jump_Q.sum() + nb.dt.sum()))
 
 
 # ----------------------------------------------------------------------

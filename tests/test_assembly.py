@@ -19,7 +19,7 @@ from sthdg.mesh import SpaceTimeMesh
 from conftest import hanging_mesh, poly_problem, regression_systems, small_meshes
 from oracles import (
     box_quad, elem_coeffs, elem_dofs, element_at, elements, facet_at, facet_coeffs, facet_dofs,
-    facets, oracle_apply_dirichlet, oracle_beta_sup, oracle_system, trace_map,
+    facets, map_to_box, oracle_apply_dirichlet, oracle_beta_sup, oracle_system, trace_map,
 )
 
 
@@ -245,7 +245,7 @@ def test_field_eval_gradient_scaling(rng):
     el = elements(mesh)[eid]
     # u = t + x1 in physical coordinates, nodal values at GL points
     basis = fe.get_basis(dm.elem_degrees)
-    phys = fe.map_to_box(el.lo, el.hi, basis.nodes)
+    phys = map_to_box(el.lo, el.hi, basis.nodes)
     x[elem_dofs(dm, eid)] = phys[:, 0] + phys[:, 1]
     pts = rng.uniform(-1, 1, size=(7, 2))
     vals, grad, dt = element_at(dm, x, eid, pts)

@@ -1,62 +1,111 @@
-import argparse
 import dataclasses
 import json
 import math
 import os
 
-import pytest
-
+from sthdg import cli
 from sthdg.adapt import StudyRecord
-from sthdg.cli import ConfigError, build_config, main
+from sthdg.cli import main
 
 
-def _ns(**kw):
-    base = dict(config=None, problem=None, eps=None, dim=None, ps=None,
-                cycles=None, mode=None, dt_policy=None, slabs=None,
-                cells=None, out=None, seed=None, threads=None)
-    base.update(kw)
-    return argparse.Namespace(**base)
+def _config(monkeypatch, argv):
+    """The config `main` resolves for argv; the command itself is stubbed out."""
+    seen = []
+
+    def record(cfg, spec, out, timings):
+        seen.append(dict(vars(cfg)))
+        return 0
+
+    monkeypatch.setattr(cli, "_cmd_study", record)
+    monkeypatch.setattr(cli, "_cmd_verify", record)
+    assert main(argv) == 0
+    [cfg] = seen
+    return cfg
 
 
-def test_build_config_defaults():
-    cfg = build_config("solve", _ns())
-    assert cfg.problem == "rotating-pulse"
-    assert cfg.eps == 1e-2
-    assert cfg.dim == 2 and cfg.ps == 1
-    assert cfg.mode == "amr" and cfg.dt_policy == "h"
+def _exits_2(argv, out, capsys):
+    """main(argv) exits 2 with an error message, no traceback, and writes nothing."""
+    assert main([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "Traceback" not in err
+    assert not out.exists()
 
 
-def test_build_config_flag_coercion_and_validation():
-    cfg = build_config("study", _ns(eps="0.5", cells="7"))
-    assert cfg.eps == 0.5 and cfg.cells == 7
-    with pytest.raises(ConfigError):
-        build_config("solve", _ns(eps="abc"))
-    with pytest.raises(ConfigError):
-        build_config("solve", _ns(eps="-1"))
-    with pytest.raises(ConfigError):
-        build_config("solve", _ns(dim="3"))
-    with pytest.raises(ConfigError):
-        build_config("study", _ns(mode="bisection"))
-    with pytest.raises(ConfigError):
-        build_config("solve", _ns(threads="0"))
+_DEFAULT_CONFIG = dict(problem="rotating-pulse", eps=1e-2, dim=2, ps=1, cycles=1, mode="amr",
+                       dt_policy="h", slabs=2, cells=2, out=".", seed=0, threads=1)
 
 
-def test_ini_and_flag_precedence(tmp_path):
+def test_defaults(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert _config(monkeypatch, ["solve"]) == dict(command="solve", **_DEFAULT_CONFIG)
+    assert _config(monkeypatch, ["study"]) == dict(_DEFAULT_CONFIG, command="study", cycles=3)
+    assert _config(monkeypatch, ["verify"]) == dict(_DEFAULT_CONFIG, command="verify", cycles=3)
+
+
+def test_flag_coercion_and_validation(tmp_path, monkeypatch, capsys):
+    cfg = _config(monkeypatch, ["study", "--eps", "0.5", "--cells", "7", "--seed", "5",
+                                "--out", str(tmp_path)])
+    assert (cfg["eps"], cfg["cells"], cfg["seed"]) == (0.5, 7, 5)
+    assert type(cfg["eps"]) is float and type(cfg["cells"]) is int
+    out = tmp_path / "never"
+    # a non-finite eps would reach the solver and end in a singular LU
+    for argv in (["solve", "--eps", "abc"], ["solve", "--eps", "-1"], ["solve", "--eps", "0"],
+                 ["solve", "--eps", "nan"], ["solve", "--eps", "inf"],
+                 ["solve", "--dim", "3"], ["study", "--mode", "bisection"],
+                 ["solve", "--threads", "0"], ["study", "--cycles", "0"],
+                 ["verify", "--seed", "-1"], ["solve", "--ps", "1.5"]):
+        _exits_2(argv, out, capsys)
+
+
+def test_ini_and_flag_precedence(tmp_path, monkeypatch):
     ini = tmp_path / "run.ini"
     ini.write_text("[study]\neps = 0.2\ncells = 3\ndt-policy = h2\n")
-    cfg = build_config("study", _ns(config=str(ini), cells="5"))
-    assert cfg.eps == 0.2       # from INI
-    assert cfg.cells == 5       # flag wins
-    assert cfg.dt_policy == "h2"  # hyphenated key normalized
+    cfg = _config(monkeypatch, ["study", str(ini), "--cells", "5", "--out", str(tmp_path)])
+    assert cfg["eps"] == 0.2       # from INI
+    assert cfg["cells"] == 5       # flag wins
+    assert cfg["dt_policy"] == "h2"  # hyphenated key normalized
+    assert "config" not in cfg     # the INI path is not an option
+    # a key the command takes no flag for is accepted and has no effect
+    ini.write_text("[a]\ncycles = 4\n[b]\nmode = uniform\n")
+    cfg = _config(monkeypatch, ["solve", str(ini), "--out", str(tmp_path)])
+    assert (cfg["cycles"], cfg["mode"]) == (1, "amr")
+    cfg = _config(monkeypatch, ["verify", str(ini), "--out", str(tmp_path)])
+    assert (cfg["cycles"], cfg["mode"]) == (4, "amr")
 
 
-def test_ini_unknown_key(tmp_path):
+def test_ini_unknown_key(tmp_path, capsys):
     ini = tmp_path / "run.ini"
-    ini.write_text("[x]\nepsilon = 0.2\n")
-    with pytest.raises(ConfigError):
-        build_config("solve", _ns(config=str(ini)))
-    with pytest.raises(ConfigError):
-        build_config("solve", _ns(config=str(tmp_path / "missing.ini")))
+    out = tmp_path / "never"
+    for text in ("[x]\nepsilon = 0.2\n", "[x]\nconfig = other.ini\n", "[x]\nhelp = 1\n"):
+        ini.write_text(text)
+        _exits_2(["solve", str(ini)], out, capsys)
+    _exits_2(["solve", str(tmp_path / "missing.ini")], out, capsys)
+
+
+def test_bad_ini_exits_2(tmp_path, capsys):
+    ini = tmp_path / "run.ini"
+    out = tmp_path / "never"
+    for text in ("eps = 0.1\n",                       # no section header
+                 "[run]\neps = 0.1\neps = 0.2\n",     # a key given twice
+                 "[run]\nout = 100%\n",               # a broken interpolation
+                 "[run]\neps = nan\n", "[run]\neps = inf\n", "[run]\neps = abc\n",
+                 "[run]\ndim = 3\n", "[run]\ndt-policy = h3\n", "[run]\ncells = 0\n"):
+        ini.write_text(text)
+        _exits_2(["solve", str(ini)], out, capsys)
+
+
+def test_run_json_config(tmp_path, capsys):
+    # every command records every option; solve records its one cycle, and
+    # the commands without --mode the default mode
+    flags = ["--problem", "sine", "--dim", "1", "--eps", "0.1"]
+    want = dict(_DEFAULT_CONFIG, problem="sine", eps=0.1, dim=1)
+    for argv, cycles in ((["solve"], 1), (["study", "--cycles", "2"], 2),
+                         (["verify", "--cycles", "1"], 1)):
+        out = tmp_path / argv[0]
+        assert main([*argv, *flags, "--out", str(out)]) == 0
+        config = json.loads((out / "run.json").read_text())["config"]
+        assert config == dict(want, command=argv[0], cycles=cycles, out=str(out))
+    capsys.readouterr()
 
 
 def test_invalid_config_exits_2_without_artifacts(tmp_path, capsys):

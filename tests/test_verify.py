@@ -24,7 +24,7 @@ from sthdg.verify import (
 )
 
 from conftest import hanging_mesh, poly_problem, problem_mesh
-from oracles import element_at, elements, facets, from_symbolic
+from oracles import element_at, elements, facets, from_symbolic, map_to_box
 
 
 # ----------------------------------------------------------------------
@@ -89,7 +89,7 @@ def test_restriction_reproduces_fields(rng):
         for cid in dm_f.mesh.etab.id[pair.children[i]].tolist():
             ch = fine_els[cid]
             assert ch.parent == eid
-            phys = fe.map_to_box(ch.lo, ch.hi, ref)
+            phys = map_to_box(ch.lo, ch.hi, ref)
             ref_c = 2 * (phys - el.lo) / (el.hi - el.lo) - 1
             vc, _, _ = element_at(dm_c, x_c, eid, ref_c)
             vf, _, _ = element_at(dm_f, x_f, cid, ref)
@@ -165,7 +165,7 @@ def _nodal_coeffs(mesh, p_s, fn):
     out = np.empty(dm.n_elem_dofs)
     lo, hi = mesh.etab.lo, mesh.etab.hi
     for i in range(len(mesh.etab)):
-        phys = fe.map_to_box(lo[i], hi[i], basis.nodes)
+        phys = map_to_box(lo[i], hi[i], basis.nodes)
         out[i * dm.n_elem_basis:(i + 1) * dm.n_elem_basis] = fn(phys)
     return out
 
@@ -191,7 +191,7 @@ def test_averaging_of_a_step():
     interface_vals = set()
     basis = fe.get_basis((1, 1))
     for lo, hi, values in zip(res.cell_lo, res.cell_hi, res.cell_values):
-        phys = fe.map_to_box(lo, hi, basis.nodes)
+        phys = map_to_box(lo, hi, basis.nodes)
         for p, v in zip(phys, values):
             if abs(p[1] - 0.5) < 1e-12:
                 interface_vals.add(round(float(v), 12))
@@ -204,7 +204,7 @@ def test_averaging_zeroes_dirichlet_walls():
     res = averaging_operator(mesh, 1, coeffs)
     basis = fe.get_basis((1, 1))
     for lo, hi, values in zip(res.cell_lo, res.cell_hi, res.cell_values):
-        phys = fe.map_to_box(lo, hi, basis.nodes)
+        phys = map_to_box(lo, hi, basis.nodes)
         for p, v in zip(phys, values):
             if abs(p[1]) < 1e-12 or abs(p[1] - 1.0) < 1e-12:
                 assert v == 0.0
