@@ -28,10 +28,9 @@ from dataclasses import asdict
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
-from child import host_probe_s  # noqa: E402
+from child import THREAD_VARS, host_probe_s  # noqa: E402
 
 CYCLES = {"h": 8, "h2": 5}
-THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def ladder(policy: str, cycles: int) -> list[dict]:

@@ -8,13 +8,12 @@ the bottom 10% by element count.  Coarsening only takes effect for
 complete sibling groups; the mesh layer drops partial groups.
 
 `run_study` drives uniform or adaptive cycles and records one StudyRecord
-per solve, with the solver's `SolveReport` as it returned it, its wall
-time (through the `on_cycle` hook), the seconds of each phase (assemble,
-solve, estimate, norms, then the refine that follows the cycle; a hook may
-add its own) and the peak RSS after each of them.  CSV output is
-deterministic: the wall_ms column is written as 0 and the solver report is
-left out (timings vary run to run and the table must be byte-identical
-across reruns); they go into the run manifest instead.
+per solve, with the solver's `SolveReport` as it returned it, the seconds
+of each phase (assemble, solve, estimate, norms, then the refine that
+follows the cycle; a hook may add its own) and the peak RSS after each of
+them.  CSV output is deterministic: the wall_ms column is written as 0 and
+the solver report is left out (timings vary run to run and the table must
+be byte-identical across reruns); they go into the run manifest instead.
 
 `StudyRecord` is the one definition of a cycle's record: the run.json
 `cycles` list of `sthdg study` and of `sthdg solve` (a study's first cycle)
@@ -32,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .assembly import assemble
-from .estimator import EstimateResult, efficiency_index, error_norms, estimate
+from .estimator import efficiency_index, error_norms, estimate
 from .mesh import SpaceTimeMesh
 from .problem import ProblemSpec
 from .solver import SolveReport, solve
@@ -48,7 +47,6 @@ class StudyRecord:
     eta: float
     true_error: float  # nan when the problem has no exact solution
     eff_index: float
-    wall_ms: float
     # what the solver did and the phase timings: kept out of the CSV,
     # reported in run.json
     solve: SolveReport
@@ -76,21 +74,23 @@ def _round_12(v: np.ndarray) -> np.ndarray:
 
 
 def mark(
-    est: EstimateResult,
+    eta_K: np.ndarray,
+    ids: np.ndarray,
     refine_fraction: float = 0.25,
     coarsen_fraction: float = 0.10,
 ) -> tuple[list[int], list[int]]:
-    """Ids to refine (top fraction by eta_K) and to coarsen (bottom fraction).
+    """Ids to refine (top fraction by eta_K) and to coarsen (bottom fraction),
+    where eta_K[i] is the indicator of element ids[i].
 
-    Equal rounded indicators keep the order of `est.elem_ids`, which is
-    ascending as `estimate` returns it, so ties go to the lower id."""
-    if not len(est.eta_K):
+    Equal rounded indicators keep the order of `ids`, which is ascending in
+    `mesh.etab.id`, so ties go to the lower id."""
+    if not len(eta_K):
         raise ValueError("cannot mark an empty estimate")
     if not (0 <= refine_fraction <= 1 and 0 <= coarsen_fraction <= 1):
         raise ValueError("fractions must lie in [0, 1]")
     if refine_fraction + coarsen_fraction > 1:
         raise ValueError("refine and coarsen fractions overlap")
-    order = est.elem_ids[np.argsort(-_round_12(est.eta_K), kind="stable")].tolist()
+    order = ids[np.argsort(-_round_12(eta_K), kind="stable")].tolist()
     n = len(order)
     n_ref = math.ceil(refine_fraction * n)
     n_coar = math.floor(coarsen_fraction * n)
@@ -137,7 +137,7 @@ def run_study(
     for cycle in range(cycles):
         phase: dict[str, float] = {}
         rss: dict[str, float] = {}
-        t0 = t = time.perf_counter()
+        t = time.perf_counter()
 
         def lap(name: str) -> None:
             nonlocal t
@@ -161,8 +161,7 @@ def run_study(
         lap("norms")
         rec = StudyRecord(
             cycle=cycle, n_elements=mesh.n_elements, n_dofs=sys.n_dofs,
-            eta=est.eta, true_error=err, eff_index=eff,
-            wall_ms=1e3 * (time.perf_counter() - t0), solve=rep,
+            eta=est.eta, true_error=err, eff_index=eff, solve=rep,
             phase_s=phase, phase_maxrss_mb=rss,
         )
         records.append(rec)
@@ -171,10 +170,9 @@ def run_study(
         if on_cycle is not None:
             on_cycle(cycle, mesh, sys, x, est, rec)
         t = time.perf_counter()
-        rec.wall_ms = 1e3 * (t - t0)
         if cycle < cycles - 1:
             if mode == "amr":
-                refine, coarsen = mark(est)
+                refine, coarsen = mark(est.eta_K, mesh.etab.id)
                 mesh.refine_and_coarsen(refine, coarsen)
             else:
                 mesh.refine_uniform(1)

@@ -6,16 +6,18 @@ discrete solve dumped to solution.vtk, no CSV) and `verify` (measured
 analysis constants written to constants.csv).
 
 `_parser` declares every option once, with its type, default and allowed
-values (`sthdg <cmd> --help` prints them); the parsed namespace is the
-run's config.  An optional INI file (key = value under any section) sets
-options too, and flags override it.  A run.json manifest with the resolved
-config, package versions and wall-clock seconds (the problem's set-up
-under `problem`, then the command or its phases) is written next to the
-artifacts; for `solve` and `study` its `cycles` list holds each cycle's
-`adapt.StudyRecord` as stored.  Exit codes: 0 success, 2 invalid
-configuration, an unknown problem or a missing or malformed INI file
-included (nothing written), 3 solver failure or out of memory (partial
-outputs kept, run.json status `solver_failure` or `out_of_memory`).
+values (`sthdg <cmd> --help` prints them), and gives each command only the
+options its code reads; the parsed namespace is the run's config.  An
+optional INI file (key = value under any section) sets options too, and
+flags override it; a key of another command's option is dropped.
+A run.json manifest with the resolved config, package versions and
+wall-clock seconds (the problem's set-up under `problem`, then the command
+or its phases) is written next to the artifacts; for `solve` and `study`
+its `cycles` list holds each cycle's `adapt.StudyRecord` as stored.  Exit
+codes: 0 success, 2 invalid configuration, an unknown problem or a missing
+or malformed INI file included (nothing written), 3 solver failure or out
+of memory (partial outputs kept, run.json status `solver_failure` or
+`out_of_memory`).
 """
 
 from __future__ import annotations
@@ -62,46 +64,44 @@ def _parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParse
         prog="sthdg",
         description="space-time hybrid DG solver for advection-diffusion",
     )
+    common, mesh, cycles = (argparse.ArgumentParser(add_help=False) for _ in range(3))
+    common.add_argument("config", nargs="?",
+                        help="optional INI config file (flags override it)")
+    common.add_argument("--problem", default="rotating-pulse", help="problem name")
+    common.add_argument("--eps", type=_positive, default=1e-2,
+                        help="diffusion coefficient, finite and > 0")
+    common.add_argument("--dim", type=int, choices=(1, 2), default=2,
+                        help="spatial dimension")
+    common.add_argument("--ps", type=_count, default=1,
+                        help="spatial polynomial degree, >= 1")
+    common.add_argument("--out", default=".", help="output directory")
+    common.add_argument("--threads", type=_count, default=1,
+                        help="value for OMP_NUM_THREADS, OPENBLAS_NUM_THREADS, "
+                             "MKL_NUM_THREADS and NUMEXPR_NUM_THREADS where the "
+                             "environment leaves them unset (an inherited value "
+                             "wins); the solver itself starts no threads")
+    mesh.add_argument("--dt-policy", choices=("h", "h2"), default="h",
+                      help="slab height under refinement: dt ~ h or dt ~ h^2")
+    mesh.add_argument("--slabs", type=_count, default=2,
+                      help="initial number of time slabs, >= 1")
+    mesh.add_argument("--cells", type=_count, default=2,
+                      help="initial spatial cells per axis, >= 1")
+    cycles.add_argument("--cycles", type=_count, default=3,
+                        help="refinement cycles / verification levels, >= 1")
+
     sub = ap.add_subparsers(dest="command", required=True)
-    for name, help_ in (
-        ("solve", "single solve with error estimate and VTK dump"),
-        ("study", "refinement study writing study.csv and per-cycle VTK"),
-        ("verify", "measure analysis constants into constants.csv"),
-    ):
-        p = sub.add_parser(name, help=help_,
-                           formatter_class=argparse.ArgumentDefaultsHelpFormatter)
-        p.add_argument("config", nargs="?",
-                       help="optional INI config file (flags override it)")
-        p.add_argument("--problem", default="rotating-pulse", help="problem name")
-        p.add_argument("--eps", type=_positive, default=1e-2,
-                       help="diffusion coefficient, finite and > 0")
-        p.add_argument("--dim", type=int, choices=(1, 2), default=2,
-                       help="spatial dimension")
-        p.add_argument("--ps", type=_count, default=1,
-                       help="spatial polynomial degree, >= 1")
-        if name == "solve":
-            p.set_defaults(cycles=1)  # solve is the first cycle of a study
-        else:
-            p.add_argument("--cycles", type=_count, default=3,
-                           help="refinement cycles / verification levels, >= 1")
-        # only study takes a mode; run.json records one for every command
-        p.set_defaults(mode="amr")
-        if name == "study":
-            p.add_argument("--mode", choices=("uniform", "amr"), help="study mode")
-        p.add_argument("--dt-policy", choices=("h", "h2"), default="h",
-                       help="slab height under refinement: dt ~ h or dt ~ h^2")
-        p.add_argument("--slabs", type=_count, default=2,
-                       help="initial number of time slabs, >= 1")
-        p.add_argument("--cells", type=_count, default=2,
-                       help="initial spatial cells per axis, >= 1")
-        p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--seed", type=_seed, default=0,
-                       help="random seed for sampled measurements, >= 0")
-        p.add_argument("--threads", type=_count, default=1,
-                       help="value for OMP_NUM_THREADS, OPENBLAS_NUM_THREADS, "
-                            "MKL_NUM_THREADS and NUMEXPR_NUM_THREADS where the "
-                            "environment leaves them unset (an inherited value "
-                            "wins); the solver itself starts no threads")
+    fmt = argparse.ArgumentDefaultsHelpFormatter
+    solve = sub.add_parser("solve", parents=[common, mesh], formatter_class=fmt,
+                           help="single solve with error estimate and VTK dump")
+    solve.set_defaults(cycles=1, mode="amr")  # solve is the first cycle of a study
+    study = sub.add_parser("study", parents=[common, mesh, cycles], formatter_class=fmt,
+                           help="refinement study writing study.csv and per-cycle VTK")
+    study.add_argument("--mode", choices=("uniform", "amr"), default="amr",
+                       help="study mode")
+    verify = sub.add_parser("verify", parents=[common, cycles], formatter_class=fmt,
+                            help="measure analysis constants into constants.csv")
+    verify.add_argument("--seed", type=_seed, default=0,
+                        help="random seed for sampled measurements, >= 0")
     return ap, sub.choices
 
 
@@ -131,7 +131,7 @@ def _parse_config(argv: list[str]) -> argparse.Namespace:
     """Defaults, then the INI file, then flags.  The INI pairs go through the
     command's parser as flags placed before the user's, so they are checked
     the same way and the user's win; a pair for an option the command does
-    not take (`cycles` or `mode` under `solve`) is dropped."""
+    not take (`seed` under `solve`, `slabs` under `verify`) is dropped."""
     ap, commands = _parser()
     args = ap.parse_args(argv)
     if args.config is not None:

@@ -91,10 +91,9 @@ def _elem_chunk(n_points: int) -> int:
 @dataclass
 class EstimateResult:
     """Estimator terms of every element, arrays in element-table order
-    (`elem_ids` ascending); eta_K combines the eight eta terms (not the
+    (`mesh.etab.id` ascending); eta_K combines the eight eta terms (not the
     oscillations)."""
 
-    elem_ids: np.ndarray
     eta_R: np.ndarray
     eta_J1: np.ndarray
     eta_J21: np.ndarray
@@ -165,7 +164,10 @@ def estimate(sys: AssembledSystem, x: np.ndarray) -> EstimateResult:
     wfq = frule.weights
     fs = dm.facet_sides
     beta_n = fs.beta_n(spec, frule.points)
-    j1_sides = []  # (facet, element, normal gradient, h_owner, jacF) per chunk
+    # DG jump of an interior lateral facet: the sum of the outward normal
+    # gradients of its two sides, paired as the walk meets the second side
+    gsum = np.zeros_like(beta_n)  # the first side's normal gradient
+    first_elem = np.full(len(beta_n), -1)  # the first side's element
 
     for g in fs.groups:
         axis, sign, boundary = g.axis, g.sign, g.boundary
@@ -201,7 +203,15 @@ def estimate(sys: AssembledSystem, x: np.ndarray) -> EstimateResult:
             if is_Q and boundary in (None, "neumann"):
                 gradn = (sign / g.s_ax[sl])[:, None] * (ec @ EB.grad[:, :, axis].T)
             if is_Q and interior:
-                j1_sides.append((facets, rows, gradn, g.h_owner[sl], jacF))
+                met = first_elem[facets] >= 0
+                f1, f2 = facets[~met], facets[met]
+                gsum[f1], first_elem[f1] = gradn[~met], rows[~met]
+                gj = gsum[f2] + gradn[met]
+                # np.vecdot runs np.dot per facet, so the sums do not depend
+                # on the chunking; the first side's element gets val first
+                val = eps * g.h_owner[sl][met] * np.vecdot(wfq, gj * gj) * jacF[met]
+                np.add.at(sq_J1, np.column_stack((first_elem[f2], rows[met])).reshape(-1),
+                          np.repeat(val, 2))
             elif boundary in ("neumann", "initial"):
                 # boundary data residual: Neumann on lateral, initial on the
                 # first time plane
@@ -217,23 +227,6 @@ def estimate(sys: AssembledSystem, x: np.ndarray) -> EstimateResult:
                 RN0 = RN - proj @ FB.values.T
                 np.add.at(sq_oscN, rows, (RN0 * RN0 * we).sum(axis=1))
 
-    if j1_sides:
-        # DG jump: the sum of the outward normal gradients of the two sides
-        # of an interior lateral facet.  A stable sort by facet pairs the
-        # sides in walk order; pairs are taken in the order the walk meets
-        # their second side, and np.add.at adds each value to the first
-        # side's element, then the second's.  np.vecdot runs np.dot per
-        # facet, so the sums in sq_J1 do not depend on the batching.
-        facets, rows, gradn, h_own, jacF = (np.concatenate(c) for c in zip(*j1_sides))
-        order = np.argsort(facets, kind="stable")
-        first, second = order[0::2], order[1::2]
-        met = np.argsort(second)
-        first, second = first[met], second[met]
-        gj = gradn[first] + gradn[second]
-        val = eps * h_own[second] * np.vecdot(wfq, gj * gj) * jacF[second]
-        np.add.at(sq_J1, np.column_stack((rows[first], rows[second])).reshape(-1),
-                  np.repeat(val, 2))
-
     terms = dict(
         eta_R=lam_K * np.sqrt(sq_R),
         eta_J1=np.sqrt(sq_J1),
@@ -247,7 +240,7 @@ def estimate(sys: AssembledSystem, x: np.ndarray) -> EstimateResult:
     eta_K = np.sqrt(sum(np.float_power(terms[k], 2.0) for k in ETA_TERMS))
     eta = math.sqrt(np.cumsum(np.float_power(eta_K, 2.0))[-1]) if n else 0.0
     return EstimateResult(
-        elem_ids=dm.mesh.etab.id, **terms, osc_K=lam_K * np.sqrt(sq_osc),
+        **terms, osc_K=lam_K * np.sqrt(sq_osc),
         osc_N=np.sqrt(h_K / eps * sq_oscN), eta_K=eta_K, eta=eta,
     )
 

@@ -11,34 +11,29 @@ from sthdg.adapt import (
     run_study,
     write_csv,
 )
-from sthdg.estimator import ETA_TERMS, EstimateResult
 from sthdg.problem import ProblemSpec, get_problem
 from sthdg.solver import SolveReport, SolverError
 
 from oracles import from_symbolic
 
 
-def _fake_estimate(etas: dict[int, float]) -> EstimateResult:
-    ids = np.array(list(etas))
-    eta_R = np.array(list(etas.values()), dtype=float)
-    terms = {k: np.zeros(len(ids)) for k in ETA_TERMS + ("osc_K", "osc_N")}
-    terms["eta_R"] = eta_R
-    return EstimateResult(elem_ids=ids, **terms, eta_K=eta_R,
-                          eta=math.sqrt(float(np.sum(eta_R**2))))
+def _fake_estimate(etas: dict[int, float]) -> tuple[np.ndarray, np.ndarray]:
+    """(eta_K, ids) as `mark` takes them."""
+    return np.array(list(etas.values()), dtype=float), np.array(list(etas), dtype=int)
 
 
 def test_mark_fractions_and_tie_breaking():
     # ten equal indicators: refine ceil(0.25*10)=3 lowest ids, coarsen
     # floor(0.10*10)=1 highest id
     est = _fake_estimate({eid: 1.0 for eid in range(10)})
-    refine, coarsen = mark(est)
+    refine, coarsen = mark(*est)
     assert refine == [0, 1, 2]
     assert coarsen == [9]
 
 
 def test_mark_orders_by_indicator():
     est = _fake_estimate({1: 0.1, 2: 5.0, 3: 0.2, 4: 4.0})
-    refine, coarsen = mark(est, refine_fraction=0.5, coarsen_fraction=0.25)
+    refine, coarsen = mark(*est, refine_fraction=0.5, coarsen_fraction=0.25)
     assert refine == [2, 4]
     assert coarsen == [1]
 
@@ -50,13 +45,13 @@ def test_mark_ignores_last_bit_differences_at_the_cut():
     up = np.nextafter(e, 1.0)
     for a, b in ((e, up), (up, e)):
         est = _fake_estimate({0: 0.1, 3: 2.0, 5: a, 7: b})
-        refine, _ = mark(est, refine_fraction=0.5, coarsen_fraction=0.0)
+        refine, _ = mark(*est, refine_fraction=0.5, coarsen_fraction=0.0)
         assert refine == [3, 5]
 
 
 def test_mark_keeps_zero_and_tiny_indicators_ordered():
     est = _fake_estimate({1: 0.0, 2: 1e-300, 3: 5e-324, 4: 1e-3})
-    refine, coarsen = mark(est, refine_fraction=0.75, coarsen_fraction=0.25)
+    refine, coarsen = mark(*est, refine_fraction=0.75, coarsen_fraction=0.25)
     assert refine == [4, 2, 3]
     assert coarsen == [1]
 
@@ -64,16 +59,16 @@ def test_mark_keeps_zero_and_tiny_indicators_ordered():
 def test_mark_validates_inputs():
     est = _fake_estimate({1: 1.0})
     with pytest.raises(ValueError):
-        mark(est, refine_fraction=0.7, coarsen_fraction=0.5)
+        mark(*est, refine_fraction=0.7, coarsen_fraction=0.5)
     with pytest.raises(ValueError):
-        mark(est, refine_fraction=-0.1)
+        mark(*est, refine_fraction=-0.1)
     with pytest.raises(ValueError):
-        mark(_fake_estimate({}))
+        mark(*_fake_estimate({}))
 
 
 def test_csv_rows_are_deterministic(tmp_path):
     rec = StudyRecord(cycle=0, n_elements=4, n_dofs=100, eta=0.5,
-                      true_error=math.nan, eff_index=math.nan, wall_ms=123.4,
+                      true_error=math.nan, eff_index=math.nan,
                       solve=SolveReport(n_dofs=100, nnz=2000, residual=1e-16,
                                         block_sizes=[40, 30, 30], fill=[300, 300, 300],
                                         factored=[40, 30, 30]))

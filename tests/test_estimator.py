@@ -102,7 +102,7 @@ def test_estimator_matches_dense_oracle(rng):
             x = rng.standard_normal(sys.n_dofs)
             est = estimate(sys, x)
             want = oracle_estimate(sys, x, npts=None if poly else sys.quad_n + 2)
-            for i, eid in enumerate(est.elem_ids.tolist()):
+            for i, eid in enumerate(mesh.etab.id.tolist()):
                 for k in _TERMS:
                     a, b = getattr(est, k)[i], want[eid][k]
                     assert abs(a - b) <= 1e-8 * max(abs(a), abs(b), 1.0), (
