@@ -17,7 +17,8 @@ with grad the spatial gradient, alpha = 8 p_s^2 the interior-penalty weight
              + <(beta.n) lambda + beta_s [[u]], [[v]]>_dT
 
 where beta_s := sup_F |beta.n| per facet and zeta+ is the pointwise outflow
-indicator.  The right-hand side is (f, v)_T + <g, mu>_bdyN.  Dirichlet facet
+indicator.  The right-hand side is (f, v)_T + <g, mu>_bdyN, where g is the
+initial data on the initial plane and 0 on the final one.  Dirichlet facet
 unknowns are constrained to the facet-wise L2 projection of the boundary
 data; `apply_dirichlet` replaces their rows by the identity, in the whole
 system or in a given set of rows only (the solver asks for one causal
@@ -229,7 +230,7 @@ class FacetSides:
             for sl in _chunks(len(facets)):
                 f = facets[sl]
                 pts = self.points(f, ref).reshape(-1, d1)
-                out[f] = spec.beta(pts)[:, axis].reshape(len(f), -1)
+                out[f] = spec.beta_bar(pts)[:, axis - 1].reshape(len(f), -1)
         return out
 
 
@@ -541,10 +542,10 @@ def assemble(
 
             if g.boundary in ("initial", "final", "neumann"):
                 w_ff = w_ff + we * (bn >= 0) * bn
-                normal = np.zeros(d1)
-                normal[axis] = sign
+            if g.boundary in ("initial", "neumann"):  # the final plane's g is 0
                 flat = fs.points(facets, frule.points).reshape(-1, d1)
-                g_n = spec.neumann_data(flat, normal).reshape(m, -1)
+                g_n = (spec.initial_data(flat) if g.boundary == "initial"
+                       else spec.neumann_data(flat, axis, sign)).reshape(m, -1)
                 b_F = np.einsum("mq,qi->mi", we * g_n, Fb)
                 b[g.fdof[sl][:, None] + np.arange(Fb.shape[1])] += b_F
 

@@ -8,16 +8,17 @@ analysis constants written to constants.csv).
 `_parser` declares every option once, with its type, default and allowed
 values (`sthdg <cmd> --help` prints them), and gives each command only the
 options its code reads; the parsed namespace is the run's config.  An
-optional INI file (key = value under any section) sets options too, and
-flags override it; a key of another command's option is dropped.
+optional INI file (key = value under any section, [DEFAULT] included) sets
+options too, and flags override it; a key of another command's option is
+dropped.
 A run.json manifest with the resolved config, package versions and
 wall-clock seconds (the problem's set-up under `problem`, then the command
 or its phases) is written next to the artifacts; for `solve` and `study`
 its `cycles` list holds each cycle's `adapt.StudyRecord` as stored.  Exit
-codes: 0 success, 2 invalid configuration, an unknown problem or a missing
-or malformed INI file included (nothing written), 3 solver failure or out
-of memory (partial outputs kept, run.json status `solver_failure` or
-`out_of_memory`).
+codes: 0 success, 2 invalid configuration, an unknown problem, a missing
+or malformed INI file and an `--out` that names a file or a path below one
+included (nothing written), 3 solver failure or out of memory (partial
+outputs kept, run.json status `solver_failure` or `out_of_memory`).
 """
 
 from __future__ import annotations
@@ -114,7 +115,7 @@ def _ini_argv(path: str, commands: dict[str, argparse.ArgumentParser]) -> list[s
     try:
         if not cp.read(path):
             raise ConfigError(f"config file not found: {path}")
-        pairs = [(section, key, raw) for section in cp.sections()
+        pairs = [(section, key, raw) for section in [cp.default_section, *cp.sections()]
                  for key, raw in cp.items(section)]
     except configparser.Error as exc:
         raise ConfigError(f"malformed config file {path}: {exc}") from None
@@ -361,7 +362,11 @@ def main(argv=None) -> int:
         return 2
 
     out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # --out names a file or a path below one
+        print(f"error: cannot use --out {cfg.out}: {exc}", file=sys.stderr)
+        return 2
     if cfg.command == "verify":
         return _cmd_verify(cfg, spec, out, timings)
     return _cmd_study(cfg, spec, out, timings)

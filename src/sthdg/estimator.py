@@ -63,10 +63,12 @@ def regime_weights(dm: DofMap, eps: float) -> tuple[np.ndarray, np.ndarray]:
     eps_tilde is 1 in the diffusive regime (dt <= eps and h <= eps),
     sqrt(eps) in the mixed regime (dt <= eps < h) and eps in the convective
     regime (eps < dt).  The three published regimes cover delta_t <= h.
-    Elements with h < delta_t (possible under the pure-spatial refinement
-    policy) fall through the same eps-vs-delta_t comparison: delta_t and h
-    both small relative to eps is diffusive, delta_t small but h large is
-    mixed, and delta_t exceeding eps is convective.
+    Elements with h < delta_t come from an initial mesh with delta_t > h
+    (for example `--slabs 1 --cells 4`) under either refinement policy,
+    since refinement keeps delta_t/h or delta_t/h^2.  They fall through the
+    same eps-vs-delta_t comparison: delta_t and h both small relative to
+    eps is diffusive, delta_t small but h large is mixed, and delta_t
+    exceeding eps is convective.
     """
     lo, hi = dm.mesh.etab.lo, dm.mesh.etab.hi
     dt, h = hi[:, 0] - lo[:, 0], dm.elem_h
@@ -217,8 +219,7 @@ def estimate(sys: AssembledSystem, x: np.ndarray) -> EstimateResult:
                 # first time plane
                 pts = fs.points(facets, frule.points).reshape(-1, d1)
                 if boundary == "neumann":
-                    normal = np.zeros(d1); normal[axis] = sign
-                    g_n = spec.neumann_data(pts, normal).reshape(m, -1)
+                    g_n = spec.neumann_data(pts, axis, sign).reshape(m, -1)
                     RN, sq_BC = g_n - eps * gradn + (bn < 0) * utr * bn, sq_BC1
                 else:
                     RN, sq_BC = spec.initial_data(pts).reshape(m, -1) - utr, sq_BC2
@@ -340,7 +341,7 @@ def error_norms(sys: AssembledSystem, x: np.ndarray, est: EstimateResult) -> Nor
             facets = g.facet[sl]
             m = len(facets)
             pts = fs.points(facets, frule.points).reshape(-1, d1)
-            abs_bn = np.abs(spec.beta(pts)[:, g.axis].reshape(m, -1)) if g.axis else 1.0
+            abs_bn = np.abs(spec.beta_bar(pts)[:, g.axis - 1].reshape(m, -1)) if g.axis else 1.0
             fc = x[g.fdof[sl][:, None] + np.arange(nbf)]
             we = wfq[None, :] * g.jacF[sl][:, None]
             # Neumann trace error mu = u|_F - lambda_h

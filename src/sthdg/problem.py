@@ -11,7 +11,9 @@ Dirichlet part of the lateral boundary, and
 
 on the Neumann part, which always contains the initial plane (where the
 relation reduces to u = g, i.e. the initial condition) and the final plane
-(g = 0 there).
+(g = 0 there).  A `ProblemSpec` hands out each kind's data by name:
+`initial_data` on the initial plane, `dirichlet_data` on Dirichlet faces
+and `neumann_data` on lateral Neumann faces; the final plane needs none.
 
 All field callbacks are vectorized: they take an (n, d+1) array of points
 [t, x_1, .., x_d] and return (n,) or (n, d) arrays.  Each built-in problem
@@ -42,6 +44,8 @@ Field = Callable[[np.ndarray], np.ndarray]
 
 @dataclass
 class ProblemSpec:
+    """The fields of one problem and its boundary data by facet kind."""
+
     name: str
     d: int
     eps: float
@@ -52,14 +56,6 @@ class ProblemSpec:
     f: Field  # (n, d+1) -> (n,)
     exact_jet: Optional[Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]]] = None
     dirichlet_lateral: bool = True
-
-    def beta(self, pts: np.ndarray) -> np.ndarray:
-        """Full space-time advective field (1, beta_bar)."""
-        pts = np.atleast_2d(pts)
-        out = np.empty((pts.shape[0], self.d + 1))
-        out[:, 0] = 1.0
-        out[:, 1:] = self.beta_bar(pts)
-        return out
 
     def exact(self, pts: np.ndarray) -> np.ndarray:
         """u of the exact solution at the points."""
@@ -75,25 +71,16 @@ class ProblemSpec:
             return self.exact(pts)
         return np.zeros(np.atleast_2d(pts).shape[0])
 
-    def neumann_data(self, pts: np.ndarray, normal: np.ndarray) -> np.ndarray:
-        """Boundary data g = -zeta^- u (beta.n) + eps grad(u).n_x at pts.
-
-        `normal` is the outward space-time unit normal (d+1,).  On the
-        initial plane this is the initial condition, on the final plane it
-        vanishes identically.
-        """
-        pts = np.atleast_2d(pts)
-        normal = np.asarray(normal, dtype=float)
-        if normal[0] < 0 and np.all(normal[1:] == 0):
-            return self.initial_data(pts)
-        if normal[0] > 0 and np.all(normal[1:] == 0):
-            return np.zeros(pts.shape[0])
+    def neumann_data(self, pts: np.ndarray, axis: int, sign: int) -> np.ndarray:
+        """Lateral Neumann data g = -zeta^- u (beta.n) + eps grad(u).n_x at
+        points of a face whose outward normal is `sign` times spatial axis
+        `axis` (1..d), so beta.n = sign * beta_bar[:, axis - 1]."""
         if self.exact_jet is None:
             raise ValueError(f"problem {self.name} has no lateral Neumann data")
-        bn = self.beta(pts) @ normal
-        zminus = (bn < 0).astype(float)
+        pts = np.atleast_2d(pts)
+        bn = sign * self.beta_bar(pts)[:, axis - 1]
         u, _, grad = self.exact_jet(pts)
-        return -zminus * u * bn + self.eps * (grad @ normal[1:])
+        return -(bn < 0).astype(float) * u * bn + self.eps * (sign * grad[:, axis - 1])
 
 
 # ----------------------------------------------------------------------

@@ -305,10 +305,25 @@ def _facet_geometry(mesh: SpaceTimeMesh, f, npts: int):
     return free, pts, w, corners
 
 
+def spacetime_beta(spec, pts: np.ndarray) -> np.ndarray:
+    """The space-time field beta = (1, beta_bar) at the points, (n, d+1)."""
+    return np.column_stack((np.ones(len(pts)), spec.beta_bar(pts)))
+
+
+def boundary_flux_data(spec, pts: np.ndarray, normal: np.ndarray) -> np.ndarray:
+    """g = -zeta^- u (beta.n) + eps grad_x(u).n_x of the exact solution for
+    the outward space-time unit normal `normal`: one formula on every
+    Neumann facet, which gives u on the initial plane (beta.n = -1) and 0
+    on the final plane (beta.n = 1, n_x = 0)."""
+    bn = spacetime_beta(spec, pts) @ normal
+    u, _, grad = spec.exact_jet(pts)
+    return np.where(bn < 0, -u * bn, 0.0) + spec.eps * (grad @ normal[1:])
+
+
 def oracle_beta_sup(spec, mesh: SpaceTimeMesh, f, npts: int) -> float:
     _, pts, _, corners = _facet_geometry(mesh, f, npts)
     allpts = np.vstack([pts, corners])
-    return float(np.max(np.abs(spec.beta(allpts)[:, f.axis])))
+    return float(np.max(np.abs(spacetime_beta(spec, allpts)[:, f.axis])))
 
 
 def _facet_sides(els: dict[int, Element], f: Facet):
@@ -365,7 +380,7 @@ def oracle_system(spec, mesh: SpaceTimeMesh, p_s: int, npts: int | None = None):
         for el, sign in _facet_sides(els, f):
             E, G, _ = box_basis(el.lo, el.hi, edeg, pts)
             edofs = elem_dofs(dm, el.eid)
-            bn = sign * spec.beta(pts)[:, f.axis]
+            bn = sign * spacetime_beta(spec, pts)[:, f.axis]
             # <bn lambda + bs (u - lambda), v - mu>
             A[np.ix_(edofs, edofs)] += E.T @ (E * (w * bs)[:, None])
             A[np.ix_(edofs, fdofs)] += E.T @ (Fv * (w * (bn - bs))[:, None])
@@ -389,7 +404,7 @@ def oracle_system(spec, mesh: SpaceTimeMesh, p_s: int, npts: int | None = None):
                 A[np.ix_(fdofs, fdofs)] += Fv.T @ (Fv * (w * zp * bn)[:, None])
                 normal = np.zeros(d + 1)
                 normal[f.axis] = sign
-                b[fdofs] += Fv.T @ (w * spec.neumann_data(pts, normal))
+                b[fdofs] += Fv.T @ (w * boundary_flux_data(spec, pts, normal))
     return A, b
 
 
@@ -446,7 +461,7 @@ def oracle_estimate(sys, x: np.ndarray, npts: int | None = None) -> dict[int, di
             c = x[elem_dofs(dm, el.eid)]
             utr = E @ c
             jump = utr - lamv
-            bn = sign * spec.beta(pts)[:, f.axis]
+            bn = sign * spacetime_beta(spec, pts)[:, f.axis]
             w3 = np.abs(bs - 0.5 * bn)
             jsq = float(w @ (w3 * jump * jump))
             t = terms[el.eid]
@@ -464,18 +479,17 @@ def oracle_estimate(sys, x: np.ndarray, npts: int | None = None) -> dict[int, di
                     terms[f.neighbor]["eta_J1"] += val
                 else:
                     gradn_acc[fid] = gn
-            if f.is_Q and f.boundary == "neumann":
+            if f.boundary in ("neumann", "initial"):
                 normal = np.zeros(d + 1)
                 normal[f.axis] = sign
-                g = spec.neumann_data(pts, normal)
-                zm = (bn < 0).astype(float)
-                RN = g - eps * sign * (G[f.axis] @ c) + zm * utr * bn
-                t["BC1sq"] += float(w @ (RN * RN))
-                RN0 = RN - _l2_project(Fv, w, RN)
-                t["oscNsq"] += float(w @ (RN0 * RN0))
-            if f.boundary == "initial":
-                RN = spec.initial_data(pts) - utr
-                t["BC2sq"] += float(w @ (RN * RN))
+                g = boundary_flux_data(spec, pts, normal)
+                if f.boundary == "neumann":
+                    zm = (bn < 0).astype(float)
+                    RN = g - eps * sign * (G[f.axis] @ c) + zm * utr * bn
+                    t["BC1sq"] += float(w @ (RN * RN))
+                else:  # g is the initial data
+                    RN = g - utr
+                    t["BC2sq"] += float(w @ (RN * RN))
                 RN0 = RN - _l2_project(Fv, w, RN)
                 t["oscNsq"] += float(w @ (RN0 * RN0))
 
@@ -539,7 +553,7 @@ def oracle_norms(sys, x: np.ndarray, npts: int | None = None) -> dict:
         for el, sign in _facet_sides(els, f):
             E, _, _ = box_basis(el.lo, el.hi, edeg, pts)
             ejump = lamv - E @ x[elem_dofs(dm, el.eid)]
-            bn = sign * spec.beta(pts)[:, f.axis]
+            bn = sign * spacetime_beta(spec, pts)[:, f.axis]
             acc[el.eid]["jump_adv"] += float(
                 w @ (np.abs(bs - 0.5 * bn) * ejump * ejump))
             if f.is_Q:

@@ -15,6 +15,7 @@ from sthdg.assembly import (
     penalty_alpha,
 )
 from sthdg.mesh import SpaceTimeMesh
+from sthdg.problem import ProblemSpec
 
 from conftest import hanging_mesh, poly_problem, regression_systems, small_meshes
 from oracles import (
@@ -210,6 +211,46 @@ def test_neumann_mesh_has_no_constraints():
     sys = assemble(spec, mesh, 1)
     assert sys.dirichlet_idx.size == 0
     assert sys.free_mask().all()
+
+
+def test_assemble_asks_each_boundary_kind_for_its_data():
+    # initial data at initial-plane points, lateral Neumann data on the face
+    # that its axis and sign name, and no data (source, exact solution or
+    # boundary data) at final-plane points, where g = 0; beta_bar is a
+    # field, sampled up to the facet corners for beta_s
+    base = poly_problem(2, dirichlet=False)
+    calls = []
+
+    def spy(kind, fn):
+        def call(pts, *args):
+            calls.append((kind, np.array(pts, dtype=float), args))
+            return fn(pts, *args)
+        return call
+
+    class Spy(ProblemSpec):
+        def initial_data(self, pts):
+            return spy("initial", super().initial_data)(pts)
+
+        def neumann_data(self, pts, *args):
+            return spy("neumann", super().neumann_data)(pts, *args)
+
+    fields = {k: spy(k, getattr(base, k)) for k in ("exact_jet", "f")}
+    spec = Spy(**{**vars(base), **fields})
+    assemble(spec, hanging_mesh(2, dirichlet=False), 1)
+    assert calls
+    kinds = {kind for kind, _, _ in calls}
+    assert {"initial", "neumann", "f", "exact_jet"} <= kinds
+    for kind, pts, _ in calls:
+        assert np.all(pts[:, 0] < spec.t_final), kind
+    for kind, pts, args in calls:
+        if kind == "initial":
+            assert np.all(pts[:, 0] == 0.0)
+        if kind == "neumann":
+            axis, sign = args
+            face = (spec.x_hi if sign > 0 else spec.x_lo)[axis - 1]
+            assert axis >= 1 and np.all(pts[:, axis] == face), args
+    assert {args for kind, _, args in calls if kind == "neumann"} == {
+        (a, s) for a in (1, 2) for s in (-1, 1)}
 
 
 def test_assemble_rejects_mismatched_inputs():

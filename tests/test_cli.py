@@ -85,6 +85,22 @@ def test_ini_and_flag_precedence(tmp_path, monkeypatch):
     assert not {"mode", "slabs", "cells", "dt_policy"} & set(cfg)
 
 
+def test_ini_default_section(tmp_path, monkeypatch, capsys):
+    # keys under [DEFAULT] alone reach the run's config; a section's own
+    # value overrides its [DEFAULT]
+    ini = tmp_path / "run.ini"
+    ini.write_text("[DEFAULT]\neps = 0.5\nproblem = sine\ndim = 1\n")
+    out = tmp_path / "run"
+    assert main(["solve", str(ini), "--out", str(out)]) == 0
+    config = json.loads((out / "run.json").read_text())["config"]
+    assert config == dict(_DEFAULT_CONFIG["solve"], problem="sine", eps=0.5, dim=1,
+                          command="solve", out=str(out))
+    capsys.readouterr()
+    ini.write_text("[DEFAULT]\neps = 0.5\ncells = 3\n[run]\neps = 0.3\n")
+    cfg = _config(monkeypatch, ["study", str(ini), "--out", str(tmp_path)])
+    assert (cfg["eps"], cfg["cells"]) == (0.3, 3)
+
+
 def test_ini_unknown_key(tmp_path, capsys):
     ini = tmp_path / "run.ini"
     out = tmp_path / "never"
@@ -131,6 +147,20 @@ def test_invalid_config_exits_2_without_artifacts(tmp_path, capsys):
                  "--out", str(out)]) == 2
     assert capsys.readouterr().err.count("error: ") == 2
     assert not out.exists()
+
+
+def test_out_naming_a_file_exits_2(tmp_path, capsys):
+    # --out that names an existing file, or a path below one, is a bad
+    # configuration: exit 2, no traceback, the file untouched
+    taken = tmp_path / "taken"
+    taken.write_text("keep\n")
+    for out in (taken, taken / "sub"):
+        argv = ["solve", "--problem", "sine", "--dim", "1", "--out", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "Traceback" not in err
+    assert taken.read_text() == "keep\n"
+    assert list(tmp_path.iterdir()) == [taken]
 
 
 def test_bad_flags_exit_2(capsys):

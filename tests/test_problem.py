@@ -7,7 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sthdg.problem import get_problem
+from sthdg.assembly import build_dofmap, facet_rule
+from sthdg.mesh import SpaceTimeMesh
+from sthdg.problem import ProblemSpec, get_problem
 
 from oracles import fd_source, fd_gradient, from_symbolic
 
@@ -30,13 +32,28 @@ def test_get_problem_dispatch():
 
 
 def test_spacetime_beta_has_unit_time_component(rng):
+    # beta = (1, beta_bar): the spatial columns are beta_bar's, and along a
+    # facet's frozen axis `FacetSides.beta_n` is exactly 1 on time facets
+    # and the beta_bar column of the axis on lateral ones
     spec = get_problem("rotating-pulse", 1e-2)
     pts = _interior_points(spec, 17, rng)
-    b = spec.beta(pts)
-    assert b.shape == (17, 3)
-    assert np.all(b[:, 0] == 1.0)
-    assert np.allclose(b[:, 1], -4 * pts[:, 2])
-    assert np.allclose(b[:, 2], 4 * pts[:, 1])
+    b = spec.beta_bar(pts)
+    assert b.shape == (17, 2)
+    assert np.allclose(b[:, 0], -4 * pts[:, 2])
+    assert np.allclose(b[:, 1], 4 * pts[:, 1])
+
+    mesh = SpaceTimeMesh.build(2, 2, 3, x_lo=spec.x_lo, x_hi=spec.x_hi)
+    mesh.refine_and_coarsen(mesh.etab.id[:1].tolist())
+    fs = build_dofmap(mesh, 1).facet_sides
+    ref = facet_rule(2, 3).points
+    beta_n = fs.beta_n(spec, ref)
+    assert beta_n.shape == (len(mesh.ftab), len(ref))
+    assert np.all(beta_n[fs.axis == 0] == 1.0)
+    for axis in (1, 2):
+        facets = np.flatnonzero(fs.axis == axis)
+        at = fs.points(facets, ref).reshape(-1, 3)
+        want = spec.beta_bar(at)[:, axis - 1].reshape(len(facets), -1)
+        assert np.array_equal(beta_n[facets], want)
 
 
 def check_divergence_free(spec, n_boxes=10, seed=0):
@@ -199,7 +216,7 @@ from sthdg.problem import get_problem
 for name, eps, d in {JET_CASES!r}:
     spec = get_problem(name, eps, d=d)
     pts = np.full((3, d + 1), 0.25)
-    spec.f(pts), spec.exact_jet(pts), spec.beta(pts)
+    spec.f(pts), spec.exact_jet(pts), spec.beta_bar(pts)
 assert main(["study", "--problem", "linear", "--dim", "1", "--eps", "1", "--cycles", "1",
              "--mode", "uniform", "--slabs", "1", "--cells", "1", "--out", {str(tmp_path)!r}]) == 0
 assert "sympy" not in sys.modules, sorted(m for m in sys.modules if m.startswith("sympy"))[:5]
@@ -220,31 +237,31 @@ def test_boundary_data_defaults(rng):
     assert np.allclose(spec.dirichlet_data(pts), spec.exact(pts))
 
 
-def test_neumann_data_by_plane(rng):
-    spec = get_problem("sine", 0.2, d=2)
-    pts = _interior_points(spec, 10, rng)
-
-    n_init = np.array([-1.0, 0.0, 0.0])
-    pts0 = pts.copy(); pts0[:, 0] = 0.0
-    assert np.allclose(spec.neumann_data(pts0, n_init), spec.initial_data(pts0))
-
-    n_final = np.array([1.0, 0.0, 0.0])
-    ptsT = pts.copy(); ptsT[:, 0] = spec.t_final
-    assert np.all(spec.neumann_data(ptsT, n_final) == 0.0)
-
-    # lateral outflow face x1 = 1: beta.n = 1 > 0 so only the diffusive
-    # flux survives
-    n_lat = np.array([0.0, 1.0, 0.0])
-    ptsL = pts.copy(); ptsL[:, 1] = 1.0
-    want = spec.eps * spec.exact_jet(ptsL)[2][:, 0]
-    assert np.allclose(spec.neumann_data(ptsL, n_lat), want, atol=1e-12)
-
-    # inflow face x1 = 0: beta.n = -1 < 0 adds the advective term
-    n_in = np.array([0.0, -1.0, 0.0])
-    ptsI = pts.copy(); ptsI[:, 1] = 0.0
-    bn = spec.beta(ptsI) @ n_in
-    want = -spec.exact(ptsI) * bn - spec.eps * spec.exact_jet(ptsI)[2][:, 0]
-    assert np.allclose(spec.neumann_data(ptsI, n_in), want, atol=1e-12)
+def test_neumann_data_on_lateral_faces(rng):
+    # g = -zeta^- u (beta.n) + eps grad u . n_x on every face x_axis = lo
+    # (sign -1) and x_axis = hi (sign +1), with beta.n = sign * beta_bar
+    # column axis - 1; the pulse's rotation gives both signs of beta.n on
+    # one face, sine's unit field inflow at lo and outflow at hi
+    for name, d in (("sine", 1), ("sine", 2), ("rotating-pulse", 2)):
+        spec = get_problem(name, 0.2, d=d)
+        pts = _interior_points(spec, 40, rng)
+        for axis in range(1, d + 1):
+            for sign, plane in ((-1, spec.x_lo), (1, spec.x_hi)):
+                face = pts.copy()
+                face[:, axis] = plane[axis - 1]
+                u, _, grad = spec.exact_jet(face)
+                bn = sign * spec.beta_bar(face)[:, axis - 1]
+                flux = spec.eps * sign * grad[:, axis - 1]
+                got = spec.neumann_data(face, axis, sign)
+                tag = (name, d, axis, sign)
+                assert np.allclose(got, np.where(bn < 0, -u * bn, 0.0) + flux,
+                                   rtol=1e-14, atol=1e-14), tag
+                if name == "sine":  # inflow at lo adds u, outflow at hi nothing
+                    assert np.allclose(got, flux + (u if sign < 0 else 0.0),
+                                       rtol=1e-14, atol=1e-14), tag
+    no_exact = ProblemSpec(**{**vars(spec), "exact_jet": None})
+    with pytest.raises(ValueError, match="no lateral Neumann data"):
+        no_exact.neumann_data(pts, 1, 1)
 
 
 def test_from_symbolic_nondivfree_source(rng):
