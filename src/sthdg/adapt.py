@@ -16,9 +16,9 @@ the solver report is left out (timings vary run to run and the table must
 be byte-identical across reruns); they go into the run manifest instead.
 
 `StudyRecord` is the one definition of a cycle's record: the run.json
-`cycles` list of `sthdg study` and of `sthdg solve` (a study's first cycle)
-and the cost ladder of `scripts/run_ladder.py` store `dataclasses.asdict`
-of it as it is, so a field added to `SolveReport` reaches them uncopied.
+`cycles` list of `sthdg study` and the cost ladder of
+`scripts/run_ladder.py` store `dataclasses.asdict` of it as it is, so a
+field added to `SolveReport` reaches them uncopied.
 """
 
 from __future__ import annotations

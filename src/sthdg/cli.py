@@ -1,9 +1,8 @@
 """Command line front end.
 
-Three subcommands: `study` (uniform or adaptive refinement loop writing
-study.csv and per-cycle VTK), `solve` (the first cycle of a study: one
-discrete solve dumped to solution.vtk, no CSV) and `verify` (measured
-analysis constants written to constants.csv).
+Two subcommands: `study` (uniform or adaptive refinement loop writing
+study.csv and per-cycle VTK; one solve is `study --cycles 1`) and `verify`
+(measured analysis constants written to constants.csv).
 
 `_parser` declares every option once, with its type, default and allowed
 values (`sthdg <cmd> --help` prints them), and gives each command only the
@@ -13,8 +12,8 @@ options too, and flags override it; a key of another command's option is
 dropped.
 A run.json manifest with the resolved config, package versions and
 wall-clock seconds (the problem's set-up under `problem`, then the command
-or its phases) is written next to the artifacts; for `solve` and `study`
-its `cycles` list holds each cycle's `adapt.StudyRecord` as stored.  Exit
+or its phases) is written next to the artifacts; for `study` its
+`cycles` list holds each cycle's `adapt.StudyRecord` as stored.  Exit
 codes: 0 success, 2 invalid configuration, an unknown problem, a missing
 or malformed INI file and an `--out` that names a file or a path below one
 included (nothing written), 3 solver failure or out of memory (partial
@@ -65,7 +64,7 @@ def _parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParse
         prog="sthdg",
         description="space-time hybrid DG solver for advection-diffusion",
     )
-    common, mesh, cycles = (argparse.ArgumentParser(add_help=False) for _ in range(3))
+    common = argparse.ArgumentParser(add_help=False)
     common.add_argument("config", nargs="?",
                         help="optional INI config file (flags override it)")
     common.add_argument("--problem", default="rotating-pulse", help="problem name")
@@ -81,25 +80,22 @@ def _parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParse
                              "MKL_NUM_THREADS and NUMEXPR_NUM_THREADS where the "
                              "environment leaves them unset (an inherited value "
                              "wins); the solver itself starts no threads")
-    mesh.add_argument("--dt-policy", choices=("h", "h2"), default="h",
-                      help="slab height under refinement: dt ~ h or dt ~ h^2")
-    mesh.add_argument("--slabs", type=_count, default=2,
-                      help="initial number of time slabs, >= 1")
-    mesh.add_argument("--cells", type=_count, default=2,
-                      help="initial spatial cells per axis, >= 1")
-    cycles.add_argument("--cycles", type=_count, default=3,
+    common.add_argument("--cycles", type=_count, default=3,
                         help="refinement cycles / verification levels, >= 1")
 
     sub = ap.add_subparsers(dest="command", required=True)
     fmt = argparse.ArgumentDefaultsHelpFormatter
-    solve = sub.add_parser("solve", parents=[common, mesh], formatter_class=fmt,
-                           help="single solve with error estimate and VTK dump")
-    solve.set_defaults(cycles=1, mode="amr")  # solve is the first cycle of a study
-    study = sub.add_parser("study", parents=[common, mesh, cycles], formatter_class=fmt,
+    study = sub.add_parser("study", parents=[common], formatter_class=fmt,
                            help="refinement study writing study.csv and per-cycle VTK")
+    study.add_argument("--dt-policy", choices=("h", "h2"), default="h",
+                       help="slab height under refinement: dt ~ h or dt ~ h^2")
+    study.add_argument("--slabs", type=_count, default=2,
+                       help="initial number of time slabs, >= 1")
+    study.add_argument("--cells", type=_count, default=2,
+                       help="initial spatial cells per axis, >= 1")
     study.add_argument("--mode", choices=("uniform", "amr"), default="amr",
                        help="study mode")
-    verify = sub.add_parser("verify", parents=[common, cycles], formatter_class=fmt,
+    verify = sub.add_parser("verify", parents=[common], formatter_class=fmt,
                             help="measure analysis constants into constants.csv")
     verify.add_argument("--seed", type=_seed, default=0,
                         help="random seed for sampled measurements, >= 0")
@@ -107,16 +103,20 @@ def _parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParse
 
 
 def _ini_argv(path: str, commands: dict[str, argparse.ArgumentParser]) -> list[str]:
-    """The INI file's pairs as `--key=value` flags; a key no command has
-    is an error."""
+    """The INI file's pairs as `--key=value` flags: [DEFAULT] first, then
+    each section's own keys in file order, so the last value given for a
+    key wins; a key no command has is an error."""
     known = set().union(*(vars(p.parse_args([])) for p in commands.values()))
     known.discard("config")
     cp = configparser.ConfigParser()
     try:
         if not cp.read(path):
             raise ConfigError(f"config file not found: {path}")
-        pairs = [(section, key, raw) for section in [cp.default_section, *cp.sections()]
-                 for key, raw in cp.items(section)]
+        # `_sections` holds a section's own keys; `cp.items` would repeat
+        # the defaults in every section and let them override an earlier one
+        own = {cp.default_section: cp.defaults(), **cp._sections}
+        pairs = [(section, key, cp.get(section, key))
+                 for section, keys in own.items() for key in keys]
     except configparser.Error as exc:
         raise ConfigError(f"malformed config file {path}: {exc}") from None
     flags = []
@@ -132,7 +132,7 @@ def _parse_config(argv: list[str]) -> argparse.Namespace:
     """Defaults, then the INI file, then flags.  The INI pairs go through the
     command's parser as flags placed before the user's, so they are checked
     the same way and the user's win; a pair for an option the command does
-    not take (`seed` under `solve`, `slabs` under `verify`) is dropped."""
+    not take (`seed` under `study`, `slabs` under `verify`) is dropped."""
     ap, commands = _parser()
     args = ap.parse_args(argv)
     if args.config is not None:
@@ -209,7 +209,7 @@ def _get_spec(cfg: argparse.Namespace, timings: dict):
 
 
 def _fail(out: Path, cfg: argparse.Namespace, timings: dict, exc: Exception,
-          cycles: list | None = None, kept: str = "") -> int:
+          kept: str, cycles: list | None = None) -> int:
     """End a run that failed in the solver or ran out of memory: exit code 3,
     with run.json and whatever partial outputs the caller kept."""
     if isinstance(exc, MemoryError):
@@ -231,41 +231,30 @@ def _write_vtk(path: Path, sys_, x, est) -> None:
 
 
 def _cmd_study(cfg: argparse.Namespace, spec, out: Path, timings: dict) -> int:
-    """Run `study`, or `solve` as its one cycle without study.csv."""
+    """Run the refinement study: study.csv, one VTK per cycle and run.json."""
     from .adapt import maxrss_mb, run_study
     from .solver import SolverError
 
-    study = cfg.command == "study"
     seen: list = []  # the StudyRecord of every cycle that reached the hook
 
     def on_cycle(cycle, mesh, sys_, x, est, rec):
         seen.append(rec)
         t0 = time.perf_counter()
-        _write_vtk(out / (f"cycle_{cycle:02d}.vtk" if study else "solution.vtk"),
-                   sys_, x, est)
+        _write_vtk(out / f"cycle_{cycle:02d}.vtk", sys_, x, est)
         rec.phase_s["vtk"], rec.phase_maxrss_mb["vtk"] = time.perf_counter() - t0, maxrss_mb()
         log.info("cycle %d: %s", cycle, rec)
 
     t0 = time.perf_counter()
     try:
         run_study(spec, cfg.mode, cfg.cycles, cfg.ps, cfg.slabs, cfg.cells,
-                  policy=cfg.dt_policy, csv_path=out / "study.csv" if study else None,
-                  on_cycle=on_cycle)
+                  policy=cfg.dt_policy, csv_path=out / "study.csv", on_cycle=on_cycle)
     except (SolverError, MemoryError) as exc:
-        timings[cfg.command] = time.perf_counter() - t0
-        return _fail(out, cfg, timings, exc, seen,
-                     f" (partial outputs in {out})" if study else "")
-    timings[cfg.command] = time.perf_counter() - t0
+        timings["study"] = time.perf_counter() - t0
+        return _fail(out, cfg, timings, exc, f" (partial outputs in {out})", seen)
+    timings["study"] = time.perf_counter() - t0
     _write_manifest(out, cfg, timings, "ok", seen)
-    if study:
-        for rec in seen:
-            print(rec.csv_row())
-        return 0
-    [rec] = seen
-    line = f"n_elements={rec.n_elements} n_dofs={rec.n_dofs} eta={rec.eta:.6g}"
-    if spec.exact_jet is not None:
-        line += f" error={rec.true_error:.6g} eff={rec.eff_index:.4g}"
-    print(line)
+    for rec in seen:
+        print(rec.csv_row())
     return 0
 
 
@@ -320,9 +309,8 @@ def _measure_constants(cfg: argparse.Namespace, spec, reports: list, timings: di
                 x_hi=spec.x_hi, dirichlet_lateral=spec.dirichlet_lateral,
             )
             rep = verify.measure_saturation(spec, mesh, p_s)
-            rho = float("nan") if rep.flagged else rep.rho
             reports.append(verify.ConstantReport(
-                "saturation_rho", level, mesh.n_elements, rho))
+                "saturation_rho", level, mesh.n_elements, rep.rho))
             log.info("saturation level %d: rho=%s flagged=%s",
                      level, rep.rho, rep.flagged)
     timings["saturation"] = time.perf_counter() - t0
@@ -337,7 +325,7 @@ def _cmd_verify(cfg: argparse.Namespace, spec, out: Path, timings: dict) -> int:
         _measure_constants(cfg, spec, reports, timings)
     except (SolverError, MemoryError) as exc:
         verify.write_constants_csv(out / "constants.csv", reports)
-        return _fail(out, cfg, timings, exc, kept=" (partial constants.csv kept)")
+        return _fail(out, cfg, timings, exc, " (partial constants.csv kept)")
     verify.write_constants_csv(out / "constants.csv", reports)
     _write_manifest(out, cfg, timings, "ok")
     for r in reports:

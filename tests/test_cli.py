@@ -32,12 +32,11 @@ def _exits_2(argv, out, capsys):
 
 
 # each command's config holds exactly the options its code reads: the
-# mesh options go to solve and study, the seed to verify alone
-_COMMON = dict(problem="rotating-pulse", eps=1e-2, dim=2, ps=1, out=".", threads=1)
-_MESH = dict(dt_policy="h", slabs=2, cells=2)
-_DEFAULT_CONFIG = {"solve": dict(_COMMON, **_MESH, cycles=1, mode="amr"),
-                   "study": dict(_COMMON, **_MESH, cycles=3, mode="amr"),
-                   "verify": dict(_COMMON, cycles=3, seed=0)}
+# mesh options and the mode go to study, the seed to verify
+_COMMON = dict(problem="rotating-pulse", eps=1e-2, dim=2, ps=1, out=".", threads=1,
+               cycles=3)
+_DEFAULT_CONFIG = {"study": dict(_COMMON, dt_policy="h", slabs=2, cells=2, mode="amr"),
+                   "verify": dict(_COMMON, seed=0)}
 
 
 def test_defaults(tmp_path, monkeypatch):
@@ -55,11 +54,13 @@ def test_flag_coercion_and_validation(tmp_path, monkeypatch, capsys):
     assert cfg["seed"] == 5 and type(cfg["seed"]) is int
     out = tmp_path / "never"
     # a non-finite eps would reach the solver and end in a singular LU
-    for argv in (["solve", "--eps", "abc"], ["solve", "--eps", "-1"], ["solve", "--eps", "0"],
-                 ["solve", "--eps", "nan"], ["solve", "--eps", "inf"],
-                 ["solve", "--dim", "3"], ["study", "--mode", "bisection"],
-                 ["solve", "--threads", "0"], ["study", "--cycles", "0"],
-                 ["verify", "--seed", "-1"], ["solve", "--ps", "1.5"]):
+    for argv in (["study", "--eps", "abc"], ["study", "--eps", "-1"], ["study", "--eps", "0"],
+                 ["study", "--eps", "nan"], ["study", "--eps", "inf"],
+                 ["study", "--dim", "3"], ["study", "--mode", "bisection"],
+                 ["study", "--threads", "0"], ["study", "--cycles", "0"],
+                 ["verify", "--seed", "-1"], ["study", "--ps", "1.5"],
+                 # no such command: one solve is `study --cycles 1`
+                 ["solve", "--problem", "sine", "--dim", "1"]):
         _exits_2(argv, out, capsys)
 
 
@@ -74,9 +75,6 @@ def test_ini_and_flag_precedence(tmp_path, monkeypatch):
     # a key the command takes no flag for is accepted and has no effect
     ini.write_text("[a]\ncycles = 4\n[b]\nmode = uniform\nslabs = 5\n"
                    "dt-policy = h2\nseed = 3\n")
-    cfg = _config(monkeypatch, ["solve", str(ini), "--out", str(tmp_path)])
-    assert (cfg["cycles"], cfg["mode"], cfg["slabs"], cfg["dt_policy"]) == (1, "amr", 5, "h2")
-    assert "seed" not in cfg
     cfg = _config(monkeypatch, ["study", str(ini), "--out", str(tmp_path)])
     assert (cfg["cycles"], cfg["mode"], cfg["slabs"], cfg["dt_policy"]) == (4, "uniform", 5, "h2")
     assert "seed" not in cfg
@@ -87,18 +85,20 @@ def test_ini_and_flag_precedence(tmp_path, monkeypatch):
 
 def test_ini_default_section(tmp_path, monkeypatch, capsys):
     # keys under [DEFAULT] alone reach the run's config; a section's own
-    # value overrides its [DEFAULT]
+    # value overrides [DEFAULT], also when a later section does not set it
     ini = tmp_path / "run.ini"
     ini.write_text("[DEFAULT]\neps = 0.5\nproblem = sine\ndim = 1\n")
     out = tmp_path / "run"
-    assert main(["solve", str(ini), "--out", str(out)]) == 0
+    assert main(["study", str(ini), "--cycles", "1", "--out", str(out)]) == 0
     config = json.loads((out / "run.json").read_text())["config"]
-    assert config == dict(_DEFAULT_CONFIG["solve"], problem="sine", eps=0.5, dim=1,
-                          command="solve", out=str(out))
+    assert config == dict(_DEFAULT_CONFIG["study"], problem="sine", eps=0.5, dim=1,
+                          cycles=1, command="study", out=str(out))
     capsys.readouterr()
-    ini.write_text("[DEFAULT]\neps = 0.5\ncells = 3\n[run]\neps = 0.3\n")
-    cfg = _config(monkeypatch, ["study", str(ini), "--out", str(tmp_path)])
-    assert (cfg["eps"], cfg["cells"]) == (0.3, 3)
+    for text in ("[DEFAULT]\neps = 0.5\ncells = 3\n[run]\neps = 0.3\n",
+                 "[DEFAULT]\neps = 0.5\ncells = 3\n[a]\neps = 0.3\n[b]\nslabs = 4\n"):
+        ini.write_text(text)
+        cfg = _config(monkeypatch, ["study", str(ini), "--out", str(tmp_path)])
+        assert (cfg["eps"], cfg["cells"]) == (0.3, 3)
 
 
 def test_ini_unknown_key(tmp_path, capsys):
@@ -106,8 +106,8 @@ def test_ini_unknown_key(tmp_path, capsys):
     out = tmp_path / "never"
     for text in ("[x]\nepsilon = 0.2\n", "[x]\nconfig = other.ini\n", "[x]\nhelp = 1\n"):
         ini.write_text(text)
-        _exits_2(["solve", str(ini)], out, capsys)
-    _exits_2(["solve", str(tmp_path / "missing.ini")], out, capsys)
+        _exits_2(["study", str(ini)], out, capsys)
+    _exits_2(["study", str(tmp_path / "missing.ini")], out, capsys)
 
 
 def test_bad_ini_exits_2(tmp_path, capsys):
@@ -119,15 +119,13 @@ def test_bad_ini_exits_2(tmp_path, capsys):
                  "[run]\neps = nan\n", "[run]\neps = inf\n", "[run]\neps = abc\n",
                  "[run]\ndim = 3\n", "[run]\ndt-policy = h3\n", "[run]\ncells = 0\n"):
         ini.write_text(text)
-        _exits_2(["solve", str(ini)], out, capsys)
+        _exits_2(["study", str(ini)], out, capsys)
 
 
 def test_run_json_config(tmp_path, capsys):
-    # each command records exactly its own options; solve records its one
-    # amr cycle
+    # each command records exactly its own options
     flags = ["--problem", "sine", "--dim", "1", "--eps", "0.1"]
-    for argv, cycles in ((["solve"], 1), (["study", "--cycles", "2"], 2),
-                         (["verify", "--cycles", "1"], 1)):
+    for argv, cycles in ((["study", "--cycles", "2"], 2), (["verify", "--cycles", "1"], 1)):
         out = tmp_path / argv[0]
         assert main([*argv, *flags, "--out", str(out)]) == 0
         config = json.loads((out / "run.json").read_text())["config"]
@@ -138,7 +136,7 @@ def test_run_json_config(tmp_path, capsys):
 
 def test_invalid_config_exits_2_without_artifacts(tmp_path, capsys):
     out = tmp_path / "never"
-    rc = main(["solve", "--eps", "abc", "--out", str(out)])
+    rc = main(["study", "--eps", "abc", "--out", str(out)])
     assert rc == 2
     assert "error:" in capsys.readouterr().err
     # an unknown problem, or one not defined in the asked dimension
@@ -155,7 +153,7 @@ def test_out_naming_a_file_exits_2(tmp_path, capsys):
     taken = tmp_path / "taken"
     taken.write_text("keep\n")
     for out in (taken, taken / "sub"):
-        argv = ["solve", "--problem", "sine", "--dim", "1", "--out", str(out)]
+        argv = ["study", "--problem", "sine", "--dim", "1", "--out", str(out)]
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert "error:" in err and "Traceback" not in err
@@ -164,72 +162,49 @@ def test_out_naming_a_file_exits_2(tmp_path, capsys):
 
 
 def test_bad_flags_exit_2(capsys):
-    assert main(["solve", "--dt-policy", "h3"]) == 2
+    assert main(["study", "--dt-policy", "h3"]) == 2
     capsys.readouterr()
 
 
 def test_flags_a_command_does_not_read_exit_2(tmp_path, capsys):
-    # solve runs no cycles and no study mode; verify builds its own meshes
-    # and has no study mode; only verify samples at random
+    # verify builds its own meshes and has no study mode; only verify
+    # samples at random
     out = tmp_path / "never"
-    for argv in (["solve", "--cycles", "3"], ["solve", "--mode", "uniform"],
-                 ["verify", "--mode", "amr"], ["verify", "--slabs", "3"],
+    for argv in (["verify", "--mode", "amr"], ["verify", "--slabs", "3"],
                  ["verify", "--cells", "3"], ["verify", "--dt-policy", "h2"],
-                 ["solve", "--seed", "1"], ["study", "--seed", "1"]):
+                 ["study", "--seed", "1"]):
         assert main([*argv, "--out", str(out)]) == 2
         assert "unrecognized arguments" in capsys.readouterr().err
     assert not out.exists()
 
 
 def test_solve_writes_artifacts(tmp_path, capsys):
-    rc = main(["solve", "--problem", "sine", "--dim", "1", "--eps", "0.1",
+    # one solve is a study of one cycle
+    rc = main(["study", "--problem", "sine", "--dim", "1", "--eps", "0.1", "--cycles", "1",
                "--slabs", "2", "--cells", "2", "--out", str(tmp_path)])
     assert rc == 0
-    line = capsys.readouterr().out
-    assert "n_dofs=" in line and "eta=" in line and "eff=" in line
-    assert (tmp_path / "solution.vtk").exists()
+    [row] = capsys.readouterr().out.splitlines()
+    assert (tmp_path / "study.csv").read_text().splitlines()[1:] == [row]
     manifest = json.loads((tmp_path / "run.json").read_text())
     assert manifest["status"] == "ok"
     assert manifest["config"]["problem"] == "sine"
-    # solve is one study cycle: its record is the cycle's StudyRecord
     assert manifest["config"]["cycles"] == 1
-    assert set(manifest["timings_s"]) == {"problem", "solve"}
+    assert set(manifest["timings_s"]) == {"problem", "study"}
     assert manifest["timings_s"]["problem"] >= 0
+    # the cycle's record is its StudyRecord
     [c] = manifest["cycles"]
     assert set(c) == {f.name for f in dataclasses.fields(StudyRecord)}
-    assert c["cycle"] == 0 and f"n_dofs={c['n_dofs']} " in line
+    assert c["cycle"] == 0 and row.startswith(f"0,{c['n_elements']},{c['n_dofs']},")
     assert set(c["phase_s"]) == {"assemble", "solve", "estimate", "norms", "vtk", "refine"}
     assert 0 <= c["solve"]["residual"] <= 1e-10 and sum(c["solve"]["fill"]) > 0
     assert "numpy" in manifest["versions"]
-    text = (tmp_path / "solution.vtk").read_text()
+    text = (tmp_path / "cycle_00.vtk").read_text()
     assert "SCALARS eta_K float 1" in text
     assert "SCALARS u float 1" in text
 
 
-def test_solve_is_the_first_study_cycle(tmp_path, capsys):
-    flags = ["--problem", "sine", "--dim", "1", "--eps", "0.1",
-             "--slabs", "2", "--cells", "2"]
-    a, b = tmp_path / "solve", tmp_path / "study"
-    assert main(["solve", *flags, "--out", str(a)]) == 0
-    line = capsys.readouterr().out
-    assert main(["study", *flags, "--cycles", "1", "--out", str(b)]) == 0
-    capsys.readouterr()
-    assert (a / "solution.vtk").read_bytes() == (b / "cycle_00.vtk").read_bytes()
-    assert not (a / "study.csv").exists()
-    # the printed values are the study.csv row's, to the printed digits
-    row = dict(zip(*(ln.split(",") for ln in (b / "study.csv").read_text().splitlines())))
-    assert line.split() == [f"n_elements={row['n_elements']}", f"n_dofs={row['n_dofs']}",
-                            f"eta={float(row['eta']):.6g}",
-                            f"error={float(row['true_error']):.6g}",
-                            f"eff={float(row['eff_index']):.4g}"]
-    solve_cycles = json.loads((a / "run.json").read_text())["cycles"]
-    study_cycles = json.loads((b / "run.json").read_text())["cycles"]
-    assert len(solve_cycles) == len(study_cycles) == 1
-    assert set(solve_cycles[0]) == set(study_cycles[0])
-    assert set(solve_cycles[0]["phase_s"]) == set(study_cycles[0]["phase_s"])
-
-
 def test_solve_solver_failure_exits_3(tmp_path, monkeypatch, capsys):
+    # one solve is a one-cycle study
     import sthdg.adapt as adapt_mod
     from sthdg.solver import SolverError
 
@@ -237,11 +212,11 @@ def test_solve_solver_failure_exits_3(tmp_path, monkeypatch, capsys):
         raise SolverError("synthetic failure")
 
     monkeypatch.setattr(adapt_mod, "solve", boom)
-    rc = main(["solve", "--problem", "sine", "--dim", "1", "--eps", "0.1",
+    rc = main(["study", "--problem", "sine", "--dim", "1", "--eps", "0.1", "--cycles", "1",
                "--slabs", "1", "--cells", "2", "--out", str(tmp_path)])
     assert rc == 3
     assert "synthetic failure" in capsys.readouterr().err
-    assert not (tmp_path / "solution.vtk").exists()
+    assert not (tmp_path / "cycle_00.vtk").exists()
     manifest = json.loads((tmp_path / "run.json").read_text())
     assert manifest["status"] == "solver_failure"
     assert manifest["cycles"] == []
@@ -426,7 +401,7 @@ def test_log_level_env(tmp_path, monkeypatch, capsys):
     root = logging.getLogger()
     for h in root.handlers[:]:
         root.removeHandler(h)
-    rc = main(["solve", "--problem", "linear", "--dim", "1", "--eps", "1",
+    rc = main(["study", "--problem", "linear", "--dim", "1", "--eps", "1", "--cycles", "1",
                "--slabs", "1", "--cells", "1", "--out", str(tmp_path)])
     assert rc == 0
     err = capsys.readouterr().err
