@@ -6,24 +6,24 @@ study.csv and per-cycle VTK; one solve is `study --cycles 1`) and `verify`
 
 `_parser` declares every option once, with its type, default and allowed
 values (`sthdg <cmd> --help` prints them), and gives each command only the
-options its code reads; the parsed namespace is the run's config.  An
-optional INI file (key = value under any section, [DEFAULT] included) sets
-options too, and flags override it; a key of another command's option is
-dropped.
-A run.json manifest with the resolved config, package versions and
-wall-clock seconds (the problem's set-up under `problem`, then the command
-or its phases) is written next to the artifacts; for `study` its
-`cycles` list holds each cycle's `adapt.StudyRecord` as stored.  Exit
+options its code reads; the parsed namespace is the run's config.  Any
+argument that starts with `@` names a file whose lines replace it where it
+stands, one argument per line (`--eps=0.2`, or `--eps` and `0.2` on two
+lines), so a later flag overrides the file.  Where the environment leaves the BLAS and
+OpenMP thread variables unset they are pinned to 1.
+A run.json manifest with the resolved config, the thread variables, package
+versions and wall-clock seconds (the problem's set-up under `problem`, then
+the command or its phases) is written next to the artifacts; for `study`
+its `cycles` list holds each cycle's `adapt.StudyRecord` as stored.  Exit
 codes: 0 success, 2 invalid configuration, an unknown problem, a missing
-or malformed INI file and an `--out` that names a file or a path below one
-included (nothing written), 3 solver failure or out of memory (partial
-outputs kept, run.json status `solver_failure` or `out_of_memory`).
+`@file` and an `--out` that names a file or a path below one included
+(nothing written), 3 solver failure or out of memory (partial outputs
+kept, run.json status `solver_failure` or `out_of_memory`).
 """
 
 from __future__ import annotations
 
 import argparse
-import configparser
 import json
 import logging
 import math
@@ -58,15 +58,14 @@ _count = _checked(int, lambda v: v >= 1, "an integer >= 1")
 _seed = _checked(int, lambda v: v >= 0, "an integer >= 0")
 
 
-def _parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The top-level parser and the parser of each subcommand."""
+def _parser() -> argparse.ArgumentParser:
+    """The `sthdg` parser; it reads each `@file` argument in place."""
     ap = argparse.ArgumentParser(
         prog="sthdg",
         description="space-time hybrid DG solver for advection-diffusion",
+        fromfile_prefix_chars="@",
     )
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("config", nargs="?",
-                        help="optional INI config file (flags override it)")
     common.add_argument("--problem", default="rotating-pulse", help="problem name")
     common.add_argument("--eps", type=_positive, default=1e-2,
                         help="diffusion coefficient, finite and > 0")
@@ -75,11 +74,6 @@ def _parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParse
     common.add_argument("--ps", type=_count, default=1,
                         help="spatial polynomial degree, >= 1")
     common.add_argument("--out", default=".", help="output directory")
-    common.add_argument("--threads", type=_count, default=1,
-                        help="value for OMP_NUM_THREADS, OPENBLAS_NUM_THREADS, "
-                             "MKL_NUM_THREADS and NUMEXPR_NUM_THREADS where the "
-                             "environment leaves them unset (an inherited value "
-                             "wins); the solver itself starts no threads")
     common.add_argument("--cycles", type=_count, default=3,
                         help="refinement cycles / verification levels, >= 1")
 
@@ -99,47 +93,7 @@ def _parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParse
                             help="measure analysis constants into constants.csv")
     verify.add_argument("--seed", type=_seed, default=0,
                         help="random seed for sampled measurements, >= 0")
-    return ap, sub.choices
-
-
-def _ini_argv(path: str, commands: dict[str, argparse.ArgumentParser]) -> list[str]:
-    """The INI file's pairs as `--key=value` flags: [DEFAULT] first, then
-    each section's own keys in file order, so the last value given for a
-    key wins; a key no command has is an error."""
-    known = set().union(*(vars(p.parse_args([])) for p in commands.values()))
-    known.discard("config")
-    cp = configparser.ConfigParser()
-    try:
-        if not cp.read(path):
-            raise ConfigError(f"config file not found: {path}")
-        # `_sections` holds a section's own keys; `cp.items` would repeat
-        # the defaults in every section and let them override an earlier one
-        own = {cp.default_section: cp.defaults(), **cp._sections}
-        pairs = [(section, key, cp.get(section, key))
-                 for section, keys in own.items() for key in keys]
-    except configparser.Error as exc:
-        raise ConfigError(f"malformed config file {path}: {exc}") from None
-    flags = []
-    for section, key, raw in pairs:
-        norm = key.replace("-", "_")
-        if norm not in known:
-            raise ConfigError(f"unknown config key {key!r} in [{section}]")
-        flags.append(f"--{norm.replace('_', '-')}={raw}")
-    return flags
-
-
-def _parse_config(argv: list[str]) -> argparse.Namespace:
-    """Defaults, then the INI file, then flags.  The INI pairs go through the
-    command's parser as flags placed before the user's, so they are checked
-    the same way and the user's win; a pair for an option the command does
-    not take (`seed` under `study`, `slabs` under `verify`) is dropped."""
-    ap, commands = _parser()
-    args = ap.parse_args(argv)
-    if args.config is not None:
-        ini = _ini_argv(args.config, commands)
-        args, _dropped = ap.parse_known_args(argv[:1] + ini + argv[1:])
-    del args.config
-    return args
+    return ap
 
 
 def _setup_logging() -> None:
@@ -160,11 +114,11 @@ _THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
                 "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")
 
 
-def _cap_threads(n: int) -> None:
+def _cap_threads() -> None:
     # must run before numpy is imported anywhere in this process; an
     # inherited value wins, so run.json records what actually applies
     for var in _THREAD_VARS:
-        os.environ.setdefault(var, str(n))
+        os.environ.setdefault(var, "1")
 
 
 def _versions() -> dict:
@@ -335,12 +289,11 @@ def _cmd_verify(cfg: argparse.Namespace, spec, out: Path, timings: dict) -> int:
 
 def main(argv=None) -> int:
     _setup_logging()
-    argv = sys.argv[1:] if argv is None else list(argv)
     timings: dict = {}
     try:
-        cfg = _parse_config(argv)
+        cfg = _parser().parse_args(argv)
         log.info("config: %s", vars(cfg))
-        _cap_threads(cfg.threads)
+        _cap_threads()
         spec = _get_spec(cfg, timings)
     except SystemExit as exc:
         # argparse exits 2 on bad flags, matching the invalid-config code

@@ -102,7 +102,6 @@ class ElementTable(_Table):
     level: np.ndarray
     slab: np.ndarray
     parent: np.ndarray  # parent id, 0 for a root
-    child_index: np.ndarray  # -1 for a root
     lo: np.ndarray
     hi: np.ndarray
 
@@ -110,7 +109,7 @@ class ElementTable(_Table):
     def empty(d: int) -> ElementTable:
         ints = np.empty(0, dtype=np.int64)
         box = np.empty((0, d + 1))
-        return ElementTable(ints, ints, ints, ints, ints, box, box)
+        return ElementTable(ints, ints, ints, ints, box, box)
 
 
 @dataclass(frozen=True)
@@ -239,7 +238,7 @@ class SpaceTimeMesh:
         zeros = np.zeros(n, dtype=np.int64)
         mesh._set_elements(ElementTable(
             id=splitmix64(np.arange(1, n + 1)).astype(np.int64),
-            level=zeros, slab=multi[0], parent=zeros, child_index=zeros - 1,
+            level=zeros, slab=multi[0], parent=zeros,
             lo=np.column_stack([axes_pts[a][multi[a]] for a in range(d + 1)]),
             hi=np.column_stack([axes_pts[a][multi[a] + 1] for a in range(d + 1)]),
         ))
@@ -322,8 +321,7 @@ class SpaceTimeMesh:
         index = np.tile(np.arange(nc), len(rows))
         children = ElementTable(
             id=child_id(parent, index), level=np.repeat(e.level[rows] + 1, nc),
-            slab=np.repeat(e.slab[rows], nc), parent=parent, child_index=index,
-            lo=clo, hi=chi,
+            slab=np.repeat(e.slab[rows], nc), parent=parent, lo=clo, hi=chi,
         )
         self._refined = ElementTable.concat([self._refined, e.take(rows)])
         self._set_elements(ElementTable.concat(

@@ -102,7 +102,7 @@ def build_subgrid(mesh: SpaceTimeMesh) -> SubgridPair:
     ids = child_id(e.id[rows], half, salt=SUBGRID_SALT)
     fine._set_elements(ElementTable(
         id=ids, level=e.level[rows], slab=e.slab[rows], parent=e.id[rows],
-        child_index=half, lo=lo, hi=hi,
+        lo=lo, hi=hi,
     ))
 
     # facet lineage: a horizontal facet between the two halves of one coarse

@@ -43,7 +43,6 @@ class Element:
     hi: np.ndarray
     slab: int
     parent: int = 0  # 0: root
-    child_index: int = -1
 
     @property
     def dt(self) -> float:
@@ -94,10 +93,10 @@ class Facet:
 def elements(mesh: SpaceTimeMesh) -> dict[int, Element]:
     e = mesh.etab
     return {
-        eid: Element(eid, lev, lo, hi, slab, par, ci)
-        for eid, lev, lo, hi, slab, par, ci in zip(
+        eid: Element(eid, lev, lo, hi, slab, par)
+        for eid, lev, lo, hi, slab, par in zip(
             e.id.tolist(), e.level.tolist(), e.lo, e.hi, e.slab.tolist(),
-            e.parent.tolist(), e.child_index.tolist())
+            e.parent.tolist())
     }
 
 

@@ -33,8 +33,7 @@ def _exits_2(argv, out, capsys):
 
 # each command's config holds exactly the options its code reads: the
 # mesh options and the mode go to study, the seed to verify
-_COMMON = dict(problem="rotating-pulse", eps=1e-2, dim=2, ps=1, out=".", threads=1,
-               cycles=3)
+_COMMON = dict(problem="rotating-pulse", eps=1e-2, dim=2, ps=1, out=".", cycles=3)
 _DEFAULT_CONFIG = {"study": dict(_COMMON, dt_policy="h", slabs=2, cells=2, mode="amr"),
                    "verify": dict(_COMMON, seed=0)}
 
@@ -57,69 +56,61 @@ def test_flag_coercion_and_validation(tmp_path, monkeypatch, capsys):
     for argv in (["study", "--eps", "abc"], ["study", "--eps", "-1"], ["study", "--eps", "0"],
                  ["study", "--eps", "nan"], ["study", "--eps", "inf"],
                  ["study", "--dim", "3"], ["study", "--mode", "bisection"],
-                 ["study", "--threads", "0"], ["study", "--cycles", "0"],
+                 ["study", "--threads", "2"], ["study", "--cycles", "0"],
                  ["verify", "--seed", "-1"], ["study", "--ps", "1.5"],
                  # no such command: one solve is `study --cycles 1`
                  ["solve", "--problem", "sine", "--dim", "1"]):
         _exits_2(argv, out, capsys)
 
 
-def test_ini_and_flag_precedence(tmp_path, monkeypatch):
-    ini = tmp_path / "run.ini"
-    ini.write_text("[study]\neps = 0.2\ncells = 3\ndt-policy = h2\n")
-    cfg = _config(monkeypatch, ["study", str(ini), "--cells", "5", "--out", str(tmp_path)])
-    assert cfg["eps"] == 0.2       # from INI
-    assert cfg["cells"] == 5       # flag wins
-    assert cfg["dt_policy"] == "h2"  # hyphenated key normalized
-    assert "config" not in cfg     # the INI path is not an option
-    # a key the command takes no flag for is accepted and has no effect
-    ini.write_text("[a]\ncycles = 4\n[b]\nmode = uniform\nslabs = 5\n"
-                   "dt-policy = h2\nseed = 3\n")
-    cfg = _config(monkeypatch, ["study", str(ini), "--out", str(tmp_path)])
-    assert (cfg["cycles"], cfg["mode"], cfg["slabs"], cfg["dt_policy"]) == (4, "uniform", 5, "h2")
-    assert "seed" not in cfg
-    cfg = _config(monkeypatch, ["verify", str(ini), "--out", str(tmp_path)])
-    assert (cfg["cycles"], cfg["seed"]) == (4, 3)
-    assert not {"mode", "slabs", "cells", "dt_policy"} & set(cfg)
+def test_argument_file_and_flag_precedence(tmp_path, monkeypatch):
+    # an @file's lines are arguments read where the file stands: a later
+    # flag overrides the file, the file overrides an earlier flag
+    args = tmp_path / "run.args"
+    args.write_text("--eps=0.2\n--cells\n3\n--dt-policy=h2\n")
+    cfg = _config(monkeypatch, ["study", f"@{args}", "--cells", "5", "--out", str(tmp_path)])
+    assert (cfg["eps"], cfg["cells"], cfg["dt_policy"]) == (0.2, 5, "h2")
+    cfg = _config(monkeypatch, ["study", "--cells", "5", f"@{args}", "--out", str(tmp_path)])
+    assert cfg["cells"] == 3
+    assert set(cfg) == set(_DEFAULT_CONFIG["study"]) | {"command"}
 
 
-def test_ini_default_section(tmp_path, monkeypatch, capsys):
-    # keys under [DEFAULT] alone reach the run's config; a section's own
-    # value overrides [DEFAULT], also when a later section does not set it
-    ini = tmp_path / "run.ini"
-    ini.write_text("[DEFAULT]\neps = 0.5\nproblem = sine\ndim = 1\n")
+def test_argument_file_values_reach_run_json(tmp_path, capsys):
+    # the file's values reach run.json's config like flags
+    args = tmp_path / "run.args"
+    args.write_text("--problem=sine\n--dim=1\n--eps=0.5\n--cycles=1\n")
     out = tmp_path / "run"
-    assert main(["study", str(ini), "--cycles", "1", "--out", str(out)]) == 0
+    assert main(["study", f"@{args}", "--eps", "0.3", "--out", str(out)]) == 0
     config = json.loads((out / "run.json").read_text())["config"]
-    assert config == dict(_DEFAULT_CONFIG["study"], problem="sine", eps=0.5, dim=1,
+    assert config == dict(_DEFAULT_CONFIG["study"], problem="sine", eps=0.3, dim=1,
                           cycles=1, command="study", out=str(out))
     capsys.readouterr()
-    for text in ("[DEFAULT]\neps = 0.5\ncells = 3\n[run]\neps = 0.3\n",
-                 "[DEFAULT]\neps = 0.5\ncells = 3\n[a]\neps = 0.3\n[b]\nslabs = 4\n"):
-        ini.write_text(text)
-        cfg = _config(monkeypatch, ["study", str(ini), "--out", str(tmp_path)])
-        assert (cfg["eps"], cfg["cells"]) == (0.3, 3)
 
 
-def test_ini_unknown_key(tmp_path, capsys):
-    ini = tmp_path / "run.ini"
+def test_argument_file_unknown_options_exit_2(tmp_path, capsys):
+    # an option no command takes, or one of the other command, and a
+    # missing @file
+    args = tmp_path / "run.args"
     out = tmp_path / "never"
-    for text in ("[x]\nepsilon = 0.2\n", "[x]\nconfig = other.ini\n", "[x]\nhelp = 1\n"):
-        ini.write_text(text)
-        _exits_2(["study", str(ini)], out, capsys)
-    _exits_2(["study", str(tmp_path / "missing.ini")], out, capsys)
+    for command, text in (("study", "--epsilon=0.2\n"), ("study", "--seed=3\n"),
+                          ("verify", "--slabs=2\n")):
+        args.write_text(text)
+        _exits_2([command, f"@{args}"], out, capsys)
+    _exits_2(["study", f"@{tmp_path / 'missing.args'}"], out, capsys)
 
 
-def test_bad_ini_exits_2(tmp_path, capsys):
-    ini = tmp_path / "run.ini"
+def test_bad_argument_files_exit_2(tmp_path, capsys):
+    args = tmp_path / "run.args"
     out = tmp_path / "never"
-    for text in ("eps = 0.1\n",                       # no section header
-                 "[run]\neps = 0.1\neps = 0.2\n",     # a key given twice
-                 "[run]\nout = 100%\n",               # a broken interpolation
-                 "[run]\neps = nan\n", "[run]\neps = inf\n", "[run]\neps = abc\n",
-                 "[run]\ndim = 3\n", "[run]\ndt-policy = h3\n", "[run]\ncells = 0\n"):
-        ini.write_text(text)
-        _exits_2(["study", str(ini)], out, capsys)
+    # invalid values, and a flag and its value on one line (one argument per line)
+    for text in ("--eps=nan\n", "--eps=inf\n", "--eps=abc\n", "--dim=3\n",
+                 "--dt-policy=h3\n", "--cells=0\n", "--eps 0.2\n"):
+        args.write_text(text)
+        _exits_2(["study", f"@{args}"], out, capsys)
+    # a bare path is not an argument file: the INI form is not read
+    ini = tmp_path / "run.ini"
+    ini.write_text("[run]\neps = 0.2\n")
+    _exits_2(["study", str(ini)], out, capsys)
 
 
 def test_run_json_config(tmp_path, capsys):

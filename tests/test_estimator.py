@@ -1,8 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from sthdg import estimator
 from sthdg.adapt import run_study
 from sthdg.assembly import assemble, build_dofmap
 from sthdg.estimator import (
@@ -211,11 +213,16 @@ def _j1_systems():
         for policy in ("h", "h2"):
             sys = assemble(poly_problem(d), hanging_mesh(d, policy=policy), 1)
             yield f"hanging d={d} {policy}", sys, solve(sys)[0]
+    yield "pulse amr cycle 4", *_pulse_cycle_4()
+
+
+def _pulse_cycle_4():
+    """The system and solution of cycle 4 of the pulse `h` AMR study."""
     pulse = get_problem("rotating-pulse", eps=1e-3, d=2)
     seen = {}
     run_study(pulse, "amr", cycles=5, p_s=1, n_slabs=2, n_cells=2,
               on_cycle=lambda cycle, mesh, sys, x, est, rec: seen.update(sys=sys, x=x))
-    yield "pulse amr cycle 4", seen["sys"], seen["x"]
+    return seen["sys"], seen["x"]
 
 
 def test_eta_J1_matches_per_facet_walk_bitwise():
@@ -229,3 +236,20 @@ def test_eta_J1_matches_per_facet_walk_bitwise():
         eta_K = np.sqrt(sum(np.float_power(want if k == "eta_J1" else getattr(est, k), 2.0)
                             for k in _TERMS[:8]))
         assert est.eta_K.tobytes() == eta_K.tobytes(), name
+
+
+def test_volume_sums_do_not_depend_on_the_chunk(monkeypatch):
+    # estimate and error_norms sum each element's quadrature in chunks of
+    # elements; byte-identical outputs rely on those sums being the same
+    # bits as with one chunk per element class
+    sys, x = _pulse_cycle_4()
+    est = estimate(sys, x)
+    norms = error_norms(sys, x, est)
+    # the volume loops cut at least one class into several chunks
+    step = estimator._elem_chunk((sys.quad_n + 2) ** 3)
+    assert max(len(c.elem) for c in sys.dofmap.elem_classes) > step
+    monkeypatch.setattr(estimator, "_elem_chunk", lambda n_points: len(sys.dofmap.mesh.etab))
+    for got, want in ((estimate(sys, x), est), (error_norms(sys, x, est), norms)):
+        for f in dataclasses.fields(want):
+            assert (np.asarray(getattr(got, f.name)).tobytes()
+                    == np.asarray(getattr(want, f.name)).tobytes()), f.name
