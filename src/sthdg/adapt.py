@@ -3,15 +3,16 @@
 Marking sorts elements by their estimator value eta_K, rounded to 12
 significant digits, descending (ties broken by ascending element id), so
 mirror-image elements whose eta_K differ only in the last bits do not
-depend on summation order; it refines the top 25% while coarsening
-the bottom 10% by element count.  Coarsening only takes effect for
-complete sibling groups; the mesh layer drops partial groups.
+depend on summation order; it refines the top 25% (`REFINE_FRACTION`)
+and coarsens the bottom 10% (`COARSEN_FRACTION`) by element count.
+Coarsening only takes effect for complete sibling groups; the mesh layer
+leaves partial groups as they are.
 
-`run_study` drives uniform or adaptive cycles and records one StudyRecord
-per solve, with the solver's `SolveReport` as it returned it, the seconds
-of each phase (assemble, solve, estimate, norms, then the refine that
-follows the cycle; a hook may add its own) and the peak RSS after each of
-them.  CSV output is deterministic: the wall_ms column is written as 0 and
+`run_study` drives uniform or adaptive cycles on a problem with an exact
+solution and records one StudyRecord per solve, with the solver's
+`SolveReport` as it returned it, the seconds of each phase (assemble,
+solve, estimate, norms, then the refine that follows the cycle; a hook may
+add its own) and the peak RSS after each of them.  CSV output is deterministic: the wall_ms column is written as 0 and
 the solver report is left out (timings vary run to run and the table must
 be byte-identical across reruns); they go into the run manifest instead.
 
@@ -37,6 +38,8 @@ from .problem import ProblemSpec
 from .solver import SolveReport, solve
 
 CSV_HEADER = "cycle,n_elements,n_dofs,eta,true_error,eff_index,wall_ms"
+REFINE_FRACTION = 0.25
+COARSEN_FRACTION = 0.10
 
 
 @dataclass
@@ -45,7 +48,7 @@ class StudyRecord:
     n_elements: int
     n_dofs: int
     eta: float
-    true_error: float  # nan when the problem has no exact solution
+    true_error: float  # sT,h norm of u - u_h against the exact solution
     eff_index: float
     # what the solver did and the phase timings: kept out of the CSV,
     # reported in run.json
@@ -54,14 +57,9 @@ class StudyRecord:
     phase_maxrss_mb: dict[str, float] = field(default_factory=dict)  # after each phase
 
     def csv_row(self) -> str:
-        def num(v: float) -> str:
-            if math.isnan(v):
-                return "nan"
-            return f"{v:.12g}"
-
         return (
             f"{self.cycle},{self.n_elements},{self.n_dofs},"
-            f"{num(self.eta)},{num(self.true_error)},{num(self.eff_index)},0"
+            f"{self.eta:.12g},{self.true_error:.12g},{self.eff_index:.12g},0"
         )
 
 
@@ -73,30 +71,18 @@ def _round_12(v: np.ndarray) -> np.ndarray:
     return np.where(np.isfinite(r), r, v)
 
 
-def mark(
-    eta_K: np.ndarray,
-    ids: np.ndarray,
-    refine_fraction: float = 0.25,
-    coarsen_fraction: float = 0.10,
-) -> tuple[list[int], list[int]]:
-    """Ids to refine (top fraction by eta_K) and to coarsen (bottom fraction),
-    where eta_K[i] is the indicator of element ids[i].
+def mark(eta_K: np.ndarray, ids: np.ndarray) -> tuple[list[int], list[int]]:
+    """Ids to refine (the top `REFINE_FRACTION` by eta_K) and to coarsen
+    (the bottom `COARSEN_FRACTION`), where eta_K[i] is the indicator of
+    element ids[i].
 
     Equal rounded indicators keep the order of `ids`, which is ascending in
     `mesh.etab.id`, so ties go to the lower id."""
     if not len(eta_K):
         raise ValueError("cannot mark an empty estimate")
-    if not (0 <= refine_fraction <= 1 and 0 <= coarsen_fraction <= 1):
-        raise ValueError("fractions must lie in [0, 1]")
-    if refine_fraction + coarsen_fraction > 1:
-        raise ValueError("refine and coarsen fractions overlap")
     order = ids[np.argsort(-_round_12(eta_K), kind="stable")].tolist()
     n = len(order)
-    n_ref = math.ceil(refine_fraction * n)
-    n_coar = math.floor(coarsen_fraction * n)
-    refine = order[:n_ref]
-    coarsen = order[n - n_coar:] if n_coar else []
-    return refine, coarsen
+    return order[:math.ceil(REFINE_FRACTION * n)], order[n - math.floor(COARSEN_FRACTION * n):]
 
 
 def write_csv(records: list[StudyRecord], path) -> None:
@@ -151,13 +137,8 @@ def run_study(
         lap("solve")
         est = estimate(sys, x)
         lap("estimate")
-        if spec.exact_jet is not None:
-            nb = error_norms(sys, x, est)
-            err = nb.sT_norm()
-            eff = efficiency_index(est.eta, err)
-        else:
-            err = math.nan
-            eff = math.nan
+        err = error_norms(sys, x, est).sT_norm()
+        eff = efficiency_index(est.eta, err)
         lap("norms")
         rec = StudyRecord(
             cycle=cycle, n_elements=mesh.n_elements, n_dofs=sys.n_dofs,
@@ -175,7 +156,7 @@ def run_study(
                 refine, coarsen = mark(est.eta_K, mesh.etab.id)
                 mesh.refine_and_coarsen(refine, coarsen)
             else:
-                mesh.refine_uniform(1)
+                mesh.refine_uniform()
         del sys, x, est  # free this cycle's system before the next assemble
         lap("refine")
     return records, mesh

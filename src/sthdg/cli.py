@@ -255,18 +255,17 @@ def _measure_constants(cfg: argparse.Namespace, spec, reports: list, timings: di
 
     # two-level saturation of the time-derivative error on the benchmark
     t0 = time.perf_counter()
-    if spec.exact_jet is not None:
-        for level in range(2, 2 + L):
-            n = 2 ** level
-            mesh = SpaceTimeMesh.build(
-                d, n, n, t_final=spec.t_final, x_lo=spec.x_lo,
-                x_hi=spec.x_hi, dirichlet_lateral=spec.dirichlet_lateral,
-            )
-            rep = verify.measure_saturation(spec, mesh, p_s)
-            reports.append(verify.ConstantReport(
-                "saturation_rho", level, mesh.n_elements, rep.rho))
-            log.info("saturation level %d: rho=%s flagged=%s",
-                     level, rep.rho, rep.flagged)
+    for level in range(2, 2 + L):
+        n = 2 ** level
+        mesh = SpaceTimeMesh.build(
+            d, n, n, t_final=spec.t_final, x_lo=spec.x_lo,
+            x_hi=spec.x_hi, dirichlet_lateral=spec.dirichlet_lateral,
+        )
+        rep = verify.measure_saturation(spec, mesh, p_s)
+        reports.append(verify.ConstantReport(
+            "saturation_rho", level, mesh.n_elements, rep.rho))
+        log.info("saturation level %d: rho=%s flagged=%s",
+                 level, rep.rho, rep.flagged)
     timings["saturation"] = time.perf_counter() - t0
 
 

@@ -53,10 +53,6 @@ class TensorRule:
     points: np.ndarray  # (nq, k)
     weights: np.ndarray  # (nq,)
 
-    @property
-    def dim(self) -> int:
-        return self.points.shape[1]
-
 
 @lru_cache(maxsize=None)
 def tensor_rule(npts: tuple[int, ...]) -> TensorRule:

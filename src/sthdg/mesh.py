@@ -39,15 +39,19 @@ labels those on the domain boundary.  One lexsort of the interior faces by
 conforming facet owned by the element below/left.  Every other face is
 paired with the opposite faces of its plane that overlap it along one free
 axis (a sort and a `searchsorted`, `_nested_pairs`); a face inside exactly
-one of them is a hanging facet owned by its own element.  Refinement
-closes its marks over the facet owner/neighbor/level arrays until no
+one of them is a hanging facet owned by its own element.
+
+Refinement.  `refine_and_coarsen` takes the ids to refine and to coarsen
+(an id that is not in the mesh raises ValueError before anything changes)
+and returns nothing; the new tables show what it did.  It closes the
+refinement marks over the facet owner/neighbor/level arrays until no
 marked element has an unmarked neighbor one level coarser, and builds all
 children at once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -124,16 +128,6 @@ class FacetTable(_Table):
     boundary: np.ndarray  # index into BOUNDARIES
     lo: np.ndarray
     hi: np.ndarray
-
-
-@dataclass
-class ApplyReport:
-    """What refine_and_coarsen actually did."""
-
-    refined: list[int] = field(default_factory=list)
-    closure_refined: list[int] = field(default_factory=list)
-    coarsened_parents: list[int] = field(default_factory=list)
-    skipped_coarsen: list[int] = field(default_factory=list)
 
 
 def child_boxes(lo: np.ndarray, hi: np.ndarray, k_t: int) -> tuple[np.ndarray, np.ndarray]:
@@ -263,21 +257,29 @@ class SpaceTimeMesh:
         return self.k_t * 2**self.d
 
     def _rows_of(self, ids) -> np.ndarray:
-        """Mask of the element rows whose id is in `ids`."""
+        """Mask of the element rows whose id is in the iterable `ids`;
+        ValueError if one of them is not in the mesh."""
         ids = np.fromiter(map(int, ids), dtype=np.int64)
-        return np.isin(self.etab.id, ids)
+        rows = np.minimum(np.searchsorted(self.etab.id, ids), len(self.etab) - 1)
+        unknown = ids[self.etab.id[rows] != ids]
+        if unknown.size:
+            raise ValueError(f"no element with id {int(unknown[0])}")
+        mask = np.zeros(len(self.etab), dtype=bool)
+        mask[rows] = True
+        return mask
 
-    def refine_and_coarsen(self, refine_ids, coarsen_ids=()) -> ApplyReport:
-        """Apply marks; refinement wins conflicts and closure keeps the mesh
-        1-irregular.  Coarsening merges only complete sibling groups whose
-        merge cannot create a level jump > 1 (checked against post-refinement
-        levels, conservatively for concurrent merges)."""
+    def refine_and_coarsen(self, refine_ids, coarsen_ids=()) -> None:
+        """Apply marks, given as element ids; an id that is not in the mesh
+        raises ValueError before anything changes.  Refinement wins
+        conflicts and closure keeps the mesh 1-irregular.  Coarsening merges
+        only complete sibling groups whose merge cannot create a level jump
+        > 1 (checked against post-refinement levels, conservatively for
+        concurrent merges); other coarsening marks are left as they are."""
         e, f = self.etab, self.ftab
         ids = e.id
         nc = self.n_children()
-        report = ApplyReport()
         refine = self._rows_of(refine_ids)
-        report.refined = ids[refine].tolist()
+        coarsen = self._rows_of(coarsen_ids)
 
         # 1-irregularity closure: a neighbor one level coarser than a refined
         # element must be refined as well; sweep over the element pairs that
@@ -287,18 +289,16 @@ class SpaceTimeMesh:
         b = np.concatenate((f.neighbor[inner], f.owner[inner]))
         coarser = e.level[b] == e.level[a] - 1
         up, down = a[coarser], b[coarser]
-        marked = refine.copy()
         while True:
             pulled = down[refine[up] & ~refine[down]]
             if not pulled.size:
                 break
             refine[pulled] = True
-        report.closure_refined = ids[refine & ~marked].tolist()
         post_level = e.level + refine
 
         # complete sibling groups among the coarsening candidates, unless a
         # face neighbor outside the group ends up finer than the group
-        coarsen = self._rows_of(coarsen_ids) & ~refine
+        coarsen &= ~refine
         grouped = coarsen & (e.parent != 0)
         parents, counts = np.unique(e.parent[grouped], return_counts=True)
         complete = parents[counts == nc]
@@ -307,8 +307,6 @@ class SpaceTimeMesh:
         blocked = in_group & ~sibling & (post_level[b] > e.level[a])
         merged = complete[~np.isin(complete, e.parent[a[blocked]])]
         kids = grouped & np.isin(e.parent, merged)
-        report.skipped_coarsen = ids[grouped & ~kids].tolist()
-        report.coarsened_parents = merged.tolist()
 
         # restored parents come from the refined-element record
         known, first = np.unique(self._refined.id, return_index=True)
@@ -326,11 +324,10 @@ class SpaceTimeMesh:
         self._refined = ElementTable.concat([self._refined, e.take(rows)])
         self._set_elements(ElementTable.concat(
             [e.take(~(refine | kids)), restored, children]))
-        return report
 
-    def refine_uniform(self, times: int = 1) -> None:
-        for _ in range(times):
-            self.refine_and_coarsen(self.etab.id)
+    def refine_uniform(self) -> None:
+        """Refine every element once."""
+        self.refine_and_coarsen(self.etab.id)
 
     # ------------------------------------------------------------------
     # facet construction

@@ -25,17 +25,18 @@ differences.  The source is f = u_t + beta_bar . grad u - eps lap u (every
 built-in beta_bar is divergence-free), except for the rotating pulse, an
 exact solution of the homogeneous equation, whose f is 0.
 
-`exact_jet` maps the points to (u, u_t, grad u), shapes (n,), (n,) and
-(n, d), so the error norms, the lateral Neumann data and the saturation
-measurement evaluate the exact solution once per point; `exact` is its u
-alone (initial and Dirichlet data).
+Every problem has an exact solution: `exact_jet`, a required field, maps
+the points to (u, u_t, grad u), shapes (n,), (n,) and (n, d), so the error
+norms, the lateral Neumann data and the saturation measurement evaluate it
+once per point; `exact` is its u alone, which is the initial and the
+Dirichlet data.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -54,7 +55,7 @@ class ProblemSpec:
     x_hi: np.ndarray
     beta_bar: Field  # (n, d+1) -> (n, d)
     f: Field  # (n, d+1) -> (n,)
-    exact_jet: Optional[Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]]] = None
+    exact_jet: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]]
     dirichlet_lateral: bool = True
 
     def exact(self, pts: np.ndarray) -> np.ndarray:
@@ -62,21 +63,15 @@ class ProblemSpec:
         return self.exact_jet(pts)[0]
 
     def initial_data(self, pts: np.ndarray) -> np.ndarray:
-        if self.exact_jet is not None:
-            return self.exact(pts)
-        raise ValueError(f"problem {self.name} has no initial data")
+        return self.exact(pts)
 
     def dirichlet_data(self, pts: np.ndarray) -> np.ndarray:
-        if self.exact_jet is not None:
-            return self.exact(pts)
-        return np.zeros(np.atleast_2d(pts).shape[0])
+        return self.exact(pts)
 
     def neumann_data(self, pts: np.ndarray, axis: int, sign: int) -> np.ndarray:
         """Lateral Neumann data g = -zeta^- u (beta.n) + eps grad(u).n_x at
         points of a face whose outward normal is `sign` times spatial axis
         `axis` (1..d), so beta.n = sign * beta_bar[:, axis - 1]."""
-        if self.exact_jet is None:
-            raise ValueError(f"problem {self.name} has no lateral Neumann data")
         pts = np.atleast_2d(pts)
         bn = sign * self.beta_bar(pts)[:, axis - 1]
         u, _, grad = self.exact_jet(pts)

@@ -234,8 +234,7 @@ def assemble_two_level(
 @dataclass
 class OrthogonalityReport:
     residual: float  # max over coarse test dofs of the two-level form defect
-    scale: float
-    relative: float
+    relative: float  # residual over the larger of max |b| and max |A| max |x|
     n_coarse_dofs: int
     n_fine_dofs: int
 
@@ -260,7 +259,7 @@ def check_galerkin_orthogonality(
         1e-300,
     )
     return OrthogonalityReport(
-        residual=residual, scale=scale, relative=residual / scale,
+        residual=residual, relative=residual / scale,
         n_coarse_dofs=sys_c.n_dofs, n_fine_dofs=sys_f.n_dofs,
     )
 
@@ -283,8 +282,6 @@ def measure_saturation(
 ) -> SaturationReport:
     """rho = sqrt(sum_K tau ||dt(u - u_fine)||^2 / sum_K tau ||dt(u - u_coarse)||^2),
     both sums over the coarse elements with the coarse regime weights."""
-    if spec.exact_jet is None:
-        raise ValueError("saturation measurement needs the exact time derivative")
     pair = build_subgrid(mesh)
     sys_c, sys_f = assemble_two_level(spec, pair, p_s)
     x_c, _ = solve(sys_c)
@@ -336,7 +333,6 @@ class AveragingResult:
     """The averaged field on the conforming cells, and its defect per
     original element (element-table order)."""
 
-    cell_parent: np.ndarray  # position of the element each cell lies in
     cell_lo: np.ndarray  # (n_cells, d+1)
     cell_hi: np.ndarray
     cell_values: np.ndarray  # nodal coefficients of the averaged field
@@ -450,7 +446,7 @@ def averaging_operator(mesh: SpaceTimeMesh, p_s: int, elem_coeffs: np.ndarray) -
     jac = np.prod(0.5 * (hi - lo), axis=1)
     defect_sq = np.bincount(parent, weights=jac * ((v_orig - v_avg) ** 2 @ rule.weights),
                             minlength=len(mesh.etab))
-    return AveragingResult(cell_parent=parent, cell_lo=lo, cell_hi=hi, cell_values=cell_vals,
+    return AveragingResult(cell_lo=lo, cell_hi=hi, cell_values=cell_vals,
                            defect=np.sqrt(defect_sq), continuity=continuity, n_nodes=n_nodes)
 
 

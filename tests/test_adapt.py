@@ -1,7 +1,9 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sthdg.adapt import (
     CSV_HEADER,
@@ -11,10 +13,8 @@ from sthdg.adapt import (
     run_study,
     write_csv,
 )
-from sthdg.problem import ProblemSpec, get_problem
+from sthdg.problem import get_problem
 from sthdg.solver import SolveReport, SolverError
-
-from oracles import from_symbolic
 
 
 def _fake_estimate(etas: dict[int, float]) -> tuple[np.ndarray, np.ndarray]:
@@ -32,37 +32,79 @@ def test_mark_fractions_and_tie_breaking():
 
 
 def test_mark_orders_by_indicator():
-    est = _fake_estimate({1: 0.1, 2: 5.0, 3: 0.2, 4: 4.0})
-    refine, coarsen = mark(*est, refine_fraction=0.5, coarsen_fraction=0.25)
-    assert refine == [2, 4]
-    assert coarsen == [1]
+    # ten elements: the three largest eta_K are refined, largest first,
+    # and the smallest is coarsened, whatever their ids
+    est = _fake_estimate({0: 0.3, 1: 3.0, 2: 0.2, 3: 4.0, 4: 0.05,
+                          5: 5.0, 6: 0.7, 7: 0.9, 8: 0.6, 9: 0.4})
+    refine, coarsen = mark(*est)
+    assert refine == [5, 3, 1]
+    assert coarsen == [4]
 
 
 def test_mark_ignores_last_bit_differences_at_the_cut():
-    # mirror-image elements whose eta_K differ by 1 ulp straddle the cut:
-    # the lower id is refined whichever of the two sums came out larger
+    # mirror-image elements whose eta_K differ by 1 ulp straddle the cut
+    # (ceil(0.25*8)=2 refined): the lower id is refined whichever of the two
+    # sums came out larger
     e = 0.5083427265643041
     up = np.nextafter(e, 1.0)
     for a, b in ((e, up), (up, e)):
-        est = _fake_estimate({0: 0.1, 3: 2.0, 5: a, 7: b})
-        refine, _ = mark(*est, refine_fraction=0.5, coarsen_fraction=0.0)
+        est = _fake_estimate({0: 0.1, 1: 0.2, 2: 0.3, 3: 2.0,
+                              4: 0.05, 5: a, 6: 0.4, 7: b})
+        refine, _ = mark(*est)
         assert refine == [3, 5]
 
 
 def test_mark_keeps_zero_and_tiny_indicators_ordered():
-    est = _fake_estimate({1: 0.0, 2: 1e-300, 3: 5e-324, 4: 1e-3})
-    refine, coarsen = mark(*est, refine_fraction=0.75, coarsen_fraction=0.25)
+    # 1e-3 > 1e-300 > 5e-324 (subnormal) > 0: the three nonzero indicators
+    # are refined in that order, ahead of every zero, and the zero with the
+    # highest id is coarsened
+    est = _fake_estimate({1: 0.0, 2: 1e-300, 3: 5e-324, 4: 1e-3,
+                          **{eid: 0.0 for eid in range(5, 11)}})
+    refine, coarsen = mark(*est)
     assert refine == [4, 2, 3]
-    assert coarsen == [1]
+    assert coarsen == [10]
+
+
+@st.composite
+def _estimates(draw):
+    """(eta_K, ids) as `mark` takes them, ids ascending as in `mesh.etab.id`.
+
+    Indicators come from a few bases k * 10^j and their neighbours up to two
+    ulps away, which round to the same 12 digits, plus zeros and a few
+    distinct subnormal and tiny values."""
+    nice = st.builds(lambda k, j: k * 10.0**j, st.integers(1, 999), st.integers(-290, 5))
+    pool = draw(st.lists(nice, min_size=1, max_size=4)) + [0.0, 5e-324, 1e-320, 1e-300]
+    n = draw(st.integers(1, 40))
+    eta = []
+    for _ in range(n):
+        v = draw(st.sampled_from(pool))
+        ulps = draw(st.integers(-2, 2)) if v > 1e-290 else 0
+        for _ in range(abs(ulps)):
+            v = np.nextafter(v, math.copysign(math.inf, ulps))
+        eta.append(v)
+    ids = sorted(draw(st.sets(st.integers(1, 2**63 - 1), min_size=n, max_size=n)))
+    return np.array(eta), np.array(ids, dtype=np.int64)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_estimates())
+def test_mark_refines_top_quarter_and_coarsens_bottom_tenth(est):
+    eta, ids = est
+    refine, coarsen = mark(eta, ids)
+    n = len(ids)
+    assert len(refine) == math.ceil(0.25 * n)
+    assert len(coarsen) == math.floor(0.10 * n)
+    assert not set(refine) & set(coarsen)
+    # descending by eta rounded to 12 significant digits, then ascending id,
+    # so indicators an ulp apart tie
+    rank = {i: (-float(f"{v:.12g}"), i) for i, v in zip(ids.tolist(), eta.tolist())}
+    order = sorted(rank, key=rank.get)
+    assert refine == order[:len(refine)]
+    assert coarsen == order[n - len(coarsen):]
 
 
 def test_mark_validates_inputs():
-    est = _fake_estimate({1: 1.0})
-    with pytest.raises(ValueError):
-        mark(*est, refine_fraction=0.7, coarsen_fraction=0.5)
-    with pytest.raises(ValueError):
-        mark(*est, refine_fraction=-0.1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="empty estimate"):
         mark(*_fake_estimate({}))
 
 
@@ -73,6 +115,7 @@ def test_csv_rows_are_deterministic(tmp_path):
                                         block_sizes=[40, 30, 30], fill=[300, 300, 300],
                                         factored=[40, 30, 30]))
     assert rec.csv_row() == "0,4,100,0.5,nan,nan,0"
+    assert replace(rec, eff_index=math.inf).csv_row() == "0,4,100,0.5,nan,inf,0"
     p = tmp_path / "study.csv"
     write_csv([rec], p)
     text = p.read_text()
@@ -103,23 +146,6 @@ def test_run_study_uniform_growth():
     assert records[1].n_elements == 2 * mesh.n_children()
     # linear exact solution: zero error on every cycle
     assert all(r.true_error <= 1e-9 for r in records)
-
-
-def test_run_study_without_exact_solution(tmp_path):
-    # the data of u = t*x1, from a spec that states no exact solution
-    base = from_symbolic("noexact", 1, 0.5, "t*x1", ["1"], [0.0], [1.0])
-
-    class DataOnly(ProblemSpec):
-        def initial_data(self, pts):
-            return base.exact(pts)
-
-        dirichlet_data = initial_data
-
-    spec = DataOnly(**{**vars(base), "exact_jet": None})
-    assert spec.exact_jet is None
-    records, _ = run_study(spec, "amr", cycles=2, p_s=1, n_slabs=1, n_cells=2)
-    assert all(math.isnan(r.true_error) for r in records)
-    assert all(math.isnan(r.eff_index) for r in records)
 
 
 def test_run_study_flushes_partial_csv_on_failure(tmp_path, monkeypatch):

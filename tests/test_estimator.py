@@ -96,8 +96,6 @@ def test_estimator_matches_dense_oracle(rng):
     # oracle runs at its double-order default; for transcendental data the
     # two must instead be evaluated on the same rule
     for spec, mesh, p_s in regression_systems():
-        if spec.exact_jet is None:
-            continue
         poly = spec.name.startswith(("poly", "linear"))
         sys = assemble(spec, mesh, p_s)
         for _ in range(2):

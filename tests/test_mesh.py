@@ -22,6 +22,12 @@ def _children(mesh, parent):
     return mesh.etab.id[mesh.etab.parent == parent].tolist()
 
 
+def _was_refined(mesh, eid):
+    """eid is gone and all of its children are in the mesh."""
+    kids = child_id(eid, np.arange(mesh.n_children())).tolist()
+    return eid not in mesh.etab.id and sorted(_children(mesh, eid)) == sorted(kids)
+
+
 def test_build_counts_and_geometry():
     mesh = SpaceTimeMesh.build(2, 3, 4, t_final=2.0, x_lo=[-1, 0], x_hi=[1, 3])
     assert mesh.n_elements == 3 * 16
@@ -73,11 +79,9 @@ def test_facet_geometry_consistency():
 def test_refine_single_element():
     mesh = SpaceTimeMesh.build(1, 2, 2)
     target = int(mesh.etab.id[0])
-    rep = mesh.refine_and_coarsen([target])
-    assert rep.refined == [target]
-    assert rep.closure_refined == []
-    assert mesh.n_elements == 3 + mesh.n_children()
-    assert target not in mesh.etab.id
+    mesh.refine_and_coarsen([target])
+    assert _was_refined(mesh, target)
+    assert mesh.n_elements == 3 + mesh.n_children()  # no closure
     mesh.validate()
     assert _max_facet_jump(mesh) <= 1
 
@@ -97,14 +101,15 @@ def test_children_tile_parent():
 
 def test_closure_enforces_one_irregularity():
     mesh = SpaceTimeMesh.build(1, 1, 2)
-    left = mesh.etab.id[np.argmin(mesh.etab.lo[:, 1])]
+    left, right = mesh.etab.id[np.argsort(mesh.etab.lo[:, 1])].tolist()
     mesh.refine_and_coarsen([left])
     # refine a left child sitting on the interface: the coarse right
     # neighbor must be pulled in by closure
     e = mesh.etab
-    kid = e.id[(e.level == 1) & (np.abs(e.hi[:, 1] - 0.5) < 1e-14)][0]
-    rep = mesh.refine_and_coarsen([kid])
-    assert len(rep.closure_refined) >= 1
+    kid = int(e.id[(e.level == 1) & (np.abs(e.hi[:, 1] - 0.5) < 1e-14)][0])
+    mesh.refine_and_coarsen([kid])
+    assert _was_refined(mesh, kid)
+    assert _was_refined(mesh, right)
     assert _max_facet_jump(mesh) <= 1
     mesh.validate()
 
@@ -114,8 +119,8 @@ def test_coarsen_restores_parent():
     target = int(mesh.etab.id[0])
     el0 = elements(mesh)[target]
     mesh.refine_and_coarsen([target])
-    rep = mesh.refine_and_coarsen([], _children(mesh, target))
-    assert rep.coarsened_parents == [target]
+    mesh.refine_and_coarsen([], _children(mesh, target))
+    assert target in mesh.etab.id and _children(mesh, target) == []
     assert mesh.n_elements == 4
     el = elements(mesh)[target]
     assert np.allclose(el.lo, el0.lo)
@@ -128,9 +133,8 @@ def test_partial_sibling_group_is_skipped():
     target = int(mesh.etab.id[0])
     mesh.refine_and_coarsen([target])
     kids = sorted(_children(mesh, target))
-    rep = mesh.refine_and_coarsen([], kids[:-1])
-    assert rep.coarsened_parents == []
-    assert rep.skipped_coarsen == kids[:-1]
+    mesh.refine_and_coarsen([], kids[:-1])
+    assert sorted(_children(mesh, target)) == kids
     assert target not in mesh.etab.id
 
 
@@ -143,9 +147,9 @@ def test_coarsen_blocked_by_level_jump():
     kid_b = e.id[(e.parent == b) & (np.abs(e.lo[:, 1] - 0.5) < 1e-14)][0]
     mesh.refine_and_coarsen([kid_b])
     kids_a = _children(mesh, a)
-    rep = mesh.refine_and_coarsen([], kids_a)
-    assert rep.coarsened_parents == []
-    assert sorted(rep.skipped_coarsen) == sorted(kids_a)
+    mesh.refine_and_coarsen([], kids_a)
+    assert sorted(_children(mesh, a)) == sorted(kids_a)
+    assert a not in mesh.etab.id
     assert _max_facet_jump(mesh) <= 1
 
 
@@ -154,17 +158,33 @@ def test_refinement_wins_over_coarsening():
     target = int(mesh.etab.id[0])
     mesh.refine_and_coarsen([target])
     kids = _children(mesh, target)
-    rep = mesh.refine_and_coarsen(kids[:1], kids)
-    assert rep.coarsened_parents == []
-    assert kids[0] not in mesh.etab.id  # it was refined
+    mesh.refine_and_coarsen(kids[:1], kids)
+    assert target not in mesh.etab.id
+    assert _was_refined(mesh, kids[0])
+    assert _children(mesh, target) == kids[1:]
 
 
 def test_refine_uniform_counts():
     mesh = SpaceTimeMesh.build(2, 1, 1)
     n0 = mesh.n_elements
-    mesh.refine_uniform(2)
+    mesh.refine_uniform()
+    mesh.refine_uniform()
     assert mesh.n_elements == n0 * mesh.n_children() ** 2
     mesh.validate()
+
+
+def test_unknown_ids_are_rejected_before_any_change():
+    mesh = SpaceTimeMesh.build(1, 2, 2)
+    target = int(mesh.etab.id[0])
+    mesh.refine_and_coarsen([target])
+    etab, ftab = mesh.etab, mesh.ftab
+    kids = _children(mesh, target)
+    for marks in (([target], []), ([kids[0]], [target]), ([], kids + [target])):
+        with pytest.raises(ValueError, match=f"no element with id {target}"):
+            mesh.refine_and_coarsen(*marks)
+        assert mesh.etab is etab and mesh.ftab is ftab
+    with pytest.raises(ValueError, match="no element with id"):
+        mesh.refine_and_coarsen({int(mesh.etab.id.max()) + 1})
 
 
 def test_element_ids_deterministic():
@@ -189,8 +209,8 @@ def test_element_rows_are_in_ascending_id_order():
     target = int(mesh.etab.id[0])
     mesh.refine_and_coarsen([target, int(mesh.etab.id[-1])])
     assert ascending(mesh)
-    rep = mesh.refine_and_coarsen([], _children(mesh, target))
-    assert rep.coarsened_parents == [target]
+    mesh.refine_and_coarsen([], _children(mesh, target))
+    assert target in mesh.etab.id
     assert ascending(mesh)
     assert ascending(build_subgrid(mesh).fine)
     for policy in ("h", "h2"):

@@ -229,7 +229,7 @@ def test_refined_slabs_split_into_time_layers():
     # so no level holds a whole slab
     spec = poly_problem(1)
     mesh = SpaceTimeMesh.build(1, 2, 2)
-    mesh.refine_uniform(1)
+    mesh.refine_uniform()
     sys = assemble(spec, mesh, 1)
     _, rep = solve(sys)
     assert rep.n_blocks > 2
