@@ -64,10 +64,13 @@ class StudyRecord:
 
 
 def _round_12(v: np.ndarray) -> np.ndarray:
-    """v rounded to 12 significant decimal digits; 0, inf and nan kept."""
+    """v rounded to 12 significant decimal digits; 0, inf and nan kept.
+    Below about 1e-297 the scale 10^e overflows, so 10^(e - 308) of it is
+    applied in a second step."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        scale = 10.0 ** (11 - np.floor(np.log10(np.abs(v))))
-        r = np.round(v * scale) / scale
+        e = 11 - np.floor(np.log10(np.abs(v)))
+        e2 = np.maximum(e - 308, 0)
+        r = np.round(v * 10.0 ** (e - e2) * 10.0 ** e2) / 10.0 ** e2 / 10.0 ** (e - e2)
     return np.where(np.isfinite(r), r, v)
 
 

@@ -350,15 +350,27 @@ class AssembledSystem:
         return self.dofmap.n_dofs
 
     def free_mask(self) -> np.ndarray:
-        mask = np.ones(self.n_dofs, dtype=bool)
-        mask[self.dirichlet_idx] = False
-        return mask
+        """True on free rows; read-only, built once per system."""
+        return self._free_mask
 
     def dirichlet_rhs(self) -> np.ndarray:
         """Right-hand side of the Dirichlet system: b on free rows, the
-        projected boundary values on constrained rows."""
+        projected boundary values on constrained rows; read-only, built once
+        per system."""
+        return self._dirichlet_rhs
+
+    @cached_property
+    def _free_mask(self) -> np.ndarray:
+        mask = np.ones(self.n_dofs, dtype=bool)
+        mask[self.dirichlet_idx] = False
+        mask.flags.writeable = False
+        return mask
+
+    @cached_property
+    def _dirichlet_rhs(self) -> np.ndarray:
         b_bc = self.free_mask() * self.b
         b_bc[self.dirichlet_idx] = self.dirichlet_values
+        b_bc.flags.writeable = False
         return b_bc
 
 

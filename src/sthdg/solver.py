@@ -30,21 +30,22 @@ The solver reads one thing of the discretization beyond the matrix: the
 dof numbering of `DofMap`, element dofs first and then the dofs of each
 facet in one run.  A facet's unknowns couple only with each other and with
 the elements on its two sides, so the facet-facet block of a level, D =
-B_FF, is block diagonal with one small SPD block per facet.  A level of at
-least `_CONDENSE_MIN[p_s]` dofs that holds element and facet dofs inverts
-those blocks (batched by size) and factors the element Schur complement
+B_FF, is block diagonal with one small SPD block per facet.  At p_s = 1
+every facet carries 2^d dofs, and a level of at least `_CONDENSE_MIN` dofs
+that holds element and facet dofs inverts those blocks in one batch of
+equal dense blocks and factors the element Schur complement
 
     S = B_EE - B_EF D^-1 B_FE,   S z_E = rhs_E - B_EF D^-1 rhs_F,
 
-then takes z_F = D^-1 (rhs_F - B_FE z_E) from its facet rows, gathered
-again after the LU so that only S and its factors are alive through it.
-The reverse, condensing the element dofs onto the facets, gives a Schur
-complement with about 11 times the nonzeros of B_FF and was rejected.
-On the p_s = 1 pulse ladder S stores 2-24 % less fill than the whole
-level and, with the cost of forming it, is not slower from about 7,000
-dofs.  At p_s = 2 it was slower on all but two of the levels measured
-(3.5k-51k dofs), so those levels, like all smaller ones, are factored
-whole.
+then takes z_F = D^-1 (rhs_F - B_FE z_E) with the same D^-1 from its facet
+rows, gathered again after the LU so that only S, its factors and D^-1 are
+alive through it.  The reverse, condensing the element dofs onto the
+facets, gives a Schur complement with about 11 times the nonzeros of B_FF
+and was rejected.  On the p_s = 1 pulse ladder S stores 2-24 % less fill
+than the whole level and, with the cost of forming it, is not slower from
+about 7,000 dofs.  At p_s = 2 it was slower on all but two of the levels
+measured (3.5k-51k dofs), so levels of p_s >= 2, like all smaller ones,
+are factored whole.
 
 Each level, or its S, is factored by SuperLU in its symmetric mode (X. S.
 Li, "An overview of SuperLU", ACM TOMS 31(3), 2005): columns ordered by minimum
@@ -68,7 +69,6 @@ the call (the `solve:` log line times it on its own).
 from __future__ import annotations
 
 import logging
-import math
 import time
 from dataclasses import dataclass
 
@@ -81,9 +81,9 @@ from .assembly import AssembledSystem, apply_dirichlet
 
 RESIDUAL_TOL = 1e-10
 _CHUNK = 1 << 14  # entries per pass over the matrix in `causal_levels`
-# dofs from which a level is factored on its element Schur complement, by
-# p_s (measured on the pulse ladder); levels of other degrees are factored whole
-_CONDENSE_MIN = {1: 7000}
+# dofs from which a p_s = 1 level is factored on its element Schur complement
+# (measured on the pulse ladder); levels of higher degree are factored whole
+_CONDENSE_MIN = 7000
 
 log = logging.getLogger(__name__)
 
@@ -178,49 +178,20 @@ def causal_levels(A: sp.csr_matrix, free: np.ndarray) -> np.ndarray:
     return level[comp]
 
 
-def _facet_inverse(B_FF: sp.csr_matrix, facet: np.ndarray) -> sp.csr_matrix:
-    """Inverse of B_FF, which couples the dofs of each facet only with each
-    other: one dense inverse per facet, batched by block size.  `facet` is
-    the facet of each row, ascending, so a facet's dofs are one run."""
-    start = np.flatnonzero(np.r_[True, facet[1:] != facet[:-1]])
-    size = np.diff(np.r_[start, len(facet)])
-    blk = np.repeat(np.arange(len(start)), size)  # block of each row
-    off = np.arange(len(facet)) - start[blk]  # its offset in the block
+def _facet_inverse(B_FF: sp.csr_matrix, k: int) -> sp.csr_matrix:
+    """Inverse of B_FF, whose dofs are runs of k, one run per facet, coupled
+    only within their run: one batch of dense k x k inverses."""
+    n = B_FF.shape[0]
     coo = B_FF.tocoo()
-    rows, cols, vals = [], [], []
-    for k in np.unique(size).tolist():
-        sel = size == k
-        rank = np.cumsum(sel) - 1  # position among the blocks of size k
-        on = sel[blk[coo.row]]
-        r, c = coo.row[on], coo.col[on]
-        D = np.zeros((np.count_nonzero(sel), k, k))
-        D[rank[blk[r]], off[r], off[c]] = coo.data[on]
-        try:
-            vals.append(np.linalg.inv(D).reshape(-1))
-        except np.linalg.LinAlgError as exc:
-            raise SolverError(f"singular facet block: {exc}") from exc
-        dofs = start[sel][:, None] + np.arange(k)
-        rows.append(np.repeat(dofs, k, axis=1).reshape(-1))
-        cols.append(np.tile(dofs, k).reshape(-1))
-    n = len(facet)
-    return sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+    D = np.zeros((n // k, k, k))
+    D[coo.row // k, coo.row % k, coo.col % k] = coo.data
+    try:
+        D_inv = np.linalg.inv(D)
+    except np.linalg.LinAlgError as exc:
+        raise SolverError(f"singular facet block: {exc}") from exc
+    cols = np.repeat(np.arange(n).reshape(-1, k), k, axis=0)  # its facet's dofs, per row
+    return sp.csr_matrix((D_inv.reshape(-1), cols.reshape(-1), np.arange(0, n * k + 1, k)),
                          shape=(n, n))
-
-
-def _schur(block: sp.csc_matrix, rhs: np.ndarray, m_e: int, facet: np.ndarray,
-           ) -> tuple[sp.csc_matrix, np.ndarray]:
-    """The element Schur complement S = B_EE - B_EF D^-1 B_FE of a level
-    block whose first m_e dofs are element dofs and whose facet block D =
-    B_FF is block diagonal, and its right-hand side rhs_E - B_EF D^-1 rhs_F.
-    S is taken as [B_EE B_EF] [I; -D^-1 B_FE], so B_EF D^-1 B_FE is never
-    held beside S."""
-    D_inv = _facet_inverse(block[m_e:, m_e:], facet)
-    top = block[:m_e]
-    r_E = rhs[:m_e] - top[:, m_e:] @ (D_inv @ rhs[m_e:])
-    lift = sp.vstack((sp.identity(m_e, format="csc"), -(D_inv @ block[m_e:, :m_e])),
-                     format="csc")
-    del D_inv
-    return top @ lift, r_E
 
 
 def solve(sys: AssembledSystem) -> tuple[np.ndarray, SolveReport]:
@@ -231,6 +202,7 @@ def solve(sys: AssembledSystem) -> tuple[np.ndarray, SolveReport]:
     order = np.argsort(level, kind="stable")  # ascending dof ids within each level
     bounds = np.concatenate(([0], np.cumsum(np.bincount(level))))
     x = np.zeros(sys.n_dofs)
+    k = 2 ** dm.mesh.d  # dofs of every facet at p_s = 1
     nnz, fill, factored = 0, [], []
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         idx = order[lo:hi]
@@ -240,21 +212,25 @@ def solve(sys: AssembledSystem) -> tuple[np.ndarray, SolveReport]:
         rhs = b_lvl - rows @ x  # x is zero on this and later levels
         block = rows[:, idx].tocsc()
         del rows  # free the level's rows before its LU ...
-        if len(idx) < _CONDENSE_MIN.get(dm.p_s, math.inf) or m_e in (0, len(idx)):
+        if dm.p_s > 1 or len(idx) < _CONDENSE_MIN or m_e in (0, len(idx)):
             x[idx], nnz_lu = _lu_solve(block, rhs)
             del block  # ... and its block before the next level's gathers
             factored.append(len(idx))
         else:
-            E, F = idx[:m_e], idx[m_e:]
-            facet = np.searchsorted(dm.facet_dof, F, side="right") - 1
-            S, r_E = _schur(block, rhs, m_e, facet)
-            del block  # only S is alive through its LU
-            x[E], nnz_lu = _lu_solve(S, r_E)
+            # S = B_EE - B_EF D^-1 B_FE, taken as [B_EE B_EF] [I; -D^-1 B_FE]
+            # so that B_EF D^-1 B_FE is never held beside S
+            D_inv = _facet_inverse(block[m_e:, m_e:], k)
+            top = block[:m_e]
+            r_E = rhs[:m_e] - top[:, m_e:] @ (D_inv @ rhs[m_e:])
+            S = top @ sp.vstack((sp.identity(m_e, format="csc"),
+                                 -(D_inv @ block[m_e:, :m_e])), format="csc")
+            del block, top  # only S and D^-1 are alive through its LU
+            x[idx[:m_e]], nnz_lu = _lu_solve(S, r_E)
             del S
             # z_F = D^-1 (rhs_F - B_FE z_E), from the facet rows gathered again
-            rows, b_F = apply_dirichlet(sys, F)
-            x[F] = _facet_inverse(rows[:, F], facet) @ (b_F - rows @ x)
-            del rows
+            rows, b_F = apply_dirichlet(sys, idx[m_e:])
+            x[idx[m_e:]] = D_inv @ (b_F - rows @ x)
+            del rows, D_inv
             factored.append(m_e)
         fill.append(nnz_lu)
     rep = SolveReport(n_dofs=sys.n_dofs, nnz=nnz, residual=_check_residual(sys, x),

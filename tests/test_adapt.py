@@ -1,4 +1,5 @@
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -44,14 +45,15 @@ def test_mark_orders_by_indicator():
 def test_mark_ignores_last_bit_differences_at_the_cut():
     # mirror-image elements whose eta_K differ by 1 ulp straddle the cut
     # (ceil(0.25*8)=2 refined): the lower id is refined whichever of the two
-    # sums came out larger
-    e = 0.5083427265643041
-    up = np.nextafter(e, 1.0)
-    for a, b in ((e, up), (up, e)):
-        est = _fake_estimate({0: 0.1, 1: 0.2, 2: 0.3, 3: 2.0,
-                              4: 0.05, 5: a, 6: 0.4, 7: b})
-        refine, _ = mark(*est)
-        assert refine == [3, 5]
+    # sums came out larger, also where the indicators are tiny
+    for scale in (1.0, 1e-300):
+        e = 0.5083427265643041 * scale
+        up = np.nextafter(e, 1.0)
+        for a, b in ((e, up), (up, e)):
+            est = _fake_estimate({0: 0.1 * scale, 1: 0.2 * scale, 2: 0.3 * scale,
+                                  3: 2.0 * scale, 4: 0.05 * scale, 5: a, 6: 0.4 * scale, 7: b})
+            refine, _ = mark(*est)
+            assert refine == [3, 5], scale
 
 
 def test_mark_keeps_zero_and_tiny_indicators_ordered():
@@ -69,16 +71,16 @@ def test_mark_keeps_zero_and_tiny_indicators_ordered():
 def _estimates(draw):
     """(eta_K, ids) as `mark` takes them, ids ascending as in `mesh.etab.id`.
 
-    Indicators come from a few bases k * 10^j and their neighbours up to two
-    ulps away, which round to the same 12 digits, plus zeros and a few
-    distinct subnormal and tiny values."""
-    nice = st.builds(lambda k, j: k * 10.0**j, st.integers(1, 999), st.integers(-290, 5))
+    Indicators come from a few bases k * 10^j, down to tiny normal values,
+    and their neighbours up to two ulps away, which round to the same 12
+    digits, plus zeros, 1e-300 and two distinct subnormal values."""
+    nice = st.builds(lambda k, j: k * 10.0**j, st.integers(1, 999), st.integers(-307, 5))
     pool = draw(st.lists(nice, min_size=1, max_size=4)) + [0.0, 5e-324, 1e-320, 1e-300]
     n = draw(st.integers(1, 40))
     eta = []
     for _ in range(n):
         v = draw(st.sampled_from(pool))
-        ulps = draw(st.integers(-2, 2)) if v > 1e-290 else 0
+        ulps = draw(st.integers(-2, 2)) if v >= sys.float_info.min else 0
         for _ in range(abs(ulps)):
             v = np.nextafter(v, math.copysign(math.inf, ulps))
         eta.append(v)

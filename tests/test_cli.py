@@ -266,8 +266,8 @@ def test_run_json_holds_each_cycle_solve_report(tmp_path, monkeypatch, capsys):
     from sthdg.solver import causal_levels
 
     # every level that holds element and facet dofs is factored on its
-    # element Schur complement
-    monkeypatch.setattr(solver, "_CONDENSE_MIN", {1: 0})
+    # element Schur complement (the study runs p_s = 1)
+    monkeypatch.setattr(solver, "_CONDENSE_MIN", 0)
     seen, mixed = [], []  # each cycle's report, and which of its levels are mixed
     run_study = adapt_mod.run_study
 

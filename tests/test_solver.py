@@ -8,7 +8,7 @@ import scipy.sparse.linalg as spla
 from scipy.sparse import csgraph
 
 from sthdg.adapt import run_study
-from sthdg.assembly import apply_dirichlet, assemble
+from sthdg.assembly import AssembledSystem, apply_dirichlet, assemble
 from sthdg.mesh import SpaceTimeMesh
 from sthdg.problem import get_problem
 from sthdg import solver
@@ -101,9 +101,9 @@ def test_solve_is_the_permuted_copy_substitution_bit_for_bit():
 
 @pytest.fixture
 def condense_all(monkeypatch):
-    """Factor every level that holds element and facet dofs on its element
-    Schur complement, whatever its size."""
-    monkeypatch.setattr(solver, "_CONDENSE_MIN", {1: 0, 2: 0})
+    """Factor every p_s = 1 level that holds element and facet dofs on its
+    element Schur complement, whatever its size."""
+    monkeypatch.setattr(solver, "_CONDENSE_MIN", 0)
 
 
 def _condensed_systems():
@@ -120,8 +120,10 @@ def test_condensed_levels_match_the_oracle(condense_all):
         want = oracle_block_solve(sys)
         assert np.max(np.abs(x - want)) <= 1e-12 * np.max(np.abs(want)), name
         assert rep.residual <= 1e-10, name
-        # some level was condensed: SuperLU factored its element dofs alone
-        assert any(f < n for f, n in zip(rep.factored, rep.block_sizes)), name
+        # at p_s = 1 some level was condensed: SuperLU factored its element
+        # dofs alone; at p_s = 2 every level is factored whole
+        condensed = any(f < n for f, n in zip(rep.factored, rep.block_sizes))
+        assert condensed == (sys.dofmap.p_s == 1), name
 
 
 def test_small_levels_are_factored_whole():
@@ -159,8 +161,9 @@ def test_singular_element_schur_complement_raises_solver_error(condense_all, mon
                           A.indices[A.indptr[j]:A.indptr[j + 1]])
     A.data[A.indptr[j]:A.indptr[j + 1]] = A.data[A.indptr[i]:A.indptr[i + 1]]
     assert sys.b[i] != sys.b[j]
-    schur, calls = solver._schur, []
-    monkeypatch.setattr(solver, "_schur", lambda *a: calls.append(a) or schur(*a))
+    facet_inverse, calls = solver._facet_inverse, []
+    monkeypatch.setattr(solver, "_facet_inverse",
+                        lambda *a: calls.append(a) or facet_inverse(*a))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         with pytest.raises(SolverError):
@@ -213,6 +216,21 @@ def test_condensed_solve_builds_no_whole_dirichlet_matrix(pulse_cycle4, condense
     assert _traced_peak(solve, sys) <= 1.4 * _nbytes(sys.A)
 
 
+def test_condensed_level_inverts_its_facet_blocks_once(pulse_cycle4, condense_all,
+                                                       monkeypatch):
+    # one call of _facet_inverse, and one batched inverse in it, per
+    # condensed level: z_F reuses the D^-1 that formed S
+    facet_inverse, inv, calls, invs = solver._facet_inverse, np.linalg.inv, [], []
+    monkeypatch.setattr(solver, "_facet_inverse",
+                        lambda *a: calls.append(a[1]) or facet_inverse(*a))
+    monkeypatch.setattr(np.linalg, "inv", lambda D: invs.append(D.shape) or inv(D))
+    _, rep = solve(pulse_cycle4)
+    n_condensed = sum(f < n for f, n in zip(rep.factored, rep.block_sizes))
+    assert n_condensed >= 2
+    assert calls == [4] * n_condensed  # 2^d dofs on every facet at p_s = 1
+    assert len(invs) == n_condensed and all(shape[1:] == (4, 4) for shape in invs)
+
+
 def test_causal_levels_makes_no_copy_of_the_matrix(pulse_cycle4):
     # traced peak over the bytes of A_bc: 1.21 with a COO copy of A_bc, 0.88
     # with the component pairs read from the CSR arrays, 0.68 on the raw
@@ -222,6 +240,20 @@ def test_causal_levels_makes_no_copy_of_the_matrix(pulse_cycle4):
     limit = 1.0 * _nbytes(A_bc)
     del A_bc
     assert _traced_peak(causal_levels, sys.A, sys.free_mask()) <= limit
+
+
+def test_solve_builds_the_dirichlet_arrays_once(monkeypatch):
+    # the free mask and the Dirichlet right-hand side are built once per
+    # system, not once per causal level, and nothing can write to them
+    built = []
+    for name in ("_free_mask", "_dirichlet_rhs"):
+        prop = getattr(AssembledSystem, name)
+        monkeypatch.setattr(prop, "func", lambda s, f=prop.func, n=name: built.append(n) or f(s))
+    sys = assemble(get_problem("sine", eps=0.1, d=1), SpaceTimeMesh.build(1, 8, 4), 1)
+    _, rep = solve(sys)
+    assert rep.n_blocks > 8
+    assert sorted(built) == ["_dirichlet_rhs", "_free_mask"]
+    assert not sys.free_mask().flags.writeable and not sys.dirichlet_rhs().flags.writeable
 
 
 def test_refined_slabs_split_into_time_layers():
