@@ -18,11 +18,11 @@ with grad the spatial gradient, alpha = 8 p_s^2 the interior-penalty weight
 
 where beta_s := sup_F |beta.n| per facet and zeta+ is the pointwise outflow
 indicator.  The right-hand side is (f, v)_T + <g, mu>_bdyN, where g is the
-initial data on the initial plane and 0 on the final one.  Dirichlet facet
-unknowns are constrained to the facet-wise L2 projection of the boundary
-data; `apply_dirichlet` replaces their rows by the identity, in the whole
-system or in a given set of rows only (the solver asks for one causal
-level's rows at a time).
+initial data on the initial plane and 0 on the final one.  The values of
+the Dirichlet facet dofs are the facet-wise L2 projection of the boundary
+data (`dirichlet_idx`, `dirichlet_values`): data, not unknowns.  The solver
+sets them and solves for the free unknowns only, whose rows
+`apply_dirichlet` cuts from A one causal level at a time.
 
 Dof ordering: all element dofs first, then facet dofs, each in the row
 order of its mesh table (ids ascending).  Entities are addressed by their
@@ -353,12 +353,6 @@ class AssembledSystem:
         """True on free rows; read-only, built once per system."""
         return self._free_mask
 
-    def dirichlet_rhs(self) -> np.ndarray:
-        """Right-hand side of the Dirichlet system: b on free rows, the
-        projected boundary values on constrained rows; read-only, built once
-        per system."""
-        return self._dirichlet_rhs
-
     @cached_property
     def _free_mask(self) -> np.ndarray:
         mask = np.ones(self.n_dofs, dtype=bool)
@@ -366,35 +360,17 @@ class AssembledSystem:
         mask.flags.writeable = False
         return mask
 
-    @cached_property
-    def _dirichlet_rhs(self) -> np.ndarray:
-        b_bc = self.free_mask() * self.b
-        b_bc[self.dirichlet_idx] = self.dirichlet_values
-        b_bc.flags.writeable = False
-        return b_bc
 
+def apply_dirichlet(sys: AssembledSystem, rows: np.ndarray) -> tuple[sp.csr_matrix, np.ndarray]:
+    """Rows `rows` (free dofs, in that order) of A, explicit zeros dropped
+    so that each row holds true couplings only, and of b.
 
-def apply_dirichlet(sys: AssembledSystem, rows: np.ndarray | None = None,
-                    ) -> tuple[sp.csr_matrix, np.ndarray]:
-    """Replace constrained rows by identity with projected boundary values;
-    explicit zeros are dropped, so each row holds true couplings only.
-
-    With `rows` (an array of dof indices) only those rows of the Dirichlet
-    system are built, in that order: the same arrays, byte for byte, as the
-    matching rows of the whole system, without a whole copy of the matrix."""
-    rows = np.arange(sys.n_dofs) if rows is None else rows
-    A, free, b_bc = sys.A[rows], sys.free_mask()[rows], sys.dirichlet_rhs()[rows]
-    if free.all():  # nothing to insert: drop the zeros, keeping the order
-        A.eliminate_zeros()
-        return A, b_bc
-    keep = np.repeat(free, np.diff(A.indptr)) & (A.data != 0)
-    kept = np.concatenate(([0], np.cumsum(keep)))[A.indptr]  # kept entries before each row
-    at = kept[np.flatnonzero(~free)]  # these keep nothing: the 1 is their only entry
-    indptr = kept + np.concatenate(([0], np.cumsum(~free)))
-    A_bc = sp.csr_matrix((np.insert(A.data[keep], at, 1.0),
-                          np.insert(A.indices[keep], at, rows[~free]),
-                          indptr.astype(A.indptr.dtype)), shape=A.shape)
-    return A_bc, b_bc
+    The constrained dofs are data, not unknowns, so no identity row is built.
+    The name stays because this is the step that cuts a causal level's rows
+    from A, and `perfbench/tracer.py` times the gathers under it."""
+    A = sys.A[rows]
+    A.eliminate_zeros()
+    return A, sys.b[rows]
 
 
 def default_quad_n(p_s: int) -> int:

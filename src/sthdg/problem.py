@@ -109,7 +109,6 @@ def from_closed_form(
     x_lo,
     x_hi,
     homogeneous: bool = False,
-    dirichlet_lateral: bool = True,
 ) -> ProblemSpec:
     """Build a ProblemSpec from a closed form of the exact solution.
 
@@ -145,7 +144,6 @@ def from_closed_form(
         name=name, d=d, eps=eps, t_final=1.0,
         x_lo=np.asarray(x_lo, dtype=float), x_hi=np.asarray(x_hi, dtype=float),
         beta_bar=beta_bar, f=f, exact_jet=exact_jet,
-        dirichlet_lateral=dirichlet_lateral,
     )
 
 
@@ -235,7 +233,7 @@ def linear_exact(d: int, eps: float = 1.0) -> ProblemSpec:
     )
 
 
-def sine_product(d: int, eps: float, dirichlet_lateral: bool = True) -> ProblemSpec:
+def sine_product(d: int, eps: float) -> ProblemSpec:
     """Smooth manufactured solution, homogeneous on the lateral boundary.
 
     u = (1 + t/2) sin(pi x_1) .. sin(pi x_d).
@@ -252,7 +250,7 @@ def sine_product(d: int, eps: float, dirichlet_lateral: bool = True) -> ProblemS
 
     return from_closed_form(
         f"sine-{d}d", d, eps, closed_form, _unit_diagonal,
-        x_lo=[0.0] * d, x_hi=[1.0] * d, dirichlet_lateral=dirichlet_lateral,
+        x_lo=[0.0] * d, x_hi=[1.0] * d,
     )
 
 

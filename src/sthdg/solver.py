@@ -3,7 +3,7 @@
 With the upwind flux in time an unknown depends only on unknowns at the same
 or earlier times, so some symmetric permutation makes the system matrix
 block lower triangular (the Duff-Reid block-triangular form).  The solver
-finds that order from the sparsity graph of the Dirichlet system, with an
+finds that order from the sparsity graph of the assembled matrix, with an
 edge i -> j where row i reads unknown j, and assumes nothing about the mesh:
 
 * a block is a strongly connected component of that graph; its unknowns
@@ -13,18 +13,20 @@ edge i -> j where row i reads unknown j, and assumes nothing about the mesh:
   depends on.  Blocks of one level do not depend on each other, so the
   diagonal submatrix of a level is block diagonal.
 
-The solver reads the assembled matrix `sys.A` as it is, with its stored
-zeros and its raw Dirichlet rows.  Its graph has an edge i -> j for every
-nonzero A[i, j] in a free row; a constrained row reads nothing, since its
-unknown is the projected boundary value.  The levels are
-forward-substituted in order with one sparse LU each.  A level's rows of
-the Dirichlet system are cut from `sys.A` by `apply_dirichlet(sys, rows)`,
-in ascending dof order, and its diagonal block is cut from them.  No whole
-Dirichlet copy of the matrix and no permuted copy are made, and the
-solution keeps the original numbering.  Causality keeps the blocks small:
-later time slabs, and after temporal refinement later time layers of a
-slab, depend only on earlier ones.  A system without such structure is
-solved as a single block; there is no mode to choose.
+The projected Dirichlet values are data, not unknowns: `solve` writes them
+into x first and solves for the free unknowns only.  The graph is that of
+`sys.A` as it is, with its stored zeros and its Dirichlet rows: an edge
+i -> j for every nonzero A[i, j].  A Dirichlet facet couples only with its
+one owner element, so it joins that element's block and merges no others,
+and `solve` drops the constrained dofs from the level order.  The levels
+are forward-substituted in order with one sparse LU each.  A level's rows
+are cut from `sys.A` by `apply_dirichlet(sys, rows)`, in ascending dof
+order, and its diagonal block is cut from them.  No whole copy of the
+matrix and no permuted copy are made, and the solution keeps the original
+numbering.  Causality keeps the blocks small: later time slabs, and after
+temporal refinement later time layers of a slab, depend only on earlier
+ones.  A system without such structure is solved as a single block; there
+is no mode to choose.
 
 The solver reads one thing of the discretization beyond the matrix: the
 dof numbering of `DofMap`, element dofs first and then the dofs of each
@@ -58,12 +60,13 @@ full Dirichlet system, A x - b on free rows and x - g on constrained rows, is
 checked to 1e-10.  Running out of memory or a failed factorization is
 reported as SolverError, and so is a singular facet block.
 
-`solve` returns a `SolveReport`: the dofs, the nnz of the level rows and the
-residual, and for each level in solve order its dofs, the entries SuperLU
-stored for its factors and the dofs it factored.  A level was factored on
-its Schur complement exactly where it factored fewer dofs than it holds, so
-the report names no method; it holds no time either, since its callers time
-the call (the `solve:` log line times it on its own).
+`solve` returns a `SolveReport`: the dofs, the nnz of the free rows and the
+residual, and for each level in solve order its free dofs, the entries
+SuperLU stored for its factors and the dofs it factored; the constrained
+dofs are in no level.  A level was factored on its Schur complement exactly
+where it factored fewer dofs than it holds, so the report names no method;
+it holds no time either, since its callers time the call (the `solve:` log
+line times it on its own).
 """
 
 from __future__ import annotations
@@ -97,7 +100,7 @@ class SolveReport:
     n_dofs: int
     nnz: int
     residual: float
-    block_sizes: list[int]  # dofs of each level, in solve order
+    block_sizes: list[int]  # free dofs of each level, in solve order
     fill: list[int]  # entries stored for each level's L and U, in solve order
     factored: list[int]  # dofs SuperLU factored for each level, in solve order
 
@@ -110,7 +113,8 @@ class SolveReport:
 def _check_residual(sys: AssembledSystem, x: np.ndarray) -> float:
     """Relative residual of the Dirichlet system, from the raw matrix: A x - b
     on free rows and x - g on constrained rows."""
-    b_bc = sys.dirichlet_rhs()
+    b_bc = sys.b.copy()  # b on free rows, g on constrained rows
+    b_bc[sys.dirichlet_idx] = sys.dirichlet_values
     r = sys.A @ x - b_bc
     r[sys.dirichlet_idx] = x[sys.dirichlet_idx] - sys.dirichlet_values
     denom = np.linalg.norm(b_bc)
@@ -136,10 +140,9 @@ def _lu_solve(A: sp.spmatrix, b: np.ndarray) -> tuple[np.ndarray, int]:
         raise SolverError(f"sparse LU failed: {type(exc).__name__}: {exc}") from exc
 
 
-def causal_levels(A: sp.csr_matrix, free: np.ndarray) -> np.ndarray:
-    """Level of every unknown in the block-triangular order of the Dirichlet
-    system of A: a free row i reads unknown j where A[i, j] != 0, and a
-    constrained row reads nothing."""
+def causal_levels(A: sp.csr_matrix) -> np.ndarray:
+    """Level of every unknown in the block-triangular order of A: row i
+    reads unknown j where A[i, j] != 0."""
     n, ptr = A.shape[0], A.indptr
     cuts = np.unique(np.r_[0, np.searchsorted(ptr, np.arange(_CHUNK, ptr[-1], _CHUNK)), n])
     chunks = list(zip(cuts[:-1], cuts[1:]))  # row ranges of about _CHUNK entries each
@@ -148,7 +151,7 @@ def causal_levels(A: sp.csr_matrix, free: np.ndarray) -> np.ndarray:
     cols = A.indices.copy()
     for r0, r1 in chunks:
         row = np.repeat(np.arange(r0, r1, dtype=cols.dtype), np.diff(ptr[r0:r1 + 1]))
-        idle = ~free[row] | (A.data[ptr[r0]:ptr[r1]] == 0)
+        idle = A.data[ptr[r0]:ptr[r1]] == 0
         cols[ptr[r0]:ptr[r1]][idle] = row[idle]
     graph = sp.csr_matrix((A.data, cols, ptr), shape=A.shape, copy=False)
     n_comp, comp = csgraph.connected_components(graph, directed=True, connection="strong")
@@ -195,13 +198,16 @@ def _facet_inverse(B_FF: sp.csr_matrix, k: int) -> sp.csr_matrix:
 
 
 def solve(sys: AssembledSystem) -> tuple[np.ndarray, SolveReport]:
-    """Solve the bilinear system with Dirichlet rows applied."""
+    """Solve the bilinear system for the free unknowns, with the constrained
+    ones fixed to their projected boundary values."""
     t0 = time.perf_counter()
     dm = sys.dofmap
-    level = causal_levels(sys.A, sys.free_mask())
+    level = causal_levels(sys.A)
     order = np.argsort(level, kind="stable")  # ascending dof ids within each level
-    bounds = np.concatenate(([0], np.cumsum(np.bincount(level))))
+    order = order[sys.free_mask()[order]]
+    bounds = np.concatenate(([0], np.cumsum(np.unique(level[order], return_counts=True)[1])))
     x = np.zeros(sys.n_dofs)
+    x[sys.dirichlet_idx] = sys.dirichlet_values
     k = 2 ** dm.mesh.d  # dofs of every facet at p_s = 1
     nnz, fill, factored = 0, [], []
     for lo, hi in zip(bounds[:-1], bounds[1:]):
@@ -209,7 +215,7 @@ def solve(sys: AssembledSystem) -> tuple[np.ndarray, SolveReport]:
         m_e = int(np.searchsorted(idx, dm.n_elem_dofs))  # element dofs come first
         rows, b_lvl = apply_dirichlet(sys, idx)
         nnz += rows.nnz
-        rhs = b_lvl - rows @ x  # x is zero on this and later levels
+        rhs = b_lvl - rows @ x  # x is zero on the free dofs of this and later levels
         block = rows[:, idx].tocsc()
         del rows  # free the level's rows before its LU ...
         if dm.p_s > 1 or len(idx) < _CONDENSE_MIN or m_e in (0, len(idx)):

@@ -268,13 +268,15 @@ def test_run_json_holds_each_cycle_solve_report(tmp_path, monkeypatch, capsys):
     # every level that holds element and facet dofs is factored on its
     # element Schur complement (the study runs p_s = 1)
     monkeypatch.setattr(solver, "_CONDENSE_MIN", 0)
-    seen, mixed = [], []  # each cycle's report, and which of its levels are mixed
+    # each cycle's report, which of its levels are mixed and its Dirichlet dofs
+    seen, mixed, n_dirichlet = [], [], []
     run_study = adapt_mod.run_study
 
     def spy(*args, on_cycle, **kw):
         def hook(cycle, mesh, sys_, x, est, rec):
             seen.append(dataclasses.asdict(rec.solve))
-            level = causal_levels(sys_.A, sys_.free_mask())
+            n_dirichlet.append(len(sys_.dirichlet_idx))
+            level = causal_levels(sys_.A)[sys_.free_mask()]  # element dofs first
             n_elem = np.bincount(level[:sys_.dofmap.n_elem_dofs], minlength=level.max() + 1)
             mixed.append(((n_elem > 0) & (n_elem < np.bincount(level))).tolist())
             on_cycle(cycle, mesh, sys_, x, est, rec)
@@ -287,10 +289,10 @@ def test_run_json_holds_each_cycle_solve_report(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
     cycles = json.loads((tmp_path / "run.json").read_text())["cycles"]
     assert [c["solve"] for c in cycles] == seen and len(seen) == 2
-    for c, both in zip(cycles, mixed):
+    for c, both, n_dir in zip(cycles, mixed, n_dirichlet):
         rep = c["solve"]
         assert len(rep["block_sizes"]) == len(rep["fill"]) == len(rep["factored"]) == len(both)
-        assert sum(rep["block_sizes"]) == rep["n_dofs"] == c["n_dofs"]
+        assert sum(rep["block_sizes"]) == rep["n_dofs"] - n_dir == c["n_dofs"] - n_dir
         assert [f < n for f, n in zip(rep["factored"], rep["block_sizes"])] == both
         assert any(both)
 

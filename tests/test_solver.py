@@ -26,12 +26,12 @@ def test_solve_reports():
 
     _, rep = solve(sys)
     assert rep.n_blocks == len(rep.block_sizes) >= 3
-    assert sum(rep.block_sizes) == sys.n_dofs
+    assert sum(rep.block_sizes) == sys.n_dofs - len(sys.dirichlet_idx)
     assert rep.residual <= 1e-10
 
     single = assemble(spec, SpaceTimeMesh.build(1, 1, 2), 1)
     _, rep = solve(single)
-    assert sum(rep.block_sizes) == single.n_dofs
+    assert sum(rep.block_sizes) == single.n_dofs - len(single.dirichlet_idx)
 
 
 def _causal_systems():
@@ -48,39 +48,48 @@ def _causal_systems():
     yield "pulse amr cycle 1", assemble(pulse, mesh, 1)
 
 
+def _nonzero(A: sp.csr_matrix) -> sp.csr_matrix:
+    """A without its stored zeros: the graph the levels are taken from."""
+    A = A.copy()
+    A.eliminate_zeros()
+    return A
+
+
 def test_levels_partition_dofs_and_are_causal():
     for name, sys in _causal_systems():
-        A_bc, _ = apply_dirichlet(sys)
-        level = causal_levels(sys.A, sys.free_mask())
-        # every dof has one level and every level is used
+        level = causal_levels(sys.A)
+        free = sys.free_mask()
+        # every dof has one level and the free dofs use every level
         assert level.shape == (sys.n_dofs,), name
-        assert np.array_equal(np.unique(level), np.arange(level.max() + 1)), name
-        # sorted by level, no row of the Dirichlet system has a nonzero in a
-        # later level ...
-        coo = A_bc.tocoo()
-        assert np.all(level[coo.row] >= level[coo.col]), name
+        assert np.array_equal(np.unique(level[free]), np.arange(level.max() + 1)), name
+        # sorted by level, no free row of A has a nonzero in a later level ...
+        A = _nonzero(sys.A)
+        coo = A.tocoo()
+        row, col = coo.row[free[coo.row]], coo.col[free[coo.row]]
+        assert np.all(level[row] >= level[col]), name
         # ... and within a level only unknowns of one block are coupled
-        _, comp = csgraph.connected_components(A_bc, directed=True, connection="strong")
-        same = level[coo.row] == level[coo.col]
-        assert np.array_equal(comp[coo.row[same]], comp[coo.col[same]]), name
+        _, comp = csgraph.connected_components(A, directed=True, connection="strong")
+        same = level[row] == level[col]
+        assert np.array_equal(comp[row[same]], comp[col[same]]), name
 
 
 def test_levels_match_networkx_condensation():
     for name, sys in _causal_systems():
-        want = oracle_levels(oracle_apply_dirichlet(sys)[0])
-        assert np.array_equal(causal_levels(sys.A, sys.free_mask()), want), name
+        want = oracle_levels(_nonzero(sys.A))
+        assert np.array_equal(causal_levels(sys.A), want), name
 
 
 def test_level_rows_match_the_whole_dirichlet_system():
-    # apply_dirichlet(sys, rows) builds the rows of apply_dirichlet(sys) with
-    # the same arrays, byte for byte, whether or not they hold Dirichlet rows
+    # apply_dirichlet(sys, rows) builds those free rows of the whole Dirichlet
+    # system with the same arrays, byte for byte, in any order
     rng = np.random.default_rng(1)
     for name, sys in _causal_systems():
-        A_bc, b_bc = apply_dirichlet(sys)
-        level = causal_levels(sys.A, sys.free_mask())
-        subsets = [np.flatnonzero(level == k) for k in range(level.max() + 1)]
-        some = rng.choice(sys.n_dofs, size=sys.n_dofs // 3, replace=False)
-        subsets.append(rng.permutation(np.union1d(some, sys.dirichlet_idx[::2])))
+        A_bc, b_bc = oracle_apply_dirichlet(sys)
+        free = sys.free_mask()
+        level = causal_levels(sys.A)
+        subsets = [np.flatnonzero((level == k) & free) for k in range(level.max() + 1)]
+        some = rng.choice(np.flatnonzero(free), size=free.sum() // 3, replace=False)
+        subsets.append(rng.permutation(some))
         for rows in subsets:
             got, b_got = apply_dirichlet(sys, rows)
             want = A_bc[rows]
@@ -89,8 +98,34 @@ def test_level_rows_match_the_whole_dirichlet_system():
                 a, b = getattr(got, key), getattr(want, key)
                 assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (name, key)
             assert b_got.tobytes() == b_bc[rows].tobytes(), name
-        # the Dirichlet rows read nothing, so level 0 holds all of them
-        assert np.isin(sys.dirichlet_idx, subsets[0]).all(), name
+
+
+def _solve_systems():
+    yield "sine d=1", assemble(get_problem("sine", eps=0.1, d=1),
+                               SpaceTimeMesh.build(1, 4, 4), 1)
+    yield next((name, sys) for name, sys in _causal_systems() if name == "pulse amr cycle 1")
+
+
+def test_dirichlet_values_are_data_not_unknowns(monkeypatch):
+    # solve writes the projected values into x as they are and gathers the
+    # rows of free dofs only, one level at a time; the free dofs' levels are
+    # those of the whole Dirichlet system less one, since its level 0 held
+    # only the Dirichlet dofs, which read nothing
+    gathered = []
+    monkeypatch.setattr(solver, "apply_dirichlet",
+                        lambda sys, rows: gathered.append(rows) or apply_dirichlet(sys, rows))
+    for name, sys in _solve_systems():
+        assert len(sys.dirichlet_idx) > 0, name
+        gathered.clear()
+        x, rep = solve(sys)
+        assert x[sys.dirichlet_idx].tobytes() == sys.dirichlet_values.tobytes(), name
+        assert sum(rep.block_sizes) == sys.n_dofs - len(sys.dirichlet_idx), name
+        assert [len(rows) for rows in gathered] == rep.block_sizes, name
+        free = sys.free_mask()
+        assert np.array_equal(np.sort(np.concatenate(gathered)), np.flatnonzero(free)), name
+        whole = oracle_levels(oracle_apply_dirichlet(sys)[0])
+        assert np.all(whole[~free] == 0) and np.all(whole[free] >= 1), name
+        assert np.array_equal(causal_levels(sys.A)[free], whole[free] - 1), name
 
 
 def test_solve_is_the_permuted_copy_substitution_bit_for_bit():
@@ -236,24 +271,23 @@ def test_causal_levels_makes_no_copy_of_the_matrix(pulse_cycle4):
     # with the component pairs read from the CSR arrays, 0.68 on the raw
     # matrix's own arrays with the pairs taken in chunks
     sys = pulse_cycle4
-    A_bc, _ = apply_dirichlet(sys)
+    A_bc, _ = oracle_apply_dirichlet(sys)
     limit = 1.0 * _nbytes(A_bc)
     del A_bc
-    assert _traced_peak(causal_levels, sys.A, sys.free_mask()) <= limit
+    assert _traced_peak(causal_levels, sys.A) <= limit
 
 
-def test_solve_builds_the_dirichlet_arrays_once(monkeypatch):
-    # the free mask and the Dirichlet right-hand side are built once per
-    # system, not once per causal level, and nothing can write to them
+def test_solve_builds_the_free_mask_once(monkeypatch):
+    # the free mask is built once per system, not once per causal level,
+    # and nothing can write to it
     built = []
-    for name in ("_free_mask", "_dirichlet_rhs"):
-        prop = getattr(AssembledSystem, name)
-        monkeypatch.setattr(prop, "func", lambda s, f=prop.func, n=name: built.append(n) or f(s))
+    prop = AssembledSystem._free_mask
+    monkeypatch.setattr(prop, "func", lambda s, f=prop.func: built.append(1) or f(s))
     sys = assemble(get_problem("sine", eps=0.1, d=1), SpaceTimeMesh.build(1, 8, 4), 1)
     _, rep = solve(sys)
     assert rep.n_blocks > 8
-    assert sorted(built) == ["_dirichlet_rhs", "_free_mask"]
-    assert not sys.free_mask().flags.writeable and not sys.dirichlet_rhs().flags.writeable
+    assert built == [1]
+    assert not sys.free_mask().flags.writeable
 
 
 def test_refined_slabs_split_into_time_layers():
@@ -272,7 +306,7 @@ def test_solve_matches_whole_system_lu_on_regressions():
     for spec, mesh, p_s in regression_systems():
         sys = assemble(spec, mesh, p_s)
         x, _ = solve(sys)
-        A_bc, b_bc = apply_dirichlet(sys)
+        A_bc, b_bc = oracle_apply_dirichlet(sys)
         x_lu = spla.spsolve(A_bc.tocsc(), b_bc)
         scale = max(1.0, float(np.max(np.abs(x_lu))))
         assert np.max(np.abs(x - x_lu)) <= 1e-8 * scale, spec.name
