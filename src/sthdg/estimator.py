@@ -369,13 +369,12 @@ def local_efficiency(
     eps = sys.spec.eps
     eps_tilde, _ = regime_weights(dm, eps)
     weighted = eps ** -0.5 * eps_tilde ** -0.5 * nb.local_sT()
-    # distinct face-neighbor pairs (both orders) from the interior facets
+    # face-neighbor pairs in both orders; distinct, as two elements share at most one facet
     f = dm.mesh.ftab
     inner = f.neighbor >= 0
     a, b = f.owner[inner], f.neighbor[inner]
     n = len(dm.mesh.etab)
-    pairs = np.unique(np.concatenate((a * n + b, b * n + a)))
-    denom = weighted + np.bincount(pairs // n, weights=weighted[pairs % n], minlength=n)
+    denom = weighted + np.bincount(np.r_[a, b], weights=weighted[np.r_[b, a]], minlength=n)
     denom += est.osc_K + est.osc_N
     out = np.full(n, math.nan)
     np.divide(est.eta_K, denom, out=out, where=denom > 0)

@@ -12,12 +12,12 @@ neighbor of a hanging facet sees that part of its boundary as several facet
 entities.  Faces of equal-level neighbors coincide, and the owner is then the
 element below/left of the plane.
 
-Refinement splits an element in two per spatial axis and in ``k_t`` equal
-parts in time, where k_t = 2 for the proportional time-step policy ("h",
-dt/h invariant) and k_t = 4 for the quadratic policy ("h2", dt/h^2
-invariant).  Coordinates of children are produced exclusively by exact
-binary-float midpoint halving of parent coordinates, so boxes that touch
-geometrically compare bitwise equal and facet matching needs no tolerances.
+Refinement splits an element into ``split[a]`` equal parts along axis a,
+where ``split = (k_t, 2, .., 2)``, k_t = 2 for the proportional time-step
+policy ("h", dt/h invariant) and k_t = 4 for the quadratic policy ("h2",
+dt/h^2 invariant).  Children are built only by exact binary-float midpoint
+halving, so boxes that touch geometrically compare bitwise equal and facet
+matching needs no tolerances.
 
 Storage.  Elements and facets are struct-of-arrays tables with read-only
 arrays, and a table row is the only handle on an entity: there are no
@@ -130,21 +130,21 @@ class FacetTable(_Table):
     hi: np.ndarray
 
 
-def child_boxes(lo: np.ndarray, hi: np.ndarray, k_t: int) -> tuple[np.ndarray, np.ndarray]:
-    """Children of the boxes (n, d+1): k_t equal parts in time, two per
-    spatial axis, built only from exact midpoint halving.  Rows are
-    parent-major; children follow np.ndindex order of (k_t, 2, .., 2)."""
+def child_boxes(lo: np.ndarray, hi: np.ndarray, parts) -> tuple[np.ndarray, np.ndarray]:
+    """Children of the boxes (n, d+1): parts[a] equal parts along axis a,
+    built only from exact midpoint halving, so each part count is a power
+    of two (ValueError otherwise).  Rows are parent-major; children follow
+    np.ndindex order of `parts`."""
     n, d1 = lo.shape
-    mid = 0.5 * (lo + hi)
-    t0, tm, t1 = lo[:, 0], mid[:, 0], hi[:, 0]
-    if k_t == 2:
-        cuts = [np.column_stack((t0, tm, t1))]
-    elif k_t == 4:
-        cuts = [np.column_stack((t0, 0.5 * (t0 + tm), tm, 0.5 * (tm + t1), t1))]
-    else:
-        raise ValueError(f"unsupported temporal split {k_t}")
-    cuts += [np.column_stack((lo[:, a], mid[:, a], hi[:, a])) for a in range(1, d1)]
-    multi = np.indices((k_t,) + (2,) * (d1 - 1)).reshape(d1, -1)
+    cuts = []
+    for a, k in enumerate(parts):
+        if k < 1 or k & (k - 1):
+            raise ValueError(f"cannot halve an axis into {k} parts")
+        c = np.column_stack((lo[:, a], hi[:, a]))
+        while c.shape[1] <= k:
+            c = np.insert(c, range(1, c.shape[1]), 0.5 * (c[:, :-1] + c[:, 1:]), axis=1)
+        cuts.append(c)
+    multi = np.indices(parts).reshape(d1, -1)
     clo = np.stack([cuts[a][:, multi[a]] for a in range(d1)], axis=-1)
     chi = np.stack([cuts[a][:, multi[a] + 1] for a in range(d1)], axis=-1)
     return clo.reshape(-1, d1), chi.reshape(-1, d1)
@@ -193,7 +193,7 @@ class SpaceTimeMesh:
         self.x_hi = np.asarray(x_hi, dtype=float)
         self.slab_times = np.asarray(slab_times, dtype=float)
         self.policy = policy
-        self.k_t = 2 if policy == "h" else 4
+        self.split = (2 if policy == "h" else 4,) + (2,) * d
         self.dirichlet_lateral = dirichlet_lateral
         self.etab = ElementTable.empty(d)
         self.ftab: FacetTable | None = None
@@ -254,7 +254,7 @@ class SpaceTimeMesh:
     # ------------------------------------------------------------------
 
     def n_children(self) -> int:
-        return self.k_t * 2**self.d
+        return int(np.prod(self.split))
 
     def _rows_of(self, ids) -> np.ndarray:
         """Mask of the element rows whose id is in the iterable `ids`;
@@ -314,7 +314,7 @@ class SpaceTimeMesh:
 
         # children of the refined elements, by ascending parent id
         rows = np.flatnonzero(refine)
-        clo, chi = child_boxes(e.lo[rows], e.hi[rows], self.k_t)
+        clo, chi = child_boxes(e.lo[rows], e.hi[rows], self.split)
         parent = np.repeat(ids[rows], nc)
         index = np.tile(np.arange(nc), len(rows))
         children = ElementTable(
@@ -440,6 +440,11 @@ class SpaceTimeMesh:
         sign = np.concatenate((f.side, -f.side[inner]))
         if np.any((f.lo[fs] < e.lo[el]) | (f.hi[fs] > e.hi[el])):
             raise AssertionError("a facet lies outside its owner or neighbor")
+        # two boxes share at most one facet; a boundary facet is its element's whole face
+        if len(np.unique(np.sort(np.c_[f.owner, f.neighbor][inner], axis=1), axis=0)) < inner.sum():
+            raise AssertionError("two facets join the same pair of elements")
+        if len(np.unique(np.c_[f.owner, f.axis, f.side][~inner], axis=0)) < (~inner).sum():
+            raise AssertionError("an element has two boundary facets on one face")
         free = ~np.eye(d1, dtype=bool)
         measure = np.prod(np.where(free[f.axis], f.hi - f.lo, 1.0), axis=1)
         area = np.zeros((len(e), d1, 2))

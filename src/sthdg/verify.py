@@ -19,20 +19,21 @@ to a CSV with schema ``inequality,level,samples,constant``.
 Entities are addressed by their row of the mesh's element or facet table
 (`mesh.etab`, `mesh.ftab`), and per-element results are arrays in that row
 order.  The passes read tables that are already built instead of searching
-the geometry: the subgrid fills the fine mesh's element table directly, a
-fine element finds its parent's row by its parent id among the sorted
-coarse ids, and a fine facet's parent is looked up among the facet sides of
-its owner's parent element on the same axis and side (a sorted key over the
-coarse facet table); the restriction evaluates one basis per distinct
-child-to-parent affine map; averaging subdivides the element table level by
-level and numbers its nodes on an integer lattice (per axis, cell index x
-degree + local index, with cells placed by the cut coordinates that
-touching cells share bitwise); facet jumps take both sides of each facet
-from `DofMap.facet_sides`; the saturation pass evaluates both fields per
-`DofMap.elem_classes` class; and the inequality pass tabulates its Gram
-matrices and residual norms once on the reference element, face and edge,
-and only scales them for each distinct extent that `np.unique` finds in the
-element and facet tables.
+the geometry: the subgrid halves the elements with the mesh's `child_boxes`
+and fills the fine mesh's element table directly, a fine element finds its
+parent's row by its parent id among the sorted coarse ids, and a fine
+facet's parent is the coarse facet with the same key over its elements'
+parents (its two element rows, or its element and face on the boundary; one
+sorted key over the coarse facet table); the restriction evaluates one
+basis per distinct child-to-parent affine map; averaging subdivides the
+element table level by level and numbers its nodes on an integer lattice
+(per axis, cell index x degree + local index, with cells placed by the cut
+coordinates that touching cells share bitwise); facet jumps take both sides
+of each facet from `DofMap.facet_sides`; the saturation pass evaluates both
+fields per `DofMap.elem_classes` class; and the inequality pass tabulates
+its Gram matrices and residual norms once on the reference element, face
+and edge, and only scales them for each distinct extent that `np.unique`
+finds in the element and facet tables.
 """
 
 from __future__ import annotations
@@ -59,7 +60,8 @@ from .mesh import ElementTable, SpaceTimeMesh, child_boxes, child_id
 from .problem import ProblemSpec
 from .solver import solve
 
-SUBGRID_SALT = 101  # keeps subgrid child ids away from refinement child ids
+# subgrid ids never meet refinement ids; they fix the fine row order, and so the bits of rho
+SUBGRID_SALT = 101
 QUASI_EPS = (1.0, 1e-2, 1e-4)  # diffusion values of the quasi-interpolation rows
 
 
@@ -94,49 +96,40 @@ def build_subgrid(mesh: SpaceTimeMesh) -> SubgridPair:
     # the two halves of every coarse element, coarse ids ascending
     e = mesh.etab
     rows = np.repeat(np.arange(len(e)), 2)
-    half = np.tile([0, 1], len(e))
-    lo, hi = e.lo[rows], e.hi[rows]
-    mid = 0.5 * (lo[:, 0] + hi[:, 0])
-    lo[half == 1, 0] = mid[half == 1]
-    hi[half == 0, 0] = mid[half == 0]
-    ids = child_id(e.id[rows], half, salt=SUBGRID_SALT)
+    lo, hi = child_boxes(e.lo, e.hi, (2,) + (1,) * mesh.d)
+    ids = child_id(e.id[rows], np.tile([0, 1], len(e)), salt=SUBGRID_SALT)
     fine._set_elements(ElementTable(
         id=ids, level=e.level[rows], slab=e.slab[rows], parent=e.id[rows],
         lo=lo, hi=hi,
     ))
 
-    # facet lineage: a horizontal facet between the two halves of one coarse
-    # element is new; every other fine facet lies on its owner's parent's
-    # face on the same side, inside exactly one of the coarse facets there
+    # facet lineage: two boxes share at most one facet, and a boundary facet
+    # is its element's whole face, so a facet's key is its two element rows,
+    # or its element and face (axis, side) on the boundary.  A fine facet
+    # between the halves of one coarse element is new; any other descends
+    # from the coarse facet with its key over its elements' parents
+    n = len(e)
+
+    def key(f, owner, neighbor):
+        other = np.where(f.neighbor >= 0, neighbor, n + 2 * f.axis + (f.side > 0))
+        return np.minimum(owner, other) * (n + 2 * f.lo.shape[1]) + np.maximum(owner, other)
+
     ff, cf = fine.ftab, mesh.ftab
     parent_row = np.searchsorted(e.id, fine.etab.parent)  # coarse row of each fine row
-    pe = parent_row[ff.owner]
-    is_new = (ff.axis == 0) & (ff.neighbor >= 0) & (parent_row[ff.neighbor] == pe)
-    # coarse facet sides keyed by (element row, axis, outward sign)
-    d1 = mesh.d + 1
-    inner = cf.neighbor >= 0
-    side_facet = np.concatenate((np.arange(len(cf)), np.flatnonzero(inner)))
-    side_elem = np.concatenate((cf.owner, cf.neighbor[inner]))
-    side_sign = np.concatenate((cf.side, -cf.side[inner]))
-    side_key = (side_elem * d1 + cf.axis[side_facet]) * 2 + (side_sign > 0)
-    order = np.argsort(side_key, kind="stable")
-    side_key, side_facet = side_key[order], side_facet[order]
-    old = np.flatnonzero(~is_new)
-    key = (pe[old] * d1 + ff.axis[old]) * 2 + (ff.side[old] > 0)
-    first = np.searchsorted(side_key, key)
-    count = np.searchsorted(side_key, key, side="right") - first
-    fine_of = np.repeat(old, count)
-    cand = side_facet[np.repeat(first - np.cumsum(count) + count, count) + np.arange(count.sum())]
-    inside = np.all((cf.lo[cand] <= ff.lo[fine_of]) & (ff.hi[fine_of] <= cf.hi[cand]), axis=1)
-    if np.any(np.bincount(fine_of[inside], minlength=len(ff))[old] != 1):
-        raise RuntimeError("subgrid facet lacks a unique parent facet")
-
-    if len(fine.etab) != 2 * len(e):
-        raise RuntimeError("subgrid element count mismatch")
-    if np.count_nonzero(is_new) != len(e):
-        raise RuntimeError("expected exactly one new horizontal facet per element")
-    facet_parent = np.full(len(ff), -1)
-    facet_parent[fine_of[inside]] = cand[inside]
+    po, pn = parent_row[ff.owner], parent_row[ff.neighbor]
+    is_new = (ff.neighbor >= 0) & (po == pn)
+    if np.count_nonzero(is_new) != n:
+        raise RuntimeError("expected exactly one new facet per element")
+    coarse_key = key(cf, cf.owner, cf.neighbor)
+    order = np.argsort(coarse_key)
+    coarse_key = coarse_key[order]
+    if np.any(coarse_key[1:] == coarse_key[:-1]):
+        raise RuntimeError("two coarse facets share a key")
+    fine_key = key(ff, po, pn)
+    at = np.minimum(np.searchsorted(coarse_key, fine_key), len(cf) - 1)
+    if np.any((coarse_key[at] != fine_key) & ~is_new):
+        raise RuntimeError("subgrid facet lacks a parent facet")
+    facet_parent = np.where(is_new, -1, order[at])
     # the rank of a fine id is its row of the fine element table
     return SubgridPair(mesh, fine, children=np.argsort(np.argsort(ids)).reshape(-1, 2),
                        facet_parent=facet_parent)
@@ -369,11 +362,11 @@ def averaging_operator(mesh: SpaceTimeMesh, p_s: int, elem_coeffs: np.ndarray) -
     nc = mesh.n_children()
     rev = np.arange(nc)[::-1]
     for lev in range(int(level.min()), int(level.max())):
-        split = level == lev
-        n_new = np.where(split, nc, 1)
-        clo, chi = child_boxes(lo[split], hi[split], mesh.k_t)
-        at = np.repeat(split, n_new)
-        parent, level = np.repeat(parent, n_new), np.repeat(level + split, n_new)
+        cut = level == lev
+        n_new = np.where(cut, nc, 1)
+        clo, chi = child_boxes(lo[cut], hi[cut], mesh.split)
+        at = np.repeat(cut, n_new)
+        parent, level = np.repeat(parent, n_new), np.repeat(level + cut, n_new)
         lo, hi = np.repeat(lo, n_new, axis=0), np.repeat(hi, n_new, axis=0)
         lo[at] = clo.reshape(-1, nc, d1)[:, rev].reshape(-1, d1)
         hi[at] = chi.reshape(-1, nc, d1)[:, rev].reshape(-1, d1)

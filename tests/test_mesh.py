@@ -86,17 +86,50 @@ def test_refine_single_element():
     assert _max_facet_jump(mesh) <= 1
 
 
-def test_children_tile_parent():
+def test_children_tile_parent(rng):
     for policy, kt in (("h", 2), ("h2", 4)):
         mesh = SpaceTimeMesh.build(2, 1, 1, policy=policy)
+        assert mesh.split == (kt, 2, 2)
         assert mesh.n_children() == kt * 4
         parent = next(iter(elements(mesh).values()))
-        boxes = list(zip(*child_boxes(parent.lo[None], parent.hi[None], mesh.k_t)))
+        boxes = list(zip(*child_boxes(parent.lo[None], parent.hi[None], mesh.split)))
         assert len(boxes) == mesh.n_children()
         vol = sum(np.prod(hi - lo) for lo, hi in boxes)
         assert abs(vol - parent.volume) < 1e-14
         for lo, hi in boxes:
             assert abs((hi[0] - lo[0]) - parent.dt / kt) < 1e-14
+
+    # bit for bit the cuts of the former per-policy code, on random boxes,
+    # where another order of the midpoint sums shows in the last bits
+    lo = rng.uniform(-1, 0, size=(64, 3))
+    hi = lo + rng.uniform(0.1, 1, size=(64, 3))
+    mid = 0.5 * (lo + hi)
+    # (2, 1, 1): the lower and upper time halves of the temporal subgrid
+    clo, chi = child_boxes(lo, hi, (2, 1, 1))
+    want_lo, want_hi = np.repeat(lo, 2, axis=0), np.repeat(hi, 2, axis=0)
+    want_lo[1::2, 0] = want_hi[::2, 0] = mid[:, 0]
+    assert clo.tobytes() == want_lo.tobytes() and chi.tobytes() == want_hi.tobytes()
+    # (4, 2, 2): quarters in time from the halves, np.ndindex order
+    t0, tm, t1 = lo[:, 0], mid[:, 0], hi[:, 0]
+    cuts = [np.column_stack((t0, 0.5 * (t0 + tm), tm, 0.5 * (tm + t1), t1))]
+    cuts += [np.column_stack((lo[:, a], mid[:, a], hi[:, a])) for a in (1, 2)]
+    clo, chi = child_boxes(lo, hi, (4, 2, 2))
+    for i, index in enumerate(np.ndindex(4, 2, 2)):
+        for got, k in ((clo, 0), (chi, 1)):
+            want = np.column_stack([c[:, j + k] for c, j in zip(cuts, index)])
+            assert got[i::16].tobytes() == want.tobytes()
+    with pytest.raises(ValueError, match="3 parts"):
+        child_boxes(lo, hi, (3, 2, 2))
+
+
+def test_validate_rejects_repeated_facet_keys():
+    mesh = SpaceTimeMesh.build(1, 2, 2)
+    f = mesh.ftab
+    inner, outer = np.flatnonzero(f.neighbor >= 0)[0], np.flatnonzero(f.neighbor < 0)[0]
+    for row, message in ((inner, "same pair of elements"), (outer, "boundary facets on one face")):
+        mesh.ftab = f.take(np.r_[np.arange(len(f)), row])
+        with pytest.raises(AssertionError, match=message):
+            mesh.validate()
 
 
 def test_closure_enforces_one_irregularity():

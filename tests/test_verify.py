@@ -31,9 +31,24 @@ from oracles import element_at, elements, facets, from_symbolic, map_to_box
 # temporal subgrid
 # ----------------------------------------------------------------------
 
-@pytest.mark.parametrize("d,policy", [(1, "h"), (1, "h2"), (2, "h"), (2, "h2")])
-def test_subgrid_structure(d, policy):
-    mesh = hanging_mesh(d, policy=policy)
+def _random_adapted_mesh(d, policy, seed=0):
+    """A few dozen elements after four rounds of random refine-and-coarsen
+    marks: hanging facets of several levels, some of them left by merges."""
+    rng = np.random.default_rng(seed)
+    mesh = SpaceTimeMesh.build(d, 2, 2, policy=policy)
+    for _ in range(4):
+        ids = mesh.etab.id
+        mesh.refine_and_coarsen(rng.choice(ids, 2 * (len(ids) < 30), replace=False).tolist(),
+                                rng.choice(ids, 9 * len(ids) // 10, replace=False).tolist())
+    return mesh
+
+
+@pytest.mark.parametrize("d,policy,mesh_of", [
+    pytest.param(d, policy, mesh_of, id=f"{d}-{policy}{suffix}")
+    for mesh_of, suffix in ((hanging_mesh, ""), (_random_adapted_mesh, "-adapted"))
+    for d in (1, 2) for policy in ("h", "h2")])
+def test_subgrid_structure(d, policy, mesh_of):
+    mesh = mesh_of(d, policy=policy)
     pair = build_subgrid(mesh)
     assert pair.fine.n_elements == 2 * mesh.n_elements
     coarse_ids, fine_ids = mesh.etab.id.tolist(), pair.fine.etab.id.tolist()
