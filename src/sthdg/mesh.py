@@ -51,6 +51,7 @@ children at once.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -253,9 +254,6 @@ class SpaceTimeMesh:
     # refinement / coarsening
     # ------------------------------------------------------------------
 
-    def n_children(self) -> int:
-        return int(np.prod(self.split))
-
     def _rows_of(self, ids) -> np.ndarray:
         """Mask of the element rows whose id is in the iterable `ids`;
         ValueError if one of them is not in the mesh."""
@@ -277,7 +275,7 @@ class SpaceTimeMesh:
         concurrent merges); other coarsening marks are left as they are."""
         e, f = self.etab, self.ftab
         ids = e.id
-        nc = self.n_children()
+        nc = math.prod(self.split)
         refine = self._rows_of(refine_ids)
         coarsen = self._rows_of(coarsen_ids)
 

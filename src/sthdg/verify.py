@@ -21,24 +21,30 @@ Entities are addressed by their row of the mesh's element or facet table
 order.  The passes read tables that are already built instead of searching
 the geometry: the subgrid halves the elements with the mesh's `child_boxes`
 and fills the fine mesh's element table directly, a fine element finds its
-parent's row by its parent id among the sorted coarse ids, and a fine
-facet's parent is the coarse facet with the same key over its elements'
-parents (its two element rows, or its element and face on the boundary; one
-sorted key over the coarse facet table); the restriction evaluates one
-basis per distinct child-to-parent affine map; averaging subdivides the
-element table level by level and numbers its nodes on an integer lattice
-(per axis, cell index x degree + local index, with cells placed by the cut
-coordinates that touching cells share bitwise); facet jumps take both sides
-of each facet from `DofMap.facet_sides`; the saturation pass evaluates both
-fields per `DofMap.elem_classes` class; and the inequality pass tabulates
-its Gram matrices and residual norms once on the reference element, face
-and edge, and only scales them for each distinct extent that `np.unique`
-finds in the element and facet tables.
+parent's row by its parent id among the sorted coarse ids (`elem_parent`),
+and a fine facet's parent is the coarse facet with the same key over its
+elements' parents (its two element rows, or its element and face on the
+boundary; one sorted key over the coarse facet table).  Only
+`build_subgrid` (its split shape) and `assemble_two_level` (the upwind
+constant of its new facets) know that the subgrid halves in time; the
+restriction and the saturation pass map each fine element to its coarse
+element in one step, evaluating the coarse basis once per distinct
+fine-to-coarse affine map, and the saturation pass sums its fine-element
+integrals into the coarse elements with `np.bincount`.  Averaging splits
+each level's elements into their cells of the finest level with one
+`child_boxes` call and numbers the nodes on an integer lattice (per axis,
+cell index x degree + local index, with cells placed by the cut coordinates
+that touching cells share bitwise); facet jumps take both sides of each
+facet from `DofMap.facet_sides`; and the inequality pass tabulates its Gram
+matrices and residual norms once on the reference element, face and edge,
+and only scales them for each distinct extent that `np.unique` finds in the
+element and facet tables.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,6 +56,7 @@ from .assembly import (
     P_T,
     AssembledSystem,
     DofMap,
+    _chunks,
     assemble,
     build_dofmap,
     elem_trace_basis,
@@ -72,19 +79,18 @@ QUASI_EPS = (1.0, 1e-2, 1e-4)  # diffusion values of the quasi-interpolation row
 
 @dataclass
 class SubgridPair:
-    """A mesh and its temporal refinement (each element halved in time).
+    """A mesh and a refinement of it in which every element is split once.
 
-    children[i] holds the fine element-table rows of the (lower, upper)
-    halves of the coarse element at row i.  For every fine facet (fine
-    facet-table row), facet_parent is the coarse facet row it descends from
-    (split lateral facets, surviving horizontal facets), or -1 for the new
-    horizontal facet that bisects a coarse element.  The coarse parent id
-    of a fine element is `fine.etab.parent`.
+    For every fine element (fine element-table row), elem_parent is the
+    coarse element row it lies in.  For every fine facet (fine facet-table
+    row), facet_parent is the coarse facet row it descends from, or -1 for
+    a new facet, which lies inside a coarse element.  `build_subgrid` halves
+    every element in time, so its new facets are horizontal.
     """
 
     coarse: SpaceTimeMesh
     fine: SpaceTimeMesh
-    children: np.ndarray  # (n_coarse, 2)
+    elem_parent: np.ndarray  # (n_fine_elements,)
     facet_parent: np.ndarray  # (n_fine_facets,)
 
 
@@ -129,10 +135,8 @@ def build_subgrid(mesh: SpaceTimeMesh) -> SubgridPair:
     at = np.minimum(np.searchsorted(coarse_key, fine_key), len(cf) - 1)
     if np.any((coarse_key[at] != fine_key) & ~is_new):
         raise RuntimeError("subgrid facet lacks a parent facet")
-    facet_parent = np.where(is_new, -1, order[at])
-    # the rank of a fine id is its row of the fine element table
-    return SubgridPair(mesh, fine, children=np.argsort(np.argsort(ids)).reshape(-1, 2),
-                       facet_parent=facet_parent)
+    return SubgridPair(mesh, fine, elem_parent=parent_row,
+                       facet_parent=np.where(is_new, -1, order[at]))
 
 
 def _box_affine(parent_lo, parent_hi, child_lo, child_hi):
@@ -157,10 +161,10 @@ def _by_affine_map(scale: np.ndarray, shift: np.ndarray):
 def restriction_matrix(pair: SubgridPair, dm_c: DofMap, dm_f: DofMap) -> sp.csr_matrix:
     """Transfer of a coarse solution vector onto the subgrid.
 
-    Each element field is carried over unchanged (re-expressed on the halves),
-    facet fields are carried over on split lateral and surviving horizontal
-    facets, and the new horizontal facets receive the trace of the coarse
-    element polynomial at the bisection plane.
+    Each fine element takes the field of its coarse element, re-expressed
+    on itself; a descended facet takes the field of its coarse facet, and a
+    new facet the trace of its coarse element's field, the facet's frozen
+    coordinate held fixed along the facet's own axis.
     """
     rows, cols, vals = [], [], []
 
@@ -180,30 +184,27 @@ def restriction_matrix(pair: SubgridPair, dm_c: DofMap, dm_f: DofMap) -> sp.csr_
     nb = dm_c.n_elem_basis
     d1 = pair.coarse.d + 1
     clo, chi = pair.coarse.etab.lo, pair.coarse.etab.hi
-    flo, fhi = pair.fine.etab.lo, pair.fine.etab.hi
-    coarse = np.repeat(np.arange(len(pair.coarse.etab)), 2)
-    half = pair.children.reshape(-1)
-    put(ebasis, ebasis.nodes, *_box_affine(clo[coarse], chi[coarse], flo[half], fhi[half]),
-        half * nb, coarse * nb)
+    up = pair.elem_parent
+    put(ebasis, ebasis.nodes, *_box_affine(clo[up], chi[up], pair.fine.etab.lo, pair.fine.etab.hi),
+        np.arange(len(up)) * nb, up * nb)
 
     ff, cf = pair.fine.ftab, pair.coarse.ftab
     parent = pair.facet_parent
     for axis in range(d1):
+        fb = fe.get_basis(dm_f.facet_degrees(axis))
         fine = np.flatnonzero((ff.axis == axis) & (parent >= 0))
         free = [a for a in range(d1) if a != axis]
         p = parent[fine]
         scale, shift = _box_affine(cf.lo[p][:, free], cf.hi[p][:, free],
                                    ff.lo[fine][:, free], ff.hi[fine][:, free])
-        fb = fe.get_basis(dm_f.facet_degrees(axis))
         put(fb, fb.nodes, scale, shift, dm_f.facet_dof[fine], dm_c.facet_dof[p])
-
-    # new horizontal facets: the coarse element polynomial at the facet
-    # nodes; the facet is flat in time, so its time coordinate is the shift
-    new = np.flatnonzero(parent < 0)
-    el = np.searchsorted(pair.coarse.etab.id, pair.fine.etab.parent[ff.owner[new]])
-    scale, shift = _box_affine(clo[el], chi[el], ff.lo[new], ff.hi[new])
-    fb = fe.get_basis(dm_f.facet_degrees(0))
-    put(ebasis, np.insert(fb.nodes, 0, 0.0, axis=1), scale, shift, dm_f.facet_dof[new], el * nb)
+        # the coarse element's trace: the facet is flat along `axis`, so
+        # its frozen reference coordinate is the shift
+        new = np.flatnonzero((ff.axis == axis) & (parent < 0))
+        host = up[ff.owner[new]]
+        put(ebasis, np.insert(fb.nodes, axis, 0.0, axis=1),
+            *_box_affine(clo[host], chi[host], ff.lo[new], ff.hi[new]),
+            dm_f.facet_dof[new], host * nb)
 
     G = sp.coo_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
@@ -274,7 +275,9 @@ def measure_saturation(
     spec: ProblemSpec, mesh: SpaceTimeMesh, p_s: int,
 ) -> SaturationReport:
     """rho = sqrt(sum_K tau ||dt(u - u_fine)||^2 / sum_K tau ||dt(u - u_coarse)||^2),
-    both sums over the coarse elements with the coarse regime weights."""
+    both sums over the coarse elements with the coarse regime weights.  Both
+    errors are integrated on the fine elements (one coarse basis evaluation
+    per distinct fine-to-coarse affine map) and added to their coarse ones."""
     pair = build_subgrid(mesh)
     sys_c, sys_f = assemble_two_level(spec, pair, p_s)
     x_c, _ = solve(sys_c)
@@ -288,25 +291,23 @@ def measure_saturation(
     rule = fe.tensor_rule((sys_c.quad_n + 2,) * d1)
     basis = fe.get_basis(dm_c.elem_degrees)
     dt_ref = basis.eval(rule.points).grad[:, :, 0]
+    up = pair.elem_parent
+    clo, chi = mesh.etab.lo[up], mesh.etab.hi[up]
     flo, fhi = pair.fine.etab.lo, pair.fine.etab.hi
-    sq = np.zeros((3, len(mesh.etab)))  # fine error, coarse error, exact
-    for ci in (0, 1):
-        # the lower (upper) half in the coarse element's reference coordinates
-        ref_c = rule.points.copy()
-        ref_c[:, 0] = 0.5 * ref_c[:, 0] + (ci - 0.5)
-        dt_ref_c = basis.eval(ref_c).grad[:, :, 0]
-        for cls in dm_c.elem_classes:
-            for sl in cls.chunks():
-                rows = cls.elem[sl]
-                ch = pair.children[rows, ci]
-                half = 0.5 * (fhi[ch] - flo[ch])
-                phys = 0.5 * (flo[ch] + fhi[ch])[:, None, :] + half[:, None, :] * rule.points
-                dt_ex = spec.exact_jet(phys.reshape(-1, d1))[1].reshape(len(ch), -1)
-                dt_c = coef_c[rows] @ dt_ref_c.T / cls.half[0]
-                dt_f = coef_f[ch] @ dt_ref.T / half[:, :1]
-                jac = np.prod(half, axis=1)
-                for k, v in enumerate((dt_ex - dt_f, dt_ex - dt_c, dt_ex)):
-                    sq[k, rows] += jac * (v**2 @ rule.weights)
+    sq = np.empty((3, len(up)))  # fine error, coarse error, exact, per fine element
+    for group, a, b in _by_affine_map(*_box_affine(clo, chi, flo, fhi)):
+        dt_ref_c = basis.eval(rule.points * a + b).grad[:, :, 0]
+        for sl in _chunks(len(group)):  # keeps the point arrays of large meshes small
+            rows = group[sl]
+            half = 0.5 * (fhi[rows] - flo[rows])
+            phys = 0.5 * (flo[rows] + fhi[rows])[:, None, :] + half[:, None, :] * rule.points
+            dt_ex = spec.exact_jet(phys.reshape(-1, d1))[1].reshape(len(rows), -1)
+            dt_c = coef_c[up[rows]] @ dt_ref_c.T / (0.5 * (chi[rows, :1] - clo[rows, :1]))
+            dt_f = coef_f[rows] @ dt_ref.T / half[:, :1]
+            jac = np.prod(half, axis=1)
+            for k, v in enumerate((dt_ex - dt_f, dt_ex - dt_c, dt_ex)):
+                sq[k, rows] = jac * (v**2 @ rule.weights)
+    sq = np.array([np.bincount(up, weights=w, minlength=len(mesh.etab)) for w in sq])
     num, den, ref = sq @ tau
     flagged = den <= 1e-20 * max(1.0, ref)
     rho = float("nan") if flagged else float(np.sqrt(num / den))
@@ -338,12 +339,14 @@ def averaging_operator(mesh: SpaceTimeMesh, p_s: int, elem_coeffs: np.ndarray) -
     """Continuous reconstruction of a discontinuous element field.
 
     The field is first re-expressed on the coarsest conforming refinement
-    (every element subdivided to the globally finest level; face conformity
-    propagates through the whole connected box mesh), then each node of that
-    refinement receives the arithmetic mean of the values from its incident
-    cells.  Nodes on the Dirichlet part of the lateral boundary are set to
-    zero.  elem_coeffs holds the per-element nodal coefficients laid out in
-    the row order of `mesh.etab`.
+    (every element split into its cells of the globally finest level, by
+    the power of `mesh.split` that spans the levels between; face
+    conformity propagates through the whole connected box mesh), then each
+    node of that refinement receives the arithmetic mean of the values from
+    its incident cells.  Nodes on the Dirichlet part of the lateral boundary
+    are set to zero.  elem_coeffs holds the per-element nodal coefficients
+    laid out in the row order of `mesh.etab`; the cells come grouped by
+    their element's level.
     """
     dm = build_dofmap(mesh, p_s)
     if elem_coeffs.shape != (dm.n_elem_dofs,):
@@ -352,24 +355,16 @@ def averaging_operator(mesh: SpaceTimeMesh, p_s: int, elem_coeffs: np.ndarray) -
     coef = elem_coeffs.reshape(-1, dm.n_elem_basis)
     d1 = mesh.d + 1
 
-    # subdivide every element down to the common finest level; a split cell
-    # is replaced by its children last child first, so the cells of one
-    # element come in the order of a depth-first walk that pushes children
-    # in order and pops the last
+    # every element's cells at the common finest level: an element `n`
+    # levels above it splits by the n-th power of the mesh's split shape
     level = mesh.etab.level
-    parent = np.arange(len(level))
-    lo, hi = mesh.etab.lo, mesh.etab.hi
-    nc = mesh.n_children()
-    rev = np.arange(nc)[::-1]
-    for lev in range(int(level.min()), int(level.max())):
-        cut = level == lev
-        n_new = np.where(cut, nc, 1)
-        clo, chi = child_boxes(lo[cut], hi[cut], mesh.split)
-        at = np.repeat(cut, n_new)
-        parent, level = np.repeat(parent, n_new), np.repeat(level + cut, n_new)
-        lo, hi = np.repeat(lo, n_new, axis=0), np.repeat(hi, n_new, axis=0)
-        lo[at] = clo.reshape(-1, nc, d1)[:, rev].reshape(-1, d1)
-        hi[at] = chi.reshape(-1, nc, d1)[:, rev].reshape(-1, d1)
+    cells = []
+    for lev in np.unique(level):
+        rows = np.flatnonzero(level == lev)
+        parts = [s ** int(level.max() - lev) for s in mesh.split]
+        cells.append((np.repeat(rows, math.prod(parts)),
+                      *child_boxes(mesh.etab.lo[rows], mesh.etab.hi[rows], parts)))
+    parent, lo, hi = (np.concatenate(c) for c in zip(*cells))
 
     # lattice index of every cell: refinement only halves coordinates, so
     # touching cells share their cut coordinates bitwise

@@ -968,6 +968,32 @@ def facet_at(dm, x, fid: int, ref_pts: np.ndarray) -> np.ndarray:
     return fb.eval(ref_pts).values @ facet_coeffs(dm, x, fid)
 
 
+def oracle_saturation(spec, dm_c, x_c, dm_f, x_f, nq: int) -> tuple[float, float, float]:
+    """(rho, numerator, denominator) of the two-level saturation ratio, one
+    fine element at a time: both time-derivative errors are integrated on
+    the fine element with an nq-point Gauss rule per axis, the coarse
+    solution is evaluated at the same physical points in its own element,
+    and each integral is weighted by the coarse element's tau_eps."""
+    coarse, fine = dm_c.mesh, dm_f.mesh
+    els, fine_els = elements(coarse), elements(fine)
+    x, w = gauss(nq)
+    d1 = coarse.d + 1
+    pts = np.array(np.meshgrid(*[x] * d1, indexing="ij")).reshape(d1, -1).T
+    wts = np.prod(np.array(np.meshgrid(*[w] * d1, indexing="ij")).reshape(d1, -1), axis=0)
+    num = den = 0.0
+    for ch in fine_els.values():
+        el = els[ch.parent]
+        tau = regime_and_weights(el, slab_height(coarse, el), spec.eps).tau_eps
+        phys = map_to_box(ch.lo, ch.hi, pts)
+        ut = spec.exact_jet(phys)[1]
+        dt_f = element_at(dm_f, x_f, ch.eid, pts)[2]
+        dt_c = element_at(dm_c, x_c, el.eid, 2 * (phys - el.lo) / (el.hi - el.lo) - 1)[2]
+        jac = ch.volume / 2**d1
+        num += tau * jac * float(wts @ (ut - dt_f) ** 2)
+        den += tau * jac * float(wts @ (ut - dt_c) ** 2)
+    return math.sqrt(num / den), math.sqrt(num), math.sqrt(den)
+
+
 # ----------------------------------------------------------------------
 # the sparse-product Dirichlet rows and the per-facet eta_J1 walk
 # ----------------------------------------------------------------------

@@ -145,7 +145,7 @@ def test_run_study_uniform_growth():
     records, mesh = run_study(
         spec, "uniform", cycles=2, p_s=1, n_slabs=1, n_cells=2)
     assert records[0].n_elements == 2
-    assert records[1].n_elements == 2 * mesh.n_children()
+    assert records[1].n_elements == 2 * math.prod(mesh.split)
     # linear exact solution: zero error on every cycle
     assert all(r.true_error <= 1e-9 for r in records)
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from sthdg import fe
 from sthdg.assembly import assemble, build_dofmap
 from sthdg.mesh import SpaceTimeMesh
 from sthdg.problem import get_problem
+from sthdg.solver import solve
 from sthdg.verify import (
     ConstantReport,
     assemble_two_level,
@@ -24,7 +26,15 @@ from sthdg.verify import (
 )
 
 from conftest import hanging_mesh, poly_problem, problem_mesh
-from oracles import element_at, elements, facets, from_symbolic, map_to_box
+from oracles import (
+    element_at,
+    elements,
+    facet_at,
+    facets,
+    from_symbolic,
+    map_to_box,
+    oracle_saturation,
+)
 
 
 # ----------------------------------------------------------------------
@@ -43,22 +53,28 @@ def _random_adapted_mesh(d, policy, seed=0):
     return mesh
 
 
-@pytest.mark.parametrize("d,policy,mesh_of", [
+# one refined element, and a random adapted mesh, for d = 1, 2 under both policies
+_MESHES = pytest.mark.parametrize("d,policy,mesh_of", [
     pytest.param(d, policy, mesh_of, id=f"{d}-{policy}{suffix}")
     for mesh_of, suffix in ((hanging_mesh, ""), (_random_adapted_mesh, "-adapted"))
     for d in (1, 2) for policy in ("h", "h2")])
+
+
+@_MESHES
 def test_subgrid_structure(d, policy, mesh_of):
     mesh = mesh_of(d, policy=policy)
     pair = build_subgrid(mesh)
     assert pair.fine.n_elements == 2 * mesh.n_elements
     coarse_ids, fine_ids = mesh.etab.id.tolist(), pair.fine.etab.id.tolist()
     els, fine_els = elements(mesh), elements(pair.fine)
-    assert pair.children.shape == (mesh.n_elements, 2)
-    assert sorted(pair.children.reshape(-1).tolist()) == list(range(pair.fine.n_elements))
-    for eid, (lo_pos, hi_pos) in zip(coarse_ids, pair.children.tolist()):
+    # each coarse element holds two fine rows, its lower and upper halves
+    halves = {}
+    for fid, row in zip(fine_ids, pair.elem_parent.tolist()):
+        halves.setdefault(coarse_ids[row], []).append(fine_els[fid])
+    assert sorted(halves) == sorted(coarse_ids)
+    for eid, kids in halves.items():
         el = els[eid]
-        lo_el = fine_els[fine_ids[lo_pos]]
-        hi_el = fine_els[fine_ids[hi_pos]]
+        lo_el, hi_el = sorted(kids, key=lambda k: k.lo[0])
         m = 0.5 * (el.lo[0] + el.hi[0])
         assert lo_el.lo[0] == el.lo[0] and abs(lo_el.hi[0] - m) < 1e-15
         assert abs(hi_el.lo[0] - m) < 1e-15 and hi_el.hi[0] == el.hi[0]
@@ -90,25 +106,46 @@ def test_subgrid_handles_hanging_meshes():
 
 
 def test_restriction_reproduces_fields(rng):
-    mesh = SpaceTimeMesh.build(2, 2, 2)
+    for mesh_of, d, policy in itertools.product((hanging_mesh, _random_adapted_mesh), (1, 2),
+                                                ("h", "h2")):
+        mesh = mesh_of(d, policy=policy)
+        for p_s in (1, 2):
+            _check_restriction(mesh, p_s, rng)
+
+
+def _check_restriction(mesh, p_s, rng):
+    d = mesh.d
     pair = build_subgrid(mesh)
-    dm_c = build_dofmap(mesh, 1)
-    dm_f = build_dofmap(pair.fine, 1)
+    dm_c = build_dofmap(mesh, p_s)
+    dm_f = build_dofmap(pair.fine, p_s)
     x_c = rng.standard_normal(dm_c.n_dofs)
     x_f = restriction_matrix(pair, dm_c, dm_f) @ x_c
     els, fine_els = elements(mesh), elements(pair.fine)
-    ref = rng.uniform(-1, 1, size=(5, 3))
-    for i in range(4):
-        eid = dm_c.mesh.etab.id[i]
+    coarse_facets = list(facets(mesh).values())
+
+    def coarse_field(eid, phys):
         el = els[eid]
-        for cid in dm_f.mesh.etab.id[pair.children[i]].tolist():
-            ch = fine_els[cid]
-            assert ch.parent == eid
-            phys = map_to_box(ch.lo, ch.hi, ref)
-            ref_c = 2 * (phys - el.lo) / (el.hi - el.lo) - 1
-            vc, _, _ = element_at(dm_c, x_c, eid, ref_c)
-            vf, _, _ = element_at(dm_f, x_f, cid, ref)
-            assert np.allclose(vc, vf, atol=1e-12)
+        return element_at(dm_c, x_c, eid, 2 * (phys - el.lo) / (el.hi - el.lo) - 1)[0]
+
+    # every fine element carries its coarse element's field
+    ref = rng.uniform(-1, 1, size=(5, d + 1))
+    for ch in fine_els.values():
+        got = element_at(dm_f, x_f, ch.eid, ref)[0]
+        assert np.allclose(got, coarse_field(ch.parent, map_to_box(ch.lo, ch.hi, ref)),
+                           rtol=0, atol=1e-12)
+    # a descended facet carries its coarse facet's field; a new facet, which
+    # lies inside a coarse element, carries that element's trace
+    ref = ref[:, :d]
+    for f, parent in zip(facets(pair.fine).values(), pair.facet_parent.tolist()):
+        phys = map_to_box(f.lo, f.hi, np.insert(ref, f.axis, 0.0, axis=1))
+        if parent < 0:
+            want = coarse_field(fine_els[f.owner].parent, phys)
+        else:
+            g = coarse_facets[parent]
+            free = g.free_axes()
+            want = facet_at(dm_c, x_c, g.fid,
+                            2 * (phys[:, free] - g.lo[free]) / (g.hi[free] - g.lo[free]) - 1)
+        assert np.allclose(facet_at(dm_f, x_f, f.fid, ref), want, rtol=0, atol=1e-12)
 
 
 def test_beta_sup_inheritance_is_needed():
@@ -157,6 +194,21 @@ def test_saturation_flags_reproduced_solutions():
     rep = measure_saturation(spec, SpaceTimeMesh.build(1, 2, 2), 1)
     assert rep.flagged
     assert math.isnan(rep.rho)
+
+
+@_MESHES
+def test_saturation_matches_the_fine_element_oracle(d, policy, mesh_of):
+    # at eps = 0.3 coarse elements of different levels fall in different
+    # regimes, so tau tells which coarse element a fine integral lands in
+    spec = get_problem("sine", 0.3, d=d)
+    mesh = mesh_of(d, policy=policy)
+    rep = measure_saturation(spec, mesh, 1)
+    assert not rep.flagged
+    pair = build_subgrid(mesh)
+    sys_c, sys_f = assemble_two_level(spec, pair, 1)
+    want = oracle_saturation(spec, sys_c.dofmap, solve(sys_c)[0], sys_f.dofmap,
+                             solve(sys_f)[0], sys_c.quad_n + 2)
+    assert (rep.rho, rep.numerator, rep.denominator) == pytest.approx(want, rel=1e-12, abs=0)
 
 
 def test_saturation_contracts_on_smooth_problem():
