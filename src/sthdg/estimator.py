@@ -173,7 +173,7 @@ def estimate(sys: AssembledSystem, x: np.ndarray) -> EstimateResult:
 
     for g in fs.groups:
         axis, sign, boundary = g.axis, g.sign, g.boundary
-        EB = elem_trace_basis(dm.elem_degrees, axis, g.fixed, g.alphas, g.betas, nq)
+        EB = elem_trace_basis(dm.elem_degrees, axis, sign, g.alphas, g.betas, nq)
         FB = facet_basis_at_rule(g.fdeg, nq)
         GramF = FB.values.T @ (FB.values * wfq[:, None])
         nbf = FB.values.shape[1]

@@ -14,11 +14,11 @@ edge i -> j where row i reads unknown j, and assumes nothing about the mesh:
   diagonal submatrix of a level is block diagonal.
 
 The projected Dirichlet values are data, not unknowns: `solve` writes them
-into x first and solves for the free unknowns only.  The graph is that of
-`sys.A` as it is, with its stored zeros and its Dirichlet rows: an edge
-i -> j for every nonzero A[i, j].  A Dirichlet facet couples only with its
-one owner element, so it joins that element's block and merges no others,
-and `solve` drops the constrained dofs from the level order.  The levels
+into x first and solves for the free unknowns only.  The graph is `sys.A`
+itself, Dirichlet rows included: `assemble` stores no zeros, so every
+stored entry A[i, j] is an edge i -> j.  A Dirichlet facet couples only
+with its one owner element, so it joins that element's block and merges no
+others; `solve` drops the constrained dofs from the level order.  The levels
 are forward-substituted in order with one sparse LU each.  A level's rows
 are cut from `sys.A` by `apply_dirichlet(sys, rows)`, in ascending dof
 order, and its diagonal block is cut from them.  No whole copy of the
@@ -141,28 +141,19 @@ def _lu_solve(A: sp.spmatrix, b: np.ndarray) -> tuple[np.ndarray, int]:
 
 
 def causal_levels(A: sp.csr_matrix) -> np.ndarray:
-    """Level of every unknown in the block-triangular order of A: row i
-    reads unknown j where A[i, j] != 0."""
+    """Level of every unknown in the block-triangular order of A: every
+    stored entry A[i, j] is an edge, row i reads unknown j."""
     n, ptr = A.shape[0], A.indptr
     cuts = np.unique(np.r_[0, np.searchsorted(ptr, np.arange(_CHUNK, ptr[-1], _CHUNK)), n])
-    chunks = list(zip(cuts[:-1], cuts[1:]))  # row ranges of about _CHUNK entries each
-    # an entry that couples nothing becomes a self loop on its row, which no
-    # strong component sees; the graph shares A's data and indptr
-    cols = A.indices.copy()
-    for r0, r1 in chunks:
-        row = np.repeat(np.arange(r0, r1, dtype=cols.dtype), np.diff(ptr[r0:r1 + 1]))
-        idle = A.data[ptr[r0]:ptr[r1]] == 0
-        cols[ptr[r0]:ptr[r1]][idle] = row[idle]
-    graph = sp.csr_matrix((A.data, cols, ptr), shape=A.shape, copy=False)
-    n_comp, comp = csgraph.connected_components(graph, directed=True, connection="strong")
-    # distinct block pairs (j, i) where block i reads block j, as j * n_comp + i
+    n_comp, comp = csgraph.connected_components(A, directed=True, connection="strong")
+    # distinct block pairs (j, i) where block i reads block j, as j * n_comp + i,
+    # taken over row ranges of about _CHUNK entries each
     pairs = []
-    for r0, r1 in chunks:
+    for r0, r1 in zip(cuts[:-1], cuts[1:]):
         ci = np.repeat(comp[r0:r1], np.diff(ptr[r0:r1 + 1]))
-        cj = comp[cols[ptr[r0]:ptr[r1]]]
+        cj = comp[A.indices[ptr[r0]:ptr[r1]]]
         cross = ci != cj
         pairs.append(np.unique(cj[cross].astype(np.int64) * n_comp + ci[cross]))
-    del cols
     src, dependents = np.divmod(np.unique(np.concatenate(pairs)), n_comp)
     # dependents[start[j]:start[j + 1]] are the blocks that read block j
     start = np.concatenate(([0], np.cumsum(np.bincount(src, minlength=n_comp))))

@@ -467,7 +467,7 @@ def oswald_constant(mesh: SpaceTimeMesh, p_s: int, elem_coeffs: np.ndarray) -> O
     interior = np.zeros(nf, dtype=bool)
     for g in fs.groups:
         if g.boundary is None:
-            tb = elem_trace_basis(dm.elem_degrees, g.axis, g.fixed, g.alphas, g.betas, nq)
+            tb = elem_trace_basis(dm.elem_degrees, g.axis, g.sign, g.alphas, g.betas, nq)
             np.add.at(gap, g.facet, g.sign * (coef[g.elem] @ tb.values.T))
             jac[g.facet] = g.jacF
             interior[g.facet] = True

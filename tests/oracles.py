@@ -1063,7 +1063,7 @@ def oracle_eta_J1(sys, x: np.ndarray) -> np.ndarray:
     for g in dm.facet_sides.groups:
         if g.axis == 0 or g.boundary is not None:
             continue
-        EB = elem_trace_basis(dm.elem_degrees, g.axis, g.fixed, g.alphas, g.betas, nq)
+        EB = elem_trace_basis(dm.elem_degrees, g.axis, g.sign, g.alphas, g.betas, nq)
         for sl in g.chunks():
             gradn = (g.sign / g.s_ax[sl])[:, None] * (xe[g.elem[sl]] @ EB.grad[:, :, g.axis].T)
             h_own, jacF = g.h_owner[sl], g.jacF[sl]

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,6 +14,7 @@ from sthdg.assembly import (
 )
 from sthdg.mesh import SpaceTimeMesh
 from sthdg.problem import ProblemSpec
+from sthdg.verify import assemble_two_level, build_subgrid
 
 from conftest import hanging_mesh, poly_problem, regression_systems, small_meshes
 from oracles import (
@@ -52,30 +51,52 @@ def test_matrix_matches_oracle_on_hanging_mesh(d):
     _compare(sys, A2, b2, f"hanging d={d}")
 
 
+def _dof_entities(dm) -> np.ndarray:
+    """Entity of every dof: elements 0 .. n_elem - 1, then the facets."""
+    return np.concatenate((np.arange(dm.n_elem_dofs) // dm.n_elem_basis,
+                           len(dm.mesh.etab) + np.searchsorted(
+                               dm.facet_dof, np.arange(dm.n_elem_dofs, dm.n_dofs),
+                               side="right") - 1))
+
+
+def _assert_nonzero_block_pattern(sys, tag):
+    """Every stored entry of A is nonzero and couples an entity with itself
+    or an element with a facet on its boundary; A is canonical CSR with
+    32-bit indices."""
+    A, dm = sys.A, sys.dofmap
+    assert A.indices.dtype == np.int32 and A.indptr.dtype == np.int32, tag
+    # canonical: column keys strictly increase along the rows
+    rows = np.repeat(np.arange(sys.n_dofs), np.diff(A.indptr))
+    assert np.all(np.diff(rows * sys.n_dofs + A.indices) > 0), tag
+    assert A.has_canonical_format, tag
+    assert np.all(A.data != 0), tag
+    ent = _dof_entities(dm)
+    er, ec = ent[rows], ent[A.indices]
+    side = er != ec
+    elem, facet = np.minimum(er[side], ec[side]), np.maximum(er[side], ec[side])
+    n_elem, ft = len(dm.mesh.etab), dm.mesh.ftab
+    assert np.all(elem < n_elem) and np.all(facet >= n_elem), tag
+    facet -= n_elem
+    assert np.all((ft.owner[facet] == elem) | (ft.neighbor[facet] == elem)), tag
+
+
 @pytest.mark.parametrize("policy", ["h", "h2"])
 @pytest.mark.parametrize("p_s", [1, 2])
 @pytest.mark.parametrize("d", [1, 2])
 def test_matrix_is_the_block_pattern(d, p_s, policy):
-    """Every element, side and facet block is stored once, explicit zeros
-    included, in sorted rows with 32-bit indices."""
+    """A stores its nonzeros only, each inside the HDG block pattern, in
+    sorted rows with 32-bit indices; so does the fine system of the
+    two-level pair, whose facets inherit beta_s."""
     spec = poly_problem(d)
     for name, mesh in (("regular", SpaceTimeMesh.build(d, 2, 2, policy=policy)),
                        ("hanging", hanging_mesh(d, policy=policy))):
         sys = assemble(spec, mesh, p_s)
-        A, dm = sys.A, sys.dofmap
         tag = f"d={d} p={p_s} {policy} {name}"
-        assert A.indices.dtype == np.int32 and A.indptr.dtype == np.int32, tag
-        # canonical: column keys strictly increase along the rows
-        rows = np.repeat(np.arange(sys.n_dofs), np.diff(A.indptr))
-        assert np.all(np.diff(rows * sys.n_dofs + A.indices) > 0), tag
-        assert A.has_canonical_format, tag
-        nb = dm.n_elem_basis
-        nbf = np.diff(dm.facet_dof, append=dm.n_dofs)
-        sides = sum(len(g.facet) * nb * math.prod(k + 1 for k in g.fdeg)
-                    for g in dm.facet_sides.groups)
-        assert A.nnz == len(dm.mesh.etab) * nb**2 + 2 * sides + int(np.sum(nbf**2)), tag
+        _assert_nonzero_block_pattern(sys, tag)
         A2, b2 = oracle_system(spec, mesh, p_s)
         _compare(sys, A2, b2, tag)
+        _, fine = assemble_two_level(spec, build_subgrid(mesh), p_s)
+        _assert_nonzero_block_pattern(fine, tag + " two-level fine")
 
 
 def _dirichlet_systems():
@@ -99,8 +120,8 @@ def test_dirichlet_rows_match_sparse_product_construction():
             got, ref = getattr(A_bc, key), getattr(want, key)
             assert got.dtype == ref.dtype and np.array_equal(got, ref), (name, key)
         assert np.array_equal(b_bc, b_want), name
-        # the raw matrix keeps its structural zeros, the free rows have none
-        assert np.any(sys.A.data == 0) and not np.any(A_bc.data == 0), name
+        # neither the raw matrix nor its free rows store a zero
+        assert np.all(sys.A.data != 0) and np.all(A_bc.data != 0), name
 
 
 def test_facets_and_elements_couple_only_through_each_other():
@@ -110,11 +131,7 @@ def test_facets_and_elements_couple_only_through_each_other():
     for name, sys in _dirichlet_systems():
         A, dm = sys.A.tocoo(), sys.dofmap
         n_elem = len(dm.mesh.etab)
-        # entity of every dof: elements 0 .. n_elem - 1, then the facets
-        ent = np.concatenate((np.arange(dm.n_elem_dofs) // dm.n_elem_basis,
-                              n_elem + np.searchsorted(
-                                  dm.facet_dof, np.arange(dm.n_elem_dofs, dm.n_dofs),
-                                  side="right") - 1))
+        ent = _dof_entities(dm)
         er, ec = ent[A.row], ent[A.col]
         same_kind = (er >= n_elem) == (ec >= n_elem)
         assert np.array_equal(er[same_kind], ec[same_kind]), name
@@ -327,8 +344,9 @@ def test_facet_side_table_matches_per_facet_walk(d, policy, mesh):
     assert any(f.neighbor is not None and els[f.owner].level != els[f.neighbor].level
                for f in fcs.values())
     dm = build_dofmap(mesh, 1)
-    # reference: the owner-then-neighbor walk in facet-id order, keyed by trace_map
-    ref: dict[tuple, list[tuple[int, int, int]]] = {}
+    # reference: the owner-then-neighbor walk in facet-id order, keyed by
+    # trace_map; its geometric `fixed` must be the side's outward sign
+    ref: dict[tuple, list[tuple[int, int, float]]] = {}
     for fid in dm.mesh.ftab.id.tolist():
         f = fcs[fid]
         sides = [(f.owner, f.owner_side)]
@@ -336,16 +354,16 @@ def test_facet_side_table_matches_per_facet_walk(d, policy, mesh):
             sides.append((f.neighbor, -f.owner_side))
         for eid, sign in sides:
             fixed, alphas, betas = trace_map(f, els[eid])
-            key = (f.axis, sign, fixed, alphas, betas, f.boundary, dm.facet_degrees(f.axis))
-            ref.setdefault(key, []).append((fid, eid, sign))
+            key = (f.axis, sign, alphas, betas, f.boundary, dm.facet_degrees(f.axis))
+            ref.setdefault(key, []).append((fid, eid, fixed))
 
     groups = dm.facet_sides.groups
-    keys = [(g.axis, g.sign, g.fixed, g.alphas, g.betas, g.boundary, g.fdeg) for g in groups]
+    keys = [(g.axis, g.sign, g.alphas, g.betas, g.boundary, g.fdeg) for g in groups]
     assert keys == list(ref)
     nq = default_quad_n(1)
     rule = fe.tensor_rule((nq,) * d)
     for g, want in zip(groups, ref.values()):
-        got = [(dm.mesh.ftab.id[fp], dm.mesh.etab.id[ep], g.sign)
+        got = [(dm.mesh.ftab.id[fp], dm.mesh.etab.id[ep], float(g.sign))
                for fp, ep in zip(g.facet.tolist(), g.elem.tolist())]
         assert got == want
         pts = dm.facet_sides.points(g.facet, rule.points)
