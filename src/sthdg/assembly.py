@@ -433,7 +433,8 @@ def assemble(
     spec: ProblemSpec, mesh: SpaceTimeMesh, p_s: int, beta_sup: np.ndarray | None = None,
 ) -> AssembledSystem:
     """Assemble the raw system.  `A` is canonical CSR with 32-bit indices
-    while they fit, and every stored entry is nonzero.
+    while they fit, every stored entry is nonzero, and its arrays hold its
+    nnz entries and no more.
 
     beta_sup, when given, is the per-facet upwind constant in facet-table
     order and replaces `compute_beta_sup`.  The subgrid construction uses it
@@ -551,7 +552,16 @@ def assemble(
     for k, blocks in diag.items():
         csr.put(np.flatnonzero(csr.size == k), blocks)
     A = sp.csr_matrix((csr.data, csr.indices, csr.indptr), shape=(dm.n_dofs, dm.n_dofs))
+    n_stored = A.nnz
+    # eliminate_zeros compacts in place and keeps A's arrays as views of the
+    # full-size buffers, so they are copied to nnz entries.  With A their
+    # only holder and the blocks freed, each copy frees its buffer before the
+    # next is made, and the live bytes stay below those of the block sums
+    del csr, diag, blocks, A_EE, A_FF
     A.eliminate_zeros()
+    if A.nnz < n_stored:
+        A.indices = A.indices.copy()
+        A.data = A.data.copy()
 
     # ---------------- Dirichlet values ------------------------------
     # Dirichlet facets are lateral, so they share one facet basis

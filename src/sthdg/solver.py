@@ -49,6 +49,12 @@ about 7,000 dofs.  At p_s = 2 it was slower on all but two of the levels
 measured (3.5k-51k dofs), so levels of p_s >= 2, like all smaller ones,
 are factored whole.
 
+Right before the LU of S, on glibc, `malloc_trim(0)` hands the heap that
+the level's gathers and products freed back to the OS, so the allocator's
+pool of freed memory does not stay resident under the factors; elsewhere
+it does.  Levels factored whole skip the call: on a system of hundreds of
+tiny levels it costs more time than it returns memory.
+
 Each level, or its S, is factored by SuperLU in its symmetric mode (X. S.
 Li, "An overview of SuperLU", ACM TOMS 31(3), 2005): columns ordered by minimum
 degree on the pattern of A + A^T, and the diagonal taken as pivot while it
@@ -71,6 +77,7 @@ line times it on its own).
 
 from __future__ import annotations
 
+import ctypes
 import logging
 import time
 from dataclasses import dataclass
@@ -89,6 +96,12 @@ _CHUNK = 1 << 14  # entries per pass over the matrix in `causal_levels`
 _CONDENSE_MIN = 7000
 
 log = logging.getLogger(__name__)
+
+try:  # glibc's malloc_trim(0) hands the heap that is free back to the OS
+    _malloc_trim = ctypes.CDLL(None).malloc_trim
+    _malloc_trim.argtypes = (ctypes.c_size_t,)
+except (AttributeError, OSError, TypeError):  # not glibc
+    _malloc_trim = None
 
 
 class SolverError(RuntimeError):
@@ -221,7 +234,9 @@ def solve(sys: AssembledSystem) -> tuple[np.ndarray, SolveReport]:
             r_E = rhs[:m_e] - top[:, m_e:] @ (D_inv @ rhs[m_e:])
             S = top @ sp.vstack((sp.identity(m_e, format="csc"),
                                  -(D_inv @ block[m_e:, :m_e])), format="csc")
-            del block, top  # only S and D^-1 are alive through its LU
+            del block, top  # only S and D^-1 are alive through its LU ...
+            if _malloc_trim is not None:
+                _malloc_trim(0)  # ... and, on glibc, not the heap they freed
             x[idx[:m_e]], nnz_lu = _lu_solve(S, r_E)
             del S
             # z_F = D^-1 (rhs_F - B_FE z_E), from the facet rows gathered again

@@ -13,8 +13,9 @@ from sthdg.mesh import SpaceTimeMesh
 from sthdg.problem import get_problem
 from sthdg import solver
 from sthdg.solver import SolverError, _lu_solve, causal_levels, solve
+from sthdg.verify import assemble_two_level, build_subgrid
 
-from conftest import poly_problem, regression_systems
+from conftest import hanging_mesh, poly_problem, regression_systems
 from oracles import (element_at, elements, oracle_apply_dirichlet, oracle_block_solve,
                      oracle_levels)
 
@@ -268,6 +269,52 @@ def test_causal_levels_makes_no_copy_of_the_matrix(pulse_cycle4):
     limit = 1.0 * _nbytes(A_bc)
     del A_bc
     assert _traced_peak(causal_levels, sys.A) <= limit
+
+
+def test_matrix_arrays_hold_only_its_entries():
+    # eliminate_zeros leaves A's data and indices as views of the full-size
+    # buffers, zeros' bytes included; assemble gives A arrays of nnz entries
+    spec = poly_problem(2)
+    _, fine = assemble_two_level(spec, build_subgrid(hanging_mesh(2)), 1)
+    for name, sys in [*_causal_systems(), ("two-level fine", fine)]:
+        A = sys.A
+        for key in ("data", "indices"):
+            a = getattr(A, key)
+            assert len(a) == A.nnz and (a.base is None or a.base.size == A.nnz), (name, key)
+
+
+def test_heap_is_trimmed_right_before_each_schur_complement_lu(pulse_cycle4, condense_all,
+                                                               monkeypatch):
+    # malloc_trim(0) runs once per condensed level, after its gathers and
+    # products are freed and before SuperLU factors S, and for no other level
+    lu, events = solver._lu_solve, []
+    monkeypatch.setattr(solver, "_malloc_trim", lambda pad: events.append(("trim", pad)))
+    monkeypatch.setattr(solver, "_lu_solve",
+                        lambda A, b: events.append(("lu", A.shape[0])) or lu(A, b))
+    _, rep = solve(pulse_cycle4)
+    want = []
+    for f, n in zip(rep.factored, rep.block_sizes):
+        want += [("trim", 0)] * (f < n) + [("lu", f)]
+    assert sum(f < n for f, n in zip(rep.factored, rep.block_sizes)) >= 2
+    assert events == want
+
+
+def test_levels_factored_whole_do_not_trim_the_heap(monkeypatch):
+    calls = []
+    monkeypatch.setattr(solver, "_malloc_trim", calls.append)
+    sys = assemble(get_problem("sine", eps=0.1, d=1), SpaceTimeMesh.build(1, 8, 4), 1)
+    _, rep = solve(sys)
+    assert rep.factored == rep.block_sizes and rep.n_blocks > 8
+    assert calls == []
+
+
+def test_solve_without_malloc_trim_is_bit_equal(pulse_cycle4, condense_all, monkeypatch):
+    # where the C library has no malloc_trim nothing is called, and nothing
+    # of the solution or the report moves
+    x, rep = solve(pulse_cycle4)
+    monkeypatch.setattr(solver, "_malloc_trim", None)
+    x0, rep0 = solve(pulse_cycle4)
+    assert x0.tobytes() == x.tobytes() and rep0 == rep
 
 
 def test_solve_builds_the_free_mask_once(monkeypatch):
